@@ -15,9 +15,7 @@ from . import experiment as X
 from .config import ExperimentConfig
 from .data import BlobSpec, TileSpec, save_dataset, synthesize_longtail, load_dataset
 from .errors import ConfigError, FedFocalError
-from .federation import eval_scores
 from .metrics import evaluate_scores
-from .models import load_params
 from .partition import PartitionSpec, build_partition, write_manifest
 
 EXIT_OK = 0
@@ -156,12 +154,9 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     if args.dry_run:
         out.mkdir(parents=True, exist_ok=True)
-        bundle = X.assemble_dataset(cfg)
-        X.build_model(cfg, bundle)
+        bundle, _ = X.prepare(cfg)
         if cfg["run.mode"] == "federated":
-            part = build_partition(bundle.labels, cfg.partition_spec(),
-                                   bundle.num_classes)
-            write_manifest(out / "partition.manifest", part)
+            write_manifest(out / "partition.manifest", X.run_partition(cfg, bundle))
         (out / "config.echo").write_text(cfg.to_text(), encoding="ascii")
         print(f"dry run ok: {bundle.num_samples} samples, config echoed to {out}")
         return EXIT_OK
@@ -174,12 +169,9 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
-    preset = args.preset
-    if preset is None or preset not in ("ablation-loss", "ablation-distribution",
-                                        "sweep-lr", "sweep-batch"):
-        raise ConfigError("sweep needs --preset ablation-loss | "
-                          "ablation-distribution | sweep-lr | sweep-batch")
-    results = X.run_sweep(cfg, preset, args.out)
+    if args.preset not in X.SWEEP_PRESETS:
+        raise ConfigError(f"sweep needs --preset {' | '.join(X.SWEEP_PRESETS)}")
+    results = X.run_sweep(cfg, args.preset, args.out)
     for label, run in results:
         m = run.records[-1].metrics
         print(f"{label}: accuracy {m.accuracy:.4f}, macro F1 {m.macro_f1:.4f}")
@@ -188,22 +180,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    run_dir = Path(args.run)
-    cfg = ExperimentConfig.from_file(run_dir / "config.echo")
-    bundle = X.assemble_dataset(cfg)
-    model = X.build_model(cfg, bundle)
-    features = X.model_features(cfg, bundle)
-    params = load_params(run_dir / "final.ckpt")
-    if cfg["run.mode"] == "centralized":
-        spec = PartitionSpec(mode="fixed", ratios=(1.0,), num_clients=1,
-                             test_fraction=cfg["partition.test_fraction"],
-                             seed=cfg["federation.seed"])
-    else:
-        spec = cfg.partition_spec()
-    part = build_partition(bundle.labels, spec, bundle.num_classes)
-    test_idx = list(part.test_indices)
-    scores = eval_scores(model, params, features[test_idx])
-    report = evaluate_scores(scores, bundle.labels[test_idx], bundle.num_classes)
+    run = X.load_run(args.run)
+    scores, labels = run.score_test_set()
+    report = evaluate_scores(scores, labels, run.bundle.num_classes)
     for name in ("accuracy", "macro_precision", "macro_recall", "macro_f1",
                  "macro_specificity", "macro_auc"):
         print(f"{name} = {getattr(report, name)!r}")

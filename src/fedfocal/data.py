@@ -16,7 +16,6 @@ their seed.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 

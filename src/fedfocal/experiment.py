@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +27,11 @@ from . import federation as F
 from . import metrics as ME
 from .config import ExperimentConfig
 from .data import BlobSpec, DatasetBundle, TileSpec, load_dataset, synthesize_longtail
-from .errors import ConfigError, IngestionError
+from .errors import AggregationError, ConfigError, IngestionError
 from .imbalance import ImbalanceReport
-from .models import MlpClassifier, ViTClassifier, load_params, save_params
-from .partition import build_partition, write_manifest
+from .models import (MlpClassifier, ModelParams, ViTClassifier, check_manifests_match,
+                     load_params, save_params)
+from .partition import PartitionResult, build_partition, write_manifest
 from .tensor import DTYPES, save_array
 
 CSV_COLUMNS = ("round", "accuracy", "macro_f1", "macro_precision", "macro_recall",
@@ -67,11 +69,23 @@ def build_model(cfg: ExperimentConfig, bundle: DatasetBundle):
     return MlpClassifier(cfg.mlp_config(input_dim, bundle.num_classes), dtype=dtype)
 
 
-def model_features(cfg: ExperimentConfig, bundle: DatasetBundle) -> np.ndarray:
-    """Images are flattened for the MLP; the ViT consumes them as is."""
+def prepare(cfg: ExperimentConfig) -> tuple[DatasetBundle, object]:
+    """The configured dataset as the model consumes it, and the model.
+    Images are flattened for the MLP; the ViT consumes them as is."""
+    bundle = assemble_dataset(cfg)
+    model = build_model(cfg, bundle)
     if cfg["run.model"] == "mlp" and bundle.is_images:
-        return bundle.features.reshape(bundle.num_samples, -1)
-    return bundle.features
+        bundle = DatasetBundle(bundle.features.reshape(bundle.num_samples, -1),
+                               bundle.labels, bundle.class_names)
+    return bundle, model
+
+
+def run_partition(cfg: ExperimentConfig, bundle: DatasetBundle) -> PartitionResult:
+    """The client/test split a run trains and is scored on."""
+    if cfg["run.mode"] == "centralized":
+        return F.centralized_partition(bundle, cfg["partition.test_fraction"],
+                                       cfg["federation.seed"])
+    return build_partition(bundle.labels, cfg.partition_spec(), bundle.num_classes)
 
 
 def _csv_cell(value) -> str:
@@ -101,16 +115,7 @@ def round_record_json(rec: F.RoundRecord) -> dict:
         "selected": rec.selected,
         "client_coeffs": {str(k): v for k, v in rec.client_coeffs.items()},
         "weights": {str(k): v for k, v in rec.weights.items()},
-        "metrics": {
-            "accuracy": rec.metrics.accuracy,
-            "macro_precision": rec.metrics.macro_precision,
-            "macro_recall": rec.metrics.macro_recall,
-            "macro_f1": rec.metrics.macro_f1,
-            "macro_specificity": rec.metrics.macro_specificity,
-            "macro_auc": rec.metrics.macro_auc,
-            "per_class": rec.metrics.per_class,
-            "flags": rec.metrics.flags,
-        },
+        "metrics": asdict(rec.metrics),
         "per_class_grad_norms": rec.per_class_grad_norms,
         "tail_grad_norm": rec.tail_grad_norm,
         "head_grad_norm": rec.head_grad_norm,
@@ -124,24 +129,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> F.FederationRun:
     """Execute one configured run and write all artifacts into out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    bundle = assemble_dataset(cfg)
-    model = build_model(cfg, bundle)
-    features = model_features(cfg, bundle)
-    working = DatasetBundle(features, bundle.labels, bundle.class_names)
+    bundle, model = prepare(cfg)
     loss_cfg = cfg.loss_config()
     fed_cfg = cfg.federation_config()
 
     (out / "config.echo").write_text(cfg.to_text(), encoding="ascii")
 
     if cfg["run.mode"] == "centralized":
-        run = F.run_centralized(working, model, loss_cfg, fed_cfg,
+        run = F.run_centralized(bundle, model, loss_cfg, fed_cfg,
                                 val_fraction=cfg["partition.test_fraction"])
-        spec = None
     else:
-        spec = cfg.partition_spec()
-        part = build_partition(working.labels, spec, working.num_classes)
+        part = run_partition(cfg, bundle)
         write_manifest(out / "partition.manifest", part)
-        run = F.run_federation(working, part, model, loss_cfg, fed_cfg)
+        run = F.run_federation(bundle, part, model, loss_cfg, fed_cfg)
 
     last = run.records[-1]
     report = ImbalanceReport(
@@ -176,8 +176,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> F.FederationRun:
 # presets
 
 
+SWEEP_PRESETS = ("ablation-loss", "ablation-distribution", "sweep-lr", "sweep-batch")
+PRESETS = ("smoke", "vit-smoke") + SWEEP_PRESETS
+
+
 def preset_config(name: str, seed: int = 0) -> ExperimentConfig:
     """Named starting configurations; `smoke` is the desk-scale reference."""
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}")
     base = ExperimentConfig({
         "run.name": name,
         "dataset.synth.counts": (1000, 400, 200, 60, 20),
@@ -194,10 +200,6 @@ def preset_config(name: str, seed: int = 0) -> ExperimentConfig:
         "federation.seed": seed,
         "partition.seed": seed,
     })
-    if name in ("smoke", "ablation-loss", "sweep-lr", "sweep-batch"):
-        return base
-    if name == "ablation-distribution":
-        return base
     if name == "vit-smoke":
         return base.with_overrides({
             "run.model": "vit",
@@ -207,11 +209,7 @@ def preset_config(name: str, seed: int = 0) -> ExperimentConfig:
             "model.vit.image_size": 16,
             "federation.rounds": 3,
         })
-    raise ConfigError(f"unknown preset {name!r}")
-
-
-PRESETS = ("smoke", "vit-smoke", "ablation-loss", "ablation-distribution",
-           "sweep-lr", "sweep-batch")
+    return base
 
 
 def sweep_settings(cfg: ExperimentConfig, preset: str) -> list[tuple[str, ExperimentConfig]]:
@@ -263,7 +261,7 @@ def run_sweep(cfg: ExperimentConfig, preset: str, out_dir) -> list[tuple[str, F.
 
 
 # ---------------------------------------------------------------------------
-# post-hoc analysis
+# finished runs and post-hoc analysis
 
 
 def _require_artifacts(run_dir: Path, names: tuple[str, ...]) -> None:
@@ -273,40 +271,57 @@ def _require_artifacts(run_dir: Path, names: tuple[str, ...]) -> None:
                              f"{', '.join(missing)}; expected {', '.join(names)}")
 
 
+@dataclass(frozen=True)
+class FinishedRun:
+    """A completed run rebuilt from its directory."""
+    cfg: ExperimentConfig
+    bundle: DatasetBundle
+    model: object
+    params: ModelParams
+    test_indices: list[int]
+
+    def score_test_set(self) -> tuple[np.ndarray, np.ndarray]:
+        """Final-model class scores on the held-out test set, and its labels."""
+        idx = self.test_indices
+        return (F.eval_scores(self.model, self.params, self.bundle.features[idx]),
+                self.bundle.labels[idx])
+
+
+def load_run(run_dir) -> FinishedRun:
+    """Rebuild a run from its echoed config and final checkpoint; the
+    checkpoint must hold the parameter set the config describes."""
+    run_dir = Path(run_dir)
+    _require_artifacts(run_dir, ("config.echo", "rounds.jsonl", "final.ckpt"))
+    cfg = ExperimentConfig.from_file(run_dir / "config.echo")
+    bundle, model = prepare(cfg)
+    params = load_params(run_dir / "final.ckpt")
+    expected = F.initial_params(model, cfg.loss_config(), cfg["federation.seed"])
+    try:
+        check_manifests_match([expected, params])
+    except AggregationError as exc:
+        raise IngestionError(f"{run_dir / 'final.ckpt'} does not match "
+                             f"{run_dir / 'config.echo'}: {exc}") from exc
+    test_idx = list(run_partition(cfg, bundle).test_indices)
+    return FinishedRun(cfg, bundle, model, params, test_idx)
+
+
 def analyze(run_dir, out_dir=None) -> dict:
     """Derive decision-curve, ROC, gradient-norm, and saliency artifacts
     from a completed run directory."""
     run_dir = Path(run_dir)
     out = Path(out_dir) if out_dir else run_dir
-    _require_artifacts(run_dir, ("config.echo", "rounds.jsonl", "final.ckpt"))
-    cfg = ExperimentConfig.parse_text((run_dir / "config.echo").read_text(),
-                                      source=str(run_dir / "config.echo"))
-    bundle = assemble_dataset(cfg)
-    model = build_model(cfg, bundle)
-    features = model_features(cfg, bundle)
-    working = DatasetBundle(features, bundle.labels, bundle.class_names)
-    params = load_params(run_dir / "final.ckpt")
-
-    if cfg["run.mode"] == "centralized":
-        from .partition import PartitionSpec
-        spec = PartitionSpec(mode="fixed", ratios=(1.0,), num_clients=1,
-                             test_fraction=cfg["partition.test_fraction"],
-                             seed=cfg["federation.seed"])
-    else:
-        spec = cfg.partition_spec()
-    part = build_partition(working.labels, spec, working.num_classes)
-    test_idx = list(part.test_indices)
-    test_x, test_y = working.features[test_idx], working.labels[test_idx]
-    scores = F.eval_scores(model, params, test_x)
+    run = load_run(run_dir)
+    cfg, bundle, test_idx = run.cfg, run.bundle, run.test_indices
+    scores, test_y = run.score_test_set()
 
     # decision curve: one row per (model, threshold)
     table = ME.decision_curve(scores, test_y, cfg["dca.thresholds"])
     dca_lines = ["model,threshold,macro_net_benefit" +
-                 "".join(f",class_{i}" for i in range(working.num_classes))]
+                 "".join(f",class_{i}" for i in range(bundle.num_classes))]
     for k, t in enumerate(table["thresholds"]):
         cells = [cfg["run.name"], _csv_cell(t), _csv_cell(table["macro"][k])]
         cells += [_csv_cell(table["per_class"][i][k])
-                  for i in range(working.num_classes)]
+                  for i in range(bundle.num_classes)]
         dca_lines.append(",".join(cells))
     (out / "dca.csv").write_text("\n".join(dca_lines) + "\n", encoding="ascii")
 
@@ -332,13 +347,13 @@ def analyze(run_dir, out_dir=None) -> dict:
     if cfg["run.model"] == "vit":
         masks = []
         picked = []
-        for c in range(working.num_classes):
+        for c in range(bundle.num_classes):
             hits = np.flatnonzero(test_y == c)
             if hits.size == 0:
                 notes.append(f"class {c}: no test sample for rollout")
                 continue
             image = bundle.features[test_idx[int(hits[0])]]
-            masks.append(ME.grad_rollout_for_sample(model, params, image))
+            masks.append(ME.grad_rollout_for_sample(run.model, run.params, image))
             picked.append(test_idx[int(hits[0])])
         if masks:
             save_array(out / "rollout_masks.bin", np.stack(masks))

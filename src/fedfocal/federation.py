@@ -18,7 +18,7 @@ produce identical runs bit for bit.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -160,8 +160,7 @@ def local_train(model, global_params: ModelParams, features: np.ndarray,
     loss_sum = 0.0
     batch_count = 0
     n = labels.size
-    gamma_param = params["loss.gamma"] if (loss_cfg.gamma_trainable
-                                           and "loss.gamma" in params) else None
+    gamma_param = L.trainable_gamma(params, loss_cfg)
     for _ in range(fed_cfg.local_epochs):
         order = rng.permutation(n)
         for start in range(0, n, fed_cfg.batch_size):
@@ -240,6 +239,13 @@ def eval_scores(model, params: ModelParams, features: np.ndarray,
     return np.concatenate(rows)
 
 
+def initial_params(model, loss_cfg: L.LossConfig, seed: int) -> ModelParams:
+    """The round-0 global parameters; gamma is a parameter exactly when it
+    is trainable."""
+    gamma_init = loss_cfg.gamma if loss_cfg.gamma_trainable else None
+    return model.init_params(derive_rng(seed, _INIT_ROLE), gamma_init=gamma_init)
+
+
 def _select_clients(fed_cfg: FederationConfig, round_index: int,
                     eligible: list[int]) -> list[int]:
     if fed_cfg.client_fraction >= 1.0:
@@ -265,9 +271,7 @@ def run_federation(bundle, partition: PartitionResult, model,
         raise ConfigError("partition has no global test set to evaluate on")
     test_x, test_y = features[test_idx], labels[test_idx]
 
-    init_rng = derive_rng(fed_cfg.seed, _INIT_ROLE)
-    gamma_init = loss_cfg.gamma if loss_cfg.gamma_trainable else None
-    global_params = model.init_params(init_rng, gamma_init=gamma_init)
+    global_params = initial_params(model, loss_cfg, fed_cfg.seed)
 
     pooled = partition.histograms[0]
     for h in partition.histograms[1:]:
@@ -351,19 +355,21 @@ def run_federation(bundle, partition: PartitionResult, model,
                          tail_classes, head_classes)
 
 
+def centralized_partition(bundle, val_fraction: float, seed: int) -> PartitionResult:
+    """One shard holding the whole training pool beside a stratified
+    validation split."""
+    spec = PartitionSpec(mode="fixed", ratios=(1.0,), num_clients=1,
+                         test_fraction=val_fraction, seed=seed)
+    return build_partition(bundle.labels, spec, bundle.num_classes)
+
+
 def run_centralized(bundle, model, loss_cfg: L.LossConfig,
                     fed_cfg: FederationConfig,
                     val_fraction: float = 0.1) -> FederationRun:
     """Single-trainer reference: one shard holding the whole training pool,
     a stratified validation split, and one synchronization per epoch (so a
     K=1 federation with matched total epochs follows the same trajectory)."""
-    spec = PartitionSpec(mode="fixed", ratios=(1.0,), num_clients=1,
-                         test_fraction=val_fraction, seed=fed_cfg.seed)
-    partition = build_partition(bundle.labels, spec, bundle.num_classes)
-    cfg = FederationConfig(
-        num_clients=1, rounds=fed_cfg.rounds, local_epochs=fed_cfg.local_epochs,
-        batch_size=fed_cfg.batch_size, learning_rate=fed_cfg.learning_rate,
-        beta1=fed_cfg.beta1, beta2=fed_cfg.beta2, adam_eps=fed_cfg.adam_eps,
-        aggregation="uniform", seed=fed_cfg.seed, concurrent=False,
-        tail_fraction=fed_cfg.tail_fraction)
+    partition = centralized_partition(bundle, val_fraction, fed_cfg.seed)
+    cfg = replace(fed_cfg, num_clients=1, client_fraction=1.0,
+                  aggregation="uniform", concurrent=False)
     return run_federation(bundle, partition, model, loss_cfg, cfg)

@@ -147,7 +147,13 @@ def clamp_gamma(params: ModelParams, cfg: LossConfig) -> None:
     g.data[...] = np.clip(g.data, cfg.gamma_lo, cfg.gamma_hi)
 
 
-def gamma_value(params: ModelParams, cfg: LossConfig) -> float:
+def trainable_gamma(params: ModelParams, cfg: LossConfig) -> Tensor | None:
+    """The gamma parameter to train, or None when gamma is the configured constant."""
     if cfg.gamma_trainable and "loss.gamma" in params:
-        return float(params["loss.gamma"].data.reshape(()))
-    return cfg.gamma
+        return params["loss.gamma"]
+    return None
+
+
+def gamma_value(params: ModelParams, cfg: LossConfig) -> float:
+    gamma = trainable_gamma(params, cfg)
+    return cfg.gamma if gamma is None else float(gamma.data.reshape(()))

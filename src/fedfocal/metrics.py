@@ -253,9 +253,8 @@ def gradient_norm_by_group(model, params: ModelParams, features, labels,
     """
     labels = np.asarray(labels)
     logits = model.batch_logits(params, features)
-    gamma_param = params["loss.gamma"] if (loss_cfg.gamma_trainable
-                                           and "loss.gamma" in params) else None
-    loss = L.batch_loss(logits, labels, loss_cfg, coeffs=coeffs, gamma_param=gamma_param)
+    loss = L.batch_loss(logits, labels, loss_cfg, coeffs=coeffs,
+                        gamma_param=L.trainable_gamma(params, loss_cfg))
     params.zero_grads()
     T.backward(loss)
     norms = per_sample_logit_grad_norms(logits)

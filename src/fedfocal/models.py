@@ -371,9 +371,6 @@ class MlpClassifier:
                              f"input dim {self.cfg.input_dim}")
         return mlp_forward(x, params)
 
-    def param_count(self, with_gamma: bool = False) -> int:
-        return mlp_param_count(self.cfg, with_gamma)
-
 
 class ViTClassifier:
     kind = "vit"
@@ -406,9 +403,6 @@ class ViTClassifier:
             rows.append(T.reshape(logits, (1, self.cfg.num_classes)))
         return T.concat(rows, axis=0)
 
-    def param_count(self, with_gamma: bool = False) -> int:
-        return vit_param_count(self.cfg, with_gamma)
-
 
 # ---------------------------------------------------------------------------
 # checkpoint io: a name manifest followed by the tensors in the same order
@@ -434,9 +428,10 @@ def load_params(path) -> ModelParams:
             raise IngestionError(f"{path}: not a parameter checkpoint (header {magic!r})")
         try:
             count = int(fh.readline().decode("ascii").strip())
+            names = [fh.readline().decode("ascii").rstrip("\n") for _ in range(count)]
         except ValueError as exc:
-            raise IngestionError(f"{path}: malformed tensor count") from exc
-        names = [fh.readline().decode("ascii").rstrip("\n") for _ in range(count)]
+            raise IngestionError(f"{path}: malformed tensor count or "
+                                 "non-ASCII parameter name") from exc
         if any(not n for n in names):
             raise IngestionError(f"{path}: manifest shorter than declared count {count}")
         items = [(name, T.parameter(T.read_array(fh))) for name in names]

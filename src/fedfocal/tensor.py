@@ -16,29 +16,22 @@ Broadcasting is rejected except for the affine-bias pattern
 
 from __future__ import annotations
 
-import io
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, NumericError, ShapeError
+from .errors import ConfigError, ContractError, IngestionError, NumericError, ShapeError
 
 DTYPES = {"f32": np.float32, "f64": np.float64, "i64": np.int64}
 _DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64",
                 np.dtype(np.int64): "i64"}
 
 
-def dtype_from_name(name: str) -> np.dtype:
-    if name not in DTYPES:
-        raise ContractError(f"unknown dtype name {name!r}; expected one of {sorted(DTYPES)}")
-    return np.dtype(DTYPES[name])
-
-
 class Tensor:
     """N-dimensional array with an optional gradient slot.
 
     The data buffer is treated as immutable after construction; only the
-    ``grad`` slot mutates (during backward / zero_grad) and only the owning
+    ``grad`` slot mutates (during backward / zero_grads) and only the owning
     worker may touch it.
     """
 
@@ -67,38 +60,8 @@ class Tensor:
             raise ContractError(f"item() requires a scalar tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """Same buffer, no gradient tracking."""
-        return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={_DTYPE_NAMES[self.dtype]}, requires_grad={self.requires_grad})"
-
-    # operator sugar over the module-level primitives
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
 
 
 def _record(out: Tensor, parents: Sequence[Tensor], vjp) -> Tensor:
@@ -348,8 +311,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     """Normalize over the last axis to zero mean / unit variance, then affine."""
-    from .errors import ConfigError
-
     if eps <= 0:
         raise ConfigError(f"layer_norm eps must be positive, got {eps}")
     _check_same_dtype(a, gain, bias)
@@ -403,7 +364,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` of every requires_grad tensor reachable from ``loss``.
 
-    Repeated calls without ``zero_grad`` accumulate.
+    Repeated calls without ``zero_grads`` accumulate.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -446,8 +407,6 @@ def write_array(fh, arr: np.ndarray) -> None:
 
 
 def read_array(fh) -> np.ndarray:
-    from .errors import IngestionError
-
     header = bytearray()
     while True:
         ch = fh.read(1)
@@ -460,11 +419,14 @@ def read_array(fh) -> np.ndarray:
     if len(parts) < 2 or parts[0] not in DTYPES:
         raise IngestionError(f"malformed tensor header: {bytes(header)!r}")
     dtype = np.dtype(DTYPES[parts[0]]).newbyteorder("<")
-    rank = int(parts[1])
+    try:
+        rank = int(parts[1])
+        shape = tuple(int(p) for p in parts[2:])
+    except ValueError as exc:
+        raise IngestionError(f"malformed tensor header: {bytes(header)!r}") from exc
     if len(parts) != 2 + rank:
         raise IngestionError(f"tensor header declares rank {rank} but lists "
                              f"{len(parts) - 2} dimensions")
-    shape = tuple(int(p) for p in parts[2:])
     if any(d < 0 for d in shape):
         raise IngestionError(f"negative dimension in tensor header: {shape}")
     count = int(np.prod(shape, dtype=np.int64)) if shape else 1
@@ -483,9 +445,3 @@ def save_array(path, arr: np.ndarray) -> None:
 def load_array(path) -> np.ndarray:
     with open(path, "rb") as fh:
         return read_array(fh)
-
-
-def array_to_bytes(arr: np.ndarray) -> bytes:
-    buf = io.BytesIO()
-    write_array(buf, arr)
-    return buf.getvalue()

@@ -154,6 +154,49 @@ class TestEvaluateAndAnalyze:
         empty.mkdir()
         assert main(["analyze", "--run", str(empty)]) == 3
 
+    def test_evaluate_missing_artifacts_diagnosed(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main(["evaluate", "--run", str(empty)]) == 3
+        err = capsys.readouterr().err
+        assert "missing run artifacts: config.echo, rounds.jsonl, final.ckpt" in err
+
+    @pytest.mark.parametrize("extra", [[], ["--set", "run.mode=centralized"],
+                                       ["--set", "loss.gamma_trainable=true"]],
+                             ids=["federated", "centralized", "trainable-gamma"])
+    def test_evaluate_reproduces_last_round(self, tmp_path, capsys, extra):
+        out = tmp_path / "run"
+        assert main(["train", "--preset", "smoke", "--out", str(out)] + FAST + extra) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--run", str(out)]) == 0
+        printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        header, *rows = (out / "metrics.csv").read_text().splitlines()
+        last = dict(zip(header.split(","), rows[-1].split(",")))
+        assert set(printed) == {"accuracy", "macro_precision", "macro_recall",
+                                "macro_f1", "macro_specificity", "macro_auc"}
+        for name, value in printed.items():
+            assert value == last[name], name
+
+    @pytest.mark.parametrize("ckpt", [b"fedfocal-params 1\n-1\n",
+                                      b"fedfocal-params 1\n1\nmlp.w1\nf32 x\n"],
+                             ids=["negative-count", "non-numeric-header"])
+    def test_evaluate_rejects_malformed_checkpoint(self, finished_run, ckpt):
+        (finished_run / "final.ckpt").write_bytes(ckpt)
+        assert main(["evaluate", "--run", str(finished_run)]) == 3
+
+    @pytest.mark.parametrize("line, edited", [
+        ("model.hidden_dim = 32", "model.hidden_dim = 16"),
+        ("loss.gamma_trainable = false", "loss.gamma_trainable = true"),
+    ], ids=["hidden-dim", "trainable-gamma"])
+    def test_evaluate_rejects_checkpoint_of_other_config(self, finished_run, capsys,
+                                                          line, edited):
+        echo = finished_run / "config.echo"
+        text = echo.read_text()
+        assert line in text
+        echo.write_text(text.replace(line, edited))
+        assert main(["evaluate", "--run", str(finished_run)]) == 3
+        assert "does not match" in capsys.readouterr().err
+
     def test_analyze_vit_run_emits_rollout_masks(self, tmp_path):
         out = tmp_path / "vit"
         assert main(["train", "--preset", "vit-smoke", "--out", str(out),

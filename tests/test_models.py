@@ -3,7 +3,7 @@ import pytest
 
 from fedfocal import models as M
 from fedfocal import tensor as T
-from fedfocal.errors import AggregationError, ConfigError, ShapeError
+from fedfocal.errors import AggregationError, ConfigError, IngestionError, ShapeError
 
 from helpers import fd_gradient, max_rel_err
 
@@ -369,6 +369,14 @@ class TestModelParams:
         for name, t in params:
             assert back[name].data.tobytes() == t.data.tobytes()
             assert back[name].dtype == t.dtype
+
+    @pytest.mark.parametrize("body", [b"x\n", b"1\nhead.\xffbias\n"],
+                             ids=["bad-count", "non-ascii-name"])
+    def test_checkpoint_malformed_manifest_rejected(self, tmp_path, body):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b"fedfocal-params 1\n" + body)
+        with pytest.raises(IngestionError, match="malformed"):
+            M.load_params(path)
 
     def test_clone_is_independent(self):
         params = small_params(seed=23)

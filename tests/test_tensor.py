@@ -291,6 +291,11 @@ class TestSerialization:
         with pytest.raises(IngestionError):
             T.read_array(io.BytesIO(b"zz 1 3\n" + b"\x00" * 24))
 
+    @pytest.mark.parametrize("header", [b"f32 x\n", b"f32 1 y\n", b"f32 \xff\n"])
+    def test_non_numeric_header_rejected(self, header):
+        with pytest.raises(IngestionError, match="malformed"):
+            T.read_array(io.BytesIO(header + b"\x00" * 4))
+
     def test_truncated_payload_rejected(self):
         buf = io.BytesIO()
         T.write_array(buf, np.zeros(4, dtype=np.float64))
