@@ -120,16 +120,22 @@ class Adam:
         self.v = [np.zeros_like(p.data) for p in params]
 
     def step(self) -> None:
+        """Update moments and parameters in place, in the operand order of
+        m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+        p = p - lr*m_hat / (sqrt(v_hat) + eps)."""
         self.t += 1
-        for i, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
             g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1 ** self.t)
-            v_hat = self.v[i] / (1 - self.beta2 ** self.t)
-            p.data[...] = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            v += (1 - self.beta2) * g * g
+            m_hat = m / (1 - self.beta1 ** self.t)
+            denom = np.sqrt(v / (1 - self.beta2 ** self.t))
+            denom += self.eps
+            p.data -= self.lr * m_hat / denom
 
 
 @dataclass
@@ -169,17 +175,16 @@ def local_train(model, global_params: ModelParams, features: np.ndarray,
             y = labels[batch_idx]
             coeffs = None
             if loss_cfg.kind == "adaptive_focal":
-                coeffs = np.array([dynamic_coefficient(c_k, class_coeffs, int(t),
-                                                       loss_cfg.blend) for t in y])
+                coeffs = dynamic_coefficient(c_k, class_coeffs, y, loss_cfg.blend)
             logits = model.batch_logits(params, x)
             loss = L.batch_loss(logits, y, loss_cfg, coeffs=coeffs,
                                 gamma_param=gamma_param)
             params.zero_grads()
             T.backward(loss)
             norms = ME.per_sample_logit_grad_norms(logits)
-            for cls, norm in zip(y, norms):
-                norm_sums[cls] += norm
-                norm_counts[cls] += 1
+            # unbuffered, in batch order: the sums of a per-sample loop
+            np.add.at(norm_sums, y, norms)
+            np.add.at(norm_counts, y, 1)
             opt.step()
             if gamma_param is not None:
                 L.clamp_gamma(params, loss_cfg)

@@ -124,13 +124,22 @@ def global_class_imbalance(hists: list[ClassHistogram],
 
 
 def dynamic_coefficient(client_coeff: float, class_coeffs: list[float],
-                        true_class: int, blend: float = DEFAULT_BLEND) -> float:
-    """Convex combination blend*c_client + (1-blend)*c_class[true_class]."""
+                        true_class, blend: float = DEFAULT_BLEND):
+    """Convex combination blend*c_client + (1-blend)*c_class[true_class].
+
+    true_class is one class (the result is a float) or an array of classes
+    (the result is a float64 array, equal bit for bit to one call per class).
+    """
     if not 0.0 <= blend <= 1.0:
         raise ContractError(f"blend must lie in [0, 1], got {blend}")
-    if not 0 <= true_class < len(class_coeffs):
-        raise IndexError(f"class {true_class} outside 0..{len(class_coeffs) - 1}")
-    return blend * client_coeff + (1.0 - blend) * class_coeffs[true_class]
+    classes = np.asarray(true_class)
+    outside = (classes < 0) | (classes >= len(class_coeffs))
+    if outside.any():
+        raise IndexError(f"class {classes[outside].flat[0]} outside "
+                         f"0..{len(class_coeffs) - 1}")
+    rarity = np.asarray(class_coeffs, dtype=np.float64)[classes]
+    coeff = blend * client_coeff + (1.0 - blend) * rarity
+    return float(coeff) if classes.ndim == 0 else coeff
 
 
 def imbalance_score(total: int, class_count: int) -> float:

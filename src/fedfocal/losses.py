@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, ShapeError
 from .models import ModelParams
 from .tensor import Tensor
 
@@ -56,25 +56,6 @@ class LossConfig:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
 
 
-def _one_hot(labels, num_classes: int, dtype) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ContractError(f"labels must be a vector, got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ContractError(f"labels must lie in 0..{num_classes - 1}")
-    out = np.zeros((labels.size, num_classes), dtype=dtype)
-    out[np.arange(labels.size), labels] = 1
-    return out
-
-
-def _true_class_prob(logits: Tensor, labels) -> Tensor:
-    if logits.data.ndim != 2:
-        raise ContractError(f"logits must be [batch, classes], got shape {logits.shape}")
-    onehot = T.constant(_one_hot(labels, logits.shape[1], logits.dtype))
-    probs = T.softmax(logits, axis=1)
-    return T.sum_(T.mul(probs, onehot), axis=1)
-
-
 def per_sample_losses(logits: Tensor, labels, *, gamma=None,
                       coeffs=None) -> Tensor:
     """Vector of per-sample losses; the scalar losses are its batch mean.
@@ -83,14 +64,16 @@ def per_sample_losses(logits: Tensor, labels, *, gamma=None,
     on the focal factor; coeffs (one nonnegative value per sample) adds the
     adaptive multiplier (1 + c).
     """
-    p_t = _true_class_prob(logits, labels)
-    nll = T.scale(T.log(T.clamp(p_t, PROB_FLOOR, 1.0)), -1.0)
-    if gamma is None:
-        out = nll
-    else:
-        base = T.clamp(T.sub(T.constant(np.ones_like(p_t.data)), p_t),
-                       PROB_FLOOR, 1.0)
-        out = T.mul(T.power(base, gamma), nll)
+    if logits.data.ndim != 2:
+        raise ContractError(f"logits must be [batch, classes], got shape {logits.shape}")
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ContractError(f"labels must be a vector, got shape {labels.shape}")
+    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
+        raise ContractError(f"labels must lie in 0..{logits.shape[1] - 1}")
+    if labels.size != logits.shape[0]:
+        raise ShapeError(f"{labels.size} labels for a batch of {logits.shape[0]}")
+    weights = None
     if coeffs is not None:
         coeffs = np.asarray(coeffs, dtype=np.float64)
         if coeffs.shape != (logits.shape[0],):
@@ -98,8 +81,8 @@ def per_sample_losses(logits: Tensor, labels, *, gamma=None,
                                 f"{coeffs.shape} for batch {logits.shape[0]}")
         if np.any(coeffs < 0):
             raise ContractError("imbalance coefficients must be >= 0")
-        out = T.mul(T.constant((1.0 + coeffs).astype(logits.dtype)), out)
-    return out
+        weights = (1.0 + coeffs).astype(logits.dtype)
+    return T.focal_nll(logits, labels, PROB_FLOOR, gamma=gamma, weights=weights)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

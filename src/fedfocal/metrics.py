@@ -135,16 +135,36 @@ def classification_metrics(cm: ConfusionMatrix) -> MetricReport:
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
     order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
     sorted_x = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    first = np.flatnonzero(np.concatenate(([True], sorted_x[1:] != sorted_x[:-1])))
+    last = np.append(first[1:], x.size) - 1
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     return ranks
+
+
+def _ovr_auc(scores: np.ndarray, labels: np.ndarray) -> tuple[float | None, list, list[str]]:
+    """Macro AUC, rank-based one-vs-rest AUC per class (None where a class
+    lacks positives or negatives) and the flags naming those classes."""
+    if scores.ndim != 2 or scores.shape[0] != labels.size:
+        raise ContractError(f"scores {scores.shape} do not match {labels.size} labels")
+    per_auc: list[float | None] = []
+    flags: list[str] = []
+    for i in range(scores.shape[1]):
+        pos = labels == i
+        n_pos = int(pos.sum())
+        n_neg = int(labels.size - n_pos)
+        if n_pos == 0 or n_neg == 0:
+            per_auc.append(None)
+            flags.append(f"class {i}: AUC undefined "
+                         f"({'no positives' if n_pos == 0 else 'no negatives'})")
+            continue
+        ranks = _average_ranks(scores[:, i])
+        auc = (ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        per_auc.append(float(auc))
+    defined = [a for a in per_auc if a is not None]
+    macro = float(np.mean(defined)) if defined else None
+    return macro, per_auc, flags
 
 
 def auc_ovr(scores: np.ndarray, labels) -> tuple[float | None, dict]:
@@ -157,28 +177,9 @@ def auc_ovr(scores: np.ndarray, labels) -> tuple[float | None, dict]:
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    if scores.ndim != 2 or scores.shape[0] != labels.size:
-        raise ContractError(f"scores {scores.shape} do not match {labels.size} labels")
-    c = scores.shape[1]
-    per_auc: list[float | None] = []
-    roc: list[list[tuple[float, float]]] = []
-    flags: list[str] = []
-    for i in range(c):
-        pos = labels == i
-        n_pos = int(pos.sum())
-        n_neg = int(labels.size - n_pos)
-        if n_pos == 0 or n_neg == 0:
-            per_auc.append(None)
-            roc.append([])
-            flags.append(f"class {i}: AUC undefined "
-                         f"({'no positives' if n_pos == 0 else 'no negatives'})")
-            continue
-        ranks = _average_ranks(scores[:, i])
-        auc = (ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-        per_auc.append(float(auc))
-        roc.append(_roc_points(scores[:, i], pos))
-    defined = [a for a in per_auc if a is not None]
-    macro = float(np.mean(defined)) if defined else None
+    macro, per_auc, flags = _ovr_auc(scores, labels)
+    roc = [[] if auc is None else _roc_points(scores[:, i], labels == i)
+           for i, auc in enumerate(per_auc)]
     return macro, {"auc": per_auc, "roc": roc, "flags": flags}
 
 
@@ -187,7 +188,7 @@ def _roc_points(score: np.ndarray, pos: np.ndarray) -> list[tuple[float, float]]
     order = np.argsort(-score, kind="stable")
     sorted_pos = pos[order]
     sorted_score = score[order]
-    n_pos = pos.sum()
+    n_pos = int(pos.sum())
     n_neg = pos.size - n_pos
     points = [(0.0, 0.0)]
     tp = fp = 0
@@ -332,8 +333,7 @@ def evaluate_scores(scores: np.ndarray, labels, num_classes: int) -> MetricRepor
     preds = predict(scores)
     cm = confusion(preds, labels, num_classes)
     report = classification_metrics(cm)
-    macro_auc, detail = auc_ovr(scores, labels)
-    report.macro_auc = macro_auc
-    report.per_class["auc"] = detail["auc"]
-    report.flags.extend(detail["flags"])
+    report.macro_auc, report.per_class["auc"], flags = _ovr_auc(
+        np.asarray(scores, dtype=np.float64), np.asarray(labels))
+    report.flags.extend(flags)
     return report

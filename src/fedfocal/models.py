@@ -428,6 +428,11 @@ def load_params(path) -> ModelParams:
             raise IngestionError(f"{path}: not a parameter checkpoint (header {magic!r})")
         try:
             count = int(fh.readline().decode("ascii").strip())
+            left = T.bytes_left(fh)
+            # each tensor needs at least a one-character name line
+            if not 0 <= 2 * count <= left:
+                raise IngestionError(f"{path}: declared tensor count {count} does not "
+                                     f"fit the {left} bytes left")
             names = [fh.readline().decode("ascii").rstrip("\n") for _ in range(count)]
         except ValueError as exc:
             raise IngestionError(f"{path}: malformed tensor count or "

@@ -16,6 +16,8 @@ Broadcasting is rejected except for the affine-bias pattern
 
 from __future__ import annotations
 
+import io
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -309,6 +311,79 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _record(out, (a,), vjp)
 
 
+def focal_nll(logits: Tensor, labels: np.ndarray, floor: float, gamma=None,
+              weights: np.ndarray | None = None) -> Tensor:
+    """Per-sample w * (1 - p_t)^gamma * -log(p_t) as one tape node.
+
+    p_t is the softmax probability of each row's label (labels already
+    checked to lie in 0..C-1). Both p_t and 1 - p_t are clamped to
+    [floor, 1]. gamma None drops the focal factor; a float or a scalar
+    tensor keeps it, and a trainable gamma gets its gradient. weights (one
+    per row, the logits dtype) multiply the result.
+
+    Forward and backward repeat, expression for expression, the chain of
+    primitives this node replaces (softmax, mul by the one-hot, sum_, clamp,
+    log, scale, sub, clamp, power, mul, mul), so values and gradients are
+    the chain's bit for bit.
+    """
+    dt = logits.dtype
+    exponent = None
+    if isinstance(gamma, Tensor):
+        if gamma.data.size != 1:
+            raise ShapeError(f"tensor exponent must be scalar, got shape {gamma.shape}")
+        _check_same_dtype(logits, gamma)
+        exponent = gamma
+        e = float(gamma.data.reshape(()))
+    elif gamma is not None:
+        e = float(gamma)
+    if np.isnan(logits.data).any():
+        bad = np.flatnonzero(np.isnan(logits.data))
+        raise NumericError(f"softmax input contains NaN at flat index {int(bad[0])}")
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    ex = np.exp(shifted)
+    s = ex / ex.sum(axis=1, keepdims=True)
+    onehot = np.zeros(logits.shape, dtype=dt)
+    onehot[np.arange(labels.size), labels] = 1
+    p_t = (s * onehot).sum(axis=1)
+    clamped = np.clip(p_t, floor, 1.0)
+    nll_mask = (p_t >= floor) & (p_t <= 1.0)
+    nll = np.log(clamped) * dt.type(-1.0)
+    out = nll
+    if gamma is not None:
+        rest = np.ones_like(p_t) - p_t
+        base = np.clip(rest, floor, 1.0)
+        base_mask = (rest >= floor) & (rest <= 1.0)
+        focal = np.power(base, dt.type(e))
+        out = focal * nll
+    if weights is not None:
+        out = weights * out
+
+    def vjp(g):
+        if weights is not None:
+            g = g * weights
+        g_nll = g
+        g_exp = None
+        if gamma is not None:
+            g_focal = g * nll
+            g_nll = g * focal
+            if e == 0.0:
+                g_base = np.zeros_like(base)
+            else:
+                g_base = g_focal * e * np.power(base, dt.type(e - 1.0))
+            if exponent is not None and exponent.requires_grad:
+                g_exp = np.sum(g_focal * focal * np.log(base)).reshape(exponent.shape)
+                g_exp = g_exp.astype(dt)
+        g_pt = (g_nll * dt.type(-1.0) / clamped) * nll_mask
+        if gamma is not None:
+            g_pt = g_pt + -(g_base * base_mask)
+        g_s = np.broadcast_to(np.expand_dims(g_pt, 1), s.shape).astype(dt) * onehot
+        inner = (g_s * s).sum(axis=1, keepdims=True)
+        return (g_s - inner) * s, g_exp
+
+    parents = (logits,) if exponent is None else (logits, exponent)
+    return _record(Tensor(out), parents, vjp)
+
+
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     """Normalize over the last axis to zero mean / unit variance, then affine."""
     if eps <= 0:
@@ -396,6 +471,14 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
 # little-endian row-major buffer
 
 
+def bytes_left(fh) -> int:
+    """Bytes between the position of the seekable stream fh and its end."""
+    here = fh.tell()
+    end = fh.seek(0, io.SEEK_END)
+    fh.seek(here)
+    return end - here
+
+
 def write_array(fh, arr: np.ndarray) -> None:
     key = np.dtype(arr.dtype)
     if key not in _DTYPE_NAMES:
@@ -429,11 +512,12 @@ def read_array(fh) -> np.ndarray:
                              f"{len(parts) - 2} dimensions")
     if any(d < 0 for d in shape):
         raise IngestionError(f"negative dimension in tensor header: {shape}")
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    raw = fh.read(count * dtype.itemsize)
-    if len(raw) != count * dtype.itemsize:
-        raise IngestionError(f"tensor payload truncated: expected {count * dtype.itemsize} "
-                             f"bytes, got {len(raw)}")
+    size = math.prod(shape) * dtype.itemsize
+    left = bytes_left(fh)
+    if size > left:
+        raise IngestionError(f"tensor payload truncated: header declares {size} bytes, "
+                             f"{left} left in the stream")
+    raw = fh.read(size)
     return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(dtype.newbyteorder("="))
 
 

@@ -44,3 +44,28 @@ def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
     b = np.asarray(b, dtype=np.float64).reshape(-1)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
+
+
+def chain_per_sample_losses(logits, labels, *, gamma=None, coeffs=None, floor=1e-12):
+    """Per-sample w * (1 - p_t)^gamma * -log(p_t) built from separate tensor
+    primitives: one-hot, softmax, mul, sum_, clamp, log, scale, then sub,
+    clamp, power, mul for the focal factor and mul for the weights.
+
+    This is how the loss was composed before it became one tape node; the
+    fused node must reproduce its values and gradients bit for bit.
+    """
+    from fedfocal import tensor as T
+
+    labels = np.asarray(labels)
+    onehot = np.zeros(logits.shape, dtype=logits.dtype)
+    onehot[np.arange(labels.size), labels] = 1
+    probs = T.softmax(logits, axis=1)
+    p_t = T.sum_(T.mul(probs, T.constant(onehot)), axis=1)
+    out = T.scale(T.log(T.clamp(p_t, floor, 1.0)), -1.0)
+    if gamma is not None:
+        base = T.clamp(T.sub(T.constant(np.ones_like(p_t.data)), p_t), floor, 1.0)
+        out = T.mul(T.power(base, gamma), out)
+    if coeffs is not None:
+        weights = (1.0 + np.asarray(coeffs, dtype=np.float64)).astype(logits.dtype)
+        out = T.mul(T.constant(weights), out)
+    return out

@@ -1,0 +1,49 @@
+"""The traced benchmark run wraps fedfocal functions by name; a rename in
+`src/` would break it without failing any other test. These tests load
+`perfbench/layers.py` by path and check every name it looks up."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from fedfocal import tensor as T
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture()
+def layers(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_layers", BENCH / "layers.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    yield module
+    sys.modules.pop("spans", None)
+
+
+def _own_attribute(module_name: str, attr: str):
+    """`attr` ("name" or "Class.name") as defined in the module or class
+    itself, the way the benchmark looks it up; None when absent."""
+    owner = importlib.import_module(module_name)
+    for name in attr.split("."):
+        owner = vars(owner).get(name) if owner is not None else None
+    return owner
+
+
+def test_every_spanned_target_resolves(layers):
+    missing = [f"{m}.{a}" for m, a, _ in layers.SPANNED if not callable(_own_attribute(m, a))]
+    assert not missing, missing
+
+
+def test_every_counted_primitive_resolves(layers):
+    missing = [p for p in layers.PRIMITIVES if not callable(T.__dict__.get(p))]
+    assert not missing, missing
+
+
+def test_install_then_restore_puts_every_original_back(layers):
+    spans = sys.modules["spans"]
+    patches = layers.install(spans.Tracer())
+    assert patches.restore() == []

@@ -149,6 +149,15 @@ class TestEvaluateAndAnalyze:
         grad = (finished_run / "gradnorms.csv").read_text().splitlines()
         assert len(grad) == 1 + 2  # one line per round
 
+    def test_analyze_roc_rows_are_plain_numbers(self, finished_run):
+        assert main(["analyze", "--run", str(finished_run)]) == 0
+        rows = (finished_run / "roc.csv").read_text().splitlines()[1:]
+        assert rows
+        for row in rows:
+            cls, fpr, tpr = row.split(",")
+            int(cls)
+            assert 0.0 <= float(fpr) <= 1.0 and 0.0 <= float(tpr) <= 1.0, row
+
     def test_analyze_missing_artifacts_diagnosed(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

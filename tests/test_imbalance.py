@@ -92,6 +92,25 @@ class TestDynamicCoefficient:
         with pytest.raises(IndexError):
             I.dynamic_coefficient(1.0, [1.0, 2.0], true_class=2)
 
+    @pytest.mark.parametrize("classes", [-1, [0, 2], [1, -1]])
+    def test_out_of_range_classes_rejected(self, classes):
+        with pytest.raises(IndexError):
+            I.dynamic_coefficient(1.0, [1.0, 2.0], np.asarray(classes))
+
+    def test_array_of_classes_equals_scalar_calls_bitwise(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            c = int(rng.integers(1, 8))
+            class_coeffs = (rng.exponential(size=c) * 10.0 ** rng.integers(-3, 4)).tolist()
+            client = float(rng.exponential() * 50.0)
+            blend = float(rng.choice([0.0, 1.0, rng.uniform()]))
+            classes = rng.integers(0, c, size=int(rng.integers(1, 20)))
+            got = I.dynamic_coefficient(client, class_coeffs, classes, blend)
+            loop = np.array([I.dynamic_coefficient(client, class_coeffs, int(t), blend)
+                             for t in classes])
+            assert got.dtype == np.float64
+            assert got.tobytes() == loop.tobytes()
+
 
 class TestImbalanceScore:
     @pytest.mark.parametrize("pool", REFERENCE_POOLS)

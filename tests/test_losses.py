@@ -5,9 +5,9 @@ import pytest
 
 from fedfocal import losses as L
 from fedfocal import tensor as T
-from fedfocal.errors import ConfigError, ContractError
+from fedfocal.errors import ConfigError, ContractError, NumericError
 
-from helpers import fd_gradient, max_rel_err
+from helpers import chain_per_sample_losses, fd_gradient, max_rel_err
 
 
 def logits64(data):
@@ -232,3 +232,65 @@ class TestLossConfig:
                           L.LossConfig(kind="adaptive_focal", gamma=2.0), coeffs=coeffs)
         expected = L.adaptive_focal_loss(logits64(raw), labels, coeffs, 2.0)
         assert af.data.tobytes() == expected.data.tobytes()
+
+
+def _loss_and_grads(per_sample, raw, labels, dtype, gamma, trainable, coeffs):
+    """Batch-mean loss, logits gradient and gamma gradient (or None), as bytes."""
+    logits = T.Tensor(raw, requires_grad=True, dtype=dtype)
+    if trainable:
+        gamma = T.Tensor(gamma, requires_grad=True, dtype=dtype)
+    vec = per_sample(logits, labels, gamma=gamma, coeffs=coeffs)
+    loss = T.mean(vec)
+    T.backward(loss)
+    return (vec.data.tobytes(), loss.data.tobytes(), logits.grad.tobytes(),
+            gamma.grad.tobytes() if trainable else None)
+
+
+class TestFusedMatchesChain:
+    """The one-node loss against the primitive chain in helpers, byte for byte."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind, gamma_mode", [
+        ("ce", None), ("focal", "constant"), ("focal", "zero"), ("focal", "trainable"),
+        ("adaptive", "constant"), ("adaptive", "zero"), ("adaptive", "trainable")])
+    def test_random_batches_bitwise(self, dtype, kind, gamma_mode):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            raw, labels = random_batch(rng, batch=int(rng.integers(1, 17)),
+                                       classes=int(rng.integers(2, 6)),
+                                       spread=float(rng.uniform(0.5, 12.0)))
+            gamma = None if kind == "ce" else (
+                0.0 if gamma_mode == "zero" else float(rng.uniform(0.5, 5.0)))
+            coeffs = (np.abs(rng.normal(size=len(labels))) * 5.0
+                      if kind == "adaptive" else None)
+            args = (raw, labels, dtype, gamma, gamma_mode == "trainable", coeffs)
+            assert (_loss_and_grads(L.per_sample_losses, *args)
+                    == _loss_and_grads(chain_per_sample_losses, *args))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("raw, labels", [
+        ([[800.0, 0.0]], [0]),            # p_t rounds to 1: the focal base clamps
+        ([[800.0, 0.0]], [1]),            # p_t underflows to 0
+        ([[0.0, 40.0], [1.0, 0.0]], [0, 0]),  # p_t ~ 4e-18, below PROB_FLOOR
+    ], ids=["saturated-true", "saturated-false", "below-floor"])
+    @pytest.mark.parametrize("gamma, trainable", [(None, False), (2.0, False),
+                                                  (0.0, False), (0.0, True),
+                                                  (1.5, True)])
+    def test_clamped_rows_bitwise(self, dtype, raw, labels, gamma, trainable):
+        raw = np.array(raw)
+        for coeffs in (None, np.full(len(labels), 2.5)):
+            args = (raw, labels, dtype, gamma, trainable, coeffs)
+            assert (_loss_and_grads(L.per_sample_losses, *args)
+                    == _loss_and_grads(chain_per_sample_losses, *args))
+
+    def test_below_floor_row_is_clamped(self):
+        vec = L.per_sample_losses(logits64([[0.0, 40.0]]), [0])
+        assert float(vec.data[0]) == pytest.approx(-math.log(L.PROB_FLOOR), rel=1e-15)
+
+    def test_one_tape_node_per_loss(self):
+        vec = L.per_sample_losses(logits64([[0.3, -0.2]]), [0], gamma=2.0, coeffs=[1.0])
+        assert len(vec._parents) == 1 and not vec._parents[0]._parents
+
+    def test_nan_logits_rejected(self):
+        with pytest.raises(NumericError, match="NaN"):
+            L.focal_loss(logits64([[0.0, float("nan")]]), [0])

@@ -111,6 +111,28 @@ class TestAuc:
                 assert detail["auc"][i] == pytest.approx(
                     brute_force_auc(scores[:, i], pos), abs=1e-12), trial
 
+    def test_average_ranks_equal_brute_force_on_heavy_ties(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            x = rng.integers(0, int(rng.integers(1, 5)), size=int(rng.integers(1, 30)))
+            x = x.astype(np.float64) * 0.5
+            # rank = 1 + count below + half of the other ties
+            brute = np.array([1.0 + np.sum(x < v) + 0.5 * (np.sum(x == v) - 1) for v in x])
+            assert ME._average_ranks(x).tobytes() == brute.tobytes()
+
+    def test_evaluate_scores_auc_equals_auc_ovr(self):
+        rng = np.random.default_rng(14)
+        for _ in range(30):
+            n = int(rng.integers(2, 40))
+            c = int(rng.integers(2, 5))
+            labels = rng.integers(0, c, size=n)
+            scores = rng.dirichlet(np.ones(c), size=n).round(int(rng.integers(1, 4)))
+            macro, detail = ME.auc_ovr(scores, labels)
+            report = ME.evaluate_scores(scores, labels, c)
+            assert report.macro_auc == macro
+            assert report.per_class["auc"] == detail["auc"]
+            assert [f for f in report.flags if "AUC" in f] == detail["flags"]
+
     def test_single_sided_class_excluded_and_flagged(self):
         scores = np.array([[0.9, 0.1], [0.7, 0.3]])
         macro, detail = ME.auc_ovr(scores, [0, 0])
@@ -129,6 +151,7 @@ class TestAuc:
             assert tprs == sorted(tprs)
             assert points[0] == (0.0, 0.0)
             assert points[-1] == (1.0, 1.0)
+            assert all(type(v) is float for p in points for v in p)
 
 
 class TestDecisionCurve:

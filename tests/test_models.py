@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -377,6 +379,14 @@ class TestModelParams:
         path.write_bytes(b"fedfocal-params 1\n" + body)
         with pytest.raises(IngestionError, match="malformed"):
             M.load_params(path)
+
+    def test_checkpoint_count_beyond_file_rejected_fast(self, tmp_path):
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(b"fedfocal-params 1\n1000000000\n")
+        start = time.perf_counter()
+        with pytest.raises(IngestionError, match="does not fit"):
+            M.load_params(path)
+        assert time.perf_counter() - start < 0.1
 
     def test_clone_is_independent(self):
         params = small_params(seed=23)

@@ -303,6 +303,18 @@ class TestSerialization:
         with pytest.raises(IngestionError, match="truncated"):
             T.read_array(io.BytesIO(data))
 
+    @pytest.mark.parametrize("header", [b"f32 1 100000000000000\n",
+                                        b"f64 2 10000000000 10000000000\n"],
+                             ids=["1e14-elements", "int64-overflow"])
+    def test_declared_size_beyond_stream_rejected_before_reading(self, header):
+        class Guarded(io.BytesIO):
+            def read(self, size=-1):
+                assert 0 <= size <= 64, f"read({size}) of a payload"
+                return super().read(size)
+
+        with pytest.raises(IngestionError, match="truncated"):
+            T.read_array(Guarded(header + b"\x00" * 16))
+
     def test_rank_dimension_count_mismatch_rejected(self):
         with pytest.raises(IngestionError):
             T.read_array(io.BytesIO(b"f32 2 3\n" + b"\x00" * 12))
