@@ -104,11 +104,11 @@ def derive_rng(master_seed: int, role: int, *coords: int) -> np.random.Generator
 
 
 class Adam:
-    """Adaptive-moment optimizer over a parameter list; moments start at
-    zero on construction, so one instance per round gives the
-    stateless-across-rounds behavior the protocol requires."""
+    """Adaptive-moment optimizer over one parameter set's flat buffer;
+    moments start at zero on construction, so one instance per round gives
+    the stateless-across-rounds behavior the protocol requires."""
 
-    def __init__(self, params: list[T.Tensor], lr: float, beta1: float = 0.9,
+    def __init__(self, params: ModelParams, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.lr = lr
@@ -116,26 +116,40 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
 
     def step(self) -> None:
         """Update moments and parameters in place, in the operand order of
         m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
-        p = p - lr*m_hat / (sqrt(v_hat) + eps)."""
+        p = p - lr*m_hat / (sqrt(v_hat) + eps).
+
+        One pass over the whole buffer: every op is elementwise, so each
+        scalar gets the bits a per-tensor loop would give it. A tensor
+        without a gradient keeps its value and its moments."""
         self.t += 1
-        for p, m, v in zip(self.params, self.m, self.v):
-            if p.grad is None:
-                continue
-            g = p.grad
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1 ** self.t)
-            denom = np.sqrt(v / (1 - self.beta2 ** self.t))
-            denom += self.eps
-            p.data -= self.lr * m_hat / denom
+        tensors = self.params.tensors()
+        present = [i for i, t in enumerate(tensors) if t.grad is not None]
+        if not present:
+            return
+        g = np.concatenate([tensors[i].grad.reshape(-1) for i in present])
+        p, m, v = self.params.flat, self.m, self.v
+        live = None
+        if len(present) < len(tensors):
+            ends = np.cumsum([t.data.size for t in tensors])
+            live = np.concatenate([np.arange(ends[i] - tensors[i].data.size, ends[i])
+                                   for i in present])
+            p, m, v = p[live], m[live], v[live]
+        m *= self.beta1
+        m += (1 - self.beta1) * g
+        v *= self.beta2
+        v += (1 - self.beta2) * g * g
+        m_hat = m / (1 - self.beta1 ** self.t)
+        denom = np.sqrt(v / (1 - self.beta2 ** self.t))
+        denom += self.eps
+        p -= self.lr * m_hat / denom
+        if live is not None:
+            self.params.flat[live], self.m[live], self.v[live] = p, m, v
 
 
 @dataclass
@@ -158,7 +172,7 @@ def local_train(model, global_params: ModelParams, features: np.ndarray,
     Adam, and tally per-class logit-gradient norms along the way."""
     params = global_params.clone()
     c_k = client_imbalance(hist, loss_cfg.epsilon)
-    opt = Adam(params.tensors(), fed_cfg.learning_rate, fed_cfg.beta1,
+    opt = Adam(params, fed_cfg.learning_rate, fed_cfg.beta1,
                fed_cfg.beta2, fed_cfg.adam_eps)
     num_classes = hist.num_classes
     norm_sums = np.zeros(num_classes)
@@ -167,15 +181,18 @@ def local_train(model, global_params: ModelParams, features: np.ndarray,
     batch_count = 0
     n = labels.size
     gamma_param = L.trainable_gamma(params, loss_cfg)
+    # elementwise in the labels, so indexing it per batch gives each batch's
+    # coefficients bit for bit
+    shard_coeffs = None
+    if loss_cfg.kind == "adaptive_focal":
+        shard_coeffs = dynamic_coefficient(c_k, class_coeffs, labels, loss_cfg.blend)
     for _ in range(fed_cfg.local_epochs):
         order = rng.permutation(n)
         for start in range(0, n, fed_cfg.batch_size):
             batch_idx = order[start:start + fed_cfg.batch_size]
             x = features[batch_idx]
             y = labels[batch_idx]
-            coeffs = None
-            if loss_cfg.kind == "adaptive_focal":
-                coeffs = dynamic_coefficient(c_k, class_coeffs, y, loss_cfg.blend)
+            coeffs = None if shard_coeffs is None else shard_coeffs[batch_idx]
             logits = model.batch_logits(params, x)
             loss = L.batch_loss(logits, y, loss_cfg, coeffs=coeffs,
                                 gamma_param=gamma_param)
@@ -209,11 +226,12 @@ def sample_size_weights(counts) -> np.ndarray:
 
 
 def aggregate(params_list: list[ModelParams], weights) -> ModelParams:
-    """Per-tensor convex combination in fixed client-index order.
+    """Convex combination of the flat buffers in fixed client-index order.
 
     Computed anchored at the first participant, theta_0 + sum_k w_k *
     (theta_k - theta_0), which is the same convex combination but makes a
-    unanimous parameter set an exact fixed point bit for bit.
+    unanimous parameter set an exact fixed point bit for bit. Every op is
+    elementwise, so each scalar gets the bits of a per-tensor loop.
     """
     if not params_list:
         raise ContractError("nothing to aggregate")
@@ -221,20 +239,18 @@ def aggregate(params_list: list[ModelParams], weights) -> ModelParams:
     if weights.size != len(params_list):
         raise ContractError(f"{weights.size} weights for {len(params_list)} clients")
     check_manifests_match(params_list)
-    items = []
-    for name in params_list[0].names:
-        anchor = params_list[0][name].data.astype(np.float64)
-        acc = anchor.copy()
-        for w, params in zip(weights[1:], params_list[1:]):
-            acc += w * (params[name].data.astype(np.float64) - anchor)
-        items.append((name, T.parameter(acc.astype(params_list[0][name].dtype))))
-    return ModelParams(items)
+    first = params_list[0]
+    anchor = first.flat.astype(np.float64)
+    acc = anchor.copy()
+    for w, params in zip(weights[1:], params_list[1:]):
+        acc += w * (params.flat.astype(np.float64) - anchor)
+    return ModelParams.from_flat(first.manifest(), acc.astype(first.flat.dtype))
 
 
 def eval_scores(model, params: ModelParams, features: np.ndarray,
                 batch_size: int = 512) -> np.ndarray:
     """Softmax class scores without gradient tracking."""
-    frozen = ModelParams([(n, T.constant(t.data)) for n, t in params])
+    frozen = ModelParams.from_flat(params.manifest(), params.flat, requires_grad=False)
     rows = []
     for start in range(0, features.shape[0], batch_size):
         logits = model.batch_logits(frozen, features[start:start + batch_size]).data

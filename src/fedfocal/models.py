@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import AggregationError, ConfigError, IngestionError, ShapeError
+from .errors import AggregationError, ConfigError, ContractError, IngestionError, ShapeError
 from .tensor import Tensor
 
 
@@ -75,14 +75,62 @@ class MlpConfig:
             raise ConfigError("all MLP dimensions must be >= 1")
 
 
+def _cut(flat: np.ndarray, manifest):
+    """Reshape views of the 1-D buffer flat, one per manifest entry, in order."""
+    offset = 0
+    for _, shape in manifest:
+        size = math.prod(shape)
+        yield flat[offset:offset + size].reshape(shape)
+        offset += size
+
+
 class ModelParams:
-    """Ordered list of named parameter tensors; the unit of aggregation."""
+    """Ordered, named parameter tensors in one flat buffer; the unit of
+    aggregation.
+
+    All tensors share one dtype. ``flat`` is a contiguous 1-D array that
+    holds every tensor's scalars in manifest order, and each tensor's
+    ``data`` is a reshape view into it, so a copy, an optimizer step or a
+    weighted sum over the whole set is one array operation. The
+    constructor copies the given tensors' values into a fresh buffer and
+    rebinds each tensor's ``data`` to its view: the tensors passed in
+    become this set's own. Only ``federation.Adam.step`` and
+    ``losses.clamp_gamma`` write into the buffer.
+    """
 
     def __init__(self, items: list[tuple[str, Tensor]]):
         self._names = [name for name, _ in items]
         self._by_name = dict(items)
         if len(self._by_name) != len(self._names):
             raise ConfigError("duplicate parameter names")
+        if len({id(t) for _, t in items}) != len(items):
+            raise ConfigError("one tensor listed under two parameter names")
+        dtypes = sorted({str(t.dtype) for _, t in items})
+        if len(dtypes) > 1:
+            raise ContractError(f"parameter dtypes differ: {', '.join(dtypes)}")
+        self._manifest = [(name, t.shape) for name, t in items]
+        self.flat = (np.concatenate([t.data.reshape(-1) for _, t in items])
+                     if items else np.empty(0))
+        for (_, t), view in zip(items, _cut(self.flat, self._manifest)):
+            t.data = view
+
+    @classmethod
+    def from_flat(cls, manifest: list[tuple[str, tuple[int, ...]]], flat: np.ndarray,
+                  requires_grad: bool = True) -> "ModelParams":
+        """A set whose tensors view the 1-D buffer flat itself (no copy),
+        cut in manifest order."""
+        if flat.ndim != 1 or not flat.flags.c_contiguous:
+            raise ContractError("a parameter buffer must be one contiguous 1-D array")
+        needed = sum(math.prod(shape) for _, shape in manifest)
+        if flat.size != needed:
+            raise ShapeError(f"flat vector has {flat.size} scalars, model needs {needed}")
+        params = cls.__new__(cls)
+        params._names = [name for name, _ in manifest]
+        params._manifest = list(manifest)
+        params.flat = flat
+        params._by_name = {name: Tensor(view, requires_grad=requires_grad)
+                           for (name, _), view in zip(manifest, _cut(flat, manifest))}
+        return params
 
     @property
     def names(self) -> list[str]:
@@ -102,35 +150,25 @@ class ModelParams:
         return [self._by_name[n] for n in self._names]
 
     def manifest(self) -> list[tuple[str, tuple[int, ...]]]:
-        return [(n, self._by_name[n].shape) for n in self._names]
+        return list(self._manifest)
 
     def clone(self) -> "ModelParams":
-        return ModelParams([(n, Tensor(t.data.copy(), requires_grad=True))
-                            for n, t in self])
+        """An independent trainable copy: one buffer copy, fresh tensors."""
+        return ModelParams.from_flat(self._manifest, self.flat.copy())
 
     def zero_grads(self) -> None:
         for _, t in self:
             t.grad = None
 
     def total_scalars(self) -> int:
-        return sum(t.data.size for _, t in self)
+        return self.flat.size
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([self._by_name[n].data.reshape(-1) for n in self._names])
+        return self.flat.copy()
 
     def unflatten(self, vec: np.ndarray) -> "ModelParams":
-        if vec.size != self.total_scalars():
-            raise ShapeError(f"flat vector has {vec.size} scalars, model needs "
-                             f"{self.total_scalars()}")
-        items = []
-        offset = 0
-        for name in self._names:
-            t = self._by_name[name]
-            n = t.data.size
-            chunk = vec[offset:offset + n].reshape(t.shape).astype(t.dtype)
-            items.append((name, Tensor(chunk.copy(), requires_grad=True)))
-            offset += n
-        return ModelParams(items)
+        return ModelParams.from_flat(self._manifest,
+                                     np.asarray(vec).reshape(-1).astype(self.flat.dtype))
 
 
 def check_manifests_match(params_list: list[ModelParams]) -> None:
@@ -440,4 +478,7 @@ def load_params(path) -> ModelParams:
         if any(not n for n in names):
             raise IngestionError(f"{path}: manifest shorter than declared count {count}")
         items = [(name, T.parameter(T.read_array(fh))) for name in names]
+    dtypes = sorted({str(t.dtype) for _, t in items})
+    if len(dtypes) > 1:
+        raise IngestionError(f"{path}: tensors mix dtypes {', '.join(dtypes)}")
     return ModelParams(items)

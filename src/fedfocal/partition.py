@@ -12,6 +12,7 @@ Dirichlet draw per class (label-skew non-IID).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,26 +233,39 @@ def write_manifest(path, result: PartitionResult) -> None:
         fh.write(manifest_text(result))
 
 
+# a sample index, then `test` or `client-<id>`; plain ASCII decimals, short
+# enough that int() never refuses them
+_MANIFEST_LINE = re.compile(r"([0-9]{1,18})\t(?:test|client-([0-9]{1,18}))")
+
+
 def read_manifest(path) -> tuple[list[list[int]], list[int]]:
+    """Client shards (indexed by client id) and test indices of a manifest.
+
+    Every client id must lie below the number of lines read, so the shard
+    list never outgrows the file.
+    """
     clients: dict[int, list[int]] = {}
     test: list[int] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                idx_str, assignment = line.split("\t")
-                idx = int(idx_str)
-            except ValueError as exc:
-                raise IngestionError(f"{path}:{lineno}: malformed manifest line "
-                                     f"{line!r}") from exc
-            if assignment == "test":
-                test.append(idx)
-            elif assignment.startswith("client-"):
-                clients.setdefault(int(assignment[7:]), []).append(idx)
-            else:
-                raise IngestionError(f"{path}:{lineno}: unknown assignment "
-                                     f"{assignment!r}")
+    lineno = 0
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                match = _MANIFEST_LINE.fullmatch(line)
+                if match is None:
+                    raise IngestionError(f"{path}:{lineno}: malformed manifest line "
+                                         f"{line!r}; expected index<TAB>test or "
+                                         "index<TAB>client-<id>")
+                if match[2] is None:
+                    test.append(int(match[1]))
+                else:
+                    clients.setdefault(int(match[2]), []).append(int(match[1]))
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: manifest is not ASCII text") from exc
+    if clients and max(clients) >= lineno:
+        raise IngestionError(f"{path}: client id {max(clients)} is not below the "
+                             f"{lineno} lines of the manifest")
     ordered = [clients.get(j, []) for j in range(max(clients, default=-1) + 1)]
     return ordered, test

@@ -10,6 +10,10 @@ bit-identical outputs. All reductions delegate to numpy, whose reduction
 order is fixed for a given array shape, so results are reproducible across
 runs and across client threads.
 
+Operations never write into their operands. Parameter tensors are views into
+their ``ModelParams.flat`` buffer, and only ``federation.Adam.step`` and
+``losses.clamp_gamma`` write them, in place.
+
 Broadcasting is rejected except for the affine-bias pattern
 (matrix [R, C] plus vector [C]).
 """
@@ -32,9 +36,10 @@ _DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64",
 class Tensor:
     """N-dimensional array with an optional gradient slot.
 
-    The data buffer is treated as immutable after construction; only the
-    ``grad`` slot mutates (during backward / zero_grads) and only the owning
-    worker may touch it.
+    A parameter tensor's data is a view into its ``ModelParams.flat``
+    buffer; only ``federation.Adam.step`` and ``losses.clamp_gamma`` write
+    it. The ``grad`` slot mutates during backward / zero_grads. Only the
+    owning worker may touch either.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
@@ -280,7 +285,7 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
 def sum_(a: Tensor, axis: int | None = None) -> Tensor:
     if axis is None:
         out = Tensor(a.data.sum())
-        return _record(out, (a,), lambda g: (np.broadcast_to(g, a.shape).astype(a.dtype),))
+        return _record(out, (a,), lambda g: (np.full(a.shape, g, dtype=a.dtype),))
     out = Tensor(a.data.sum(axis=axis))
 
     def vjp(g):
@@ -376,7 +381,7 @@ def focal_nll(logits: Tensor, labels: np.ndarray, floor: float, gamma=None,
         g_pt = (g_nll * dt.type(-1.0) / clamped) * nll_mask
         if gamma is not None:
             g_pt = g_pt + -(g_base * base_mask)
-        g_s = np.broadcast_to(np.expand_dims(g_pt, 1), s.shape).astype(dt) * onehot
+        g_s = g_pt[:, None] * onehot
         inner = (g_s * s).sum(axis=1, keepdims=True)
         return (g_s - inner) * s, g_exp
 
@@ -518,7 +523,11 @@ def read_array(fh) -> np.ndarray:
         raise IngestionError(f"tensor payload truncated: header declares {size} bytes, "
                              f"{left} left in the stream")
     raw = fh.read(size)
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(dtype.newbyteorder("="))
+    try:
+        arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    except ValueError as exc:  # an empty payload under dimensions numpy cannot hold
+        raise IngestionError(f"tensor header declares an unsupported shape {shape}") from exc
+    return arr.astype(dtype.newbyteorder("="))
 
 
 def save_array(path, arr: np.ndarray) -> None:

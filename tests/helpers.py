@@ -69,3 +69,51 @@ def chain_per_sample_losses(logits, labels, *, gamma=None, coeffs=None, floor=1e
         weights = (1.0 + np.asarray(coeffs, dtype=np.float64)).astype(logits.dtype)
         out = T.mul(T.constant(weights), out)
     return out
+
+
+class PerTensorAdam:
+    """Adam as a loop over the named tensors, each with its own moments,
+    in the operand order of federation.Adam. This is how the optimizer ran
+    before parameter sets had one flat buffer; the fused whole-buffer step
+    must reproduce it bit for bit. A tensor without a gradient is skipped:
+    its value and moments stay as they are."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.tensors = params.tensors()
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in self.tensors]
+        self.v = [np.zeros_like(p.data) for p in self.tensors]
+
+    def step(self):
+        self.t += 1
+        for p, m, v in zip(self.tensors, self.m, self.v):
+            if p.grad is None:
+                continue
+            g = p.grad
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            v += (1 - self.beta2) * g * g
+            m_hat = m / (1 - self.beta1 ** self.t)
+            denom = np.sqrt(v / (1 - self.beta2 ** self.t))
+            denom += self.eps
+            p.data -= self.lr * m_hat / denom
+
+
+def per_tensor_aggregate(params_list, weights):
+    """federation.aggregate as a loop over the named tensors: per tensor,
+    anchor + sum_k w_k * (theta_k - anchor) in float64, in client order."""
+    from fedfocal import tensor as T
+    from fedfocal.models import ModelParams, check_manifests_match
+
+    weights = np.asarray(weights, dtype=np.float64)
+    check_manifests_match(params_list)
+    items = []
+    for name in params_list[0].names:
+        anchor = params_list[0][name].data.astype(np.float64)
+        acc = anchor.copy()
+        for w, params in zip(weights[1:], params_list[1:]):
+            acc += w * (params[name].data.astype(np.float64) - anchor)
+        items.append((name, T.parameter(acc.astype(params_list[0][name].dtype))))
+    return ModelParams(items)

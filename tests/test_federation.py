@@ -266,7 +266,7 @@ class TestAdam:
 
         p = parameter(np.array([1.0, -2.0, 0.5]))
         p.grad = np.array([0.4, -0.3, 0.0])
-        opt = F.Adam([p], lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+        opt = F.Adam(M.ModelParams([("p", p)]), lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
         opt.step()
         expected = np.array([1.0, -2.0, 0.5]) - 0.01 * np.array([0.4, -0.3, 0.0]) \
             / (np.abs([0.4, -0.3, 0.0]) + 1e-8)
@@ -276,7 +276,7 @@ class TestAdam:
         from fedfocal.tensor import parameter
 
         p = parameter(np.array([0.0]))
-        opt = F.Adam([p], lr=0.1)
+        opt = F.Adam(M.ModelParams([("p", p)]), lr=0.1)
         for g in (1.0, 1.0, 1.0):
             p.grad = np.array([g])
             opt.step()
@@ -287,7 +287,7 @@ class TestAdam:
         from fedfocal.tensor import parameter
 
         p = parameter(np.array([5.0]))
-        opt = F.Adam([p], lr=0.1)
+        opt = F.Adam(M.ModelParams([("p", p)]), lr=0.1)
         opt.step()  # grad is None
         assert p.data[0] == 5.0
 

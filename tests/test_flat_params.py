@@ -1,0 +1,198 @@
+"""One flat buffer per parameter set: its storage invariants, and the
+whole-buffer optimizer step and aggregation against the per-tensor loops
+they replace (tests/helpers.py), bit for bit."""
+
+import threading
+
+import numpy as np
+import pytest
+
+from fedfocal import experiment as X
+from fedfocal import federation as F
+from fedfocal import losses as L
+from fedfocal import models as M
+from fedfocal import tensor as T
+from fedfocal.errors import ContractError, IngestionError
+
+from helpers import PerTensorAdam, per_tensor_aggregate
+
+SHAPES = [("a.w", (3, 4)), ("a.b", (4,)), ("b.w", (4, 2)), ("b.b", (2,)), ("loss.gamma", ())]
+
+
+def random_params(seed, dtype):
+    rng = np.random.default_rng(seed)
+    return M.ModelParams([(name, T.parameter(rng.normal(size=shape).astype(dtype)))
+                          for name, shape in SHAPES])
+
+
+def assert_packed(params):
+    """Every tensor views one contiguous 1-D buffer of total_scalars()
+    elements, in manifest order."""
+    flat = params.flat
+    assert flat.ndim == 1 and flat.flags.c_contiguous
+    assert flat.size == params.total_scalars()
+    base = flat.__array_interface__["data"][0]
+    offset = 0
+    for name, shape in params.manifest():
+        data = params[name].data
+        assert data.shape == shape and data.dtype == flat.dtype
+        assert data.flags.c_contiguous
+        assert np.shares_memory(data, flat), name
+        assert data.__array_interface__["data"][0] == base + offset * flat.itemsize, name
+        offset += data.size
+    assert offset == flat.size
+
+
+class TestStorage:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_init_params_are_packed(self, dtype):
+        rng = np.random.default_rng(0)
+        mlp = M.MlpClassifier(M.MlpConfig(input_dim=5, hidden_dim=7, num_classes=3),
+                              dtype=dtype)
+        vit = M.ViTClassifier(M.ViTConfig(image_size=8, patch_size=4, embed_dim=8,
+                                          num_heads=2, head_dim=4, ffn_dim=16,
+                                          num_layers=2, num_classes=3,
+                                          learned_positions=True), dtype=dtype)
+        for model in (mlp, vit):
+            for gamma in (None, 2.0):
+                params = model.init_params(rng, gamma_init=gamma)
+                assert params.flat.dtype == dtype
+                assert_packed(params)
+
+    def test_clone_is_packed_and_shares_no_memory(self):
+        params = random_params(1, np.float32)
+        dup = params.clone()
+        assert_packed(dup)
+        assert not np.shares_memory(dup.flat, params.flat)
+        assert dup.flat.tobytes() == params.flat.tobytes()
+        assert all(t.requires_grad for t in dup.tensors())
+
+    def test_aggregate_is_packed_and_shares_no_memory(self):
+        clients = [random_params(s, np.float64) for s in range(3)]
+        out = F.aggregate(clients, [0.5, 0.3, 0.2])
+        assert_packed(out)
+        assert not any(np.shares_memory(out.flat, c.flat) for c in clients)
+
+    def test_load_params_is_packed(self, tmp_path):
+        params = random_params(2, np.float32)
+        M.save_params(tmp_path / "p.ckpt", params)
+        back = M.load_params(tmp_path / "p.ckpt")
+        assert_packed(back)
+        assert back.flat.tobytes() == params.flat.tobytes()
+
+    def test_unflatten_is_packed_and_copies(self):
+        params = random_params(3, np.float64)
+        vec = np.arange(params.total_scalars(), dtype=np.float64)
+        back = params.unflatten(vec)
+        assert_packed(back)
+        assert not np.shares_memory(back.flat, vec)
+        assert back.flat.tobytes() == vec.tobytes()
+
+    def test_clamp_gamma_writes_through_to_flat(self):
+        params = random_params(4, np.float32)
+        params["loss.gamma"].data[...] = 9.0
+        L.clamp_gamma(params, L.LossConfig(gamma_trainable=True, gamma_lo=0.5,
+                                           gamma_hi=5.0))
+        assert params.flat[-1] == np.float32(5.0)
+        assert_packed(params)
+
+    def test_mixed_dtypes_rejected(self):
+        with pytest.raises(ContractError, match="dtypes differ"):
+            M.ModelParams([("a", T.parameter(np.zeros(2, dtype=np.float32))),
+                           ("b", T.parameter(np.zeros(2, dtype=np.float64)))])
+
+    def test_checkpoint_mixing_dtypes_rejected(self, tmp_path):
+        path = tmp_path / "mixed.ckpt"
+        with open(path, "wb") as fh:
+            fh.write(b"fedfocal-params 1\n2\na\nb\n")
+            T.write_array(fh, np.zeros(2, dtype=np.float32))
+            T.write_array(fh, np.zeros(2, dtype=np.float64))
+        with pytest.raises(IngestionError, match="mix dtypes"):
+            M.load_params(path)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_flat_adam_equals_per_tensor_adam_bitwise(dtype, seed):
+    flat_params = random_params(seed, dtype)
+    oracle_params = flat_params.clone()
+    kw = dict(lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+    flat_opt = F.Adam(flat_params, **kw)
+    oracle = PerTensorAdam(oracle_params, **kw)
+    rng = np.random.default_rng(100 + seed)
+    for step in range(8):
+        for (name, shape), a, b in zip(SHAPES, flat_params.tensors(),
+                                       oracle_params.tensors()):
+            # b.b has no gradient from step 3 on, after it has had some;
+            # loss.gamma gets one only on odd steps
+            dropped = (name == "b.b" and step >= 3) or (name == "loss.gamma" and step % 2 == 0)
+            g = None if dropped else (rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3)
+                                      ).astype(dtype)
+            a.grad = b.grad = g
+        flat_opt.step()
+        oracle.step()
+        assert flat_params.flat.tobytes() == oracle_params.flat.tobytes(), step
+        assert flat_opt.m.tobytes() == np.concatenate(
+            [m.reshape(-1) for m in oracle.m]).tobytes(), step
+        assert flat_opt.v.tobytes() == np.concatenate(
+            [v.reshape(-1) for v in oracle.v]).tobytes(), step
+    assert_packed(flat_params)
+
+
+def test_adam_step_without_any_gradient_changes_nothing():
+    params = random_params(5, np.float32)
+    before = params.flat.tobytes()
+    opt = F.Adam(params, lr=0.1)
+    opt.step()
+    assert params.flat.tobytes() == before
+    assert not opt.m.any() and not opt.v.any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("clients", [1, 2, 5])
+def test_flat_aggregate_equals_per_tensor_aggregate_bitwise(dtype, clients):
+    rng = np.random.default_rng(clients)
+    params_list = [random_params(10 * clients + k, dtype) for k in range(clients)]
+    weights = rng.dirichlet(np.ones(clients))
+    flat = F.aggregate(params_list, weights)
+    oracle = per_tensor_aggregate(params_list, weights)
+    assert flat.names == oracle.names
+    assert flat.flat.dtype == dtype
+    assert flat.flat.tobytes() == oracle.flat.tobytes()
+
+
+ARTIFACTS = ("metrics.csv", "rounds.jsonl", "final.ckpt")
+
+GATE_CONFIGS = {
+    "smoke": {},
+    "f64-trainable-gamma": {"run.dtype": "f64", "loss.gamma_trainable": True,
+                            "federation.client_fraction": 0.67},
+    # gamma is a parameter the CE loss never uses, so it never has a gradient
+    "ce-idle-gamma": {"loss.kind": "ce", "loss.gamma_trainable": True},
+}
+
+
+@pytest.mark.parametrize("overrides", GATE_CONFIGS.values(), ids=GATE_CONFIGS.keys())
+def test_artifacts_identical_to_per_tensor_oracles(tmp_path, monkeypatch, overrides):
+    """Byte-identity gate: a 5-round smoke run writes the same artifacts on
+    the flat path and with the per-tensor Adam and aggregate patched in,
+    serial and on the thread pool alike."""
+    base = X.preset_config("smoke", seed=0).with_overrides(
+        {"federation.rounds": 5, **overrides})
+    threads_before = threading.active_count()
+    outputs = {}
+    for path in ("flat", "oracle"):
+        if path == "oracle":
+            monkeypatch.setattr(F, "Adam", PerTensorAdam)
+            monkeypatch.setattr(F, "aggregate", per_tensor_aggregate)
+        for concurrent in (False, True):
+            out = tmp_path / f"{path}-{concurrent}"
+            X.run_experiment(base.with_overrides({"federation.concurrent": concurrent}), out)
+            outputs[(path, concurrent)] = [(out / n).read_bytes() for n in ARTIFACTS]
+    monkeypatch.undo()
+    assert F.Adam.__module__ == "fedfocal.federation"
+    reference = outputs[("flat", False)]
+    for key, files in outputs.items():
+        for name, a, b in zip(ARTIFACTS, reference, files):
+            assert a == b, f"{name} differs on {key}"
+    assert threading.active_count() == threads_before

@@ -189,6 +189,17 @@ class TestBuildPartition:
         with pytest.raises(IngestionError, match="bad.manifest:2"):
             P.read_manifest(path)
 
+    @pytest.mark.parametrize("body", [b"\xff", b"0\tclient-x\n", b"0\tclient--1\n",
+                                      b"-1\ttest\n", b"0\tclient-1000000\n",
+                                      b"0\tclient-1000000000\n", b"1_0\ttest\n"],
+                             ids=["non-ascii", "client-x", "client-minus-1", "negative-index",
+                                  "client-1e6", "client-1e9", "underscore"])
+    def test_hostile_manifest_rejected(self, tmp_path, body):
+        path = tmp_path / "hostile.manifest"
+        path.write_bytes(body)
+        with pytest.raises(IngestionError):
+            P.read_manifest(path)
+
 
 class TestSpecValidation:
     def test_ratio_sum_tolerance(self):
