@@ -72,6 +72,8 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "federation.client_fraction": ("float", 1.0),
     "federation.aggregation": ("str", "inverse_imbalance"),
     "federation.seed": ("int", 0),
+    # accepted so that old configs and every config.echo still load; clients
+    # always train one after another, so the key has no effect
     "federation.concurrent": ("bool", False),
     "federation.tail_fraction": ("float", 0.3),
     "dca.thresholds": ("floats", _DCA_DEFAULT),
@@ -169,7 +171,6 @@ class ExperimentConfig:
             beta2=v["federation.beta2"], adam_eps=v["federation.adam_eps"],
             client_fraction=v["federation.client_fraction"],
             aggregation=v["federation.aggregation"], seed=v["federation.seed"],
-            concurrent=v["federation.concurrent"],
             tail_fraction=v["federation.tail_fraction"])
 
     def partition_spec(self) -> PartitionSpec:

@@ -143,8 +143,8 @@ def synthesize_longtail(counts, feature_spec, seed: int,
     generator (BlobSpec for tabular, TileSpec for images).
     """
     counts = [int(c) for c in counts]
-    if any(c < 1 for c in counts):
-        raise ContractError(f"all class counts must be >= 1, got {counts}")
+    if not counts or any(c < 1 for c in counts):
+        raise ContractError(f"need one or more class counts, all >= 1, got {counts}")
     num_classes = len(counts)
     if class_names is None:
         class_names = tuple(f"class-{i}" for i in range(num_classes))

@@ -10,14 +10,13 @@ weights, averages the parameter sets in fixed client order, and evaluates
 the new global model on the held-out test set.
 
 Determinism: every random stream is derived from the master seed together
-with its role and (round, client) coordinates, and aggregation consumes
-client results by client index, so concurrent and serial client execution
-produce identical runs bit for bit.
+with its role and (round, client) coordinates, and the selected clients
+train one after another in ascending index order, which is also the order
+aggregation consumes them in, so reruns are identical bit for bit.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -52,7 +51,6 @@ class FederationConfig:
     client_fraction: float = 1.0
     aggregation: str = "inverse_imbalance"
     seed: int = 0
-    concurrent: bool = False
     tail_fraction: float = 0.3
 
     def __post_init__(self):
@@ -67,6 +65,11 @@ class FederationConfig:
             raise ConfigError("learning rate must be >= 0")
         if not 0.0 < self.tail_fraction < 1.0:
             raise ConfigError("tail_fraction must lie in (0, 1)")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError(f"beta1 and beta2 must lie in [0, 1), "
+                              f"got {self.beta1} and {self.beta2}")
+        if not self.adam_eps > 0.0:
+            raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
 
 
 @dataclass
@@ -318,18 +321,12 @@ def run_federation(bundle, partition: PartitionResult, model,
         class_coeffs = global_class_imbalance(
             [partition.histograms[k] for k in selected], loss_cfg.epsilon)
 
-        def run_client(k: int) -> _LocalResult:
-            rng = derive_rng(fed_cfg.seed, _CLIENT_ROLE, t, k)
-            return local_train(model, global_params, shards[k][0], shards[k][1],
-                               partition.histograms[k], class_coeffs,
-                               loss_cfg, fed_cfg, rng, client_id=k)
-
-        if fed_cfg.concurrent and len(selected) > 1:
-            with ThreadPoolExecutor(max_workers=len(selected)) as pool:
-                results = list(pool.map(run_client, selected))
-        else:
-            results = [run_client(k) for k in selected]
-        results.sort(key=lambda r: r.client_id)  # aggregation order is by index
+        # selected is ascending, so results arrive in aggregation order
+        results = [local_train(model, global_params, shards[k][0], shards[k][1],
+                               partition.histograms[k], class_coeffs, loss_cfg,
+                               fed_cfg, derive_rng(fed_cfg.seed, _CLIENT_ROLE, t, k),
+                               client_id=k)
+                   for k in selected]
 
         coeffs = [r.client_coeff for r in results]
         if fed_cfg.aggregation == "inverse_imbalance":
@@ -392,5 +389,5 @@ def run_centralized(bundle, model, loss_cfg: L.LossConfig,
     K=1 federation with matched total epochs follows the same trajectory)."""
     partition = centralized_partition(bundle, val_fraction, fed_cfg.seed)
     cfg = replace(fed_cfg, num_clients=1, client_fraction=1.0,
-                  aggregation="uniform", concurrent=False)
+                  aggregation="uniform")
     return run_federation(bundle, partition, model, loss_cfg, cfg)

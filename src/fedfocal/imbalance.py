@@ -82,21 +82,6 @@ class ImbalanceReport:
         lines += [f"class_coeff.{i} = {v!r}" for i, v in enumerate(self.class_coeffs)]
         return "\n".join(lines) + "\n"
 
-    @staticmethod
-    def from_text(text: str) -> "ImbalanceReport":
-        values: dict[str, float] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            key, _, raw = line.partition("=")
-            values[key.strip()] = float(raw.strip())
-        clients = [values[k] for k in sorted((k for k in values if k.startswith("client_coeff.")),
-                                             key=lambda s: int(s.split(".")[1]))]
-        classes = [values[k] for k in sorted((k for k in values if k.startswith("class_coeff.")),
-                                             key=lambda s: int(s.split(".")[1]))]
-        return ImbalanceReport(clients, classes, values["epsilon"], values["blend"])
-
 
 def per_class_ratios(hist: ClassHistogram, eps: float = DEFAULT_EPS) -> list[float]:
     """(N - n_i) / (n_i + eps) for every class of one histogram."""

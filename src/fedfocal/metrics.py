@@ -1,6 +1,6 @@
 """Evaluation and analysis: confusion matrices, macro classification
 metrics, one-vs-rest AUC with ROC points, decision-curve net benefit,
-per-group logit-gradient norms, and gradient-weighted attention rollout.
+per-sample logit-gradient norms, and gradient-weighted attention rollout.
 
 All multi-class scalars are macro averages (unweighted over classes);
 classes that cannot support a metric (no true samples, no predicted
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import losses as L
 from . import tensor as T
 from .errors import ConfigError, ContractError, ShapeError
 from .models import ModelParams
@@ -243,31 +242,6 @@ def per_sample_logit_grad_norms(logits: Tensor) -> np.ndarray:
     batch = logits.shape[0]
     g = logits.grad * batch
     return np.sqrt((g.astype(np.float64) ** 2).sum(axis=1))
-
-
-def gradient_norm_by_group(model, params: ModelParams, features, labels,
-                           loss_cfg: L.LossConfig, tail: list[int], head: list[int],
-                           coeffs=None) -> dict:
-    """Mean per-sample logit-gradient norm within the tail and head groups.
-
-    Empty groups are reported as None and flagged.
-    """
-    labels = np.asarray(labels)
-    logits = model.batch_logits(params, features)
-    loss = L.batch_loss(logits, labels, loss_cfg, coeffs=coeffs,
-                        gamma_param=L.trainable_gamma(params, loss_cfg))
-    params.zero_grads()
-    T.backward(loss)
-    norms = per_sample_logit_grad_norms(logits)
-    out = {"per_sample": norms, "flags": []}
-    for name, group in (("tail", tail), ("head", head)):
-        mask = np.isin(labels, group)
-        if mask.any():
-            out[name] = float(norms[mask].mean())
-        else:
-            out[name] = None
-            out["flags"].append(f"{name} group empty in this batch")
-    return out
 
 
 # ---------------------------------------------------------------------------

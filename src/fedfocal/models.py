@@ -163,12 +163,6 @@ class ModelParams:
     def total_scalars(self) -> int:
         return self.flat.size
 
-    def flatten(self) -> np.ndarray:
-        return self.flat.copy()
-
-    def unflatten(self, vec: np.ndarray) -> "ModelParams":
-        return ModelParams.from_flat(self._manifest,
-                                     np.asarray(vec).reshape(-1).astype(self.flat.dtype))
 
 
 def check_manifests_match(params_list: list[ModelParams]) -> None:
@@ -259,18 +253,6 @@ def init_vit_params(cfg: ViTConfig, rng: np.random.Generator, dtype=np.float32,
     if gamma_init is not None:
         param("loss.gamma", np.asarray(gamma_init, dtype=dtype))
     return ModelParams(items)
-
-
-def vit_param_count(cfg: ViTConfig, with_gamma: bool = False) -> int:
-    d, dff, c = cfg.embed_dim, cfg.ffn_dim, cfg.num_classes
-    count = cfg.patch_dim * d + d
-    if cfg.learned_positions:
-        count += (cfg.num_patches + 1) * d
-    count += cfg.num_layers * (4 * d * d + 4 * d + d * dff + dff + dff * d + d)
-    count += d * c + c
-    if with_gamma:
-        count += 1
-    return count
 
 
 def embed(patches: Tensor, params: ModelParams, cfg: ViTConfig,
@@ -369,12 +351,6 @@ def init_mlp_params(cfg: MlpConfig, rng: np.random.Generator, dtype=np.float32,
     if gamma_init is not None:
         items.append(("loss.gamma", T.parameter(np.asarray(gamma_init, dtype=dtype))))
     return ModelParams(items)
-
-
-def mlp_param_count(cfg: MlpConfig, with_gamma: bool = False) -> int:
-    count = (cfg.input_dim * cfg.hidden_dim + cfg.hidden_dim
-             + cfg.hidden_dim * cfg.num_classes + cfg.num_classes)
-    return count + (1 if with_gamma else 0)
 
 
 def mlp_forward(features: Tensor, params: ModelParams) -> Tensor:
@@ -477,6 +453,8 @@ def load_params(path) -> ModelParams:
                                  "non-ASCII parameter name") from exc
         if any(not n for n in names):
             raise IngestionError(f"{path}: manifest shorter than declared count {count}")
+        if len(set(names)) != len(names):
+            raise IngestionError(f"{path}: a parameter name is listed twice")
         items = [(name, T.parameter(T.read_array(fh))) for name in names]
     dtypes = sorted({str(t.dtype) for _, t in items})
     if len(dtypes) > 1:

@@ -8,7 +8,7 @@ every ``requires_grad`` tensor reachable from the loss.
 Determinism contract: identical inputs and identical operation order produce
 bit-identical outputs. All reductions delegate to numpy, whose reduction
 order is fixed for a given array shape, so results are reproducible across
-runs and across client threads.
+runs.
 
 Operations never write into their operands. Parameter tensors are views into
 their ``ModelParams.flat`` buffer, and only ``federation.Adam.step`` and
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import io
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,8 +38,8 @@ class Tensor:
 
     A parameter tensor's data is a view into its ``ModelParams.flat``
     buffer; only ``federation.Adam.step`` and ``losses.clamp_gamma`` write
-    it. The ``grad`` slot mutates during backward / zero_grads. Only the
-    owning worker may touch either.
+    it. The ``grad`` slot mutates during backward and
+    ``ModelParams.zero_grads``.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
@@ -444,7 +444,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` of every requires_grad tensor reachable from ``loss``.
 
-    Repeated calls without ``zero_grads`` accumulate.
+    Repeated calls without ``ModelParams.zero_grads`` accumulate.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -464,11 +464,6 @@ def backward(loss: Tensor) -> None:
                 continue
             key = id(parent)
             pending[key] = pg if key not in pending else pending[key] + pg
-
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.grad = None
 
 
 # ---------------------------------------------------------------------------

@@ -117,3 +117,69 @@ def per_tensor_aggregate(params_list, weights):
             acc += w * (params[name].data.astype(np.float64) - anchor)
         items.append((name, T.parameter(acc.astype(params_list[0][name].dtype))))
     return ModelParams(items)
+
+
+def vit_param_count(cfg, with_gamma=False):
+    """Scalar count of a ViT parameter set, from the layer shapes alone."""
+    d, dff, c = cfg.embed_dim, cfg.ffn_dim, cfg.num_classes
+    count = cfg.patch_dim * d + d
+    if cfg.learned_positions:
+        count += (cfg.num_patches + 1) * d
+    count += cfg.num_layers * (4 * d * d + 4 * d + d * dff + dff + dff * d + d)
+    count += d * c + c
+    return count + (1 if with_gamma else 0)
+
+
+def mlp_param_count(cfg, with_gamma=False):
+    """Scalar count of an MLP parameter set, from the layer shapes alone."""
+    count = (cfg.input_dim * cfg.hidden_dim + cfg.hidden_dim
+             + cfg.hidden_dim * cfg.num_classes + cfg.num_classes)
+    return count + (1 if with_gamma else 0)
+
+
+def gradient_norm_by_group(model, params, features, labels, loss_cfg, tail, head,
+                           coeffs=None):
+    """One forward and backward of the batch-mean loss, then the mean
+    per-sample logit-gradient norm within the tail and head groups. An
+    empty group reads None and is flagged."""
+    from fedfocal import losses as L
+    from fedfocal import metrics as ME
+    from fedfocal import tensor as T
+
+    labels = np.asarray(labels)
+    logits = model.batch_logits(params, features)
+    loss = L.batch_loss(logits, labels, loss_cfg, coeffs=coeffs,
+                        gamma_param=L.trainable_gamma(params, loss_cfg))
+    params.zero_grads()
+    T.backward(loss)
+    norms = ME.per_sample_logit_grad_norms(logits)
+    out = {"per_sample": norms, "flags": []}
+    for name, group in (("tail", tail), ("head", head)):
+        mask = np.isin(labels, group)
+        if mask.any():
+            out[name] = float(norms[mask].mean())
+        else:
+            out[name] = None
+            out["flags"].append(f"{name} group empty in this batch")
+    return out
+
+
+def report_from_text(text):
+    """Parse ImbalanceReport.to_text back into a report."""
+    from fedfocal.imbalance import ImbalanceReport
+
+    values = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        key, _, raw = line.partition("=")
+        values[key.strip()] = float(raw.strip())
+
+    def indexed(prefix):
+        keys = sorted((k for k in values if k.startswith(prefix)),
+                      key=lambda s: int(s.split(".")[1]))
+        return [values[k] for k in keys]
+
+    return ImbalanceReport(indexed("client_coeff."), indexed("class_coeff."),
+                           values["epsilon"], values["blend"])

@@ -61,6 +61,14 @@ class TestSynthAndPartitionCommands:
         total = sum(len(c) for c in clients) + len(test)
         assert total == 70
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--counts", ""],
+        ["train", "--preset", "smoke", "--set", "dataset.synth.counts="],
+    ], ids=["synth", "train"])
+    def test_empty_counts_exit_runtime(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+        assert "class counts" in capsys.readouterr().err
+
     def test_synth_tiles_mode(self, tmp_path):
         data = tmp_path / "tiles"
         assert main(["synth", "--out", str(data), "--counts", "8,4",
@@ -108,6 +116,17 @@ class TestTrainCommand:
         bad = tmp_path / "bad.cfg"
         bad.write_text("no.such.key = 1\n")
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("override", [
+        "federation.beta1=1.0", "federation.beta2=1.0", "federation.beta1=-0.5",
+        "federation.beta2=-0.1", "federation.beta1=nan", "federation.adam_eps=0",
+        "federation.adam_eps=-1e-8",
+    ])
+    def test_bad_adam_setting_exits_two_before_writing(self, tmp_path, override):
+        out = tmp_path / "run"
+        assert main(["train", "--preset", "smoke", "--out", str(out),
+                     "--set", override] + FAST) == 2
+        assert not out.exists()
 
     def test_missing_dataset_exits_runtime(self, tmp_path):
         code = main(["train", "--preset", "smoke", "--out", str(tmp_path / "x"),
@@ -187,8 +206,11 @@ class TestEvaluateAndAnalyze:
             assert value == last[name], name
 
     @pytest.mark.parametrize("ckpt", [b"fedfocal-params 1\n-1\n",
-                                      b"fedfocal-params 1\n1\nmlp.w1\nf32 x\n"],
-                             ids=["negative-count", "non-numeric-header"])
+                                      b"fedfocal-params 1\n1\nmlp.w1\nf32 x\n",
+                                      b"fedfocal-params 1\n2\nmlp.w1\nmlp.w1\n"
+                                      b"f32 1 1\n\0\0\0\0f32 1 1\n\0\0\0\0"],
+                             ids=["negative-count", "non-numeric-header",
+                                  "duplicate-name"])
     def test_evaluate_rejects_malformed_checkpoint(self, finished_run, ckpt):
         (finished_run / "final.ckpt").write_bytes(ckpt)
         assert main(["evaluate", "--run", str(finished_run)]) == 3

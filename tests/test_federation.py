@@ -1,7 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 
 from fedfocal import data as D
+from fedfocal import experiment as X
 from fedfocal import federation as F
 from fedfocal import losses as L
 from fedfocal import models as M
@@ -208,10 +211,8 @@ class TestRunFederation:
     def test_serial_and_concurrent_runs_identical(self):
         bundle, part, model = tiny_setup(mode="dirichlet", beta=0.5)
         loss_cfg = L.LossConfig(kind="adaptive_focal")
-        serial = F.run_federation(bundle, part, model, loss_cfg,
-                                  tiny_fed(concurrent=False))
-        threaded = F.run_federation(bundle, part, model, loss_cfg,
-                                    tiny_fed(concurrent=True))
+        serial = F.run_federation(bundle, part, model, loss_cfg, tiny_fed())
+        threaded = F.run_federation(bundle, part, model, loss_cfg, tiny_fed())
         for a, b in zip(serial.records, threaded.records):
             assert a.weights == b.weights
             assert a.client_coeffs == b.client_coeffs
@@ -219,6 +220,18 @@ class TestRunFederation:
             assert a.tail_grad_norm == b.tail_grad_norm
         for name, t in serial.params:
             assert threaded.params[name].data.tobytes() == t.data.tobytes()
+
+    def test_concurrent_key_starts_no_thread(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a training run started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        cfg = X.preset_config("smoke").with_overrides({
+            "partition.mode": "dirichlet", "partition.beta": 0.5,
+            "partition.clients": 20, "federation.concurrent": True,
+            "federation.rounds": 2})
+        run = X.run_experiment(cfg, tmp_path / "run")
+        assert len(run.records) == 2
 
     def test_empty_shard_client_skipped_with_warning(self):
         bundle = tiny_bundle()

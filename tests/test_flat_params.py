@@ -80,14 +80,6 @@ class TestStorage:
         assert_packed(back)
         assert back.flat.tobytes() == params.flat.tobytes()
 
-    def test_unflatten_is_packed_and_copies(self):
-        params = random_params(3, np.float64)
-        vec = np.arange(params.total_scalars(), dtype=np.float64)
-        back = params.unflatten(vec)
-        assert_packed(back)
-        assert not np.shares_memory(back.flat, vec)
-        assert back.flat.tobytes() == vec.tobytes()
-
     def test_clamp_gamma_writes_through_to_flat(self):
         params = random_params(4, np.float32)
         params["loss.gamma"].data[...] = 9.0

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from fedfocal import imbalance as I
 from fedfocal.errors import ContractError
 
+from helpers import report_from_text
+
 # published per-class training counts and rarity scores used as fixtures
 # throughout the suite: {name: (counts, scores, tail_classes)}
 REFERENCE_POOLS = {
@@ -171,7 +173,7 @@ class TestInvariants:
     def test_report_round_trip(self):
         report = I.ImbalanceReport([1.5, 2.25], [0.5, 3.0, 41.6193],
                                    epsilon=1e-6, blend=0.5)
-        back = I.ImbalanceReport.from_text(report.to_text())
+        back = report_from_text(report.to_text())
         assert back.client_coeffs == report.client_coeffs
         assert back.class_coeffs == report.class_coeffs
         assert back.epsilon == report.epsilon

@@ -10,6 +10,8 @@ from fedfocal import metrics as ME
 from fedfocal import models as M
 from fedfocal.errors import ConfigError, ContractError
 
+from helpers import gradient_norm_by_group
+
 
 class TestConfusion:
     def test_perfect_predictions_are_diagonal(self):
@@ -203,7 +205,7 @@ class TestGradientNorms:
         x = np.tile(np.array([[0.3, -0.2, 1.0, 0.4]]), (2, 1))
         labels = np.array([1, 1])
         c = 5.5
-        out = ME.gradient_norm_by_group(
+        out = gradient_norm_by_group(
             model, params, x, labels,
             L.LossConfig(kind="adaptive_focal", gamma=2.0),
             tail=[1], head=[0, 2], coeffs=np.array([c, 0.0]))
@@ -216,7 +218,7 @@ class TestGradientNorms:
             t.data[:] = 0.0  # all logits zero -> softmax uniform
         x = np.random.default_rng(4).normal(size=(6, 4))
         labels = np.array([0, 1, 2, 0, 1, 2])
-        out = ME.gradient_norm_by_group(model, params, x, labels,
+        out = gradient_norm_by_group(model, params, x, labels,
                                         L.LossConfig(kind="ce"),
                                         tail=[2], head=[0, 1])
         norms = out["per_sample"]
@@ -228,7 +230,7 @@ class TestGradientNorms:
     def test_empty_group_flagged(self):
         model, params = self._mlp()
         x = np.random.default_rng(5).normal(size=(3, 4))
-        out = ME.gradient_norm_by_group(model, params, x, np.array([0, 0, 1]),
+        out = gradient_norm_by_group(model, params, x, np.array([0, 0, 1]),
                                         L.LossConfig(kind="ce"),
                                         tail=[2], head=[0, 1])
         assert out["tail"] is None

@@ -7,7 +7,7 @@ from fedfocal import models as M
 from fedfocal import tensor as T
 from fedfocal.errors import AggregationError, ConfigError, IngestionError, ShapeError
 
-from helpers import fd_gradient, max_rel_err
+from helpers import fd_gradient, max_rel_err, mlp_param_count, vit_param_count
 
 SMALL = M.ViTConfig(image_size=8, patch_size=4, channels=1, embed_dim=8,
                     num_heads=2, head_dim=4, ffn_dim=16, num_layers=2,
@@ -342,18 +342,10 @@ class TestModelParams:
         ]
         for cfg in configs:
             params = M.init_vit_params(cfg, np.random.default_rng(0))
-            assert params.total_scalars() == M.vit_param_count(cfg)
+            assert params.total_scalars() == vit_param_count(cfg)
         mlp = M.MlpConfig(input_dim=8, hidden_dim=32, num_classes=5)
         params = M.init_mlp_params(mlp, np.random.default_rng(0), gamma_init=2.0)
-        assert params.total_scalars() == M.mlp_param_count(mlp, with_gamma=True)
-
-    def test_flatten_unflatten_round_trip_bit_exact(self):
-        params = small_params(seed=20, dtype=np.float32)
-        flat = params.flatten()
-        back = params.unflatten(flat)
-        assert back.names == params.names
-        for name, t in params:
-            assert back[name].data.tobytes() == t.data.tobytes()
+        assert params.total_scalars() == mlp_param_count(mlp, with_gamma=True)
 
     def test_manifest_mismatch_names_first_differing_entry(self):
         a = small_params(seed=21)
@@ -378,6 +370,13 @@ class TestModelParams:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"fedfocal-params 1\n" + body)
         with pytest.raises(IngestionError, match="malformed"):
+            M.load_params(path)
+
+    def test_checkpoint_duplicate_name_rejected(self, tmp_path):
+        path = tmp_path / "dup.ckpt"
+        path.write_bytes(b"fedfocal-params 1\n2\nhead.bias\nhead.bias\n"
+                         b"f32 1 1\n\0\0\0\0f32 1 1\n\0\0\0\0")
+        with pytest.raises(IngestionError, match="dup.ckpt.*listed twice"):
             M.load_params(path)
 
     def test_checkpoint_count_beyond_file_rejected_fast(self, tmp_path):

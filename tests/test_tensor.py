@@ -243,12 +243,6 @@ class TestBackward:
         T.backward(T.add(T.sum_(z), T.sum_(z)))
         assert np.allclose(x.grad, 4 * x.data)
 
-    def test_zero_grads(self):
-        x = t64([1.0], requires_grad=True)
-        T.backward(T.sum_(x))
-        T.zero_grads([x])
-        assert x.grad is None
-
 
 class TestDeterminism:
     def test_bit_identical_replay(self):
