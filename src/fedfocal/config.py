@@ -73,7 +73,7 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "federation.aggregation": ("str", "inverse_imbalance"),
     "federation.seed": ("int", 0),
     # accepted so that old configs and every config.echo still load; clients
-    # always train one after another, so the key has no effect
+    # always train in lockstep on one thread, so the key has no effect
     "federation.concurrent": ("bool", False),
     "federation.tail_fraction": ("float", 0.3),
     "dca.thresholds": ("floats", _DCA_DEFAULT),

@@ -9,14 +9,21 @@ global class-rarity vector from the client histograms, derives aggregation
 weights, averages the parameter sets in fixed client order, and evaluates
 the new global model on the held-out test set.
 
+The selected clients train in lockstep: their parameters and Adam moments
+are one [K, P] stack, and at each tick the clients whose next minibatch has
+the same size take one stacked step together (see ``local_train``). No
+client's arithmetic depends on another's, so each ends with the bits it
+would have training alone.
+
 Determinism: every random stream is derived from the master seed together
-with its role and (round, client) coordinates, and the selected clients
-train one after another in ascending index order, which is also the order
-aggregation consumes them in, so reruns are identical bit for bit.
+with its role and (round, client) coordinates, each client draws its
+minibatches from its own stream, and aggregation consumes the clients in
+ascending index order, so reruns are identical bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,7 +31,7 @@ import numpy as np
 from . import losses as L
 from . import metrics as ME
 from . import tensor as T
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, NumericError
 from .imbalance import (ClassHistogram, client_imbalance, dynamic_coefficient,
                         global_class_imbalance, head_tail_split, imbalance_score)
 from .models import ModelParams, check_manifests_match
@@ -107,9 +114,11 @@ def derive_rng(master_seed: int, role: int, *coords: int) -> np.random.Generator
 
 
 class Adam:
-    """Adaptive-moment optimizer over one parameter set's flat buffer;
-    moments start at zero on construction, so one instance per round gives
-    the stateless-across-rounds behavior the protocol requires."""
+    """Adaptive-moment optimizer over one parameter set's flat buffer, or
+    over a [K, P] stack of them with one row, one moment pair and one step
+    count per client. Moments start at zero on construction, so one
+    instance per round gives the stateless-across-rounds behavior the
+    protocol requires."""
 
     def __init__(self, params: ModelParams, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -118,41 +127,58 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.t = 0
+        self.t = np.zeros(params.flat.shape[:-1], dtype=np.int64)
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
 
-    def step(self) -> None:
+    def step(self, group: ModelParams | None = None, rows=None) -> None:
         """Update moments and parameters in place, in the operand order of
         m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
         p = p - lr*m_hat / (sqrt(v_hat) + eps).
 
+        Without arguments every row steps, from the gradients on the
+        optimizer's own tensors. With rows (a slice or a list of stack
+        indices, one step count among them) only those rows step: group
+        holds their parameters and gradients, and group.flat is updated.
+        For a slice group.flat is a view of those rows; for a list it is a
+        gathered copy, and writing it back into the stack is the caller's.
+
         One pass over the whole buffer: every op is elementwise, so each
-        scalar gets the bits a per-tensor loop would give it. A tensor
-        without a gradient keeps its value and its moments."""
-        self.t += 1
-        tensors = self.params.tensors()
-        present = [i for i, t in enumerate(tensors) if t.grad is not None]
+        scalar gets the bits a per-tensor, per-client loop would give it. A
+        tensor without a gradient keeps its value and its moments."""
+        params = self.params if group is None else group
+        sel = ... if rows is None else rows
+        self.t[sel] += 1
+        counts = self.t[sel]
+        t = int(counts.max())
+        if counts.min() != t:
+            raise ContractError("one optimizer step over clients at different step counts")
+        tensors = params.tensors()
+        present = [i for i, x in enumerate(tensors) if x.grad is not None]
         if not present:
             return
-        g = np.concatenate([tensors[i].grad.reshape(-1) for i in present])
-        p, m, v = self.params.flat, self.m, self.v
+        lead = params.flat.shape[:-1]
+        g = np.concatenate([tensors[i].grad.reshape(lead + (-1,)) for i in present], axis=-1)
+        p, m, v = params.flat, self.m[sel], self.v[sel]
+        rows_m, rows_v = m, v
         live = None
         if len(present) < len(tensors):
-            ends = np.cumsum([t.data.size for t in tensors])
-            live = np.concatenate([np.arange(ends[i] - tensors[i].data.size, ends[i])
-                                   for i in present])
-            p, m, v = p[live], m[live], v[live]
+            sizes = [math.prod(shape) for _, shape in params.manifest()]
+            ends = np.cumsum(sizes)
+            live = np.concatenate([np.arange(ends[i] - sizes[i], ends[i]) for i in present])
+            p, m, v = p[..., live], m[..., live], v[..., live]
         m *= self.beta1
         m += (1 - self.beta1) * g
         v *= self.beta2
         v += (1 - self.beta2) * g * g
-        m_hat = m / (1 - self.beta1 ** self.t)
-        denom = np.sqrt(v / (1 - self.beta2 ** self.t))
+        m_hat = m / (1 - self.beta1 ** t)
+        denom = np.sqrt(v / (1 - self.beta2 ** t))
         denom += self.eps
         p -= self.lr * m_hat / denom
         if live is not None:
-            self.params.flat[live], self.m[live], self.v[live] = p, m, v
+            params.flat[..., live], rows_m[..., live], rows_v[..., live] = p, m, v
+        if rows is not None and not isinstance(rows, slice):
+            self.m[rows], self.v[rows] = rows_m, rows_v
 
 
 @dataclass
@@ -167,51 +193,115 @@ class _LocalResult:
     batch_count: int
 
 
-def local_train(model, global_params: ModelParams, features: np.ndarray,
-                labels: np.ndarray, hist: ClassHistogram, class_coeffs: list[float],
+def _client_batches(n: int, offset: int, fed_cfg: FederationConfig,
+                    rng: np.random.Generator) -> list[np.ndarray]:
+    """A client's minibatches for all its local epochs, in order, as
+    indices into the round's concatenated shards: one permutation of its n
+    samples per epoch from its own stream, cut every batch_size."""
+    batches = []
+    for _ in range(fed_cfg.local_epochs):
+        order = offset + rng.permutation(n)
+        batches += [order[start:start + fed_cfg.batch_size]
+                    for start in range(0, n, fed_cfg.batch_size)]
+    return batches
+
+
+def local_train(model, global_params: ModelParams,
+                shards: list[tuple[np.ndarray, np.ndarray]],
+                hists: list[ClassHistogram], class_coeffs: list[float],
                 loss_cfg: L.LossConfig, fed_cfg: FederationConfig,
-                rng: np.random.Generator, client_id: int = 0) -> _LocalResult:
-    """One client's round: clone the broadcast, run E epochs of minibatch
-    Adam, and tally per-class logit-gradient norms along the way."""
-    params = global_params.clone()
-    c_k = client_imbalance(hist, loss_cfg.epsilon)
-    opt = Adam(params, fed_cfg.learning_rate, fed_cfg.beta1,
-               fed_cfg.beta2, fed_cfg.adam_eps)
-    num_classes = hist.num_classes
-    norm_sums = np.zeros(num_classes)
-    norm_counts = np.zeros(num_classes, dtype=np.int64)
-    loss_sum = 0.0
-    batch_count = 0
-    n = labels.size
-    gamma_param = L.trainable_gamma(params, loss_cfg)
+                rngs: list[np.random.Generator], client_ids: list[int] | None = None,
+                round_index: int = 0) -> list[_LocalResult]:
+    """One round's local training of every given client, in lockstep.
+
+    Each client starts from the broadcast, runs E epochs of minibatch Adam
+    on its shard and tallies per-class logit-gradient norms. The clients'
+    parameters and moments are one [K, P] stack, one row per client. At
+    each tick, the clients whose next batch has the same size form one
+    group, which takes one stacked forward, loss, backward and Adam step on
+    its rows and its [K', B, ...] batch. A client whose shard is used up
+    leaves the stack by index selection, never by padding. Every client's
+    arithmetic is the one it would do alone, so the results are the same
+    bit for bit as training the clients one after another.
+
+    The rows are ordered by the clients' batch-size sequences, longest and
+    largest first. With one local epoch every group is then a run of
+    adjacent rows, whose parameters and moments are stepped where they lie;
+    other groups are gathered and written back. A NaN in training names its
+    round and client."""
+    ids = list(range(len(shards))) if client_ids is None else list(client_ids)
+    client_coeffs = [client_imbalance(h, loss_cfg.epsilon) for h in hists]
+    sizes = [y.size for _, y in shards]
+    offsets = np.cumsum([0] + sizes)
+    features = np.concatenate([x for x, _ in shards])
+    labels = np.concatenate([y for _, y in shards])
     # elementwise in the labels, so indexing it per batch gives each batch's
     # coefficients bit for bit
-    shard_coeffs = None
+    coeffs = None
     if loss_cfg.kind == "adaptive_focal":
-        shard_coeffs = dynamic_coefficient(c_k, class_coeffs, labels, loss_cfg.blend)
-    for _ in range(fed_cfg.local_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, fed_cfg.batch_size):
-            batch_idx = order[start:start + fed_cfg.batch_size]
-            x = features[batch_idx]
-            y = labels[batch_idx]
-            coeffs = None if shard_coeffs is None else shard_coeffs[batch_idx]
-            logits = model.batch_logits(params, x)
-            loss = L.batch_loss(logits, y, loss_cfg, coeffs=coeffs,
-                                gamma_param=gamma_param)
-            params.zero_grads()
-            T.backward(loss)
-            norms = ME.per_sample_logit_grad_norms(logits)
-            # unbuffered, in batch order: the sums of a per-sample loop
-            np.add.at(norm_sums, y, norms)
-            np.add.at(norm_counts, y, 1)
-            opt.step()
+        coeffs = np.concatenate([dynamic_coefficient(c_k, class_coeffs, y, loss_cfg.blend)
+                                 for c_k, (_, y) in zip(client_coeffs, shards)])
+    batches = [_client_batches(n, off, fed_cfg, rng)
+               for n, off, rng in zip(sizes, offsets, rngs)]
+    order = sorted(range(len(shards)), key=lambda i: [b.size for b in batches[i]],
+                   reverse=True)
+    batches = [batches[i] for i in order]
+
+    manifest, flat = global_params.manifest(), global_params.flat
+    stack = ModelParams.from_flat(
+        manifest, np.broadcast_to(flat, (len(shards),) + flat.shape).copy())
+    opt = Adam(stack, fed_cfg.learning_rate, fed_cfg.beta1, fed_cfg.beta2, fed_cfg.adam_eps)
+    num_classes = hists[0].num_classes
+    norm_sums = np.zeros((len(shards), num_classes))
+    norm_counts = np.zeros((len(shards), num_classes), dtype=np.int64)
+    loss_sums = np.zeros(len(shards))
+    for tick in range(len(batches[0])):
+        groups: dict[int, list[int]] = {}
+        for row, client in enumerate(batches):
+            if tick < len(client):
+                groups.setdefault(client[tick].size, []).append(row)
+        for rows in groups.values():
+            idx = np.stack([batches[row][tick] for row in rows])
+            x, y = features[idx], labels[idx]
+            gathered = rows[-1] - rows[0] + 1 != len(rows)
+            sel = rows if gathered else slice(rows[0], rows[-1] + 1)
+            group = (stack if len(rows) == len(shards)
+                     else ModelParams.from_flat(manifest, stack.flat[sel]))
+            gamma_param = L.trainable_gamma(group, loss_cfg)
+            try:
+                logits = model.batch_logits(group, x)
+                loss = L.batch_loss(logits, y, loss_cfg,
+                                    coeffs=None if coeffs is None else coeffs[idx],
+                                    gamma_param=gamma_param)
+            except NumericError as exc:
+                culprits = _culprits([ids[order[row]] for row in rows], x, group)
+                raise NumericError(f"round {round_index}, {culprits}: {exc}") from exc
+            group.zero_grads()
+            T.backward(T.sum_(loss))
+            # unbuffered, row by row in batch order: the sums of a per-sample loop
+            at = (np.asarray(rows)[:, None], y)
+            np.add.at(norm_sums, at, ME.per_sample_logit_grad_norms(logits))
+            np.add.at(norm_counts, at, 1)
+            opt.step(group, sel)
             if gamma_param is not None:
-                L.clamp_gamma(params, loss_cfg)
-            loss_sum += loss.item()
-            batch_count += 1
-    return _LocalResult(client_id, params, c_k, n, norm_sums, norm_counts,
-                        loss_sum, batch_count)
+                L.clamp_gamma(group, loss_cfg)
+            if gathered:
+                stack.flat[rows] = group.flat
+            loss_sums[sel] += loss.data
+    row_of = np.argsort(order)
+    return [_LocalResult(ids[i], ModelParams.from_flat(manifest, stack.flat[row]),
+                         client_coeffs[i], sizes[i], norm_sums[row], norm_counts[row],
+                         float(loss_sums[row]), len(batches[row]))
+            for i, row in enumerate(row_of)]
+
+
+def _culprits(ids: list[int], x: np.ndarray, group: ModelParams) -> str:
+    """The clients of a failed group step whose batch or parameters hold a
+    non-finite value, or every client of the group when none does."""
+    flat = group.flat.reshape(len(ids), -1)
+    bad = [k for k, xk, pk in zip(ids, x, flat)
+           if not (np.isfinite(xk).all() and np.isfinite(pk).all())] or ids
+    return ("client " if len(bad) == 1 else "clients ") + ", ".join(map(str, bad))
 
 
 def aggregation_weights(client_coeffs, eps: float) -> np.ndarray:
@@ -322,11 +412,11 @@ def run_federation(bundle, partition: PartitionResult, model,
             [partition.histograms[k] for k in selected], loss_cfg.epsilon)
 
         # selected is ascending, so results arrive in aggregation order
-        results = [local_train(model, global_params, shards[k][0], shards[k][1],
-                               partition.histograms[k], class_coeffs, loss_cfg,
-                               fed_cfg, derive_rng(fed_cfg.seed, _CLIENT_ROLE, t, k),
-                               client_id=k)
-                   for k in selected]
+        results = local_train(model, global_params, [shards[k] for k in selected],
+                              [partition.histograms[k] for k in selected], class_coeffs,
+                              loss_cfg, fed_cfg,
+                              [derive_rng(fed_cfg.seed, _CLIENT_ROLE, t, k) for k in selected],
+                              client_ids=selected, round_index=t)
 
         coeffs = [r.client_coeff for r in results]
         if fed_cfg.aggregation == "inverse_imbalance":

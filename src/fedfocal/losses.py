@@ -58,27 +58,31 @@ class LossConfig:
 
 def per_sample_losses(logits: Tensor, labels, *, gamma=None,
                       coeffs=None) -> Tensor:
-    """Vector of per-sample losses; the scalar losses are its batch mean.
+    """Per-sample losses; the scalar losses are their batch mean.
 
-    gamma None selects plain cross-entropy; a float or a scalar tensor turns
-    on the focal factor; coeffs (one nonnegative value per sample) adds the
-    adaptive multiplier (1 + c).
+    logits are [B, C] with B labels, or a client stack [K, B, C] with
+    [K, B] labels; the result has the labels' shape. gamma None selects
+    plain cross-entropy; a float or a tensor (a scalar, or one per client on
+    a stack) turns on the focal factor; coeffs (one nonnegative value per
+    sample) adds the adaptive multiplier (1 + c).
     """
-    if logits.data.ndim != 2:
-        raise ContractError(f"logits must be [batch, classes], got shape {logits.shape}")
+    if logits.data.ndim not in (2, 3):
+        raise ContractError(f"logits must be [batch, classes] or [clients, batch, "
+                            f"classes], got shape {logits.shape}")
     labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ContractError(f"labels must be a vector, got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
-        raise ContractError(f"labels must lie in 0..{logits.shape[1] - 1}")
-    if labels.size != logits.shape[0]:
-        raise ShapeError(f"{labels.size} labels for a batch of {logits.shape[0]}")
+    if labels.ndim != logits.data.ndim - 1:
+        raise ContractError(f"labels must have rank {logits.data.ndim - 1}, "
+                            f"got shape {labels.shape}")
+    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[-1]):
+        raise ContractError(f"labels must lie in 0..{logits.shape[-1] - 1}")
+    if labels.shape != logits.shape[:-1]:
+        raise ShapeError(f"labels of shape {labels.shape} for logits {logits.shape}")
     weights = None
     if coeffs is not None:
         coeffs = np.asarray(coeffs, dtype=np.float64)
-        if coeffs.shape != (logits.shape[0],):
+        if coeffs.shape != labels.shape:
             raise ContractError(f"need one coefficient per sample: got shape "
-                                f"{coeffs.shape} for batch {logits.shape[0]}")
+                                f"{coeffs.shape} for labels {labels.shape}")
         if np.any(coeffs < 0):
             raise ContractError("imbalance coefficients must be >= 0")
         weights = (1.0 + coeffs).astype(logits.dtype)
@@ -86,15 +90,15 @@ def per_sample_losses(logits: Tensor, labels, *, gamma=None,
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean over the batch of -log p_t."""
-    return T.mean(per_sample_losses(logits, labels))
+    """Mean over the batch of -log p_t (one mean per client on a stack)."""
+    return T.mean(per_sample_losses(logits, labels), axis=-1)
 
 
 def focal_loss(logits: Tensor, labels, gamma=2.0) -> Tensor:
     """Mean over the batch of -(1 - p_t)^gamma * log(p_t)."""
     if not isinstance(gamma, Tensor) and gamma < 0:
         raise ContractError(f"gamma must be >= 0, got {gamma}")
-    return T.mean(per_sample_losses(logits, labels, gamma=gamma))
+    return T.mean(per_sample_losses(logits, labels, gamma=gamma), axis=-1)
 
 
 def adaptive_focal_loss(logits: Tensor, labels, coeffs, gamma=2.0) -> Tensor:
@@ -104,15 +108,17 @@ def adaptive_focal_loss(logits: Tensor, labels, coeffs, gamma=2.0) -> Tensor:
     """
     if coeffs is None:
         raise ContractError("adaptive focal loss needs per-sample coefficients")
-    return T.mean(per_sample_losses(logits, labels, gamma=gamma, coeffs=coeffs))
+    return T.mean(per_sample_losses(logits, labels, gamma=gamma, coeffs=coeffs), axis=-1)
 
 
 def batch_loss(logits: Tensor, labels, cfg: LossConfig, *,
                coeffs=None, gamma_param: Tensor | None = None) -> Tensor:
     """Dispatch on the configured loss kind.
 
-    gamma_param, when given, is the trainable scalar living in the model's
-    parameter list; otherwise the configured constant is used.
+    gamma_param, when given, is the trainable gamma living in the model's
+    parameter list (one per client on a stack); otherwise the configured
+    constant is used. On a client stack the result holds one loss per
+    client.
     """
     if cfg.kind == "ce":
         return cross_entropy(logits, labels)

@@ -235,13 +235,14 @@ def per_sample_logit_grad_norms(logits: Tensor) -> np.ndarray:
     """L2 norm of each sample's own loss gradient wrt its logits row.
 
     Call after backward on the batch-mean loss; the stored row gradients
-    carry a uniform 1/B factor from the mean, which is undone here.
+    carry a uniform 1/B factor from the mean, which is undone here. [B, C]
+    logits give B norms, a client stack [K, B, C] gives [K, B].
     """
     if logits.grad is None:
         raise ContractError("run backward before reading logit gradients")
-    batch = logits.shape[0]
+    batch = logits.shape[-2]
     g = logits.grad * batch
-    return np.sqrt((g.astype(np.float64) ** 2).sum(axis=1))
+    return np.sqrt((g.astype(np.float64) ** 2).sum(axis=-1))
 
 
 # ---------------------------------------------------------------------------

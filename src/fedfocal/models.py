@@ -76,11 +76,12 @@ class MlpConfig:
 
 
 def _cut(flat: np.ndarray, manifest):
-    """Reshape views of the 1-D buffer flat, one per manifest entry, in order."""
+    """Reshape views of the buffer flat, one per manifest entry, in order; a
+    [K, P] stack gives [K, *shape] views."""
     offset = 0
     for _, shape in manifest:
         size = math.prod(shape)
-        yield flat[offset:offset + size].reshape(shape)
+        yield flat[..., offset:offset + size].reshape(flat.shape[:-1] + tuple(shape))
         offset += size
 
 
@@ -95,7 +96,9 @@ class ModelParams:
     constructor copies the given tensors' values into a fresh buffer and
     rebinds each tensor's ``data`` to its view: the tensors passed in
     become this set's own. Only ``federation.Adam.step`` and
-    ``losses.clamp_gamma`` write into the buffer.
+    ``losses.clamp_gamma`` write into the buffer. ``from_flat`` also wraps
+    a [K, P] stack of K sets, one per client, as the lockstep trainer
+    keeps them.
     """
 
     def __init__(self, items: list[tuple[str, Tensor]]):
@@ -117,13 +120,15 @@ class ModelParams:
     @classmethod
     def from_flat(cls, manifest: list[tuple[str, tuple[int, ...]]], flat: np.ndarray,
                   requires_grad: bool = True) -> "ModelParams":
-        """A set whose tensors view the 1-D buffer flat itself (no copy),
-        cut in manifest order."""
-        if flat.ndim != 1 or not flat.flags.c_contiguous:
-            raise ContractError("a parameter buffer must be one contiguous 1-D array")
+        """A set whose tensors view the buffer flat itself (no copy), cut in
+        manifest order. flat is one 1-D buffer, or a [K, P] stack of K
+        sets, one per row, whose tensors are then [K, *shape]."""
+        if flat.ndim not in (1, 2) or not flat.flags.c_contiguous:
+            raise ContractError("a parameter buffer must be one contiguous 1-D array "
+                                "or a contiguous stack of them")
         needed = sum(math.prod(shape) for _, shape in manifest)
-        if flat.size != needed:
-            raise ShapeError(f"flat vector has {flat.size} scalars, model needs {needed}")
+        if flat.shape[-1] != needed:
+            raise ShapeError(f"flat vector has {flat.shape[-1]} scalars, model needs {needed}")
         params = cls.__new__(cls)
         params._names = [name for name, _ in manifest]
         params._manifest = list(manifest)
@@ -354,7 +359,8 @@ def init_mlp_params(cfg: MlpConfig, rng: np.random.Generator, dtype=np.float32,
 
 
 def mlp_forward(features: Tensor, params: ModelParams) -> Tensor:
-    """One hidden ReLU layer; accepts a [B, F] batch."""
+    """One hidden ReLU layer; accepts a [B, F] batch, or a [K, B, F] stack
+    on stacked parameters."""
     hidden = T.relu(T.add(T.matmul(features, params["mlp.w1"]), params["mlp.b1"]))
     return T.add(T.matmul(hidden, params["mlp.w2"]), params["mlp.b2"])
 
@@ -379,8 +385,10 @@ class MlpClassifier:
         return init_mlp_params(self.cfg, rng, dtype=self.dtype, gamma_init=gamma_init)
 
     def batch_logits(self, params: ModelParams, features: np.ndarray) -> Tensor:
+        """[B, F] features give [B, C] logits; a client stack, [K, B, F]
+        features on stacked parameters, gives [K, B, C]."""
         x = T.constant(np.asarray(features, dtype=self.dtype))
-        if x.data.ndim != 2 or x.shape[1] != self.cfg.input_dim:
+        if x.data.ndim not in (2, 3) or x.shape[-1] != self.cfg.input_dim:
             raise ShapeError(f"feature batch shape {x.shape} does not match "
                              f"input dim {self.cfg.input_dim}")
         return mlp_forward(x, params)
@@ -408,9 +416,24 @@ class ViTClassifier:
         return vit_forward(image, params, self.cfg, positions=self._positions)
 
     def batch_logits(self, params: ModelParams, images: np.ndarray) -> Tensor:
+        """[B, C, H, W] images give [B, classes] logits; a client stack,
+        [K, B, C, H, W] images on stacked parameters, gives [K, B, classes].
+        On a stack each client runs the per-image forward on its own slice
+        of every stacked tensor."""
         images = np.asarray(images, dtype=self.dtype)
-        if images.ndim != 4:
-            raise ShapeError(f"expected [B, C, H, W] image batch, got {images.shape}")
+        if images.ndim == 4:
+            return self._image_logits(params, images)
+        if images.ndim != 5:
+            raise ShapeError(f"expected [B, C, H, W] image batch or a stack of them, "
+                             f"got {images.shape}")
+        clients = []
+        for k in range(images.shape[0]):
+            own = {name: T.reshape(T.slice_axis(t, 0, k, k + 1), t.shape[1:])
+                   for name, t in params}
+            clients.append(self._image_logits(own, images[k]))
+        return T.reshape(T.concat(clients, axis=0), images.shape[:2] + (self.cfg.num_classes,))
+
+    def _image_logits(self, params, images: np.ndarray) -> Tensor:
         rows = []
         for b in range(images.shape[0]):
             logits, _ = vit_forward(images[b], params, self.cfg, positions=self._positions)

@@ -14,8 +14,12 @@ Operations never write into their operands. Parameter tensors are views into
 their ``ModelParams.flat`` buffer, and only ``federation.Adam.step`` and
 ``losses.clamp_gamma`` write them, in place.
 
-Broadcasting is rejected except for the affine-bias pattern
-(matrix [R, C] plus vector [C]).
+Broadcasting is rejected except for the affine-bias pattern (matrix [R, C]
+plus vector [C]). The one other shape rule is a leading client axis: the
+operations a training step of the MLP uses (``matmul``, the bias ``add``,
+``focal_nll`` and the per-client ``mean`` over the last axis) also take a
+stack of K independent problems, [K, R, C] with [K, C, N] or [K, C], and
+give each slice the bits the rank-2 operation gives it alone.
 """
 
 from __future__ import annotations
@@ -99,16 +103,19 @@ def parameter(data, dtype=None) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """[M, K] x [K, N], or two client stacks [S, M, K] x [S, K, N] slice by slice."""
     _check_same_dtype(a, b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul requires rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    ranks = (a.data.ndim, b.data.ndim)
+    if ranks != (2, 2) and (ranks != (3, 3) or a.shape[0] != b.shape[0]):
+        raise ShapeError(f"matmul requires rank-2 operands or two stacks of one "
+                         f"depth, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     out = Tensor(a.data @ b.data)
 
     def vjp(g):
-        ga = g @ b.data.T if a.requires_grad else None
-        gb = a.data.T @ g if b.requires_grad else None
+        ga = g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None
+        gb = np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None
         return ga, gb
 
     return _record(out, (a, b), vjp)
@@ -130,17 +137,18 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; the only permitted broadcast is [R, C] + [C] (bias)."""
+    """Elementwise sum; the only permitted broadcast is the bias, [R, C] + [C]
+    or, on a client stack, [K, R, C] + [K, C]."""
     _check_same_dtype(a, b)
     if a.shape == b.shape:
         out = Tensor(a.data + b.data)
         return _record(out, (a, b), lambda g: (g, g))
-    if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        out = Tensor(a.data + b.data)
+    if a.data.ndim in (2, 3) and b.shape == a.shape[:-2] + a.shape[-1:]:
+        out = Tensor(a.data + b.data[..., None, :])
 
         def vjp(g):
             ga = g if a.requires_grad else None
-            gb = g.sum(axis=0) if b.requires_grad else None
+            gb = g.sum(axis=-2) if b.requires_grad else None
             return ga, gb
 
         return _record(out, (a, b), vjp)
@@ -287,14 +295,20 @@ def sum_(a: Tensor, axis: int | None = None) -> Tensor:
         out = Tensor(a.data.sum())
         return _record(out, (a,), lambda g: (np.full(a.shape, g, dtype=a.dtype),))
     out = Tensor(a.data.sum(axis=axis))
+    kept = list(a.shape)
+    kept[axis] = 1
 
     def vjp(g):
-        return (np.broadcast_to(np.expand_dims(g, axis), a.shape).astype(a.dtype),)
+        full = np.empty(a.shape, dtype=a.dtype)
+        full[...] = g.reshape(kept)
+        return (full,)
 
     return _record(out, (a,), vjp)
 
 
 def mean(a: Tensor, axis: int | None = None) -> Tensor:
+    """Mean over every element, or over one axis: axis=-1 of a [K, B] stack
+    gives each client its own batch mean."""
     n = a.data.size if axis is None else a.shape[axis]
     return scale(sum_(a, axis=axis), 1.0 / n)
 
@@ -316,40 +330,56 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _record(out, (a,), vjp)
 
 
+def _row_power(base: np.ndarray, e, shift: float) -> np.ndarray:
+    """base ** (e + shift), e one float or one float per client row.
+
+    Each row gets a scalar exponent of its own: numpy takes fast paths for
+    some scalar exponents (2.0, 0.5) that an array exponent skips, and the
+    bits differ."""
+    dt = base.dtype.type
+    if isinstance(e, float):
+        return np.power(base, dt(e + shift))
+    return np.stack([np.power(row, dt(x + shift)) for row, x in zip(base, e)])
+
+
 def focal_nll(logits: Tensor, labels: np.ndarray, floor: float, gamma=None,
               weights: np.ndarray | None = None) -> Tensor:
     """Per-sample w * (1 - p_t)^gamma * -log(p_t) as one tape node.
 
-    p_t is the softmax probability of each row's label (labels already
-    checked to lie in 0..C-1). Both p_t and 1 - p_t are clamped to
-    [floor, 1]. gamma None drops the focal factor; a float or a scalar
-    tensor keeps it, and a trainable gamma gets its gradient. weights (one
-    per row, the logits dtype) multiply the result.
+    logits are [B, C], or a client stack [K, B, C]; labels, weights and the
+    result have their shape without the class axis. p_t is the softmax
+    probability of each row's label (labels already checked to lie in
+    0..C-1). Both p_t and 1 - p_t are clamped to [floor, 1]. gamma None
+    drops the focal factor; a float (shared by every client) or a tensor
+    keeps it, and a trainable gamma gets its gradient. A gamma tensor is a
+    scalar, or on a stack one scalar per client ([K]). weights (the logits
+    dtype) multiply the result.
 
     Forward and backward repeat, expression for expression, the chain of
     primitives this node replaces (softmax, mul by the one-hot, sum_, clamp,
     log, scale, sub, clamp, power, mul, mul), so values and gradients are
-    the chain's bit for bit.
+    the chain's bit for bit, on each slice of a stack as well.
     """
     dt = logits.dtype
     exponent = None
     if isinstance(gamma, Tensor):
-        if gamma.data.size != 1:
-            raise ShapeError(f"tensor exponent must be scalar, got shape {gamma.shape}")
+        stacked = logits.data.ndim == 3
+        if not (gamma.shape == logits.shape[:1] if stacked else gamma.data.size == 1):
+            raise ShapeError(f"tensor exponent must be one scalar per client, got shape "
+                             f"{gamma.shape} for logits {logits.shape}")
         _check_same_dtype(logits, gamma)
         exponent = gamma
-        e = float(gamma.data.reshape(()))
+        e = gamma.data.tolist() if stacked else float(gamma.data.reshape(()))
     elif gamma is not None:
         e = float(gamma)
     if np.isnan(logits.data).any():
         bad = np.flatnonzero(np.isnan(logits.data))
         raise NumericError(f"softmax input contains NaN at flat index {int(bad[0])}")
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     ex = np.exp(shifted)
-    s = ex / ex.sum(axis=1, keepdims=True)
-    onehot = np.zeros(logits.shape, dtype=dt)
-    onehot[np.arange(labels.size), labels] = 1
-    p_t = (s * onehot).sum(axis=1)
+    s = ex / ex.sum(axis=-1, keepdims=True)
+    onehot = (labels[..., None] == np.arange(logits.shape[-1])).astype(dt)
+    p_t = (s * onehot).sum(axis=-1)
     clamped = np.clip(p_t, floor, 1.0)
     nll_mask = (p_t >= floor) & (p_t <= 1.0)
     nll = np.log(clamped) * dt.type(-1.0)
@@ -358,7 +388,7 @@ def focal_nll(logits: Tensor, labels: np.ndarray, floor: float, gamma=None,
         rest = np.ones_like(p_t) - p_t
         base = np.clip(rest, floor, 1.0)
         base_mask = (rest >= floor) & (rest <= 1.0)
-        focal = np.power(base, dt.type(e))
+        focal = _row_power(base, e, 0.0)
         out = focal * nll
     if weights is not None:
         out = weights * out
@@ -371,18 +401,20 @@ def focal_nll(logits: Tensor, labels: np.ndarray, floor: float, gamma=None,
         if gamma is not None:
             g_focal = g * nll
             g_nll = g * focal
-            if e == 0.0:
-                g_base = np.zeros_like(base)
+            if isinstance(e, float):
+                g_base = (np.zeros_like(base) if e == 0.0
+                          else g_focal * e * _row_power(base, e, -1.0))
             else:
-                g_base = g_focal * e * np.power(base, dt.type(e - 1.0))
+                g_base = g_focal * np.asarray(e, dtype=dt)[:, None] * _row_power(base, e, -1.0)
+                g_base[np.asarray(e) == 0.0] = 0
             if exponent is not None and exponent.requires_grad:
-                g_exp = np.sum(g_focal * focal * np.log(base)).reshape(exponent.shape)
+                g_exp = (g_focal * focal * np.log(base)).sum(axis=-1).reshape(exponent.shape)
                 g_exp = g_exp.astype(dt)
         g_pt = (g_nll * dt.type(-1.0) / clamped) * nll_mask
         if gamma is not None:
             g_pt = g_pt + -(g_base * base_mask)
-        g_s = g_pt[:, None] * onehot
-        inner = (g_s * s).sum(axis=1, keepdims=True)
+        g_s = g_pt[..., None] * onehot
+        inner = (g_s * s).sum(axis=-1, keepdims=True)
         return (g_s - inner) * s, g_exp
 
     parents = (logits,) if exponent is None else (logits, exponent)

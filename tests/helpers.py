@@ -10,6 +10,16 @@ from __future__ import annotations
 import numpy as np
 
 
+# smoke-preset overrides that the byte-identity gates run
+GATE_CONFIGS = {
+    "smoke": {},
+    "f64-trainable-gamma": {"run.dtype": "f64", "loss.gamma_trainable": True,
+                            "federation.client_fraction": 0.67},
+    # gamma is a parameter the CE loss never uses, so it never has a gradient
+    "ce-idle-gamma": {"loss.kind": "ce", "loss.gamma_trainable": True},
+}
+
+
 def fd_gradient(f, x: np.ndarray, indices=None, h_factor: float = 1.0) -> np.ndarray:
     """Central-difference gradient of scalar-valued f() wrt the buffer x.
 
@@ -117,6 +127,65 @@ def per_tensor_aggregate(params_list, weights):
             acc += w * (params[name].data.astype(np.float64) - anchor)
         items.append((name, T.parameter(acc.astype(params_list[0][name].dtype))))
     return ModelParams(items)
+
+
+def serial_local_train(model, global_params, shards, hists, class_coeffs, loss_cfg,
+                       fed_cfg, rngs, client_ids=None, round_index=0):
+    """federation.local_train as clients trained before they were stacked:
+    one after another, each alone on its own clone of the broadcast with its
+    own optimizer (federation.Adam, looked up at call time so a test can
+    patch it), one rank-2 forward, loss, backward and step per batch. The
+    lockstep trainer must reproduce its results bit for bit."""
+    ids = range(len(shards)) if client_ids is None else client_ids
+    return [_serial_client(model, global_params, x, y, hist, class_coeffs, loss_cfg,
+                           fed_cfg, rng, k)
+            for (x, y), hist, rng, k in zip(shards, hists, rngs, ids)]
+
+
+def _serial_client(model, global_params, features, labels, hist, class_coeffs,
+                   loss_cfg, fed_cfg, rng, client_id):
+    from fedfocal import federation as F
+    from fedfocal import losses as L
+    from fedfocal import metrics as ME
+    from fedfocal import tensor as T
+    from fedfocal.imbalance import client_imbalance, dynamic_coefficient
+
+    params = global_params.clone()
+    c_k = client_imbalance(hist, loss_cfg.epsilon)
+    opt = F.Adam(params, fed_cfg.learning_rate, fed_cfg.beta1,
+                 fed_cfg.beta2, fed_cfg.adam_eps)
+    num_classes = hist.num_classes
+    norm_sums = np.zeros(num_classes)
+    norm_counts = np.zeros(num_classes, dtype=np.int64)
+    loss_sum = 0.0
+    batch_count = 0
+    n = labels.size
+    gamma_param = L.trainable_gamma(params, loss_cfg)
+    shard_coeffs = None
+    if loss_cfg.kind == "adaptive_focal":
+        shard_coeffs = dynamic_coefficient(c_k, class_coeffs, labels, loss_cfg.blend)
+    for _ in range(fed_cfg.local_epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, fed_cfg.batch_size):
+            batch_idx = order[start:start + fed_cfg.batch_size]
+            x = features[batch_idx]
+            y = labels[batch_idx]
+            coeffs = None if shard_coeffs is None else shard_coeffs[batch_idx]
+            logits = model.batch_logits(params, x)
+            loss = L.batch_loss(logits, y, loss_cfg, coeffs=coeffs,
+                                gamma_param=gamma_param)
+            params.zero_grads()
+            T.backward(loss)
+            norms = ME.per_sample_logit_grad_norms(logits)
+            np.add.at(norm_sums, y, norms)
+            np.add.at(norm_counts, y, 1)
+            opt.step()
+            if gamma_param is not None:
+                L.clamp_gamma(params, loss_cfg)
+            loss_sum += loss.item()
+            batch_count += 1
+    return F._LocalResult(client_id, params, c_k, n, norm_sums, norm_counts,
+                          loss_sum, batch_count)
 
 
 def vit_param_count(cfg, with_gamma=False):

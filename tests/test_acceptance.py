@@ -14,7 +14,6 @@ import time
 import numpy as np
 import pytest
 
-from fedfocal import data as D
 from fedfocal import experiment as X
 from fedfocal import federation as F
 from fedfocal import imbalance as I

@@ -47,3 +47,30 @@ def test_install_then_restore_puts_every_original_back(layers):
     spans = sys.modules["spans"]
     patches = layers.install(spans.Tracer())
     assert patches.restore() == []
+
+
+def test_traced_run_spans_local_train_per_round_and_adam_step_per_group(layers, tmp_path):
+    """The benchmark reads federation.client_updates and federation.steps
+    from these spans; a trainer that bypassed either name would read 0."""
+    from fedfocal import experiment as X
+
+    cfg = X.preset_config("smoke").with_overrides({
+        "partition.mode": "dirichlet", "partition.beta": 0.5,
+        "partition.clients": 20, "federation.rounds": 2})
+    bundle, _ = X.prepare(cfg)
+    batch = cfg["federation.batch_size"]
+    # each client's batch sizes; per tick one group per distinct size
+    sequences = [[min(batch, n - s) for s in range(0, n, batch)]
+                 for n in map(len, X.run_partition(cfg, bundle).client_indices) if n]
+    groups = sum(len({seq[t] for seq in sequences if t < len(seq)})
+                 for t in range(max(map(len, sequences))))
+    assert max(map(len, sequences)) <= groups < sum(map(len, sequences))
+    tracer = sys.modules["spans"].Tracer()
+    patches = layers.install(tracer)
+    try:
+        X.run_experiment(cfg, tmp_path / "run")
+    finally:
+        assert patches.restore() == []
+    names = [s[1] for s in tracer.spans]
+    assert names.count("federation.local_train") == 2
+    assert names.count("federation.adam_step") == 2 * groups

@@ -1,11 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from fedfocal import experiment as X
 from fedfocal.cli import main
 from fedfocal.config import SCHEMA, ExperimentConfig
-from fedfocal.data import load_dataset
+from fedfocal.data import load_dataset, save_dataset
 from fedfocal.errors import ConfigError
 from fedfocal.partition import read_manifest
 
@@ -133,6 +134,20 @@ class TestTrainCommand:
                      "--set", "dataset.synth=false",
                      "--set", f"dataset.path={tmp_path / 'absent'}"])
         assert code == 3
+
+    def test_nan_feature_names_round_and_client(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--counts", "120,60,30"]) == 0
+        bundle = load_dataset(data)
+        cfg = X.preset_config("smoke").with_overrides(
+            {"dataset.path": str(data), "partition.test_fraction": 0.2})
+        shard = X.run_partition(cfg, bundle).client_indices[1]
+        bundle.features[shard[len(shard) // 2], 0] = np.nan
+        save_dataset(data, bundle)
+        code = main(["train", "--preset", "smoke", "--out", str(tmp_path / "run"),
+                     "--set", f"dataset.path={data}"] + FAST)
+        assert code == 3
+        assert "round 1, client 1: softmax input contains NaN" in capsys.readouterr().err
 
     def test_centralized_mode(self, tmp_path):
         out = tmp_path / "central"

@@ -104,10 +104,10 @@ class TestLocalTrain:
         fed = tiny_fed(learning_rate=0.0)
         params = model.init_params(np.random.default_rng(0))
         shard = list(part.client_indices[0])
-        result = F.local_train(model, params, bundle.features[shard],
-                               bundle.labels[shard], part.histograms[0],
-                               [1.0, 1.0, 1.0], L.LossConfig(kind="ce"), fed,
-                               np.random.default_rng(1))
+        [result] = F.local_train(model, params, [(bundle.features[shard],
+                                                  bundle.labels[shard])],
+                                 [part.histograms[0]], [1.0, 1.0, 1.0],
+                                 L.LossConfig(kind="ce"), fed, [np.random.default_rng(1)])
         for name, t in params:
             assert result.params[name].data.tobytes() == t.data.tobytes()
 
@@ -141,10 +141,10 @@ class TestLocalTrain:
                                              gamma=loss_cfg.gamma).item()
 
             before = shard_loss(params)
-            result = F.local_train(model, params, x, y, part.histograms[0],
-                                   coeffs, loss_cfg,
-                                   cfg.federation_config(),
-                                   np.random.default_rng(seed))
+            [result] = F.local_train(model, params, [(x, y)], [part.histograms[0]],
+                                     coeffs, loss_cfg,
+                                     cfg.federation_config(),
+                                     [np.random.default_rng(seed)])
             deltas.append(shard_loss(result.params) - before)
         assert np.median(deltas) <= 0
 

@@ -14,7 +14,7 @@ from fedfocal import models as M
 from fedfocal import tensor as T
 from fedfocal.errors import ContractError, IngestionError
 
-from helpers import PerTensorAdam, per_tensor_aggregate
+from helpers import GATE_CONFIGS, PerTensorAdam, per_tensor_aggregate, serial_local_train
 
 SHAPES = [("a.w", (3, 4)), ("a.b", (4,)), ("b.w", (4, 2)), ("b.b", (2,)), ("loss.gamma", ())]
 
@@ -155,26 +155,20 @@ def test_flat_aggregate_equals_per_tensor_aggregate_bitwise(dtype, clients):
 
 ARTIFACTS = ("metrics.csv", "rounds.jsonl", "final.ckpt")
 
-GATE_CONFIGS = {
-    "smoke": {},
-    "f64-trainable-gamma": {"run.dtype": "f64", "loss.gamma_trainable": True,
-                            "federation.client_fraction": 0.67},
-    # gamma is a parameter the CE loss never uses, so it never has a gradient
-    "ce-idle-gamma": {"loss.kind": "ce", "loss.gamma_trainable": True},
-}
-
-
 @pytest.mark.parametrize("overrides", GATE_CONFIGS.values(), ids=GATE_CONFIGS.keys())
 def test_artifacts_identical_to_per_tensor_oracles(tmp_path, monkeypatch, overrides):
     """Byte-identity gate: a 5-round smoke run writes the same artifacts on
     the flat path and with the per-tensor Adam and aggregate patched in,
-    serial and on the thread pool alike."""
+    with federation.concurrent false and true alike. The per-tensor Adam
+    steps one client's parameters, so the oracle path also trains the
+    clients one after another (tests/helpers.serial_local_train)."""
     base = X.preset_config("smoke", seed=0).with_overrides(
         {"federation.rounds": 5, **overrides})
     threads_before = threading.active_count()
     outputs = {}
     for path in ("flat", "oracle"):
         if path == "oracle":
+            monkeypatch.setattr(F, "local_train", serial_local_train)
             monkeypatch.setattr(F, "Adam", PerTensorAdam)
             monkeypatch.setattr(F, "aggregate", per_tensor_aggregate)
         for concurrent in (False, True):
