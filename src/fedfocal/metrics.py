@@ -252,10 +252,11 @@ def per_sample_logit_grad_norms(logits: Tensor) -> np.ndarray:
 def attention_rollout(maps, grads) -> np.ndarray:
     """Patch saliency from per-layer attention maps and their gradients.
 
-    Per layer the heads are fused as mean_h ReLU(A_h * G_h), the identity is
-    added for the residual path, rows are renormalized to probability
-    vectors, and the per-layer matrices are chain multiplied (last layer on
-    the left). Row 0 holds the class token's accumulated attention; its
+    A layer's maps and gradients are [H, N, N] arrays or lists of H [N, N]
+    arrays. Per layer the heads are fused as mean_h ReLU(A_h * G_h), the
+    identity is added for the residual path, rows are renormalized to
+    probability vectors, and the per-layer matrices are chain multiplied
+    (last layer on the left). Row 0 holds the class token's accumulated attention; its
     patch columns are min-max scaled to [0, 1]. A constant row scales to
     zeros.
     """
@@ -265,7 +266,7 @@ def attention_rollout(maps, grads) -> np.ndarray:
         raise ContractError("need one gradient stack per attention layer")
     rolled = None
     for layer_maps, layer_grads in zip(maps, grads):
-        if len(layer_maps) != len(layer_grads) or not layer_maps:
+        if layer_grads is None or len(layer_maps) != len(layer_grads) or len(layer_maps) == 0:
             raise ContractError("attention maps and gradients disagree per head")
         fused = None
         for a, g in zip(layer_maps, layer_grads):
@@ -298,9 +299,8 @@ def grad_rollout_for_sample(classifier, params: ModelParams, image,
     params.zero_grads()
     score = T.sum_(T.slice_axis(logits, 0, target_class, target_class + 1))
     T.backward(score)
-    maps = [[m.data for m in layer] for layer in stack]
-    grads = [[m.grad for m in layer] for layer in stack]
-    return attention_rollout(maps, grads)
+    return attention_rollout([layer.data for layer in stack],
+                             [layer.grad for layer in stack])
 
 
 def evaluate_scores(scores: np.ndarray, labels, num_classes: int) -> MetricReport:

@@ -9,6 +9,12 @@ class token and additive positional encoding, stacked post-norm blocks
 (LayerNorm applied after each residual sum), scaled dot-product multi-head
 attention, and a two-layer ReLU feed-forward network. Attention maps are
 returned so saliency rollout can consume them.
+
+One forward serves one [C, H, W] image, a [B, C, H, W] batch and, on a
+stack of K parameter sets, a [K, B, C, H, W] stack: every linear layer
+folds the leading axes (after the client axis) into rows, attention stacks
+images times heads on one axis, and the class token and positions enter
+as biases. No step loops over images, heads or clients.
 """
 
 from __future__ import annotations
@@ -157,17 +163,9 @@ class ModelParams:
     def manifest(self) -> list[tuple[str, tuple[int, ...]]]:
         return list(self._manifest)
 
-    def clone(self) -> "ModelParams":
-        """An independent trainable copy: one buffer copy, fresh tensors."""
-        return ModelParams.from_flat(self._manifest, self.flat.copy())
-
     def zero_grads(self) -> None:
         for _, t in self:
             t.grad = None
-
-    def total_scalars(self) -> int:
-        return self.flat.size
-
 
 
 def check_manifests_match(params_list: list[ModelParams]) -> None:
@@ -204,27 +202,21 @@ def _uniform_fan_in(rng: np.random.Generator, fan_in: int, shape, dtype) -> np.n
 # ViT
 
 
-def patchify(image, cfg: ViTConfig) -> Tensor:
-    """Cut a CxHxW image into N flattened patches, raster order.
+def patchify(images, cfg: ViTConfig) -> Tensor:
+    """Cut [..., C, H, W] images into [..., N, patch_dim] flattened patches.
 
-    Row k of the result is patch (k // grid, k % grid) flattened
+    Row k of an image's patches is patch (k // grid, k % grid) flattened
     channel-major, so reassembling rows in the same order reproduces the
     image exactly.
     """
-    data = image.data if isinstance(image, Tensor) else np.asarray(image)
-    if data.ndim != 3:
-        raise ShapeError(f"expected channels x height x width image, got {data.shape}")
-    ch, h, w = data.shape
-    if h != w or h != cfg.image_size or ch != cfg.channels:
-        raise ConfigError(f"image shape {data.shape} does not match config "
+    data = np.asarray(images)
+    if data.shape[-3:] != (cfg.channels, cfg.image_size, cfg.image_size):
+        raise ConfigError(f"image shape {data.shape[-3:]} does not match config "
                           f"({cfg.channels}, {cfg.image_size}, {cfg.image_size})")
-    p = cfg.patch_size
-    g = cfg.grid
-    rows = np.empty((cfg.num_patches, cfg.patch_dim), dtype=data.dtype)
-    for gy in range(g):
-        for gx in range(g):
-            rows[gy * g + gx] = data[:, gy * p:(gy + 1) * p, gx * p:(gx + 1) * p].reshape(-1)
-    return T.constant(rows)
+    lead, p, g = data.shape[:-3], cfg.patch_size, cfg.grid
+    # [..., C, gy, py, gx, px] -> [..., gy, gx, C, py, px]
+    rows = np.moveaxis(data.reshape(lead + (cfg.channels, g, p, g, p)), (-4, -2), (-5, -4))
+    return T.constant(rows.reshape(lead + (cfg.num_patches, cfg.patch_dim)))
 
 
 def init_vit_params(cfg: ViTConfig, rng: np.random.Generator, dtype=np.float32,
@@ -260,59 +252,75 @@ def init_vit_params(cfg: ViTConfig, rng: np.random.Generator, dtype=np.float32,
     return ModelParams(items)
 
 
+def _fold(x: Tensor, weight: Tensor) -> Tensor:
+    """[..., D] as the rows [R, D] a [D, E] weight takes, or [K, R, D] for
+    a client stack of weights [K, D, E]."""
+    k, d = weight.shape[:-2], x.shape[-1]
+    return T.reshape(x, k + (x.data.size // (math.prod(k) * d), d))
+
+
 def embed(patches: Tensor, params: ModelParams, cfg: ViTConfig,
           positions: np.ndarray | None = None) -> Tensor:
-    """Project patches, prepend the class token, add positional rows."""
-    if patches.shape != (cfg.num_patches, cfg.patch_dim):
+    """Project [..., N, patch_dim] patches, prepend the class token (a bias
+    on zero rows), add the positions (a bias over each image's flattened
+    tokens): [..., N+1, D]."""
+    if patches.shape[-2:] != (cfg.num_patches, cfg.patch_dim):
         raise ShapeError(f"patches shape {patches.shape} does not match "
-                         f"({cfg.num_patches}, {cfg.patch_dim})")
-    projected = T.matmul(patches, params["patch_embed"])
-    seq = T.concat([params["class_token"], projected], axis=0)
+                         f"(..., {cfg.num_patches}, {cfg.patch_dim})")
+    d, n, lead = cfg.embed_dim, cfg.num_patches + 1, patches.shape[:-2]
+    k = params["patch_embed"].shape[:-2]
+    images = math.prod(lead[len(k):])
     if cfg.learned_positions:
         pos = params["pos_embed"]
-        if pos.shape[0] != cfg.num_patches + 1:
-            raise ShapeError(f"positional table has {pos.shape[0]} rows, "
-                             f"sequence needs {cfg.num_patches + 1}")
-        return T.add(seq, pos)
-    table = positions if positions is not None else sinusoidal_positions(
-        cfg.num_patches + 1, cfg.embed_dim, dtype=patches.dtype)
-    if table.shape[0] != cfg.num_patches + 1:
-        raise ShapeError(f"positional table has {table.shape[0]} rows, "
-                         f"sequence needs {cfg.num_patches + 1}")
-    return T.add(seq, T.constant(table))
+    else:
+        table = sinusoidal_positions(n, d, patches.dtype) if positions is None else positions
+        pos = T.constant(np.broadcast_to(table, k + table.shape))
+    if pos.shape[-2] != n:
+        raise ShapeError(f"positional table has {pos.shape[-2]} rows, sequence needs {n}")
+    cls = T.add(T.constant(np.zeros(k + (images, d), dtype=patches.dtype)),
+                T.reshape(params["class_token"], k + (d,)))
+    projected = T.matmul(_fold(patches, params["patch_embed"]), params["patch_embed"])
+    seq = T.concat([T.reshape(cls, lead + (1, d)),
+                    T.reshape(projected, lead + (n - 1, d))], axis=-2)
+    tokens = T.add(T.reshape(seq, k + (images, n * d)), T.reshape(pos, k + (n * d,)))
+    return T.reshape(tokens, lead + (n, d))
 
 
 def multi_head_attention(z: Tensor, params: ModelParams, layer: int,
-                         cfg: ViTConfig) -> tuple[Tensor, list[Tensor]]:
-    """Scaled dot-product attention; returns output and per-head maps."""
+                         cfg: ViTConfig) -> tuple[Tensor, Tensor]:
+    """Scaled dot-product attention over [..., T, D] tokens; returns the
+    output and the [..., heads, T, T] maps. Every head of every image is
+    one slice S of a single [S, T, dk] x [S, dk, T] product."""
     prefix = f"layers.{layer}.attn"
-    q = T.matmul(z, params[f"{prefix}.wq"])
-    k = T.matmul(z, params[f"{prefix}.wk"])
-    v = T.matmul(z, params[f"{prefix}.wv"])
-    dk = cfg.head_dim
-    heads = []
-    maps = []
-    for h in range(cfg.num_heads):
-        lo, hi = h * dk, (h + 1) * dk
-        qh = T.slice_axis(q, 1, lo, hi)
-        kh = T.slice_axis(k, 1, lo, hi)
-        vh = T.slice_axis(v, 1, lo, hi)
-        scores = T.scale(T.matmul(qh, T.transpose(kh)), 1.0 / math.sqrt(dk))
-        attn = T.softmax(scores, axis=1)
-        maps.append(attn)
-        heads.append(T.matmul(attn, vh))
-    joined = T.concat(heads, axis=1)
-    return T.matmul(joined, params[f"{prefix}.wo"]), maps
+    lead, (t, d) = z.shape[:-2], z.shape[-2:]
+    images, h, dk = math.prod(lead), cfg.num_heads, cfg.head_dim
+    rows = _fold(z, params[f"{prefix}.wq"])
+
+    def heads_t(name):
+        # [..., T, D] -> [S, dk, T]: each image's heads, transposed
+        x = T.reshape(T.matmul(rows, params[f"{prefix}.{name}"]), (images, t, d))
+        return T.reshape(T.transpose(x), (images * h, dk, t))
+
+    q = T.transpose(heads_t("wq"))
+    scores = T.scale(T.matmul(q, heads_t("wk")), 1.0 / math.sqrt(dk))
+    maps = T.softmax(T.reshape(scores, lead + (h, t, t)), axis=-1)
+    mixed = T.matmul(T.reshape(maps, (images * h, t, t)), T.transpose(heads_t("wv")))
+    # [S, T, dk] -> [..., T, D], heads side by side
+    joined = T.transpose(T.reshape(T.transpose(mixed), (images, d, t)))
+    out = T.matmul(T.reshape(joined, rows.shape), params[f"{prefix}.wo"])
+    return T.reshape(out, z.shape), maps
 
 
 def feed_forward(z: Tensor, params: ModelParams, layer: int) -> Tensor:
     prefix = f"layers.{layer}.ffn"
-    hidden = T.relu(T.add(T.matmul(z, params[f"{prefix}.w1"]), params[f"{prefix}.b1"]))
-    return T.add(T.matmul(hidden, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
+    rows = _fold(z, params[f"{prefix}.w1"])
+    hidden = T.relu(T.add(T.matmul(rows, params[f"{prefix}.w1"]), params[f"{prefix}.b1"]))
+    out = T.add(T.matmul(hidden, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
+    return T.reshape(out, z.shape)
 
 
 def encoder_layer(z: Tensor, params: ModelParams, layer: int,
-                  cfg: ViTConfig) -> tuple[Tensor, list[Tensor]]:
+                  cfg: ViTConfig) -> tuple[Tensor, Tensor]:
     """Post-norm residual block: normalize after each residual sum."""
     attended, maps = multi_head_attention(z, params, layer, cfg)
     z1 = T.layer_norm(T.add(z, attended),
@@ -324,19 +332,23 @@ def encoder_layer(z: Tensor, params: ModelParams, layer: int,
     return z2, maps
 
 
-def vit_forward(image, params: ModelParams, cfg: ViTConfig,
-                positions: np.ndarray | None = None) -> tuple[Tensor, list[list[Tensor]]]:
-    """Run one image through the encoder; logits come from the class token."""
-    patches = patchify(image, cfg)
-    z = embed(patches, params, cfg, positions=positions)
-    stack: list[list[Tensor]] = []
+def vit_forward(images, params: ModelParams, cfg: ViTConfig,
+                positions: np.ndarray | None = None) -> tuple[Tensor, list[Tensor]]:
+    """Run [..., C, H, W] images through the encoder; logits [..., classes]
+    come from each class token, and each layer's maps are [..., heads,
+    N+1, N+1]. On stacked parameters the first axis is the client's."""
+    k, lead = params["head.weight"].shape[:-2], np.shape(images)[:-3]
+    if lead[:len(k)] != k:
+        raise ShapeError(f"images {np.shape(images)} do not fit parameters stacked {k}")
+    z = embed(patchify(images, cfg), params, cfg, positions=positions)
+    stack = []
     for i in range(cfg.num_layers):
         z, maps = encoder_layer(z, params, i, cfg)
         stack.append(maps)
-    cls_row = T.slice_axis(z, 0, 0, 1)
-    logits = T.add(T.matmul(cls_row, params["head.weight"]),
-                   T.reshape(params["head.bias"], (1, cfg.num_classes)))
-    return T.reshape(logits, (cfg.num_classes,)), stack
+    rows = T.reshape(z, k + (math.prod(lead[len(k):]), z.shape[-2] * z.shape[-1]))
+    cls = T.slice_axis(rows, len(k) + 1, 0, cfg.embed_dim)
+    logits = T.add(T.matmul(cls, params["head.weight"]), params["head.bias"])
+    return T.reshape(logits, lead + (cfg.num_classes,)), stack
 
 
 # ---------------------------------------------------------------------------
@@ -411,34 +423,18 @@ class ViTClassifier:
                     gamma_init: float | None = None) -> ModelParams:
         return init_vit_params(self.cfg, rng, dtype=self.dtype, gamma_init=gamma_init)
 
-    def forward_single(self, params: ModelParams, image) -> tuple[Tensor, list[list[Tensor]]]:
+    def forward_single(self, params: ModelParams, image) -> tuple[Tensor, list[Tensor]]:
         image = np.asarray(image, dtype=self.dtype)
         return vit_forward(image, params, self.cfg, positions=self._positions)
 
     def batch_logits(self, params: ModelParams, images: np.ndarray) -> Tensor:
         """[B, C, H, W] images give [B, classes] logits; a client stack,
-        [K, B, C, H, W] images on stacked parameters, gives [K, B, classes].
-        On a stack each client runs the per-image forward on its own slice
-        of every stacked tensor."""
+        [K, B, C, H, W] images on stacked parameters, gives [K, B, classes]."""
         images = np.asarray(images, dtype=self.dtype)
-        if images.ndim == 4:
-            return self._image_logits(params, images)
-        if images.ndim != 5:
+        if images.ndim != 2 + params["head.weight"].data.ndim:
             raise ShapeError(f"expected [B, C, H, W] image batch or a stack of them, "
                              f"got {images.shape}")
-        clients = []
-        for k in range(images.shape[0]):
-            own = {name: T.reshape(T.slice_axis(t, 0, k, k + 1), t.shape[1:])
-                   for name, t in params}
-            clients.append(self._image_logits(own, images[k]))
-        return T.reshape(T.concat(clients, axis=0), images.shape[:2] + (self.cfg.num_classes,))
-
-    def _image_logits(self, params, images: np.ndarray) -> Tensor:
-        rows = []
-        for b in range(images.shape[0]):
-            logits, _ = vit_forward(images[b], params, self.cfg, positions=self._positions)
-            rows.append(T.reshape(logits, (1, self.cfg.num_classes)))
-        return T.concat(rows, axis=0)
+        return vit_forward(images, params, self.cfg, positions=self._positions)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ plus vector [C]). The one other shape rule is a leading client axis: the
 operations a training step of the MLP uses (``matmul``, the bias ``add``,
 ``focal_nll`` and the per-client ``mean`` over the last axis) also take a
 stack of K independent problems, [K, R, C] with [K, C, N] or [K, C], and
-give each slice the bits the rank-2 operation gives it alone.
+give each slice the bits the rank-2 operation gives it alone; so does a
+``layer_norm`` with one [K, D] affine row per client. ``transpose`` swaps
+the last two axes at any rank.
 """
 
 from __future__ import annotations
@@ -122,10 +124,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose requires a rank-2 tensor, got {a.shape}")
-    out = Tensor(a.data.T.copy())
-    return _record(out, (a,), lambda g: (g.T,))
+    """Swap the last two axes; a stack of matrices transposes each one."""
+    if a.data.ndim < 2:
+        raise ShapeError(f"transpose requires a tensor of rank 2 or more, got {a.shape}")
+    out = Tensor(np.swapaxes(a.data, -1, -2).copy())
+    return _record(out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -253,10 +256,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ContractError("concat of an empty sequence")
     _check_same_dtype(*tensors)
-    ndim = tensors[0].data.ndim
-    for t in tensors[1:]:
-        if t.data.ndim != ndim:
-            raise ShapeError(f"concat rank mismatch: {tensors[0].shape} vs {t.shape}")
     try:
         out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
     except ValueError as exc:
@@ -422,29 +421,33 @@ def focal_nll(logits: Tensor, labels: np.ndarray, floor: float, gamma=None,
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
-    """Normalize over the last axis to zero mean / unit variance, then affine."""
+    """Normalize over the last axis to zero mean / unit variance, then affine:
+    gain and bias are [D], or [K, D] on a [K, ..., D] client stack."""
     if eps <= 0:
         raise ConfigError(f"layer_norm eps must be positive, got {eps}")
     _check_same_dtype(a, gain, bias)
     d = a.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
+    affine = (d,) if gain.data.ndim < 2 else a.shape[:1] + (d,)
+    if gain.shape != affine or bias.shape != affine or a.data.ndim < len(affine):
         raise ShapeError(f"layer_norm affine shapes {gain.shape}/{bias.shape} "
-                         f"do not match feature dim {d}")
+                         f"do not match input {a.shape}")
+    spread = affine[:-1] + (1,) * (a.data.ndim - len(affine)) + (d,)
     mu = a.data.mean(axis=-1, keepdims=True)
     xc = a.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + a.dtype.type(eps))
     y = xc * inv
-    out = Tensor(y * gain.data + bias.data)
+    out = Tensor(y * gain.data.reshape(spread) + bias.data.reshape(spread))
 
     def vjp(g):
-        dy = g * gain.data
+        dy = g * gain.data.reshape(spread)
         dx = None
         if a.requires_grad:
             dx = inv * (dy - dy.mean(axis=-1, keepdims=True)
                         - y * (dy * y).mean(axis=-1, keepdims=True))
-        dgain = (g * y).reshape(-1, d).sum(axis=0) if gain.requires_grad else None
-        dbias = g.reshape(-1, d).sum(axis=0) if bias.requires_grad else None
+        rows = affine[:-1] + (-1, d)
+        dgain = (g * y).reshape(rows).sum(axis=-2) if gain.requires_grad else None
+        dbias = g.reshape(rows).sum(axis=-2) if bias.requires_grad else None
         return dx, dgain, dbias
 
     return _record(out, (a, gain, bias), vjp)

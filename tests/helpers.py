@@ -132,7 +132,7 @@ def per_tensor_aggregate(params_list, weights):
 def serial_local_train(model, global_params, shards, hists, class_coeffs, loss_cfg,
                        fed_cfg, rngs, client_ids=None, round_index=0):
     """federation.local_train as clients trained before they were stacked:
-    one after another, each alone on its own clone of the broadcast with its
+    one after another, each alone on its own copy of the broadcast with its
     own optimizer (federation.Adam, looked up at call time so a test can
     patch it), one rank-2 forward, loss, backward and step per batch. The
     lockstep trainer must reproduce its results bit for bit."""
@@ -149,8 +149,9 @@ def _serial_client(model, global_params, features, labels, hist, class_coeffs,
     from fedfocal import metrics as ME
     from fedfocal import tensor as T
     from fedfocal.imbalance import client_imbalance, dynamic_coefficient
+    from fedfocal.models import ModelParams
 
-    params = global_params.clone()
+    params = ModelParams.from_flat(global_params.manifest(), global_params.flat.copy())
     c_k = client_imbalance(hist, loss_cfg.epsilon)
     opt = F.Adam(params, fed_cfg.learning_rate, fed_cfg.beta1,
                  fed_cfg.beta2, fed_cfg.adam_eps)
@@ -186,6 +187,55 @@ def _serial_client(model, global_params, features, labels, hist, class_coeffs,
             batch_count += 1
     return F._LocalResult(client_id, params, c_k, n, norm_sums, norm_counts,
                           loss_sum, batch_count)
+
+
+def per_image_vit_forward(params, images, cfg, positions=None):
+    """ViT logits [B, classes] and class-token rows [B, D] entering the head,
+    one image at a time and one attention head at a time: patches cut cell
+    by cell, each head sliced out of the projections and the heads joined
+    by concat, each image's logits from a one-row head product, and the
+    batch joined by concat. This is how the ViT ran before its forward took
+    leading axes; the batched forward must give the same class-token rows
+    bit for bit."""
+    from fedfocal import models as M
+    from fedfocal import tensor as T
+
+    if positions is None and not cfg.learned_positions:
+        positions = M.sinusoidal_positions(cfg.num_patches + 1, cfg.embed_dim,
+                                           dtype=params["patch_embed"].dtype)
+    p, g, dk = cfg.patch_size, cfg.grid, cfg.head_dim
+    rows, tokens = [], []
+    for image in np.asarray(images):
+        cells = np.empty((cfg.num_patches, cfg.patch_dim), dtype=image.dtype)
+        for gy in range(g):
+            for gx in range(g):
+                cells[gy * g + gx] = image[:, gy * p:(gy + 1) * p,
+                                           gx * p:(gx + 1) * p].reshape(-1)
+        z = T.concat([params["class_token"],
+                      T.matmul(T.constant(cells), params["patch_embed"])], axis=0)
+        z = T.add(z, params["pos_embed"] if cfg.learned_positions
+                  else T.constant(positions))
+        for i in range(cfg.num_layers):
+            pre = f"layers.{i}"
+            q, k, v = (T.matmul(z, params[f"{pre}.attn.{w}"]) for w in ("wq", "wk", "wv"))
+            heads = []
+            for h in range(cfg.num_heads):
+                qh, kh, vh = (T.slice_axis(x, 1, h * dk, (h + 1) * dk) for x in (q, k, v))
+                scores = T.scale(T.matmul(qh, T.transpose(kh)), 1.0 / np.sqrt(dk))
+                heads.append(T.matmul(T.softmax(scores, axis=1), vh))
+            attended = T.matmul(T.concat(heads, axis=1), params[f"{pre}.attn.wo"])
+            z = T.layer_norm(T.add(z, attended), params[f"{pre}.norm1.gain"],
+                             params[f"{pre}.norm1.bias"], cfg.layer_norm_eps)
+            hidden = T.relu(T.add(T.matmul(z, params[f"{pre}.ffn.w1"]),
+                                  params[f"{pre}.ffn.b1"]))
+            ffn = T.add(T.matmul(hidden, params[f"{pre}.ffn.w2"]), params[f"{pre}.ffn.b2"])
+            z = T.layer_norm(T.add(z, ffn), params[f"{pre}.norm2.gain"],
+                             params[f"{pre}.norm2.bias"], cfg.layer_norm_eps)
+        cls = T.slice_axis(z, 0, 0, 1)
+        tokens.append(cls)
+        rows.append(T.add(T.matmul(cls, params["head.weight"]),
+                          T.reshape(params["head.bias"], (1, cfg.num_classes))))
+    return T.concat(rows, axis=0), T.concat(tokens, axis=0)
 
 
 def vit_param_count(cfg, with_gamma=False):

@@ -128,6 +128,28 @@ def test_per_client_mean_equals_per_slice_bitwise(stack):
         assert x.grad[i].tobytes() == xi.grad.tobytes()
 
 
+@PROPERTY
+@given(STACKS, st.integers(1, 4), st.integers(1, 9))
+def test_stacked_layer_norm_equals_per_slice_bitwise(stack, n, d):
+    """A [K, B, N, D] stack with one affine row per client, against each
+    client's [B, N, D] slice with its own [D] affine."""
+    dtype, k, b, seed = stack
+    rng = np.random.default_rng(seed)
+    a = leaf(rng.normal(size=(k, b, n, d)).astype(dtype))
+    gain = leaf(strided_stack(rng, k, (d,), dtype))
+    bias = leaf(strided_stack(rng, k, (d,), dtype))
+    g = rng.normal(size=(k, b, n, d)).astype(dtype)
+    out = T.layer_norm(a, gain, bias, 1e-5)
+    grads_through(out, g)
+    for i in range(k):
+        ai, gi, bi = (leaf(t.data[i].copy()) for t in (a, gain, bias))
+        oi = T.layer_norm(ai, gi, bi, 1e-5)
+        grads_through(oi, g[i])
+        assert out.data[i].tobytes() == oi.data.tobytes()
+        for stacked, alone in ((a, ai), (gain, gi), (bias, bi)):
+            assert stacked.grad[i].tobytes() == alone.grad.tobytes()
+
+
 def _fd_check(build, *leaves):
     """Analytic gradients of sum(build() * g) against central differences;
     the leaves must own contiguous buffers, which the differences perturb."""
@@ -168,6 +190,17 @@ class TestStackedGradientsByFiniteDifferences:
         x = leaf(np.random.default_rng(3).normal(size=(4, 7)))
         _fd_check(lambda: T.mean(x, axis=-1), x)
 
+    def test_layer_norm_with_per_client_affine(self):
+        rng = np.random.default_rng(4)
+        a = leaf(rng.normal(size=(3, 2, 4, 5)))
+        gain = leaf(1.0 + rng.normal(size=(3, 5)))
+        bias = leaf(rng.normal(size=(3, 5)))
+        _fd_check(lambda: T.layer_norm(a, gain, bias, 1e-5), a, gain, bias)
+
+    def test_transpose_at_rank_four(self):
+        a = leaf(np.random.default_rng(5).normal(size=(2, 3, 4, 5)))
+        _fd_check(lambda: T.transpose(a), a)
+
 
 @pytest.mark.parametrize("a_shape, b_shape", [
     ((2, 3, 4), (4, 5)),        # a stack against one shared matrix
@@ -189,6 +222,25 @@ def test_matmul_outside_the_stack_pattern_rejected(a_shape, b_shape):
 def test_add_outside_the_bias_pattern_rejected(a_shape, b_shape):
     with pytest.raises(ShapeError):
         T.add(T.constant(np.zeros(a_shape)), T.constant(np.zeros(b_shape)))
+
+
+@pytest.mark.parametrize("a_shape, affine_shape", [
+    ((2, 3, 4), (3, 4)),        # an affine stack of the wrong depth
+    ((2, 3, 4), (2, 3)),
+    ((4,), (4, 4)),             # an affine stack on an input with no client axis
+    ((2, 3, 4), (2, 3, 4)),
+], ids=["depth-mismatch", "width-mismatch", "rank-1-input", "rank-3-affine"])
+def test_layer_norm_affine_outside_the_pattern_rejected(a_shape, affine_shape):
+    affine = T.constant(np.ones(affine_shape))
+    with pytest.raises(ShapeError):
+        T.layer_norm(T.constant(np.zeros(a_shape)), affine, affine, 1e-5)
+
+
+def test_transpose_swaps_the_last_two_axes_of_every_slice():
+    a = np.arange(24.0).reshape(2, 3, 4)
+    assert T.transpose(T.constant(a)).data.tobytes() == np.stack([m.T for m in a]).tobytes()
+    with pytest.raises(ShapeError):
+        T.transpose(T.constant(np.zeros(3)))
 
 
 def test_focal_nll_gamma_must_be_one_per_client():
@@ -237,6 +289,10 @@ LOCKSTEP_CONFIGS = {
     "focal": ("smoke", {"loss.kind": "focal"}),
     "empty-shard": ("smoke", {"partition.ratios": (0.7, 0.3, 0.0)}),
     "vit-smoke": ("vit-smoke", {}),
+    # a stacked pos_embed, one gamma per client and a K = 2 stack
+    "vit-learned-trainable-gamma": ("vit-smoke", {"model.vit.learned_positions": True,
+                                                  "loss.gamma_trainable": True,
+                                                  "federation.client_fraction": 0.67}),
 }
 
 

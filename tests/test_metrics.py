@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fedfocal import losses as L
 from fedfocal import metrics as ME
 from fedfocal import models as M
-from fedfocal.errors import ConfigError, ContractError
+from fedfocal.errors import ConfigError, ContractError, ShapeError
 
 from helpers import gradient_norm_by_group
 
@@ -302,6 +302,27 @@ class TestAttentionRollout:
             ME.attention_rollout(maps, None)
         with pytest.raises(ContractError):
             ME.attention_rollout(maps, [[None]])
+
+    def test_array_per_layer_equals_list_per_layer(self):
+        rng = np.random.default_rng(10)
+        n = 4
+        maps = [[rng.uniform(size=(n + 1, n + 1)) for _ in range(3)] for _ in range(2)]
+        grads = [[rng.normal(size=(n + 1, n + 1)) for _ in range(3)] for _ in range(2)]
+        as_lists = ME.attention_rollout(maps, grads)
+        as_arrays = ME.attention_rollout([np.stack(m) for m in maps],
+                                         [np.stack(g) for g in grads])
+        assert as_arrays.tobytes() == as_lists.tobytes()
+
+    def test_bad_array_layers_rejected(self):
+        heads = np.full((2, 5, 5), 0.2)
+        with pytest.raises(ShapeError):  # no head axis
+            ME.attention_rollout([heads[0]], [heads[0]])
+        with pytest.raises(ContractError):
+            ME.attention_rollout([heads], [heads[:1]])
+        with pytest.raises(ContractError):
+            ME.attention_rollout([heads[:0]], [heads[:0]])
+        with pytest.raises(ContractError):
+            ME.attention_rollout([heads], [None])
 
     def test_rollout_from_model(self):
         cfg = M.ViTConfig(image_size=8, patch_size=4, channels=1, embed_dim=8,

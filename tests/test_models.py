@@ -3,11 +3,13 @@ import time
 import numpy as np
 import pytest
 
+from fedfocal import losses as L
 from fedfocal import models as M
 from fedfocal import tensor as T
 from fedfocal.errors import AggregationError, ConfigError, IngestionError, ShapeError
 
-from helpers import fd_gradient, max_rel_err, mlp_param_count, vit_param_count
+from helpers import (fd_gradient, max_rel_err, mlp_param_count, per_image_vit_forward,
+                     vit_param_count)
 
 SMALL = M.ViTConfig(image_size=8, patch_size=4, channels=1, embed_dim=8,
                     num_heads=2, head_dim=4, ffn_dim=16, num_layers=2,
@@ -113,8 +115,8 @@ class TestMultiHeadAttention:
         params = small_params()
         z = T.constant(np.random.default_rng(0).normal(size=(1, 8)))
         out, maps = M.multi_head_attention(z, params, 0, SMALL)
-        for m in maps:
-            assert np.array_equal(m.data, [[1.0]])
+        for m in maps.data:
+            assert np.array_equal(m, [[1.0]])
         v = z.data @ params["layers.0.attn.wv"].data
         expected = v @ params["layers.0.attn.wo"].data
         assert np.allclose(out.data, expected, atol=1e-12)
@@ -125,15 +127,15 @@ class TestMultiHeadAttention:
         params["layers.0.attn.wk"].data[:] = 0.0
         z = T.constant(np.random.default_rng(1).normal(size=(5, 8)))
         _, maps = M.multi_head_attention(z, params, 0, SMALL)
-        for m in maps:
-            assert np.allclose(m.data, np.full((5, 5), 0.2), atol=1e-15)
+        for m in maps.data:
+            assert np.allclose(m, np.full((5, 5), 0.2), atol=1e-15)
 
     def test_rows_sum_to_one(self):
         params = small_params(seed=3)
         z = T.constant(np.random.default_rng(3).normal(size=(5, 8)) * 4)
         _, maps = M.multi_head_attention(z, params, 1, SMALL)
-        for m in maps:
-            assert np.max(np.abs(m.data.sum(axis=1) - 1.0)) < 1e-6
+        for m in maps.data:
+            assert np.max(np.abs(m.sum(axis=1) - 1.0)) < 1e-6
 
     def test_gradients_wrt_all_projections(self):
         params = small_params(seed=4)
@@ -240,9 +242,9 @@ class TestForward:
         _, stack = M.vit_forward(image, params, SMALL)
         assert len(stack) == SMALL.num_layers
         for maps in stack:
-            assert len(maps) == SMALL.num_heads
-            for m in maps:
-                assert np.max(np.abs(m.data.sum(axis=1) - 1.0)) < 1e-6
+            assert len(maps.data) == SMALL.num_heads
+            for m in maps.data:
+                assert np.max(np.abs(m.sum(axis=1) - 1.0)) < 1e-6
 
     def test_full_gradcheck_float64(self):
         params = small_params(seed=13)
@@ -287,6 +289,70 @@ class TestForward:
         for name, p in params:
             assert p.grad is not None, name
             assert np.any(p.grad != 0), name
+
+
+class TestOneForward:
+    """The forward over leading axes against the per-image, per-head loop it
+    replaced (tests/helpers.per_image_vit_forward)."""
+
+    @pytest.mark.parametrize("trainable", [False, True], ids=["gamma-const", "gamma-trainable"])
+    @pytest.mark.parametrize("learned", [False, True], ids=["sinusoidal", "learned"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_batch_matches_per_image_oracle(self, dtype, learned, trainable):
+        cfg = M.ViTConfig(image_size=8, patch_size=4, channels=2, embed_dim=12,
+                          num_heads=3, head_dim=4, ffn_dim=16, num_layers=2,
+                          num_classes=4, learned_positions=learned)
+        model = M.ViTClassifier(cfg, dtype=dtype)
+        loss_cfg = L.LossConfig(gamma_trainable=trainable)
+        rng = np.random.default_rng(31)
+        for _ in range(4):
+            params = model.init_params(rng, gamma_init=2.0 if trainable else None)
+            images = rng.normal(size=(7, 2, 8, 8)).astype(dtype)
+            labels = rng.integers(0, 4, size=7)
+            coeffs = rng.uniform(0.0, 2.0, size=7)
+            grads = {}
+            for path in ("batched", "oracle"):
+                if path == "batched":
+                    logits = model.batch_logits(params, images)
+                else:
+                    logits, tokens = per_image_vit_forward(params, images, cfg,
+                                                           model._positions)
+                loss = L.batch_loss(logits, labels, loss_cfg, coeffs=coeffs,
+                                    gamma_param=L.trainable_gamma(params, loss_cfg))
+                params.zero_grads()
+                T.backward(loss)
+                grads[path] = ({n: t.grad.copy() for n, t in params}, logits.data)
+            z = M.embed(M.patchify(images, cfg), params, cfg, model._positions)
+            for i in range(cfg.num_layers):
+                z, _ = M.encoder_layer(z, params, i, cfg)
+            assert z.data[:, 0].tobytes() == tokens.data.tobytes()
+            (got, batched), (want, oracle) = grads["batched"], grads["oracle"]
+            ulp = np.spacing(np.abs(oracle).max(axis=1, keepdims=True))
+            assert np.all(np.abs(batched - oracle) <= 8 * ulp)
+            tol = 1e-12 if dtype == np.float64 else 1e-5
+            for name, g in want.items():
+                gap = np.abs(got[name].astype(np.float64) - g).max()
+                assert gap <= tol * np.abs(g).max(), name
+
+    def test_graph_size_independent_of_batch_and_clients(self):
+        """One ViT training loss records the same tape for 1 image and 16,
+        and a stack of 3 clients adds only the sum over their losses."""
+        model = M.ViTClassifier(SMALL, dtype=np.float64)
+        loss_cfg = L.LossConfig(kind="focal")
+        params = model.init_params(np.random.default_rng(32))
+        rng = np.random.default_rng(33)
+        images = rng.normal(size=(3, 16, 1, 8, 8))
+        labels = rng.integers(0, 3, size=(3, 16))
+
+        def nodes(params, x, y):
+            loss = L.batch_loss(model.batch_logits(params, x), y, loss_cfg)
+            return len(T._topo_order(loss if loss.data.ndim == 0 else T.sum_(loss)))
+
+        stack = M.ModelParams.from_flat(
+            params.manifest(), np.broadcast_to(params.flat, (3,) + params.flat.shape).copy())
+        one = nodes(params, images[0, :1], labels[0, :1])
+        assert nodes(params, images[0], labels[0]) == one
+        assert nodes(stack, images, labels) == one + 1
 
 
 class TestMlp:
@@ -342,10 +408,10 @@ class TestModelParams:
         ]
         for cfg in configs:
             params = M.init_vit_params(cfg, np.random.default_rng(0))
-            assert params.total_scalars() == vit_param_count(cfg)
+            assert params.flat.size == vit_param_count(cfg)
         mlp = M.MlpConfig(input_dim=8, hidden_dim=32, num_classes=5)
         params = M.init_mlp_params(mlp, np.random.default_rng(0), gamma_init=2.0)
-        assert params.total_scalars() == mlp_param_count(mlp, with_gamma=True)
+        assert params.flat.size == mlp_param_count(mlp, with_gamma=True)
 
     def test_manifest_mismatch_names_first_differing_entry(self):
         a = small_params(seed=21)
@@ -386,9 +452,3 @@ class TestModelParams:
         with pytest.raises(IngestionError, match="does not fit"):
             M.load_params(path)
         assert time.perf_counter() - start < 0.1
-
-    def test_clone_is_independent(self):
-        params = small_params(seed=23)
-        dup = params.clone()
-        dup["head.bias"].data[:] = 99.0
-        assert not np.array_equal(params["head.bias"].data, dup["head.bias"].data)
