@@ -3,17 +3,17 @@ exchange, and imbalance-aware aggregation.
 
 One communication round proceeds as: the server broadcasts the global
 parameters; every selected client recomputes its skew statistic, trains for
-the configured local epochs with moment-reset Adam, and returns its updated
-parameters plus per-class gradient-norm tallies; the server recomputes the
-global class-rarity vector from the client histograms, derives aggregation
-weights, averages the parameter sets in fixed client order, and evaluates
-the new global model on the held-out test set.
+the configured local epochs with moment-reset Adam, and tallies per-class
+gradient norms; the server recomputes the global class-rarity vector from
+the client histograms, derives aggregation weights, averages the trained
+parameters in fixed client order, and evaluates the new global model on the
+held-out test set.
 
-The selected clients train in lockstep: their parameters and Adam moments
-are one [K, P] stack, and at each tick the clients whose next minibatch has
-the same size take one stacked step together (see ``local_train``). No
-client's arithmetic depends on another's, so each ends with the bits it
-would have training alone.
+A round is one [K, P] stack from broadcast to aggregate, one row per
+selected client, and so are its Adam moments. At each tick the clients whose
+next minibatch has the same size take one stacked step (``local_train``),
+and ``aggregate`` reads the trained rows. No client's arithmetic depends on
+another's, so each row ends with the bits it would have training alone.
 
 Determinism: every random stream is derived from the master seed together
 with its role and (round, client) coordinates, each client draws its
@@ -34,7 +34,7 @@ from . import tensor as T
 from .errors import ConfigError, ContractError, NumericError
 from .imbalance import (ClassHistogram, client_imbalance, dynamic_coefficient,
                         global_class_imbalance, head_tail_split, imbalance_score)
-from .models import ModelParams, check_manifests_match
+from .models import ModelParams
 from .partition import PartitionResult, PartitionSpec, build_partition
 
 AGGREGATION_MODES = ("inverse_imbalance", "sample_size", "uniform")
@@ -182,15 +182,14 @@ class Adam:
 
 
 @dataclass
-class _LocalResult:
-    client_id: int
+class RoundResult:
+    """One round's trained [K, P] stack and per-client statistics, rows in client order."""
     params: ModelParams
-    client_coeff: float
-    sample_count: int
-    norm_sums: np.ndarray
-    norm_counts: np.ndarray
-    loss_sum: float
-    batch_count: int
+    client_coeffs: list[float]
+    norm_sums: np.ndarray  # [K, C] per-class sums of logit-gradient norms
+    norm_counts: np.ndarray  # [K, C] samples tallied into them
+    loss_sums: list[float]
+    batch_counts: list[int]
 
 
 def _client_batches(n: int, offset: int, fed_cfg: FederationConfig,
@@ -211,8 +210,8 @@ def local_train(model, global_params: ModelParams,
                 hists: list[ClassHistogram], class_coeffs: list[float],
                 loss_cfg: L.LossConfig, fed_cfg: FederationConfig,
                 rngs: list[np.random.Generator], client_ids: list[int] | None = None,
-                round_index: int = 0) -> list[_LocalResult]:
-    """One round's local training of every given client, in lockstep.
+                round_index: int = 0) -> RoundResult:
+    """One round's local training of the given clients on one [K, P] stack.
 
     Each client starts from the broadcast, runs E epochs of minibatch Adam
     on its shard and tallies per-class logit-gradient norms. The clients'
@@ -227,8 +226,8 @@ def local_train(model, global_params: ModelParams,
     The rows are ordered by the clients' batch-size sequences, longest and
     largest first. With one local epoch every group is then a run of
     adjacent rows, whose parameters and moments are stepped where they lie;
-    other groups are gathered and written back. A NaN in training names its
-    round and client."""
+    other groups are gathered and written back. The returned rows are in the
+    given client order. A NaN in training names its round and client."""
     ids = list(range(len(shards))) if client_ids is None else list(client_ids)
     client_coeffs = [client_imbalance(h, loss_cfg.epsilon) for h in hists]
     sizes = [y.size for _, y in shards]
@@ -274,7 +273,7 @@ def local_train(model, global_params: ModelParams,
                                     coeffs=None if coeffs is None else coeffs[idx],
                                     gamma_param=gamma_param)
             except NumericError as exc:
-                culprits = _culprits([ids[order[row]] for row in rows], x, group)
+                culprits = _culprits([ids[order[row]] for row in rows], x, group.flat)
                 raise NumericError(f"round {round_index}, {culprits}: {exc}") from exc
             group.zero_grads()
             T.backward(T.sum_(loss))
@@ -289,18 +288,16 @@ def local_train(model, global_params: ModelParams,
                 stack.flat[rows] = group.flat
             loss_sums[sel] += loss.data
     row_of = np.argsort(order)
-    return [_LocalResult(ids[i], ModelParams.from_flat(manifest, stack.flat[row]),
-                         client_coeffs[i], sizes[i], norm_sums[row], norm_counts[row],
-                         float(loss_sums[row]), len(batches[row]))
-            for i, row in enumerate(row_of)]
+    return RoundResult(ModelParams.from_flat(manifest, stack.flat[row_of]), client_coeffs,
+                       norm_sums[row_of], norm_counts[row_of], loss_sums[row_of].tolist(),
+                       [len(batches[row]) for row in row_of])
 
 
-def _culprits(ids: list[int], x: np.ndarray, group: ModelParams) -> str:
-    """The clients of a failed group step whose batch or parameters hold a
-    non-finite value, or every client of the group when none does."""
-    flat = group.flat.reshape(len(ids), -1)
-    bad = [k for k, xk, pk in zip(ids, x, flat)
-           if not (np.isfinite(xk).all() and np.isfinite(pk).all())] or ids
+def _culprits(ids: list[int], *stacks: np.ndarray) -> str:
+    """The clients whose rows of the [K, ...] stacks hold a non-finite
+    value, or every client when none does: "client 3" or "clients 0, 2"."""
+    bad = [k for k, *rows in zip(ids, *stacks)
+           if not all(np.isfinite(row).all() for row in rows)] or ids
     return ("client " if len(bad) == 1 else "clients ") + ", ".join(map(str, bad))
 
 
@@ -318,26 +315,25 @@ def sample_size_weights(counts) -> np.ndarray:
     return counts / counts.sum()
 
 
-def aggregate(params_list: list[ModelParams], weights) -> ModelParams:
-    """Convex combination of the flat buffers in fixed client-index order.
+def aggregate(stack: ModelParams, weights) -> ModelParams:
+    """The global parameter set: a convex combination of a [K, P] stack's rows, in order.
 
-    Computed anchored at the first participant, theta_0 + sum_k w_k *
-    (theta_k - theta_0), which is the same convex combination but makes a
-    unanimous parameter set an exact fixed point bit for bit. Every op is
-    elementwise, so each scalar gets the bits of a per-tensor loop.
+    Computed anchored at row 0, theta_0 + sum_k w_k * (theta_k - theta_0),
+    which is the same convex combination but makes a unanimous stack an
+    exact fixed point bit for bit. Every op is elementwise, so each scalar
+    gets the bits of a per-tensor loop.
     """
-    if not params_list:
-        raise ContractError("nothing to aggregate")
+    rows = stack.flat
+    if rows.ndim != 2 or rows.shape[0] < 1:
+        raise ContractError(f"aggregation needs a [K, P] stack with K >= 1, got {rows.shape}")
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.size != len(params_list):
-        raise ContractError(f"{weights.size} weights for {len(params_list)} clients")
-    check_manifests_match(params_list)
-    first = params_list[0]
-    anchor = first.flat.astype(np.float64)
+    if weights.size != rows.shape[0]:
+        raise ContractError(f"{weights.size} weights for {rows.shape[0]} clients")
+    anchor = rows[0].astype(np.float64)
     acc = anchor.copy()
-    for w, params in zip(weights[1:], params_list[1:]):
-        acc += w * (params.flat.astype(np.float64) - anchor)
-    return ModelParams.from_flat(first.manifest(), acc.astype(first.flat.dtype))
+    for w, row in zip(weights[1:], rows[1:]):
+        acc += w * (row.astype(np.float64) - anchor)
+    return ModelParams.from_flat(stack.manifest(), acc.astype(rows.dtype))
 
 
 def eval_scores(model, params: ModelParams, features: np.ndarray,
@@ -411,51 +407,50 @@ def run_federation(bundle, partition: PartitionResult, model,
         class_coeffs = global_class_imbalance(
             [partition.histograms[k] for k in selected], loss_cfg.epsilon)
 
-        # selected is ascending, so results arrive in aggregation order
-        results = local_train(model, global_params, [shards[k] for k in selected],
+        # selected is ascending, so the stack's rows are in aggregation order
+        trained = local_train(model, global_params, [shards[k] for k in selected],
                               [partition.histograms[k] for k in selected], class_coeffs,
                               loss_cfg, fed_cfg,
                               [derive_rng(fed_cfg.seed, _CLIENT_ROLE, t, k) for k in selected],
                               client_ids=selected, round_index=t)
+        if not np.isfinite(trained.params.flat).all():
+            culprits = _culprits(selected, trained.params.flat)
+            raise NumericError(f"round {t}, {culprits}: non-finite parameters after training")
 
-        coeffs = [r.client_coeff for r in results]
         if fed_cfg.aggregation == "inverse_imbalance":
-            weights = aggregation_weights(coeffs, loss_cfg.epsilon)
+            weights = aggregation_weights(trained.client_coeffs, loss_cfg.epsilon)
         elif fed_cfg.aggregation == "sample_size":
-            weights = sample_size_weights([r.sample_count for r in results])
+            weights = sample_size_weights([shards[k][1].size for k in selected])
         else:
-            weights = np.full(len(results), 1.0 / len(results))
-        global_params = aggregate([r.params for r in results], weights)
+            weights = np.full(len(selected), 1.0 / len(selected))
+        global_params = aggregate(trained.params, weights)
 
         scores_test = eval_scores(model, global_params, test_x)
         report = ME.evaluate_scores(scores_test, test_y, num_classes)
 
-        norm_sums = np.zeros(num_classes)
-        norm_counts = np.zeros(num_classes, dtype=np.int64)
-        for r in results:
-            norm_sums += r.norm_sums
-            norm_counts += r.norm_counts
+        # adds rows in order (pairwise only for one class, whose norms are all 0)
+        norm_sums = trained.norm_sums.sum(axis=0)
+        norm_counts = trained.norm_counts.sum(axis=0)
         per_class = [float(norm_sums[c] / norm_counts[c]) if norm_counts[c] else None
                      for c in range(num_classes)]
 
         def group_mean(group: list[int]) -> float | None:
             total = sum(norm_counts[c] for c in group)
-            if total == 0:
-                return None
-            return float(sum(norm_sums[c] for c in group) / total)
+            return float(sum(norm_sums[c] for c in group) / total) if total else None
 
-        total_batches = sum(r.batch_count for r in results)
+        total_batches = sum(trained.batch_counts)
         records.append(RoundRecord(
             round_index=t,
             selected=list(selected),
-            client_coeffs={r.client_id: r.client_coeff for r in results},
-            weights={r.client_id: float(w) for r, w in zip(results, weights)},
+            client_coeffs=dict(zip(selected, trained.client_coeffs)),
+            weights={k: float(w) for k, w in zip(selected, weights)},
             metrics=report,
             per_class_grad_norms=per_class,
             tail_grad_norm=group_mean(tail_classes),
             head_grad_norm=group_mean(head_classes),
             gamma=L.gamma_value(global_params, loss_cfg),
-            train_loss=float(sum(r.loss_sum for r in results) / total_batches)
+            # a sequential sum over clients; np.sum would add pairwise
+            train_loss=float(sum(trained.loss_sums) / total_batches)
             if total_batches else float("nan"),
             warnings=warnings,
         ))

@@ -266,7 +266,11 @@ def attention_rollout(maps, grads) -> np.ndarray:
         raise ContractError("need one gradient stack per attention layer")
     rolled = None
     for layer_maps, layer_grads in zip(maps, grads):
-        if layer_grads is None or len(layer_maps) != len(layer_grads) or len(layer_maps) == 0:
+        try:
+            agree = layer_grads is not None and len(layer_maps) == len(layer_grads) > 0
+        except TypeError:  # len() of a 0-d value
+            raise ShapeError("an attention layer is a 0-d value, not a stack of heads") from None
+        if not agree:
             raise ContractError("attention maps and gradients disagree per head")
         fused = None
         for a, g in zip(layer_maps, layer_grads):

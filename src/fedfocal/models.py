@@ -92,8 +92,8 @@ def _cut(flat: np.ndarray, manifest):
 
 
 class ModelParams:
-    """Ordered, named parameter tensors in one flat buffer; the unit of
-    aggregation.
+    """Ordered, named parameter tensors in one flat buffer, or one [K, P]
+    stack of K such sets.
 
     All tensors share one dtype. ``flat`` is a contiguous 1-D array that
     holds every tensor's scalars in manifest order, and each tensor's
@@ -103,8 +103,8 @@ class ModelParams:
     rebinds each tensor's ``data`` to its view: the tensors passed in
     become this set's own. Only ``federation.Adam.step`` and
     ``losses.clamp_gamma`` write into the buffer. ``from_flat`` also wraps
-    a [K, P] stack of K sets, one per client, as the lockstep trainer
-    keeps them.
+    a [K, P] stack of K sets, one per client: a round trains its clients on
+    one stack, and aggregation reads its rows into the next global set.
     """
 
     def __init__(self, items: list[tuple[str, Tensor]]):

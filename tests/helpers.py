@@ -111,21 +111,30 @@ class PerTensorAdam:
             p.data -= self.lr * m_hat / denom
 
 
-def per_tensor_aggregate(params_list, weights):
-    """federation.aggregate as a loop over the named tensors: per tensor,
-    anchor + sum_k w_k * (theta_k - anchor) in float64, in client order."""
+def stack_params(params_list):
+    """One [K, P] stack of K parameter sets' flat buffers, in list order."""
+    from fedfocal.models import ModelParams
+
+    return ModelParams.from_flat(params_list[0].manifest(),
+                                 np.stack([p.flat for p in params_list]))
+
+
+def per_tensor_aggregate(stack, weights):
+    """federation.aggregate as a loop over the named tensors, then over the
+    stack's rows: per tensor, anchor + sum_k w_k * (theta_k - anchor) in
+    float64, in row order."""
     from fedfocal import tensor as T
-    from fedfocal.models import ModelParams, check_manifests_match
+    from fedfocal.models import ModelParams
 
     weights = np.asarray(weights, dtype=np.float64)
-    check_manifests_match(params_list)
     items = []
-    for name in params_list[0].names:
-        anchor = params_list[0][name].data.astype(np.float64)
+    for name in stack.names:
+        rows = stack[name].data
+        anchor = rows[0].astype(np.float64)
         acc = anchor.copy()
-        for w, params in zip(weights[1:], params_list[1:]):
-            acc += w * (params[name].data.astype(np.float64) - anchor)
-        items.append((name, T.parameter(acc.astype(params_list[0][name].dtype))))
+        for w, row in zip(weights[1:], rows[1:]):
+            acc += w * (row.astype(np.float64) - anchor)
+        items.append((name, T.parameter(acc.astype(rows.dtype))))
     return ModelParams(items)
 
 
@@ -135,15 +144,19 @@ def serial_local_train(model, global_params, shards, hists, class_coeffs, loss_c
     one after another, each alone on its own copy of the broadcast with its
     own optimizer (federation.Adam, looked up at call time so a test can
     patch it), one rank-2 forward, loss, backward and step per batch. The
-    lockstep trainer must reproduce its results bit for bit."""
-    ids = range(len(shards)) if client_ids is None else client_ids
-    return [_serial_client(model, global_params, x, y, hist, class_coeffs, loss_cfg,
-                           fed_cfg, rng, k)
-            for (x, y), hist, rng, k in zip(shards, hists, rngs, ids)]
+    lockstep trainer must reproduce its results bit for bit; the clients'
+    results are stacked into one round result, in the given order."""
+    from fedfocal import federation as F
+
+    params, coeffs, sums, counts, losses, batches = zip(*[
+        _serial_client(model, global_params, x, y, hist, class_coeffs, loss_cfg, fed_cfg, rng)
+        for (x, y), hist, rng in zip(shards, hists, rngs)])
+    return F.RoundResult(stack_params(params), list(coeffs), np.stack(sums),
+                         np.stack(counts), list(losses), list(batches))
 
 
 def _serial_client(model, global_params, features, labels, hist, class_coeffs,
-                   loss_cfg, fed_cfg, rng, client_id):
+                   loss_cfg, fed_cfg, rng):
     from fedfocal import federation as F
     from fedfocal import losses as L
     from fedfocal import metrics as ME
@@ -185,8 +198,7 @@ def _serial_client(model, global_params, features, labels, hist, class_coeffs,
                 L.clamp_gamma(params, loss_cfg)
             loss_sum += loss.item()
             batch_count += 1
-    return F._LocalResult(client_id, params, c_k, n, norm_sums, norm_counts,
-                          loss_sum, batch_count)
+    return params, c_k, norm_sums, norm_counts, loss_sum, batch_count
 
 
 def per_image_vit_forward(params, images, cfg, positions=None):

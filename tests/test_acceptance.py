@@ -234,8 +234,8 @@ def test_criterion_6_aggregation_correctness(smoke_runs):
             anti_ok &= list(np.argsort(-weights, kind="stable")) == list(order)
     # equal skew collapses to uniform averaging
     rng = np.random.default_rng(3)
-    clients = [M.ModelParams([("w", T.parameter(rng.normal(size=9)))])
-               for _ in range(3)]
+    clients = M.ModelParams.from_flat([("w", (9,))],
+                                      np.stack([rng.normal(size=9) for _ in range(3)]))
     a = F.aggregate(clients, F.aggregation_weights([2.0, 2.0, 2.0], eps=1e-6))
     b = F.aggregate(clients, np.full(3, 1.0 / 3.0))
     equal_gap = float(np.max(np.abs(a["w"].data - b["w"].data)))

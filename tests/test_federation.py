@@ -9,7 +9,7 @@ from fedfocal import federation as F
 from fedfocal import losses as L
 from fedfocal import models as M
 from fedfocal import partition as P
-from fedfocal.errors import AggregationError, ConfigError, ContractError
+from fedfocal.errors import ConfigError, ContractError
 
 
 def tiny_bundle(seed=0, counts=(60, 30, 10)):
@@ -64,38 +64,42 @@ class TestAggregationWeights:
 
 
 class TestAggregate:
-    def _params(self, values):
-        return M.ModelParams([("w", __import__("fedfocal.tensor", fromlist=["parameter"])
-                               .parameter(np.asarray(values, dtype=np.float64)))])
+    def _stack(self, rows):
+        """A [K, P] stack of one tensor "w", one row per client."""
+        rows = np.asarray(rows, dtype=np.float64)
+        return M.ModelParams.from_flat([("w", rows.shape[1:])], rows)
 
     def test_hand_combination(self):
-        out = F.aggregate([self._params([1.0, 2.0]), self._params([3.0, 4.0])],
-                          [0.75, 0.25])
+        out = F.aggregate(self._stack([[1.0, 2.0], [3.0, 4.0]]), [0.75, 0.25])
         assert np.array_equal(out["w"].data, [1.5, 2.5])
 
     def test_unanimous_parameters_are_bit_exact_fixed_point(self):
         rng = np.random.default_rng(1)
         base = rng.normal(size=7)
-        out = F.aggregate([self._params(base) for _ in range(3)],
+        out = F.aggregate(self._stack([base for _ in range(3)]),
                           F.aggregation_weights([0.3, 1.7, 0.9], eps=1e-6))
         assert out["w"].data.tobytes() == base.tobytes()
 
-    def test_manifest_mismatch_names_entry(self):
-        from fedfocal.tensor import parameter
-
-        a = M.ModelParams([("w", parameter(np.zeros(2)))])
-        b = M.ModelParams([("w", parameter(np.zeros(3)))])
-        with pytest.raises(AggregationError, match="'w'"):
-            F.aggregate([a, b], [0.5, 0.5])
-
     def test_equal_coeff_weights_match_uniform_bitwise(self):
         rng = np.random.default_rng(2)
-        clients = [self._params(rng.normal(size=5)) for _ in range(3)]
+        clients = self._stack([rng.normal(size=5) for _ in range(3)])
         w_inverse = F.aggregation_weights([2.5, 2.5, 2.5], eps=1e-6)
         w_uniform = np.full(3, 1.0 / 3.0)
         a = F.aggregate(clients, w_inverse)
         b = F.aggregate(clients, w_uniform)
         assert np.max(np.abs(a["w"].data - b["w"].data)) < 1e-12
+
+    def test_stack_that_is_not_k_by_p_rejected(self):
+        one_set = M.ModelParams.from_flat([("w", (2,))], np.zeros(2))
+        with pytest.raises(ContractError, match="K, P"):
+            F.aggregate(one_set, [1.0])
+        with pytest.raises(ContractError, match="K >= 1"):
+            F.aggregate(self._stack(np.zeros((0, 2))), [])
+
+    @pytest.mark.parametrize("weights", [[1.0], [0.2, 0.3, 0.5]])
+    def test_weight_count_other_than_k_rejected(self, weights):
+        with pytest.raises(ContractError, match="weights for 2 clients"):
+            F.aggregate(self._stack([[1.0, 2.0], [3.0, 4.0]]), weights)
 
 
 class TestLocalTrain:
@@ -104,12 +108,12 @@ class TestLocalTrain:
         fed = tiny_fed(learning_rate=0.0)
         params = model.init_params(np.random.default_rng(0))
         shard = list(part.client_indices[0])
-        [result] = F.local_train(model, params, [(bundle.features[shard],
-                                                  bundle.labels[shard])],
-                                 [part.histograms[0]], [1.0, 1.0, 1.0],
-                                 L.LossConfig(kind="ce"), fed, [np.random.default_rng(1)])
+        result = F.local_train(model, params, [(bundle.features[shard],
+                                                bundle.labels[shard])],
+                               [part.histograms[0]], [1.0, 1.0, 1.0],
+                               L.LossConfig(kind="ce"), fed, [np.random.default_rng(1)])
         for name, t in params:
-            assert result.params[name].data.tobytes() == t.data.tobytes()
+            assert result.params[name].data[0].tobytes() == t.data.tobytes()
 
     def test_one_epoch_reduces_shard_loss_on_smoke_data_median_over_seeds(self):
         from fedfocal import experiment as X
@@ -141,12 +145,41 @@ class TestLocalTrain:
                                              gamma=loss_cfg.gamma).item()
 
             before = shard_loss(params)
-            [result] = F.local_train(model, params, [(x, y)], [part.histograms[0]],
-                                     coeffs, loss_cfg,
-                                     cfg.federation_config(),
-                                     [np.random.default_rng(seed)])
-            deltas.append(shard_loss(result.params) - before)
+            result = F.local_train(model, params, [(x, y)], [part.histograms[0]],
+                                   coeffs, loss_cfg,
+                                   cfg.federation_config(),
+                                   [np.random.default_rng(seed)])
+            row_0 = M.ModelParams.from_flat(params.manifest(), result.params.flat[0])
+            deltas.append(shard_loss(row_0) - before)
         assert np.median(deltas) <= 0
+
+    def test_round_wraps_only_the_stack_and_the_result(self, monkeypatch):
+        """Three equal 32-sample shards with batch 16: every tick is one
+        full-stack group, so local_train builds one ModelParams for the
+        broadcast stack and one for the trained stack it returns, and none
+        per client."""
+        from fedfocal.imbalance import ClassHistogram
+
+        rng = np.random.default_rng(4)
+        model = M.MlpClassifier(M.MlpConfig(input_dim=4, hidden_dim=8, num_classes=3))
+        params = model.init_params(rng)
+        shards = [(rng.normal(size=(32, 4)), np.arange(32) % 3) for _ in range(3)]
+        hists = [ClassHistogram.from_labels(y, 3) for _, y in shards]
+        wrapped = []
+        from_flat = M.ModelParams.from_flat
+
+        def counting(manifest, flat, requires_grad=True):
+            wrapped.append(flat.shape)
+            return from_flat(manifest, flat, requires_grad)
+
+        monkeypatch.setattr(M.ModelParams, "from_flat", staticmethod(counting))
+        result = F.local_train(model, params, shards, hists, [1.0, 1.0, 1.0],
+                               L.LossConfig(), tiny_fed(batch_size=16),
+                               [np.random.default_rng(k) for k in range(3)])
+        monkeypatch.undo()
+        assert wrapped == [(3, params.flat.size)] * 2
+        assert result.params.flat.shape == (3, params.flat.size)
+        assert result.batch_counts == [2, 2, 2]
 
 
 class TestRunFederation:

@@ -14,7 +14,8 @@ from fedfocal import models as M
 from fedfocal import tensor as T
 from fedfocal.errors import ContractError, IngestionError
 
-from helpers import GATE_CONFIGS, PerTensorAdam, per_tensor_aggregate, serial_local_train
+from helpers import (GATE_CONFIGS, PerTensorAdam, per_tensor_aggregate, serial_local_train,
+                     stack_params)
 
 SHAPES = [("a.w", (3, 4)), ("a.b", (4,)), ("b.w", (4, 2)), ("b.b", (2,)), ("loss.gamma", ())]
 
@@ -59,10 +60,10 @@ class TestStorage:
                 assert_packed(params)
 
     def test_aggregate_is_packed_and_shares_no_memory(self):
-        clients = [random_params(s, np.float64) for s in range(3)]
+        clients = stack_params([random_params(s, np.float64) for s in range(3)])
         out = F.aggregate(clients, [0.5, 0.3, 0.2])
         assert_packed(out)
-        assert not any(np.shares_memory(out.flat, c.flat) for c in clients)
+        assert not np.shares_memory(out.flat, clients.flat)
 
     def test_load_params_is_packed(self, tmp_path):
         params = random_params(2, np.float32)
@@ -135,10 +136,10 @@ def test_adam_step_without_any_gradient_changes_nothing():
 @pytest.mark.parametrize("clients", [1, 2, 5])
 def test_flat_aggregate_equals_per_tensor_aggregate_bitwise(dtype, clients):
     rng = np.random.default_rng(clients)
-    params_list = [random_params(10 * clients + k, dtype) for k in range(clients)]
+    stack = stack_params([random_params(10 * clients + k, dtype) for k in range(clients)])
     weights = rng.dirichlet(np.ones(clients))
-    flat = F.aggregate(params_list, weights)
-    oracle = per_tensor_aggregate(params_list, weights)
+    flat = F.aggregate(stack, weights)
+    oracle = per_tensor_aggregate(stack, weights)
     assert flat.names == oracle.names
     assert flat.flat.dtype == dtype
     assert flat.flat.tobytes() == oracle.flat.tobytes()

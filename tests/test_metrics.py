@@ -323,6 +323,11 @@ class TestAttentionRollout:
             ME.attention_rollout([heads[:0]], [heads[:0]])
         with pytest.raises(ContractError):
             ME.attention_rollout([heads], [None])
+        for zero_d in (np.float64(0.2), np.array(0.2)):  # no head axis at all
+            with pytest.raises(ShapeError):
+                ME.attention_rollout([zero_d], [zero_d])
+            with pytest.raises(ShapeError):
+                ME.attention_rollout([heads], [zero_d])
 
     def test_rollout_from_model(self):
         cfg = M.ViTConfig(image_size=8, patch_size=4, channels=1, embed_dim=8,
