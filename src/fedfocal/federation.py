@@ -68,8 +68,8 @@ class FederationConfig:
         if self.aggregation not in AGGREGATION_MODES:
             raise ConfigError(f"unknown aggregation {self.aggregation!r}; "
                               f"expected one of {AGGREGATION_MODES}")
-        if self.learning_rate < 0:
-            raise ConfigError("learning rate must be >= 0")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ConfigError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
         if not 0.0 < self.tail_fraction < 1.0:
             raise ConfigError("tail_fraction must lie in (0, 1)")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
@@ -225,21 +225,24 @@ def local_train(model, global_params: ModelParams,
 
     The rows are ordered by the clients' batch-size sequences, longest and
     largest first. With one local epoch every group is then a run of
-    adjacent rows, whose parameters and moments are stepped where they lie;
-    other groups are gathered and written back. The returned rows are in the
-    given client order. A NaN in training names its round and client."""
+    adjacent rows, whose parameters and moments are stepped where they lie,
+    through one view per run, made on its first step; other groups are
+    gathered and written back. The round's labels and loss weights are
+    checked and built once, and each batch indexes them. The returned rows
+    are in the given client order. A NaN in training names its round and
+    client."""
     ids = list(range(len(shards))) if client_ids is None else list(client_ids)
     client_coeffs = [client_imbalance(h, loss_cfg.epsilon) for h in hists]
     sizes = [y.size for _, y in shards]
     offsets = np.cumsum([0] + sizes)
     features = np.concatenate([x for x, _ in shards])
-    labels = np.concatenate([y for _, y in shards])
-    # elementwise in the labels, so indexing it per batch gives each batch's
-    # coefficients bit for bit
+    # coefficients and weights are elementwise in the labels, so indexing the
+    # round's targets per batch gives each batch's weights bit for bit
     coeffs = None
     if loss_cfg.kind == "adaptive_focal":
         coeffs = np.concatenate([dynamic_coefficient(c_k, class_coeffs, y, loss_cfg.blend)
                                  for c_k, (_, y) in zip(client_coeffs, shards)])
+    targets = L.targets(np.concatenate([y for _, y in shards]), model.num_classes, coeffs)
     batches = [_client_batches(n, off, fed_cfg, rng)
                for n, off, rng in zip(sizes, offsets, rngs)]
     order = sorted(range(len(shards)), key=lambda i: [b.size for b in batches[i]],
@@ -250,6 +253,8 @@ def local_train(model, global_params: ModelParams,
     stack = ModelParams.from_flat(
         manifest, np.broadcast_to(flat, (len(shards),) + flat.shape).copy())
     opt = Adam(stack, fed_cfg.learning_rate, fed_cfg.beta1, fed_cfg.beta2, fed_cfg.adam_eps)
+    # the views of the runs of adjacent rows that have stepped as one group
+    views = {(0, len(shards)): stack}
     num_classes = hists[0].num_classes
     norm_sums = np.zeros((len(shards), num_classes))
     norm_counts = np.zeros((len(shards), num_classes), dtype=np.int64)
@@ -261,24 +266,27 @@ def local_train(model, global_params: ModelParams,
                 groups.setdefault(client[tick].size, []).append(row)
         for rows in groups.values():
             idx = np.stack([batches[row][tick] for row in rows])
-            x, y = features[idx], labels[idx]
-            gathered = rows[-1] - rows[0] + 1 != len(rows)
-            sel = rows if gathered else slice(rows[0], rows[-1] + 1)
-            group = (stack if len(rows) == len(shards)
-                     else ModelParams.from_flat(manifest, stack.flat[sel]))
+            x, batch = features[idx], targets[idx]
+            span = (rows[0], rows[-1] + 1)
+            gathered = span[1] - span[0] != len(rows)
+            if gathered:
+                sel, group = rows, ModelParams.from_flat(manifest, stack.flat[rows])
+            else:
+                sel = slice(*span)
+                if span not in views:
+                    views[span] = ModelParams.from_flat(manifest, stack.flat[sel])
+                group = views[span]
             gamma_param = L.trainable_gamma(group, loss_cfg)
             try:
                 logits = model.batch_logits(group, x)
-                loss = L.batch_loss(logits, y, loss_cfg,
-                                    coeffs=None if coeffs is None else coeffs[idx],
-                                    gamma_param=gamma_param)
+                loss = L.batch_loss(logits, batch, loss_cfg, gamma_param=gamma_param)
             except NumericError as exc:
                 culprits = _culprits([ids[order[row]] for row in rows], x, group.flat)
                 raise NumericError(f"round {round_index}, {culprits}: {exc}") from exc
             group.zero_grads()
             T.backward(T.sum_(loss))
             # unbuffered, row by row in batch order: the sums of a per-sample loop
-            at = (np.asarray(rows)[:, None], y)
+            at = (np.asarray(rows)[:, None], batch.labels)
             np.add.at(norm_sums, at, ME.per_sample_logit_grad_norms(logits))
             np.add.at(norm_counts, at, 1)
             opt.step(group, sel)

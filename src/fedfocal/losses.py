@@ -16,6 +16,7 @@ optimizer step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,15 +46,66 @@ class LossConfig:
             raise ConfigError(f"unknown loss kind {self.kind!r}; expected one of {LOSS_KINDS}")
         if not 0.0 <= self.blend <= 1.0:
             raise ConfigError(f"blend must lie in [0, 1], got {self.blend}")
-        if self.gamma < 0:
-            raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ConfigError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if math.isnan(self.gamma_lo) or math.isnan(self.gamma_hi):
+            raise ConfigError(f"gamma bounds must be numbers: [{self.gamma_lo}, {self.gamma_hi}]")
         if self.gamma_lo > self.gamma_hi:
             raise ConfigError(f"gamma bounds inverted: [{self.gamma_lo}, {self.gamma_hi}]")
         if self.gamma_trainable and not (self.gamma_lo <= self.gamma <= self.gamma_hi):
             raise ConfigError(f"initial gamma {self.gamma} outside bounds "
                               f"[{self.gamma_lo}, {self.gamma_hi}]")
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be finite and positive, got {self.epsilon}")
+
+
+class Targets:
+    """Class labels checked against a class count, with their float64 loss
+    weights 1 + c (None without coefficients). Make them with ``targets``;
+    indexing selects labels and weights alike, so a trainer checks a
+    round's labels once and indexes each batch out of them."""
+
+    __slots__ = ("labels", "weights")
+
+    def __init__(self, labels: np.ndarray, weights: np.ndarray | None):
+        self.labels = labels
+        self.weights = weights
+
+    def __getitem__(self, index) -> "Targets":
+        return Targets(self.labels[index], None if self.weights is None else self.weights[index])
+
+
+def targets(labels, num_classes: int, coeffs=None) -> Targets:
+    """Labels checked to lie in 0..num_classes-1 and, when coeffs (one
+    nonnegative imbalance coefficient per label) are given, the weights
+    1 + c. Every loss checks its labels here."""
+    labels = np.asarray(labels)
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ContractError(f"labels must lie in 0..{num_classes - 1}")
+    weights = None
+    if coeffs is not None:
+        coeffs = np.asarray(coeffs, dtype=np.float64)
+        if coeffs.shape != labels.shape:
+            raise ContractError(f"need one coefficient per sample: got shape "
+                                f"{coeffs.shape} for labels {labels.shape}")
+        if not np.all(coeffs >= 0):  # NaN fails this, as it must
+            raise ContractError("imbalance coefficients must be >= 0")
+        weights = 1.0 + coeffs
+    return Targets(labels, weights)
+
+
+def _focal_nll(logits: Tensor, labels: np.ndarray, weights, gamma) -> Tensor:
+    if logits.data.ndim not in (2, 3):
+        raise ContractError(f"logits must be [batch, classes] or [clients, batch, "
+                            f"classes], got shape {logits.shape}")
+    if labels.ndim != logits.data.ndim - 1:
+        raise ContractError(f"labels must have rank {logits.data.ndim - 1}, "
+                            f"got shape {labels.shape}")
+    if labels.shape != logits.shape[:-1]:
+        raise ShapeError(f"labels of shape {labels.shape} for logits {logits.shape}")
+    if weights is not None:
+        weights = weights.astype(logits.dtype, copy=False)
+    return T.focal_nll(logits, labels, PROB_FLOOR, gamma=gamma, weights=weights)
 
 
 def per_sample_losses(logits: Tensor, labels, *, gamma=None,
@@ -66,27 +118,8 @@ def per_sample_losses(logits: Tensor, labels, *, gamma=None,
     a stack) turns on the focal factor; coeffs (one nonnegative value per
     sample) adds the adaptive multiplier (1 + c).
     """
-    if logits.data.ndim not in (2, 3):
-        raise ContractError(f"logits must be [batch, classes] or [clients, batch, "
-                            f"classes], got shape {logits.shape}")
-    labels = np.asarray(labels)
-    if labels.ndim != logits.data.ndim - 1:
-        raise ContractError(f"labels must have rank {logits.data.ndim - 1}, "
-                            f"got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[-1]):
-        raise ContractError(f"labels must lie in 0..{logits.shape[-1] - 1}")
-    if labels.shape != logits.shape[:-1]:
-        raise ShapeError(f"labels of shape {labels.shape} for logits {logits.shape}")
-    weights = None
-    if coeffs is not None:
-        coeffs = np.asarray(coeffs, dtype=np.float64)
-        if coeffs.shape != labels.shape:
-            raise ContractError(f"need one coefficient per sample: got shape "
-                                f"{coeffs.shape} for labels {labels.shape}")
-        if np.any(coeffs < 0):
-            raise ContractError("imbalance coefficients must be >= 0")
-        weights = (1.0 + coeffs).astype(logits.dtype)
-    return T.focal_nll(logits, labels, PROB_FLOOR, gamma=gamma, weights=weights)
+    checked = targets(labels, logits.shape[-1], coeffs)
+    return _focal_nll(logits, checked.labels, checked.weights, gamma)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -111,9 +144,11 @@ def adaptive_focal_loss(logits: Tensor, labels, coeffs, gamma=2.0) -> Tensor:
     return T.mean(per_sample_losses(logits, labels, gamma=gamma, coeffs=coeffs), axis=-1)
 
 
-def batch_loss(logits: Tensor, labels, cfg: LossConfig, *,
-               coeffs=None, gamma_param: Tensor | None = None) -> Tensor:
-    """Dispatch on the configured loss kind.
+def batch_loss(logits: Tensor, batch: Targets, cfg: LossConfig, *,
+               gamma_param: Tensor | None = None) -> Tensor:
+    """The configured loss of a training batch, whose labels (and, for the
+    adaptive kind, weights) were checked by ``targets``; the same bits as
+    ``cross_entropy``, ``focal_loss`` or ``adaptive_focal_loss`` on them.
 
     gamma_param, when given, is the trainable gamma living in the model's
     parameter list (one per client on a stack); otherwise the configured
@@ -121,11 +156,13 @@ def batch_loss(logits: Tensor, labels, cfg: LossConfig, *,
     client.
     """
     if cfg.kind == "ce":
-        return cross_entropy(logits, labels)
-    gamma = gamma_param if gamma_param is not None else cfg.gamma
-    if cfg.kind == "focal":
-        return focal_loss(logits, labels, gamma=gamma)
-    return adaptive_focal_loss(logits, labels, coeffs, gamma=gamma)
+        gamma = None
+    else:
+        gamma = gamma_param if gamma_param is not None else cfg.gamma
+    weights = batch.weights if cfg.kind == "adaptive_focal" else None
+    if cfg.kind == "adaptive_focal" and weights is None:
+        raise ContractError("adaptive focal loss needs per-sample coefficients")
+    return T.mean(_focal_nll(logits, batch.labels, weights, gamma), axis=-1)
 
 
 def clamp_gamma(params: ModelParams, cfg: LossConfig) -> None:

@@ -1,14 +1,25 @@
 """Dense-tensor numeric core with reverse-mode differentiation.
 
 Every differentiable operation records its parents and a vector-Jacobian
-closure on the output tensor; the recorded graph is the tape. ``backward``
-walks the tape in reverse topological order and accumulates gradients into
-every ``requires_grad`` tensor reachable from the loss.
+closure on its output, and appends the output to the tape: one module-level
+list, in creation order, of weak references to the recorded tensors. An
+operation runs after the operations that made its operands, so creation
+order is a topological order of every graph on the tape (a Wengert list).
+``backward`` walks the tape in reverse, accumulating gradients into every
+``requires_grad`` tensor the loss depends on; it never searches the graph.
+The tape holds its tensors weakly, so a graph lives exactly as long as the
+caller keeps its tensors, and ``backward`` drops the entries of graphs that
+are gone. Entries of other live graphs stay and receive nothing, so a graph
+can be differentiated again, or after another. No VJP closes over its own
+output tensor, so a graph holds no reference cycle and a dropped one is
+freed at once, without waiting for the cycle collector. The tape is one per
+process: build and differentiate graphs from one thread at a time.
 
 Determinism contract: identical inputs and identical operation order produce
 bit-identical outputs. All reductions delegate to numpy, whose reduction
-order is fixed for a given array shape, so results are reproducible across
-runs.
+order is fixed for a given array shape, and a tensor read by several
+operations sums their gradients in reverse creation order, so results are
+reproducible across runs.
 
 Operations never write into their operands. Parameter tensors are views into
 their ``ModelParams.flat`` buffer, and only ``federation.Adam.step`` and
@@ -28,6 +39,7 @@ from __future__ import annotations
 
 import io
 import math
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,7 +60,7 @@ class Tensor:
     ``ModelParams.zero_grads``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -77,11 +89,18 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={_DTYPE_NAMES[self.dtype]}, requires_grad={self.requires_grad})"
 
 
+# weak references to every recorded tensor, in creation order
+_tape: list[weakref.ref] = []
+
+
 def _record(out: Tensor, parents: Sequence[Tensor], vjp) -> Tensor:
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjp = vjp
+    for p in parents:  # any() over a generator costs ten times as much per op
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = tuple(parents)
+            out._vjp = vjp
+            _tape.append(weakref.ref(out))
+            break
     return out
 
 
@@ -215,7 +234,7 @@ def power(base: Tensor, exponent) -> Tensor:
             bad = np.flatnonzero(base.data <= 0)
             raise NumericError(f"power with trainable exponent requires positive base; "
                                f"flat index {int(bad[0])} is not")
-        out = Tensor(np.power(base.data, base.dtype.type(e)))
+        result = np.power(base.data, base.dtype.type(e))
 
         def vjp(g):
             if e == 0.0:
@@ -225,11 +244,11 @@ def power(base: Tensor, exponent) -> Tensor:
                       if base.requires_grad else None)
             ge = None
             if exponent.requires_grad:
-                ge = np.sum(g * out.data * np.log(base.data)).reshape(exponent.shape)
+                ge = np.sum(g * result * np.log(base.data)).reshape(exponent.shape)
                 ge = ge.astype(base.dtype)
             return gb, ge
 
-        return _record(out, (base, exponent), vjp)
+        return _record(Tensor(result), (base, exponent), vjp)
 
     e = float(exponent)
     out = Tensor(np.power(base.data, base.dtype.type(e)))
@@ -379,13 +398,13 @@ def focal_nll(logits: Tensor, labels: np.ndarray, floor: float, gamma=None,
     s = ex / ex.sum(axis=-1, keepdims=True)
     onehot = (labels[..., None] == np.arange(logits.shape[-1])).astype(dt)
     p_t = (s * onehot).sum(axis=-1)
-    clamped = np.clip(p_t, floor, 1.0)
+    clamped = np.minimum(np.maximum(p_t, floor), 1.0)
     nll_mask = (p_t >= floor) & (p_t <= 1.0)
     nll = np.log(clamped) * dt.type(-1.0)
     out = nll
     if gamma is not None:
         rest = np.ones_like(p_t) - p_t
-        base = np.clip(rest, floor, 1.0)
+        base = np.minimum(np.maximum(rest, floor), 1.0)
         base_mask = (rest >= floor) & (rest <= 1.0)
         focal = _row_power(base, e, 0.0)
         out = focal * nll
@@ -457,48 +476,42 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
 # backward pass
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    """Parents-before-children ordering of the recorded graph."""
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen or not node.requires_grad:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            stack.append((p, False))
-    return order
-
-
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` of every requires_grad tensor reachable from ``loss``.
+    """Populate ``grad`` of every requires_grad tensor ``loss`` depends on.
 
-    Repeated calls without ``ModelParams.zero_grads`` accumulate.
+    Walks the tape from its newest entry to its oldest. A recorded tensor
+    that has a pending gradient takes it into ``grad`` and passes its VJP's
+    pieces to its parents; a parent read by several operations sums them,
+    newest first. Leaves (tensors no operation made, such as parameters)
+    take their summed gradient after the walk. Entries whose tensors are
+    gone are dropped from the tape. Repeated calls without
+    ``ModelParams.zero_grads`` accumulate.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         return
-    order = _topo_order(loss)
-    pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
-        g = pending.pop(id(node), None)
-        if g is None:
+    pending: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones_like(loss.data))}
+    live = []
+    for ref in reversed(_tape):
+        node = ref()
+        if node is None:
             continue
+        live.append(ref)
+        entry = pending.pop(id(node), None)
+        if entry is None:
+            continue
+        g = entry[1]
         node.grad = g if node.grad is None else node.grad + g
-        if node._vjp is None:
-            continue
         for parent, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
             key = id(parent)
-            pending[key] = pg if key not in pending else pending[key] + pg
+            pending[key] = (parent, pg if key not in pending else pending[key][1] + pg)
+    live.reverse()
+    _tape[:] = live
+    for leaf, g in pending.values():
+        leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 # ---------------------------------------------------------------------------

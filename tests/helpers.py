@@ -81,6 +81,41 @@ def chain_per_sample_losses(logits, labels, *, gamma=None, coeffs=None, floor=1e
     return out
 
 
+def dfs_backward(loss):
+    """tensor.backward as it ran before the tape: a depth-first search from
+    the loss builds a parents-before-children order of the graph, leaves
+    included, and the walk runs it in reverse. A tensor read by several
+    operations sums their gradients in the reverse of that order, where the
+    tape sums them in reverse creation order; only such sums can differ."""
+    if not loss.requires_grad:
+        return
+    order, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen or not node.requires_grad:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            stack.append((p, False))
+    pending = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(order):
+        g = pending.pop(id(node), None)
+        if g is None:
+            continue
+        node.grad = g if node.grad is None else node.grad + g
+        if node._vjp is None:
+            continue
+        for parent, pg in zip(node._parents, node._vjp(g)):
+            if pg is None or not parent.requires_grad:
+                continue
+            key = id(parent)
+            pending[key] = pg if key not in pending else pending[key] + pg
+
+
 class PerTensorAdam:
     """Adam as a loop over the named tensors, each with its own moments,
     in the operand order of federation.Adam. This is how the optimizer ran
@@ -186,7 +221,7 @@ def _serial_client(model, global_params, features, labels, hist, class_coeffs,
             y = labels[batch_idx]
             coeffs = None if shard_coeffs is None else shard_coeffs[batch_idx]
             logits = model.batch_logits(params, x)
-            loss = L.batch_loss(logits, y, loss_cfg, coeffs=coeffs,
+            loss = L.batch_loss(logits, L.targets(y, model.num_classes, coeffs), loss_cfg,
                                 gamma_param=gamma_param)
             params.zero_grads()
             T.backward(loss)
@@ -279,7 +314,7 @@ def gradient_norm_by_group(model, params, features, labels, loss_cfg, tail, head
 
     labels = np.asarray(labels)
     logits = model.batch_logits(params, features)
-    loss = L.batch_loss(logits, labels, loss_cfg, coeffs=coeffs,
+    loss = L.batch_loss(logits, L.targets(labels, model.num_classes, coeffs), loss_cfg,
                         gamma_param=L.trainable_gamma(params, loss_cfg))
     params.zero_grads()
     T.backward(loss)

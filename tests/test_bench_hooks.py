@@ -50,8 +50,9 @@ def test_install_then_restore_puts_every_original_back(layers):
 
 
 def test_traced_run_spans_local_train_per_round_and_adam_step_per_group(layers, tmp_path):
-    """The benchmark reads federation.client_updates and federation.steps
-    from these spans; a trainer that bypassed either name would read 0."""
+    """The benchmark reads federation.client_updates, federation.steps and
+    losses.calls from these spans; a trainer that bypassed any of these
+    names would read 0."""
     from fedfocal import experiment as X
 
     cfg = X.preset_config("smoke").with_overrides({
@@ -74,3 +75,4 @@ def test_traced_run_spans_local_train_per_round_and_adam_step_per_group(layers, 
     names = [s[1] for s in tracer.spans]
     assert names.count("federation.local_train") == 2
     assert names.count("federation.adam_step") == 2 * groups
+    assert names.count("losses.batch_loss") == 2 * groups

@@ -129,6 +129,20 @@ class TestTrainCommand:
                      "--set", override] + FAST) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("override", [
+        "federation.learning_rate=nan", "federation.learning_rate=inf",
+        "loss.gamma=nan", "loss.gamma=inf", "loss.epsilon=nan", "loss.epsilon=inf",
+        "loss.gamma_lo=nan", "loss.gamma_hi=nan",
+    ])
+    def test_non_finite_setting_exits_two_before_writing(self, tmp_path, capsys, override):
+        """Each of these once trained and failed in round 1 on a NaN (or, for
+        an infinite epsilon or a NaN gamma bound, ran to the end)."""
+        out = tmp_path / "run"
+        assert main(["train", "--preset", "smoke", "--out", str(out),
+                     "--set", override] + FAST) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_dataset_exits_runtime(self, tmp_path):
         code = main(["train", "--preset", "smoke", "--out", str(tmp_path / "x"),
                      "--set", "dataset.synth=false",

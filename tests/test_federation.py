@@ -11,6 +11,8 @@ from fedfocal import models as M
 from fedfocal import partition as P
 from fedfocal.errors import ConfigError, ContractError
 
+from helpers import serial_local_train
+
 
 def tiny_bundle(seed=0, counts=(60, 30, 10)):
     return D.synthesize_longtail(counts, D.BlobSpec(dim=4, radius=2.5), seed=seed)
@@ -153,18 +155,21 @@ class TestLocalTrain:
             deltas.append(shard_loss(row_0) - before)
         assert np.median(deltas) <= 0
 
-    def test_round_wraps_only_the_stack_and_the_result(self, monkeypatch):
-        """Three equal 32-sample shards with batch 16: every tick is one
-        full-stack group, so local_train builds one ModelParams for the
-        broadcast stack and one for the trained stack it returns, and none
-        per client."""
+    @staticmethod
+    def _wrapped_shapes(monkeypatch, sizes):
+        """The buffer shape of every ModelParams that local_train builds on
+        shards of the given sizes with batch 16, the round's result, the
+        serial oracle's result for the same round, and the width P of the
+        global parameters."""
         from fedfocal.imbalance import ClassHistogram
 
         rng = np.random.default_rng(4)
         model = M.MlpClassifier(M.MlpConfig(input_dim=4, hidden_dim=8, num_classes=3))
         params = model.init_params(rng)
-        shards = [(rng.normal(size=(32, 4)), np.arange(32) % 3) for _ in range(3)]
+        shards = [(rng.normal(size=(n, 4)), np.arange(n) % 3) for n in sizes]
         hists = [ClassHistogram.from_labels(y, 3) for _, y in shards]
+        args = (model, params, shards, hists, [1.0] * len(sizes), L.LossConfig(),
+                tiny_fed(batch_size=16))
         wrapped = []
         from_flat = M.ModelParams.from_flat
 
@@ -173,13 +178,29 @@ class TestLocalTrain:
             return from_flat(manifest, flat, requires_grad)
 
         monkeypatch.setattr(M.ModelParams, "from_flat", staticmethod(counting))
-        result = F.local_train(model, params, shards, hists, [1.0, 1.0, 1.0],
-                               L.LossConfig(), tiny_fed(batch_size=16),
-                               [np.random.default_rng(k) for k in range(3)])
+        result = F.local_train(*args, [np.random.default_rng(k) for k in range(len(sizes))])
         monkeypatch.undo()
-        assert wrapped == [(3, params.flat.size)] * 2
-        assert result.params.flat.shape == (3, params.flat.size)
+        oracle = serial_local_train(*args, [np.random.default_rng(k) for k in range(len(sizes))])
+        return wrapped, result, oracle, params.flat.size
+
+    def test_round_wraps_only_the_stack_and_the_result(self, monkeypatch):
+        """Three equal 32-sample shards with batch 16: every tick is one
+        full-stack group, so local_train builds one ModelParams for the
+        broadcast stack and one for the trained stack it returns, and none
+        per client."""
+        wrapped, result, _, size = self._wrapped_shapes(monkeypatch, (32, 32, 32))
+        assert wrapped == [(3, size)] * 2
+        assert result.params.flat.shape == (3, size)
         assert result.batch_counts == [2, 2, 2]
+
+    def test_group_view_made_once_per_round(self, monkeypatch):
+        """Shards of 64, 64 and 16 samples with batch 16: after the first
+        tick the first two rows step as one group three times, through one
+        view of those rows made on the first of them."""
+        wrapped, result, oracle, size = self._wrapped_shapes(monkeypatch, (64, 64, 16))
+        assert wrapped == [(3, size), (2, size), (3, size)]
+        assert result.batch_counts == [4, 4, 1]
+        assert result.params.flat.tobytes() == oracle.params.flat.tobytes()
 
 
 class TestRunFederation:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedfocal import losses as L
 from fedfocal import tensor as T
@@ -111,6 +113,42 @@ class TestAdaptiveFocal:
     def test_missing_coeffs_rejected(self):
         with pytest.raises(ContractError):
             L.adaptive_focal_loss(logits64([[0.0, 0.0]]), [0], coeffs=None)
+
+
+class TestTargets:
+    """A trainer checks a round's labels and builds their weights once, then
+    indexes each batch out of them; the loss must not change by a bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["ce", "focal", "adaptive_focal"])
+    def test_indexed_targets_match_raw_labels_bitwise(self, dtype, kind):
+        rng = np.random.default_rng(5)
+        labels = rng.integers(0, 4, size=40)
+        coeffs = rng.uniform(0.0, 3.0, size=40)
+        checked = L.targets(labels, 4, coeffs)
+        cfg = L.LossConfig(kind=kind)
+        for idx in (rng.permutation(40)[:9], rng.permutation(40)[:12].reshape(3, 4)):
+            raw = rng.normal(size=idx.shape + (4,)) * 3.0
+            want = {"ce": lambda lg: L.cross_entropy(lg, labels[idx]),
+                    "focal": lambda lg: L.focal_loss(lg, labels[idx], cfg.gamma),
+                    "adaptive_focal": lambda lg: L.adaptive_focal_loss(
+                        lg, labels[idx], coeffs[idx], cfg.gamma)}[kind]
+            got = L.batch_loss(T.Tensor(raw, dtype=dtype), checked[idx], cfg)
+            assert got.data.tobytes() == want(T.Tensor(raw, dtype=dtype)).data.tobytes()
+
+    def test_round_labels_checked_once(self):
+        with pytest.raises(ContractError, match=r"0\.\.3"):
+            L.targets([0, 4, 1], 4)
+        with pytest.raises(ContractError, match="one coefficient per sample"):
+            L.targets([0, 1], 4, coeffs=[0.5])
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ContractError, match=">= 0"):
+                L.targets([0, 1], 4, coeffs=[0.5, bad])
+
+    def test_adaptive_batch_needs_weights(self):
+        with pytest.raises(ContractError, match="coefficients"):
+            L.batch_loss(logits64([[0.0, 1.0]]), L.targets([0], 2),
+                         L.LossConfig(kind="adaptive_focal"))
 
 
 class TestReductionChain:
@@ -224,12 +262,12 @@ class TestLossConfig:
         rng = np.random.default_rng(8)
         raw, labels = random_batch(rng)
         coeffs = np.abs(rng.normal(size=len(labels)))
-        ce = L.batch_loss(logits64(raw), labels, L.LossConfig(kind="ce"))
+        checked = L.targets(labels, raw.shape[-1], coeffs)
+        ce = L.batch_loss(logits64(raw), checked, L.LossConfig(kind="ce"))
         assert ce.data.tobytes() == L.cross_entropy(logits64(raw), labels).data.tobytes()
-        fo = L.batch_loss(logits64(raw), labels, L.LossConfig(kind="focal", gamma=2.0))
+        fo = L.batch_loss(logits64(raw), checked, L.LossConfig(kind="focal", gamma=2.0))
         assert fo.data.tobytes() == L.focal_loss(logits64(raw), labels, 2.0).data.tobytes()
-        af = L.batch_loss(logits64(raw), labels,
-                          L.LossConfig(kind="adaptive_focal", gamma=2.0), coeffs=coeffs)
+        af = L.batch_loss(logits64(raw), checked, L.LossConfig(kind="adaptive_focal", gamma=2.0))
         expected = L.adaptive_focal_loss(logits64(raw), labels, coeffs, 2.0)
         assert af.data.tobytes() == expected.data.tobytes()
 
@@ -282,6 +320,28 @@ class TestFusedMatchesChain:
             args = (raw, labels, dtype, gamma, trainable, coeffs)
             assert (_loss_and_grads(L.per_sample_losses, *args)
                     == _loss_and_grads(chain_per_sample_losses, *args))
+
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           gaps=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=6),
+           labels=st.lists(st.integers(0, 1), min_size=6, max_size=6),
+           gamma_mode=st.sampled_from(["ce", "constant", "zero", "trainable"]),
+           weighted=st.booleans())
+    @example(dtype=np.float64, gaps=[0.0], labels=[0] * 6, gamma_mode="constant",
+             weighted=False)
+    @settings(max_examples=80, deadline=None)
+    def test_rows_around_prob_floor_bitwise(self, dtype, gaps, labels, gamma_mode, weighted):
+        """Rows [0, d] with d near -ln(PROB_FLOOR): under label 0 p_t lies at
+        and around the floor, under label 1 so does 1 - p_t (f64) or it
+        rounds to 0 (f32). The clamps take max-then-min; the chain clamps
+        with np.clip."""
+        d = -math.log(L.PROB_FLOOR) + np.asarray(gaps)
+        raw = np.stack([np.zeros_like(d), d], axis=1)
+        labels = labels[:len(gaps)]
+        gamma = {"ce": None, "zero": 0.0}.get(gamma_mode, 2.0)
+        coeffs = np.linspace(0.0, 3.0, len(gaps)) if weighted else None
+        args = (raw, labels, dtype, gamma, gamma_mode == "trainable", coeffs)
+        assert (_loss_and_grads(L.per_sample_losses, *args)
+                == _loss_and_grads(chain_per_sample_losses, *args))
 
     def test_below_floor_row_is_clamped(self):
         vec = L.per_sample_losses(logits64([[0.0, 40.0]]), [0])

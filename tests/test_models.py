@@ -8,8 +8,8 @@ from fedfocal import models as M
 from fedfocal import tensor as T
 from fedfocal.errors import AggregationError, ConfigError, IngestionError, ShapeError
 
-from helpers import (fd_gradient, max_rel_err, mlp_param_count, per_image_vit_forward,
-                     vit_param_count)
+from helpers import (dfs_backward, fd_gradient, max_rel_err, mlp_param_count,
+                     per_image_vit_forward, vit_param_count)
 
 SMALL = M.ViTConfig(image_size=8, patch_size=4, channels=1, embed_dim=8,
                     num_heads=2, head_dim=4, ffn_dim=16, num_layers=2,
@@ -317,7 +317,7 @@ class TestOneForward:
                 else:
                     logits, tokens = per_image_vit_forward(params, images, cfg,
                                                            model._positions)
-                loss = L.batch_loss(logits, labels, loss_cfg, coeffs=coeffs,
+                loss = L.batch_loss(logits, L.targets(labels, 4, coeffs), loss_cfg,
                                     gamma_param=L.trainable_gamma(params, loss_cfg))
                 params.zero_grads()
                 T.backward(loss)
@@ -345,14 +345,56 @@ class TestOneForward:
         labels = rng.integers(0, 3, size=(3, 16))
 
         def nodes(params, x, y):
-            loss = L.batch_loss(model.batch_logits(params, x), y, loss_cfg)
-            return len(T._topo_order(loss if loss.data.ndim == 0 else T.sum_(loss)))
+            start = len(T._tape)  # only a backward drops tape entries
+            loss = L.batch_loss(model.batch_logits(params, x), L.targets(y, 3), loss_cfg)
+            if loss.data.ndim:
+                T.sum_(loss)  # the sum over clients that backward starts from
+            return len(T._tape) - start
 
         stack = M.ModelParams.from_flat(
             params.manifest(), np.broadcast_to(params.flat, (3,) + params.flat.shape).copy())
         one = nodes(params, images[0, :1], labels[0, :1])
         assert nodes(params, images[0], labels[0]) == one
         assert nodes(stack, images, labels) == one + 1
+
+    @pytest.mark.parametrize("clients", [None, 3], ids=["batch", "stack"])
+    @pytest.mark.parametrize("trainable", [False, True], ids=["gamma-const", "gamma-trainable"])
+    @pytest.mark.parametrize("learned", [False, True], ids=["sinusoidal", "learned"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_tape_gradients_match_dfs_oracle(self, dtype, learned, trainable, clients):
+        """The tape sums a tensor's incoming gradients in reverse creation
+        order, and the depth-first walk it replaced (tests/helpers.
+        dfs_backward) in its own order. The q/k/v fan-out and the residual
+        stream read one tensor several times, so the two may differ, by
+        rounding only."""
+        cfg = M.ViTConfig(image_size=8, patch_size=4, channels=2, embed_dim=12,
+                          num_heads=3, head_dim=4, ffn_dim=16, num_layers=2,
+                          num_classes=4, learned_positions=learned)
+        model = M.ViTClassifier(cfg, dtype=dtype)
+        loss_cfg = L.LossConfig(gamma_trainable=trainable)
+        rng = np.random.default_rng(37)
+        lead = (7,) if clients is None else (clients, 7)
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        for _ in range(3):
+            params = model.init_params(rng, gamma_init=2.0 if trainable else None)
+            if clients is not None:
+                flat = params.flat + rng.normal(scale=0.01, size=(clients, params.flat.size))
+                params = M.ModelParams.from_flat(params.manifest(), flat.astype(dtype))
+            images = rng.normal(size=lead + (2, 8, 8)).astype(dtype)
+            labels = rng.integers(0, 4, size=lead)
+            coeffs = rng.uniform(0.0, 2.0, size=lead)
+            grads = {}
+            for walk in (T.backward, dfs_backward):
+                logits = model.batch_logits(params, images)
+                loss = L.batch_loss(logits, L.targets(labels, 4, coeffs), loss_cfg,
+                                    gamma_param=L.trainable_gamma(params, loss_cfg))
+                params.zero_grads()
+                walk(T.sum_(loss))
+                grads[walk] = {n: t.grad.copy() for n, t in params}
+                grads[walk]["logits"] = logits.grad
+            for name, g in grads[dfs_backward].items():
+                gap = np.abs(grads[T.backward][name].astype(np.float64) - g).max()
+                assert gap <= tol * np.abs(g).max(), name
 
 
 class TestMlp:

@@ -1,5 +1,7 @@
+import gc
 import io
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from fedfocal import tensor as T
 from fedfocal.errors import ConfigError, ContractError, IngestionError, NumericError, ShapeError
 
-from helpers import fd_gradient, max_rel_err
+from helpers import dfs_backward, fd_gradient, max_rel_err
 
 
 def t64(data, requires_grad=False):
@@ -242,6 +244,72 @@ class TestBackward:
         z = T.mul(x, x)
         T.backward(T.add(T.sum_(z), T.sum_(z)))
         assert np.allclose(x.grad, 4 * x.data)
+
+
+class TestTape:
+    def test_dropped_graph_leaves_nothing_after_next_backward(self):
+        """A graph holds no reference cycle (the tensor-exponent power was
+        the one that did), so without the cycle collector a graph dropped
+        before any backward is freed at once, and the next backward drops
+        its tape entries."""
+        x = t64([0.5, 2.0], requires_grad=True)
+        e = t64(1.5, requires_grad=True)
+        gc.disable()
+        try:
+            live_before = sum(ref() is not None for ref in T._tape)
+            powered = T.power(T.relu(x), e)
+            dropped = T.sum_(T.mul(powered, x))
+            probes = [weakref.ref(t) for t in (powered, dropped)]
+            del powered, dropped
+            assert [probe() for probe in probes] == [None, None]
+            kept = T.sum_(T.mul(x, x))
+            T.backward(kept)
+            assert all(ref() is not None for ref in T._tape)
+            assert len(T._tape) == live_before + 2
+        finally:
+            gc.enable()
+        assert np.array_equal(x.grad, 2 * x.data)
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_two_live_graphs_backward_in_either_order(self, first):
+        x = t64([1.0, -2.0], requires_grad=True)
+        y = t64([3.0, 0.5], requires_grad=True)
+        squares = T.mul(x, x)
+        graphs = [T.sum_(squares), T.sum_(T.mul(x, y))]
+        for k in (first, 1 - first):
+            x.grad = y.grad = None
+            T.backward(graphs[k])
+            assert np.array_equal(x.grad, [2 * x.data, y.data][k])
+            assert y.grad is None if k == 0 else np.array_equal(y.grad, x.data)
+        assert np.array_equal(squares.grad, np.ones(2))
+
+    def test_adaptive_focal_mlp_stacked_step_is_nine_tape_nodes(self):
+        """Five MLP nodes, focal_nll, the per-client mean's sum_ and scale,
+        and the sum over clients; the MLP reads each tensor once, so its
+        gradients are the depth-first walk's bit for bit."""
+        from fedfocal import losses as L
+        from fedfocal import models as M
+
+        rng = np.random.default_rng(40)
+        model = M.MlpClassifier(M.MlpConfig(input_dim=4, hidden_dim=8, num_classes=3))
+        params = model.init_params(rng, gamma_init=2.0)
+        flat = params.flat + rng.normal(scale=0.1, size=(3, params.flat.size))
+        stack = M.ModelParams.from_flat(params.manifest(), flat.astype(np.float32))
+        x = rng.normal(size=(3, 5, 4)).astype(np.float32)
+        y = rng.integers(0, 3, size=(3, 5))
+        coeffs = rng.uniform(0.0, 2.0, size=(3, 5))
+        loss_cfg = L.LossConfig(gamma_trainable=True)
+        grads = {}
+        for walk in (T.backward, dfs_backward):
+            start = len(T._tape)
+            loss = L.batch_loss(model.batch_logits(stack, x), L.targets(y, 3, coeffs), loss_cfg,
+                                gamma_param=L.trainable_gamma(stack, loss_cfg))
+            root = T.sum_(loss)
+            assert len(T._tape) - start == 9
+            stack.zero_grads()
+            walk(root)
+            grads[walk] = [t.grad.tobytes() for t in stack.tensors()]
+        assert grads[T.backward] == grads[dfs_backward]
 
 
 class TestDeterminism:
