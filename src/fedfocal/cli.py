@@ -153,8 +153,8 @@ def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     out = Path(args.out)
     if args.dry_run:
-        out.mkdir(parents=True, exist_ok=True)
         bundle, _ = X.prepare(cfg)
+        out.mkdir(parents=True, exist_ok=True)
         if cfg["run.mode"] == "federated":
             write_manifest(out / "partition.manifest", X.run_partition(cfg, bundle))
         (out / "config.echo").write_text(cfg.to_text(), encoding="ascii")

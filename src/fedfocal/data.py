@@ -117,7 +117,7 @@ class BlobSpec:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.dim < 1 or self.radius <= 0 or self.sigma <= 0:
+        if self.dim < 1 or not (0 < self.radius < np.inf and 0 < self.sigma < np.inf):
             raise ConfigError(f"invalid blob spec: {self}")
 
 
@@ -131,7 +131,7 @@ class TileSpec:
     def __post_init__(self):
         if not 1 <= self.image_size <= 32:
             raise ConfigError("tile images are capped at 32x32")
-        if self.channels < 1 or self.noise < 0:
+        if self.channels < 1 or not 0 <= self.noise < np.inf:
             raise ConfigError(f"invalid tile spec: {self}")
 
 

@@ -127,11 +127,11 @@ def round_record_json(rec: F.RoundRecord) -> dict:
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> F.FederationRun:
     """Execute one configured run and write all artifacts into out_dir."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     bundle, model = prepare(cfg)
     loss_cfg = cfg.loss_config()
     fed_cfg = cfg.federation_config()
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     (out / "config.echo").write_text(cfg.to_text(), encoding="ascii")
 

@@ -10,10 +10,11 @@ parameters in fixed client order, and evaluates the new global model on the
 held-out test set.
 
 A round is one [K, P] stack from broadcast to aggregate, one row per
-selected client, and so are its Adam moments. At each tick the clients whose
-next minibatch has the same size take one stacked step (``local_train``),
-and ``aggregate`` reads the trained rows. No client's arithmetic depends on
-another's, so each row ends with the bits it would have training alone.
+selected client, and so are its Adam moments. Epoch by epoch, at each tick,
+each run of adjacent rows whose next minibatches have the same size takes
+one stacked step on its slice (``local_train``); ``aggregate`` reads the
+trained rows. No client's arithmetic depends on another's, so each row
+ends with the bits it would have training alone.
 
 Determinism: every random stream is derived from the master seed together
 with its role and (round, client) coordinates, each client draws its
@@ -23,6 +24,7 @@ ascending index order, so reruns are identical bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -75,8 +77,8 @@ class FederationConfig:
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError(f"beta1 and beta2 must lie in [0, 1), "
                               f"got {self.beta1} and {self.beta2}")
-        if not self.adam_eps > 0.0:
-            raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
+        if not 0.0 < self.adam_eps < math.inf:
+            raise ConfigError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
 
 
 @dataclass
@@ -131,17 +133,18 @@ class Adam:
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
 
-    def step(self, group: ModelParams | None = None, rows=None) -> None:
+    def step(self, group: ModelParams | None = None, rows: slice | None = None) -> None:
         """Update moments and parameters in place, in the operand order of
         m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
         p = p - lr*m_hat / (sqrt(v_hat) + eps).
 
         Without arguments every row steps, from the gradients on the
-        optimizer's own tensors. With rows (a slice or a list of stack
-        indices, one step count among them) only those rows step: group
-        holds their parameters and gradients, and group.flat is updated.
-        For a slice group.flat is a view of those rows; for a list it is a
-        gathered copy, and writing it back into the stack is the caller's.
+        optimizer's own tensors. With rows, a slice of the stack, only those
+        rows step: group is a view of them that holds their gradients, so
+        the parameters and moments are updated where they lie. Rows may be
+        at different step counts; each row's bias corrections 1 - b**t are
+        computed from its own count as Python floats, as a lone step would
+        compute them, and divide it as a column in the parameter dtype.
 
         One pass over the whole buffer: every op is elementwise, so each
         scalar gets the bits a per-tensor, per-client loop would give it. A
@@ -149,10 +152,6 @@ class Adam:
         params = self.params if group is None else group
         sel = ... if rows is None else rows
         self.t[sel] += 1
-        counts = self.t[sel]
-        t = int(counts.max())
-        if counts.min() != t:
-            raise ContractError("one optimizer step over clients at different step counts")
         tensors = params.tensors()
         present = [i for i, x in enumerate(tensors) if x.grad is not None]
         if not present:
@@ -160,7 +159,9 @@ class Adam:
         lead = params.flat.shape[:-1]
         g = np.concatenate([tensors[i].grad.reshape(lead + (-1,)) for i in present], axis=-1)
         p, m, v = params.flat, self.m[sel], self.v[sel]
-        rows_m, rows_v = m, v
+        counts = self.t[sel].ravel().tolist()
+        c1, c2 = (np.array([1 - beta ** t for t in counts], dtype=p.dtype).reshape(lead + (1,))
+                  for beta in (self.beta1, self.beta2))
         live = None
         if len(present) < len(tensors):
             sizes = [math.prod(shape) for _, shape in params.manifest()]
@@ -171,14 +172,12 @@ class Adam:
         m += (1 - self.beta1) * g
         v *= self.beta2
         v += (1 - self.beta2) * g * g
-        m_hat = m / (1 - self.beta1 ** t)
-        denom = np.sqrt(v / (1 - self.beta2 ** t))
+        m_hat = m / c1
+        denom = np.sqrt(v / c2)
         denom += self.eps
         p -= self.lr * m_hat / denom
         if live is not None:
-            params.flat[..., live], rows_m[..., live], rows_v[..., live] = p, m, v
-        if rows is not None and not isinstance(rows, slice):
-            self.m[rows], self.v[rows] = rows_m, rows_v
+            params.flat[..., live], self.m[sel][..., live], self.v[sel][..., live] = p, m, v
 
 
 @dataclass
@@ -189,20 +188,29 @@ class RoundResult:
     norm_sums: np.ndarray  # [K, C] per-class sums of logit-gradient norms
     norm_counts: np.ndarray  # [K, C] samples tallied into them
     loss_sums: list[float]
-    batch_counts: list[int]
+    batch_counts: list[int]  # optimizer steps each row took
 
 
-def _client_batches(n: int, offset: int, fed_cfg: FederationConfig,
-                    rng: np.random.Generator) -> list[np.ndarray]:
-    """A client's minibatches for all its local epochs, in order, as
-    indices into the round's concatenated shards: one permutation of its n
-    samples per epoch from its own stream, cut every batch_size."""
-    batches = []
-    for _ in range(fed_cfg.local_epochs):
-        order = offset + rng.permutation(n)
-        batches += [order[start:start + fed_cfg.batch_size]
-                    for start in range(0, n, fed_cfg.batch_size)]
-    return batches
+def _client_epochs(n: int, offset: int, fed_cfg: FederationConfig,
+                   rng: np.random.Generator) -> list[list[np.ndarray]]:
+    """A client's minibatches, one list per local epoch, as indices into the
+    round's concatenated shards: one permutation of its n samples per epoch
+    from its own stream, cut every batch_size."""
+    b = fed_cfg.batch_size
+    return [[order[start:start + b] for start in range(0, n, b)]
+            for order in (offset + rng.permutation(n) for _ in range(fed_cfg.local_epochs))]
+
+
+def _runs(sizes: list[int]) -> list[slice]:
+    """The maximal runs of adjacent rows whose batches have the same size;
+    a row with no batch (size 0) belongs to none."""
+    runs, start = [], 0
+    for size, run in itertools.groupby(sizes):
+        stop = start + len(list(run))
+        if size:
+            runs.append(slice(start, stop))
+        start = stop
+    return runs
 
 
 def local_train(model, global_params: ModelParams,
@@ -215,22 +223,20 @@ def local_train(model, global_params: ModelParams,
 
     Each client starts from the broadcast, runs E epochs of minibatch Adam
     on its shard and tallies per-class logit-gradient norms. The clients'
-    parameters and moments are one [K, P] stack, one row per client. At
-    each tick, the clients whose next batch has the same size form one
-    group, which takes one stacked forward, loss, backward and Adam step on
-    its rows and its [K', B, ...] batch. A client whose shard is used up
-    leaves the stack by index selection, never by padding. Every client's
-    arithmetic is the one it would do alone, so the results are the same
-    bit for bit as training the clients one after another.
+    parameters and moments are one [K, P] stack, one row per client. The
+    epochs run one after another. Within one, at each tick, each maximal run
+    of adjacent rows whose next batches have the same size is a group: one
+    stacked forward, loss, backward and Adam step on its [K', B, ...] batch
+    and on its rows in place, through one view made on its first step. A
+    client whose epoch is used up sits out the epoch's last ticks. Each
+    client does the arithmetic it would do alone, so the results are those
+    of training the clients one after another, bit for bit.
 
-    The rows are ordered by the clients' batch-size sequences, longest and
-    largest first. With one local epoch every group is then a run of
-    adjacent rows, whose parameters and moments are stepped where they lie,
-    through one view per run, made on its first step; other groups are
-    gathered and written back. The round's labels and loss weights are
-    checked and built once, and each batch indexes them. The returned rows
-    are in the given client order. A NaN in training names its round and
-    client."""
+    A client's epochs share one batch-size sequence; the rows are sorted
+    once by it, longest and largest first, only to make the runs long. The
+    round's labels and loss weights are checked and built once. The rows
+    return in the given client order, with their optimizer steps as batch
+    counts. A NaN in training names its round and client."""
     ids = list(range(len(shards))) if client_ids is None else list(client_ids)
     client_coeffs = [client_imbalance(h, loss_cfg.epsilon) for h in hists]
     sizes = [y.size for _, y in shards]
@@ -243,11 +249,12 @@ def local_train(model, global_params: ModelParams,
         coeffs = np.concatenate([dynamic_coefficient(c_k, class_coeffs, y, loss_cfg.blend)
                                  for c_k, (_, y) in zip(client_coeffs, shards)])
     targets = L.targets(np.concatenate([y for _, y in shards]), model.num_classes, coeffs)
-    batches = [_client_batches(n, off, fed_cfg, rng)
-               for n, off, rng in zip(sizes, offsets, rngs)]
-    order = sorted(range(len(shards)), key=lambda i: [b.size for b in batches[i]],
-                   reverse=True)
-    batches = [batches[i] for i in order]
+    epochs = [_client_epochs(n, off, fed_cfg, rng) for n, off, rng in zip(sizes, offsets, rngs)]
+    sequences = [[b.size for b in client[0]] for client in epochs]
+    order = sorted(range(len(shards)), key=sequences.__getitem__, reverse=True)
+    epochs, sequences = [epochs[i] for i in order], [sequences[i] for i in order]
+    ticks = [_runs([seq[tick] if tick < len(seq) else 0 for seq in sequences])
+             for tick in range(max(map(len, sequences), default=0))]
 
     manifest, flat = global_params.manifest(), global_params.flat
     stack = ModelParams.from_flat(
@@ -259,46 +266,36 @@ def local_train(model, global_params: ModelParams,
     norm_sums = np.zeros((len(shards), num_classes))
     norm_counts = np.zeros((len(shards), num_classes), dtype=np.int64)
     loss_sums = np.zeros(len(shards))
-    for tick in range(len(batches[0])):
-        groups: dict[int, list[int]] = {}
-        for row, client in enumerate(batches):
-            if tick < len(client):
-                groups.setdefault(client[tick].size, []).append(row)
-        for rows in groups.values():
-            idx = np.stack([batches[row][tick] for row in rows])
-            x, batch = features[idx], targets[idx]
-            span = (rows[0], rows[-1] + 1)
-            gathered = span[1] - span[0] != len(rows)
-            if gathered:
-                sel, group = rows, ModelParams.from_flat(manifest, stack.flat[rows])
-            else:
-                sel = slice(*span)
+    for epoch in range(fed_cfg.local_epochs):
+        for tick, runs in enumerate(ticks):
+            for sel in runs:
+                idx = np.stack([client[epoch][tick] for client in epochs[sel]])
+                x, batch = features[idx], targets[idx]
+                span = (sel.start, sel.stop)
                 if span not in views:
                     views[span] = ModelParams.from_flat(manifest, stack.flat[sel])
                 group = views[span]
-            gamma_param = L.trainable_gamma(group, loss_cfg)
-            try:
-                logits = model.batch_logits(group, x)
-                loss = L.batch_loss(logits, batch, loss_cfg, gamma_param=gamma_param)
-            except NumericError as exc:
-                culprits = _culprits([ids[order[row]] for row in rows], x, group.flat)
-                raise NumericError(f"round {round_index}, {culprits}: {exc}") from exc
-            group.zero_grads()
-            T.backward(T.sum_(loss))
-            # unbuffered, row by row in batch order: the sums of a per-sample loop
-            at = (np.asarray(rows)[:, None], batch.labels)
-            np.add.at(norm_sums, at, ME.per_sample_logit_grad_norms(logits))
-            np.add.at(norm_counts, at, 1)
-            opt.step(group, sel)
-            if gamma_param is not None:
-                L.clamp_gamma(group, loss_cfg)
-            if gathered:
-                stack.flat[rows] = group.flat
-            loss_sums[sel] += loss.data
+                gamma_param = L.trainable_gamma(group, loss_cfg)
+                try:
+                    logits = model.batch_logits(group, x)
+                    loss = L.batch_loss(logits, batch, loss_cfg, gamma_param=gamma_param)
+                except NumericError as exc:
+                    culprits = _culprits([ids[i] for i in order[sel]], x, group.flat)
+                    raise NumericError(f"round {round_index}, {culprits}: {exc}") from exc
+                group.zero_grads()
+                T.backward(T.sum_(loss))
+                # unbuffered, row by row in batch order: the sums of a per-sample loop
+                at = (np.arange(*span)[:, None], batch.labels)
+                np.add.at(norm_sums, at, ME.per_sample_logit_grad_norms(logits))
+                np.add.at(norm_counts, at, 1)
+                opt.step(group, sel)
+                if gamma_param is not None:
+                    L.clamp_gamma(group, loss_cfg)
+                loss_sums[sel] += loss.data
     row_of = np.argsort(order)
     return RoundResult(ModelParams.from_flat(manifest, stack.flat[row_of]), client_coeffs,
                        norm_sums[row_of], norm_counts[row_of], loss_sums[row_of].tolist(),
-                       [len(batches[row]) for row in row_of])
+                       opt.t[row_of].tolist())
 
 
 def _culprits(ids: list[int], *stacks: np.ndarray) -> str:

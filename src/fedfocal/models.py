@@ -54,8 +54,9 @@ class ViTConfig:
         if self.embed_dim != self.num_heads * self.head_dim:
             raise ConfigError(f"embed_dim {self.embed_dim} must equal "
                               f"num_heads*head_dim {self.num_heads * self.head_dim}")
-        if self.layer_norm_eps <= 0:
-            raise ConfigError("layer_norm_eps must be positive")
+        if not 0 < self.layer_norm_eps < math.inf:
+            raise ConfigError(f"layer_norm_eps must be finite and positive, "
+                              f"got {self.layer_norm_eps}")
 
     @property
     def grid(self) -> int:

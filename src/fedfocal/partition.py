@@ -45,8 +45,8 @@ class PartitionSpec:
                 raise ConfigError("fixed mode needs a ratio vector")
             ratios = tuple(float(r) for r in self.ratios)
             object.__setattr__(self, "ratios", ratios)
-            if any(r < 0 for r in ratios):
-                raise ConfigError(f"ratios must be nonnegative: {ratios}")
+            if not all(0 <= r < np.inf for r in ratios):
+                raise ConfigError(f"ratios must be finite and nonnegative: {ratios}")
             if abs(sum(ratios) - 1.0) > 1e-9:
                 raise ConfigError(f"ratios must sum to 1 within 1e-9, got {sum(ratios)!r}")
             expected = self.num_clients + (1 if self.test_ratio_index is not None else 0)
@@ -60,8 +60,8 @@ class PartitionSpec:
                 if self.test_fraction > 0:
                     raise ConfigError("use either test_fraction or test_ratio_index, not both")
         else:
-            if self.beta is None or self.beta <= 0:
-                raise ConfigError(f"dirichlet mode needs beta > 0, got {self.beta}")
+            if self.beta is None or not 0 < self.beta < np.inf:
+                raise ConfigError(f"dirichlet mode needs a finite beta > 0, got {self.beta}")
             if self.test_ratio_index is not None:
                 raise ConfigError("test_ratio_index applies to fixed mode only")
 
@@ -88,8 +88,8 @@ class PartitionResult:
 def largest_remainder(total: int, weights) -> list[int]:
     """Apportion `total` integer units proportionally to `weights`."""
     weights = np.asarray(weights, dtype=np.float64)
-    if total < 0 or np.any(weights < 0):
-        raise ContractError("largest_remainder needs nonnegative inputs")
+    if total < 0 or not np.all((weights >= 0) & (weights < np.inf)):
+        raise ContractError("largest_remainder needs finite, nonnegative inputs")
     wsum = weights.sum()
     if wsum == 0:
         out = [0] * len(weights)

@@ -442,8 +442,8 @@ def focal_nll(logits: Tensor, labels: np.ndarray, floor: float, gamma=None,
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     """Normalize over the last axis to zero mean / unit variance, then affine:
     gain and bias are [D], or [K, D] on a [K, ..., D] client stack."""
-    if eps <= 0:
-        raise ConfigError(f"layer_norm eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ConfigError(f"layer_norm eps must be finite and positive, got {eps}")
     _check_same_dtype(a, gain, bias)
     d = a.shape[-1]
     affine = (d,) if gain.data.ndim < 2 else a.shape[:1] + (d,)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -121,7 +122,7 @@ class TestTrainCommand:
     @pytest.mark.parametrize("override", [
         "federation.beta1=1.0", "federation.beta2=1.0", "federation.beta1=-0.5",
         "federation.beta2=-0.1", "federation.beta1=nan", "federation.adam_eps=0",
-        "federation.adam_eps=-1e-8",
+        "federation.adam_eps=-1e-8", "federation.adam_eps=inf",
     ])
     def test_bad_adam_setting_exits_two_before_writing(self, tmp_path, override):
         out = tmp_path / "run"
@@ -142,6 +143,33 @@ class TestTrainCommand:
                      "--set", override] + FAST) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("preset, overrides", [
+        ("smoke", ["partition.ratios=nan,0.5,0.5"]),
+        ("smoke", ["partition.ratios=inf,0.5,0.5"]),
+        ("smoke", ["partition.mode=dirichlet", "partition.beta=nan"]),
+        ("smoke", ["partition.mode=dirichlet", "partition.beta=inf"]),
+        ("smoke", ["dataset.synth.sigma=nan"]),
+        ("smoke", ["dataset.synth.radius=inf"]),
+        ("vit-smoke", ["dataset.synth.noise=nan"]),
+        ("vit-smoke", ["model.layer_norm_eps=nan"]),
+        ("vit-smoke", ["model.layer_norm_eps=inf"]),
+    ], ids=lambda v: v if isinstance(v, str) else v[-1])
+    def test_non_finite_data_or_model_setting_exits_two_before_writing(
+            self, tmp_path, capsys, preset, overrides):
+        """Each of these once got past validation: the partition ones wrote
+        config.echo and partition.manifest, warned in largest_remainder and
+        blamed empty shards; the data and model ones trained."""
+        out = tmp_path / "run"
+        sets = [arg for o in overrides for arg in ("--set", o)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--preset", preset, "--out", str(out),
+                         "--set", "federation.rounds=1"] + sets)
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+        assert not caught, [str(w.message) for w in caught]
 
     def test_missing_dataset_exits_runtime(self, tmp_path):
         code = main(["train", "--preset", "smoke", "--out", str(tmp_path / "x"),

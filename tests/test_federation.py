@@ -202,6 +202,36 @@ class TestLocalTrain:
         assert result.batch_counts == [4, 4, 1]
         assert result.params.flat.tobytes() == oracle.params.flat.tobytes()
 
+    def test_every_batch_of_every_epoch_runs(self, monkeypatch):
+        """Shards of 32 and 40 samples with batch 16 over two epochs: the
+        clients run [16, 16] and [16, 16, 8] an epoch, six stacked steps in
+        all, and each trained row is the serial oracle's."""
+        from fedfocal.imbalance import ClassHistogram
+
+        rng = np.random.default_rng(6)
+        model = M.MlpClassifier(M.MlpConfig(input_dim=4, hidden_dim=8, num_classes=3))
+        params = model.init_params(rng)
+        shards = [(rng.normal(size=(n, 4)), np.arange(n) % 3) for n in (32, 40)]
+        hists = [ClassHistogram.from_labels(y, 3) for _, y in shards]
+        args = (model, params, shards, hists, [1.0] * 3, L.LossConfig(),
+                tiny_fed(batch_size=16, local_epochs=2))
+        steps = []
+        step = F.Adam.step
+
+        def counting(self, *a, **kw):
+            steps.append(1)
+            return step(self, *a, **kw)
+
+        monkeypatch.setattr(F.Adam, "step", counting)
+        result = F.local_train(*args, [np.random.default_rng(k) for k in range(2)])
+        monkeypatch.undo()
+        oracle = serial_local_train(*args, [np.random.default_rng(k) for k in range(2)])
+        assert len(steps) == 6
+        assert result.batch_counts == oracle.batch_counts == [4, 6]
+        for k in range(2):
+            assert result.params.flat[k].tobytes() == oracle.params.flat[k].tobytes(), k
+        assert result.loss_sums == oracle.loss_sums
+
 
 class TestRunFederation:
     def test_zero_lr_single_round_is_identity(self):

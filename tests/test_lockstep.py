@@ -12,9 +12,9 @@ from fedfocal import experiment as X
 from fedfocal import federation as F
 from fedfocal import models as M
 from fedfocal import tensor as T
-from fedfocal.errors import ContractError, ShapeError
+from fedfocal.errors import ShapeError
 
-from helpers import GATE_CONFIGS, fd_gradient, max_rel_err, serial_local_train
+from helpers import GATE_CONFIGS, PerTensorAdam, fd_gradient, max_rel_err, serial_local_train
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -264,17 +264,32 @@ def test_stacked_params_view_their_rows():
     assert not stack["mlp.w1"].data[2].any() and stack["mlp.w1"].data[1].any()
 
 
-def test_adam_refuses_a_group_at_different_step_counts():
-    params = M.ModelParams([("w", T.parameter(np.zeros((3, 2))))])
-    stack = M.ModelParams.from_flat(params.manifest(), np.zeros((3, 6)))
-    opt = F.Adam(stack, lr=0.1)
-    group = M.ModelParams.from_flat(params.manifest(), stack.flat[[0]])
-    group["w"].grad = np.ones((1, 3, 2))
-    opt.step(group, [0])
-    group = M.ModelParams.from_flat(params.manifest(), stack.flat[[0, 1]])
-    group["w"].grad = np.ones((2, 3, 2))
-    with pytest.raises(ContractError, match="step counts"):
-        opt.step(group, [0, 1])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_adam_steps_rows_at_different_step_counts_like_each_row_alone(dtype):
+    """Rows 0-1 step twice, then rows 1-2 twice, then all three once: each
+    span's rows sit at different step counts, and each row must end with
+    the bits of a per-tensor Adam on that row alone."""
+    rng = np.random.default_rng(11)
+    manifest = [("w", (3, 2)), ("b", (2,))]
+    start = rng.normal(size=(3, 8)).astype(dtype)
+    stack = M.ModelParams.from_flat(manifest, start.copy())
+    opt = F.Adam(stack, lr=0.05)
+    alone = [M.ModelParams.from_flat(manifest, row.copy()) for row in start]
+    oracles = [PerTensorAdam(params, lr=0.05) for params in alone]
+    for sel in (slice(0, 2),) * 2 + (slice(1, 3),) * 2 + (slice(0, 3),):
+        group = M.ModelParams.from_flat(manifest, stack.flat[sel])
+        grads = {name: rng.normal(size=(sel.stop - sel.start,) + shape).astype(dtype)
+                 for name, shape in manifest}
+        for name, g in grads.items():
+            group[name].grad = g
+        opt.step(group, sel)
+        for i, k in enumerate(range(sel.start, sel.stop)):
+            for name, g in grads.items():
+                alone[k][name].grad = g[i]
+            oracles[k].step()
+    assert opt.t.tolist() == [3, 5, 3]
+    for k in range(3):
+        assert stack.flat[k].tobytes() == alone[k].flat.tobytes(), k
 
 
 ARTIFACTS = ("metrics.csv", "rounds.jsonl", "final.ckpt")
@@ -289,6 +304,10 @@ LOCKSTEP_CONFIGS = {
     "focal": ("smoke", {"loss.kind": "focal"}),
     "empty-shard": ("smoke", {"partition.ratios": (0.7, 0.3, 0.0)}),
     "vit-smoke": ("vit-smoke", {}),
+    # round 1 trains clients 1 and 2 on batches [16, 7] and [16] an epoch:
+    # every batch is run, and the second epoch steps them at counts 3 and 2
+    "vit-two-epochs-k2": ("vit-smoke", {"federation.local_epochs": 2,
+                                        "federation.client_fraction": 0.67}),
     # a stacked pos_embed, one gamma per client and a K = 2 stack
     "vit-learned-trainable-gamma": ("vit-smoke", {"model.vit.learned_positions": True,
                                                   "loss.gamma_trainable": True,

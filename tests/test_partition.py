@@ -41,6 +41,11 @@ class TestLargestRemainder:
         exact = np.array([123.0, 456.0, 421.0])
         assert np.all(np.abs(np.array(alloc) - exact) < 1.0)
 
+    @pytest.mark.parametrize("weights", [[np.nan, 0.5], [np.inf, 0.5], [-0.1, 1.1]])
+    def test_non_finite_or_negative_weights_rejected(self, weights):
+        with pytest.raises(ContractError, match="finite, nonnegative"):
+            P.largest_remainder(10, weights)
+
 
 class TestPartitionFixed:
     def test_single_client_takes_everything(self):
