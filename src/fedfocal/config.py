@@ -143,6 +143,9 @@ class ExperimentConfig:
             raise ConfigError(f"run.model must be mlp or vit, got {v['run.model']!r}")
         if v["run.dtype"] not in ("f32", "f64"):
             raise ConfigError(f"run.dtype must be f32 or f64, got {v['run.dtype']!r}")
+        for key in ("run.name", "dataset.path"):
+            if not (v[key].isascii() and v[key].isprintable()):
+                raise ConfigError(f"{key} must be printable ASCII on one line, got {v[key]!r}")
         if not v["dataset.synth"] and not v["dataset.path"]:
             raise ConfigError("set dataset.path or dataset.synth = true")
         if v["dataset.synth.kind"] not in ("blobs", "tiles"):

@@ -83,9 +83,13 @@ def prepare(cfg: ExperimentConfig) -> tuple[DatasetBundle, object]:
 def run_partition(cfg: ExperimentConfig, bundle: DatasetBundle) -> PartitionResult:
     """The client/test split a run trains and is scored on."""
     if cfg["run.mode"] == "centralized":
-        return F.centralized_partition(bundle, cfg["partition.test_fraction"],
+        part = F.centralized_partition(bundle, cfg["partition.test_fraction"],
                                        cfg["federation.seed"])
-    return build_partition(bundle.labels, cfg.partition_spec(), bundle.num_classes)
+    else:
+        part = build_partition(bundle.labels, cfg.partition_spec(), bundle.num_classes)
+    if not part.test_indices:
+        raise ConfigError("partition has no global test set to evaluate on")
+    return part
 
 
 def _csv_cell(value) -> str:
@@ -128,6 +132,7 @@ def round_record_json(rec: F.RoundRecord) -> dict:
 def run_experiment(cfg: ExperimentConfig, out_dir) -> F.FederationRun:
     """Execute one configured run and write all artifacts into out_dir."""
     bundle, model = prepare(cfg)
+    part = run_partition(cfg, bundle)
     loss_cfg = cfg.loss_config()
     fed_cfg = cfg.federation_config()
     out = Path(out_dir)
@@ -139,7 +144,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> F.FederationRun:
         run = F.run_centralized(bundle, model, loss_cfg, fed_cfg,
                                 val_fraction=cfg["partition.test_fraction"])
     else:
-        part = run_partition(cfg, bundle)
         write_manifest(out / "partition.manifest", part)
         run = F.run_federation(bundle, part, model, loss_cfg, fed_cfg)
 

@@ -132,6 +132,8 @@ class Adam:
         self.t = np.zeros(params.flat.shape[:-1], dtype=np.int64)
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
+        # row t: the bias corrections 1 - b1**t and 1 - b2**t of step t
+        self._corrections = np.empty((0, 2), dtype=params.flat.dtype)
 
     def step(self, group: ModelParams | None = None, rows: slice | None = None) -> None:
         """Update moments and parameters in place, in the operand order of
@@ -143,8 +145,9 @@ class Adam:
         rows step: group is a view of them that holds their gradients, so
         the parameters and moments are updated where they lie. Rows may be
         at different step counts; each row's bias corrections 1 - b**t are
-        computed from its own count as Python floats, as a lone step would
-        compute them, and divide it as a column in the parameter dtype.
+        looked up by its own count in a table of the Python floats a lone
+        step would compute, cast to the parameter dtype, and divide the row
+        as a column.
 
         One pass over the whole buffer: every op is elementwise, so each
         scalar gets the bits a per-tensor, per-client loop would give it. A
@@ -159,9 +162,13 @@ class Adam:
         lead = params.flat.shape[:-1]
         g = np.concatenate([tensors[i].grad.reshape(lead + (-1,)) for i in present], axis=-1)
         p, m, v = params.flat, self.m[sel], self.v[sel]
-        counts = self.t[sel].ravel().tolist()
-        c1, c2 = (np.array([1 - beta ** t for t in counts], dtype=p.dtype).reshape(lead + (1,))
-                  for beta in (self.beta1, self.beta2))
+        counts = self.t[sel]
+        top = int(counts.max())
+        if top >= len(self._corrections):
+            self._corrections = np.array(
+                [(1 - self.beta1 ** t, 1 - self.beta2 ** t) for t in range(2 * top + 1)],
+                dtype=p.dtype)
+        c1, c2 = (col.reshape(lead + (1,)) for col in self._corrections[counts].T)
         live = None
         if len(present) < len(tensors):
             sizes = [math.prod(shape) for _, shape in params.manifest()]
@@ -191,14 +198,17 @@ class RoundResult:
     batch_counts: list[int]  # optimizer steps each row took
 
 
-def _client_epochs(n: int, offset: int, fed_cfg: FederationConfig,
-                   rng: np.random.Generator) -> list[list[np.ndarray]]:
-    """A client's minibatches, one list per local epoch, as indices into the
-    round's concatenated shards: one permutation of its n samples per epoch
-    from its own stream, cut every batch_size."""
-    b = fed_cfg.batch_size
-    return [[order[start:start + b] for start in range(0, n, b)]
-            for order in (offset + rng.permutation(n) for _ in range(fed_cfg.local_epochs))]
+def _permutations(sizes: list[int], offsets, fed_cfg: FederationConfig,
+                  rngs: list[np.random.Generator]) -> np.ndarray:
+    """Each client's sample order of each local epoch as one [E, K, n_max]
+    array of indices into the round's concatenated shards: one permutation
+    of its n samples per epoch from its own stream, padded with zeros.
+    Batch t of a client is its epoch's order cut at t * batch_size."""
+    perms = np.zeros((fed_cfg.local_epochs, len(sizes), max(sizes, default=0)), dtype=np.int64)
+    for k, (n, offset, rng) in enumerate(zip(sizes, offsets, rngs)):
+        for epoch in range(fed_cfg.local_epochs):
+            perms[epoch, k, :n] = offset + rng.permutation(n)
+    return perms
 
 
 def _runs(sizes: list[int]) -> list[slice]:
@@ -233,15 +243,18 @@ def local_train(model, global_params: ModelParams,
     of training the clients one after another, bit for bit.
 
     A client's epochs share one batch-size sequence; the rows are sorted
-    once by it, longest and largest first, only to make the runs long. The
-    round's labels and loss weights are checked and built once. The rows
-    return in the given client order, with their optimizer steps as batch
-    counts. A NaN in training names its round and client."""
+    once by it, longest and largest first, only to make the runs long. Once
+    a round: the labels and loss weights are checked and built, the
+    features cast to the model dtype, the epochs' sample orders drawn into
+    one index array, and the per-class norms tallied after the last step,
+    in step order. The rows return in the given client order, with their
+    optimizer steps as batch counts. A NaN in training names its round and
+    client."""
     ids = list(range(len(shards))) if client_ids is None else list(client_ids)
     client_coeffs = [client_imbalance(h, loss_cfg.epsilon) for h in hists]
     sizes = [y.size for _, y in shards]
     offsets = np.cumsum([0] + sizes)
-    features = np.concatenate([x for x, _ in shards])
+    features = np.concatenate([x for x, _ in shards], dtype=model.dtype)
     # coefficients and weights are elementwise in the labels, so indexing the
     # round's targets per batch gives each batch's weights bit for bit
     coeffs = None
@@ -249,10 +262,11 @@ def local_train(model, global_params: ModelParams,
         coeffs = np.concatenate([dynamic_coefficient(c_k, class_coeffs, y, loss_cfg.blend)
                                  for c_k, (_, y) in zip(client_coeffs, shards)])
     targets = L.targets(np.concatenate([y for _, y in shards]), model.num_classes, coeffs)
-    epochs = [_client_epochs(n, off, fed_cfg, rng) for n, off, rng in zip(sizes, offsets, rngs)]
-    sequences = [[b.size for b in client[0]] for client in epochs]
+    b = fed_cfg.batch_size
+    sequences = [[min(b, n - start) for start in range(0, n, b)] for n in sizes]
     order = sorted(range(len(shards)), key=sequences.__getitem__, reverse=True)
-    epochs, sequences = [epochs[i] for i in order], [sequences[i] for i in order]
+    sequences = [sequences[i] for i in order]
+    perms = _permutations(sizes, offsets, fed_cfg, rngs)[:, order]
     ticks = [_runs([seq[tick] if tick < len(seq) else 0 for seq in sequences])
              for tick in range(max(map(len, sequences), default=0))]
 
@@ -262,18 +276,16 @@ def local_train(model, global_params: ModelParams,
     opt = Adam(stack, fed_cfg.learning_rate, fed_cfg.beta1, fed_cfg.beta2, fed_cfg.adam_eps)
     # the views of the runs of adjacent rows that have stepped as one group
     views = {(0, len(shards)): stack}
-    num_classes = hists[0].num_classes
-    norm_sums = np.zeros((len(shards), num_classes))
-    norm_counts = np.zeros((len(shards), num_classes), dtype=np.int64)
+    steps = []  # each step's rows, labels and logit gradients, tallied after the epochs
     loss_sums = np.zeros(len(shards))
-    for epoch in range(fed_cfg.local_epochs):
+    for perm in perms:
         for tick, runs in enumerate(ticks):
             for sel in runs:
-                idx = np.stack([client[epoch][tick] for client in epochs[sel]])
+                idx = perm[sel, tick * b:tick * b + sequences[sel.start][tick]]
                 x, batch = features[idx], targets[idx]
                 span = (sel.start, sel.stop)
                 if span not in views:
-                    views[span] = ModelParams.from_flat(manifest, stack.flat[sel])
+                    views[span] = stack.rows(sel)
                 group = views[span]
                 gamma_param = L.trainable_gamma(group, loss_cfg)
                 try:
@@ -284,14 +296,26 @@ def local_train(model, global_params: ModelParams,
                     raise NumericError(f"round {round_index}, {culprits}: {exc}") from exc
                 group.zero_grads()
                 T.backward(T.sum_(loss))
-                # unbuffered, row by row in batch order: the sums of a per-sample loop
-                at = (np.arange(*span)[:, None], batch.labels)
-                np.add.at(norm_sums, at, ME.per_sample_logit_grad_norms(logits))
-                np.add.at(norm_counts, at, 1)
+                steps.append((sel, batch.labels, logits.grad))
                 opt.step(group, sel)
                 if gamma_param is not None:
                     L.clamp_gamma(group, loss_cfg)
                 loss_sums[sel] += loss.data
+    num_classes = hists[0].num_classes
+    norm_sums = np.zeros((len(shards), num_classes))
+    norm_counts = np.zeros((len(shards), num_classes), dtype=np.int64)
+    if steps:
+        sels, labels, grads = zip(*steps)
+        at = (np.concatenate([np.repeat(np.arange(sel.start, sel.stop), y.shape[1])
+                              for sel, y in zip(sels, labels)]),
+              np.concatenate([y.ravel() for y in labels]))
+        batch = np.repeat(np.array([y.shape[1] for y in labels], dtype=grads[0].dtype),
+                          [y.size for y in labels])
+        norms = ME.per_sample_logit_grad_norms(
+            np.concatenate([g.reshape(-1, num_classes) for g in grads]), batch[:, None])
+        # unbuffered and in step order: each cell takes a per-sample loop's adds
+        np.add.at(norm_sums, at, norms)
+        np.add.at(norm_counts, at, 1)
     row_of = np.argsort(order)
     return RoundResult(ModelParams.from_flat(manifest, stack.flat[row_of]), client_coeffs,
                        norm_sums[row_of], norm_counts[row_of], loss_sums[row_of].tolist(),

@@ -231,17 +231,20 @@ def decision_curve(scores: np.ndarray, labels, thresholds) -> dict:
 # gradient-norm analysis
 
 
-def per_sample_logit_grad_norms(logits: Tensor) -> np.ndarray:
+def per_sample_logit_grad_norms(logits: Tensor | np.ndarray, batch=None) -> np.ndarray:
     """L2 norm of each sample's own loss gradient wrt its logits row.
 
-    Call after backward on the batch-mean loss; the stored row gradients
-    carry a uniform 1/B factor from the mean, which is undone here. [B, C]
-    logits give B norms, a client stack [K, B, C] gives [K, B].
+    Call after backward on the batch-mean loss; the row gradients carry a
+    1/B factor from the mean, which is undone here. [B, C] logits give B
+    norms, a client stack [K, B, C] gives [K, B]. logits may also be the
+    gradient rows [..., C] themselves, with batch holding each row's B
+    ([..., 1], in the gradients' dtype).
     """
-    if logits.grad is None:
-        raise ContractError("run backward before reading logit gradients")
-    batch = logits.shape[-2]
-    g = logits.grad * batch
+    if isinstance(logits, Tensor):
+        if logits.grad is None:
+            raise ContractError("run backward before reading logit gradients")
+        logits, batch = logits.grad, logits.shape[-2]
+    g = logits * batch
     return np.sqrt((g.astype(np.float64) ** 2).sum(axis=-1))
 
 

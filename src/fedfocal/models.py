@@ -144,6 +144,16 @@ class ModelParams:
                            for (name, _), view in zip(manifest, _cut(flat, manifest))}
         return params
 
+    def rows(self, sel: slice) -> "ModelParams":
+        """A view of the rows sel of this [K, P] stack: one trainable tensor
+        per parameter over the same rows of this set's own tensors, sharing
+        the buffer and the manifest."""
+        view = ModelParams.__new__(ModelParams)
+        view._names, view._manifest, view.flat = self._names, self._manifest, self.flat[sel]
+        view._by_name = {name: Tensor(t.data[sel], requires_grad=True)
+                         for name, t in self._by_name.items()}
+        return view
+
     @property
     def names(self) -> list[str]:
         return list(self._names)
@@ -315,8 +325,8 @@ def multi_head_attention(z: Tensor, params: ModelParams, layer: int,
 def feed_forward(z: Tensor, params: ModelParams, layer: int) -> Tensor:
     prefix = f"layers.{layer}.ffn"
     rows = _fold(z, params[f"{prefix}.w1"])
-    hidden = T.relu(T.add(T.matmul(rows, params[f"{prefix}.w1"]), params[f"{prefix}.b1"]))
-    out = T.add(T.matmul(hidden, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
+    hidden = T.relu(T.affine(rows, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
+    out = T.affine(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
     return T.reshape(out, z.shape)
 
 
@@ -348,7 +358,7 @@ def vit_forward(images, params: ModelParams, cfg: ViTConfig,
         stack.append(maps)
     rows = T.reshape(z, k + (math.prod(lead[len(k):]), z.shape[-2] * z.shape[-1]))
     cls = T.slice_axis(rows, len(k) + 1, 0, cfg.embed_dim)
-    logits = T.add(T.matmul(cls, params["head.weight"]), params["head.bias"])
+    logits = T.affine(cls, params["head.weight"], params["head.bias"])
     return T.reshape(logits, lead + (cfg.num_classes,)), stack
 
 
@@ -374,8 +384,8 @@ def init_mlp_params(cfg: MlpConfig, rng: np.random.Generator, dtype=np.float32,
 def mlp_forward(features: Tensor, params: ModelParams) -> Tensor:
     """One hidden ReLU layer; accepts a [B, F] batch, or a [K, B, F] stack
     on stacked parameters."""
-    hidden = T.relu(T.add(T.matmul(features, params["mlp.w1"]), params["mlp.b1"]))
-    return T.add(T.matmul(hidden, params["mlp.w2"]), params["mlp.b2"])
+    hidden = T.relu(T.affine(features, params["mlp.w1"], params["mlp.b1"]))
+    return T.affine(hidden, params["mlp.w2"], params["mlp.b2"])
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,10 @@ their ``ModelParams.flat`` buffer, and only ``federation.Adam.step`` and
 
 Broadcasting is rejected except for the affine-bias pattern (matrix [R, C]
 plus vector [C]). The one other shape rule is a leading client axis: the
-operations a training step of the MLP uses (``matmul``, the bias ``add``,
-``focal_nll`` and the per-client ``mean`` over the last axis) also take a
-stack of K independent problems, [K, R, C] with [K, C, N] or [K, C], and
+operations a training step of the MLP uses (``affine``, ``relu``,
+``focal_nll`` and the per-client ``mean`` over the last axis), as well as
+``matmul`` and the bias ``add``, also take a stack of K independent
+problems, [K, R, C] with [K, C, N] or [K, C], and
 give each slice the bits the rank-2 operation gives it alone; so does a
 ``layer_norm`` with one [K, D] affine row per client. ``transpose`` swaps
 the last two axes at any rank.
@@ -123,15 +124,19 @@ def parameter(data, dtype=None) -> Tensor:
 # primitives
 
 
+def _check_product(op: str, a: Tensor, b: Tensor) -> None:
+    ranks = (a.data.ndim, b.data.ndim)
+    if ranks != (2, 2) and (ranks != (3, 3) or a.shape[0] != b.shape[0]):
+        raise ShapeError(f"{op} requires rank-2 operands or two stacks of one "
+                         f"depth, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"{op} inner dimensions disagree: {a.shape} x {b.shape}")
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """[M, K] x [K, N], or two client stacks [S, M, K] x [S, K, N] slice by slice."""
     _check_same_dtype(a, b)
-    ranks = (a.data.ndim, b.data.ndim)
-    if ranks != (2, 2) and (ranks != (3, 3) or a.shape[0] != b.shape[0]):
-        raise ShapeError(f"matmul requires rank-2 operands or two stacks of one "
-                         f"depth, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
+    _check_product("matmul", a, b)
     out = Tensor(a.data @ b.data)
 
     def vjp(g):
@@ -140,6 +145,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _record(out, (a, b), vjp)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node: [R, D] x [D, E] + [E], or a client stack
+    [K, R, D] x [K, D, E] + [K, E]. Values and gradients are those of
+    add(matmul(x, w), b) bit for bit."""
+    _check_same_dtype(x, w, b)
+    _check_product("affine", x, w)
+    if b.shape != w.shape[:-2] + w.shape[-1:]:
+        raise ShapeError(f"affine bias {b.shape} does not fit {x.shape} x {w.shape}")
+    out = Tensor(x.data @ w.data + b.data[..., None, :])
+
+    def vjp(g):
+        gx = g @ np.swapaxes(w.data, -1, -2) if x.requires_grad else None
+        gw = np.swapaxes(x.data, -1, -2) @ g if w.requires_grad else None
+        gb = g.sum(axis=-2) if b.requires_grad else None
+        return gx, gw, gb
+
+    return _record(out, (x, w, b), vjp)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -308,11 +332,11 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return _record(out, (a,), vjp)
 
 
-def sum_(a: Tensor, axis: int | None = None) -> Tensor:
+def _spread(a: Tensor, axis: int | None):
+    """The VJP of a sum of a over axis (every element when None): the
+    gradient spread back over a's shape."""
     if axis is None:
-        out = Tensor(a.data.sum())
-        return _record(out, (a,), lambda g: (np.full(a.shape, g, dtype=a.dtype),))
-    out = Tensor(a.data.sum(axis=axis))
+        return lambda g: (np.full(a.shape, g, dtype=a.dtype),)
     kept = list(a.shape)
     kept[axis] = 1
 
@@ -321,14 +345,20 @@ def sum_(a: Tensor, axis: int | None = None) -> Tensor:
         full[...] = g.reshape(kept)
         return (full,)
 
-    return _record(out, (a,), vjp)
+    return vjp
+
+
+def sum_(a: Tensor, axis: int | None = None) -> Tensor:
+    return _record(Tensor(a.data.sum(axis=axis)), (a,), _spread(a, axis))
 
 
 def mean(a: Tensor, axis: int | None = None) -> Tensor:
     """Mean over every element, or over one axis: axis=-1 of a [K, B] stack
-    gives each client its own batch mean."""
-    n = a.data.size if axis is None else a.shape[axis]
-    return scale(sum_(a, axis=axis), 1.0 / n)
+    gives each client its own batch mean. One node with the bits of
+    scale(sum_(a, axis), 1 / n)."""
+    s = a.dtype.type(1.0 / (a.data.size if axis is None else a.shape[axis]))
+    spread = _spread(a, axis)
+    return _record(Tensor(a.data.sum(axis=axis) * s), (a,), lambda g: spread(g * s))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:

@@ -154,12 +154,16 @@ class TestTrainCommand:
         ("vit-smoke", ["dataset.synth.noise=nan"]),
         ("vit-smoke", ["model.layer_norm_eps=nan"]),
         ("vit-smoke", ["model.layer_norm_eps=inf"]),
+        ("smoke", ["partition.test_fraction=0", "run.mode=federated"]),
+        ("smoke", ["partition.test_fraction=0", "run.mode=centralized"]),
     ], ids=lambda v: v if isinstance(v, str) else v[-1])
     def test_non_finite_data_or_model_setting_exits_two_before_writing(
             self, tmp_path, capsys, preset, overrides):
         """Each of these once got past validation: the partition ones wrote
         config.echo and partition.manifest, warned in largest_remainder and
-        blamed empty shards; the data and model ones trained."""
+        blamed empty shards; the data and model ones trained; an empty test
+        set was found after config.echo (and, federated, partition.manifest)
+        was written."""
         out = tmp_path / "run"
         sets = [arg for o in overrides for arg in ("--set", o)]
         with warnings.catch_warnings(record=True) as caught:
@@ -170,6 +174,20 @@ class TestTrainCommand:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
         assert not caught, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("override", ["run.name=caf\u00e9", "run.name=a\nb",
+                                          "dataset.path=data\tset"],
+                             ids=["non-ascii", "newline", "tab"])
+    def test_unprintable_string_setting_exits_two_before_writing(self, tmp_path, capsys,
+                                                                 override):
+        """A non-ASCII name once failed with a traceback while writing
+        config.echo, and a multi-line one wrote a config.echo that evaluate
+        could not read back."""
+        out = tmp_path / "run"
+        assert main(["train", "--preset", "smoke", "--out", str(out),
+                     "--set", override] + FAST) == 2
+        assert "must be printable ASCII on one line" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_dataset_exits_runtime(self, tmp_path):
         code = main(["train", "--preset", "smoke", "--out", str(tmp_path / "x"),

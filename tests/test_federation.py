@@ -196,9 +196,18 @@ class TestLocalTrain:
     def test_group_view_made_once_per_round(self, monkeypatch):
         """Shards of 64, 64 and 16 samples with batch 16: after the first
         tick the first two rows step as one group three times, through one
-        view of those rows made on the first of them."""
+        row view of the stack made on the first of them; the only buffers
+        wrapped are the broadcast stack and the trained stack."""
+        views = []
+        rows = M.ModelParams.rows
+
+        def counting(self, sel):
+            views.append((sel.start, sel.stop))
+            return rows(self, sel)
+
+        monkeypatch.setattr(M.ModelParams, "rows", counting)
         wrapped, result, oracle, size = self._wrapped_shapes(monkeypatch, (64, 64, 16))
-        assert wrapped == [(3, size), (2, size), (3, size)]
+        assert (wrapped, views) == ([(3, size)] * 2, [(0, 2)])
         assert result.batch_counts == [4, 4, 1]
         assert result.params.flat.tobytes() == oracle.params.flat.tobytes()
 

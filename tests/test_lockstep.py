@@ -177,6 +177,13 @@ class TestStackedGradientsByFiniteDifferences:
         bias = leaf(rng.normal(size=(3, 4)))
         _fd_check(lambda: T.add(a, bias), a, bias)
 
+    def test_affine(self):
+        rng = np.random.default_rng(8)
+        a = leaf(rng.normal(size=(3, 5, 4)))
+        w = leaf(rng.normal(size=(3, 4, 2)))
+        bias = leaf(rng.normal(size=(3, 2)))
+        _fd_check(lambda: T.affine(a, w, bias), a, w, bias)
+
     def test_focal_nll_with_per_client_gamma(self):
         rng = np.random.default_rng(2)
         logits = leaf(rng.normal(size=(3, 5, 4)))

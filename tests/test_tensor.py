@@ -45,6 +45,68 @@ class TestMatmul:
         assert max_rel_err(b.grad, fd_gradient(loss, b.data)) < 1e-5
 
 
+def _backward_through(out, g):
+    """Backward of sum(out * g), so exactly g reaches out."""
+    T.backward(T.sum_(T.mul(out, T.Tensor(g, dtype=g.dtype))))
+
+
+class TestFusedNodes:
+    @pytest.mark.parametrize("needs", [(x, w, b) for x in (False, True) for w in (False, True)
+                                       for b in (False, True)],
+                             ids=lambda n: "grad-" + "".join("xwb"[i] for i in range(3) if n[i])
+                             if any(n) else "no-grad")
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["rank2", "stack"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_affine_equals_matmul_then_bias_add_bitwise(self, dtype, lead, needs):
+        rng = np.random.default_rng(50)
+        arrays = [rng.normal(size=lead + shape).astype(dtype) for shape in ((5, 4), (4, 6), (6,))]
+        g = rng.normal(size=lead + (5, 6)).astype(dtype)
+        results = []
+        for fused in (True, False):
+            x, w, b = (T.Tensor(a.copy(), requires_grad=n) for a, n in zip(arrays, needs))
+            start = len(T._tape)
+            out = T.affine(x, w, b) if fused else T.add(T.matmul(x, w), b)
+            nodes = len(T._tape) - start
+            _backward_through(out, g)
+            results.append([out.data.tobytes()] + [None if t.grad is None else t.grad.tobytes()
+                                                   for t in (x, w, b)])
+            if fused:
+                assert nodes == any(needs)
+        assert results[0] == results[1]
+        assert [grad is not None for grad in results[0][1:]] == list(needs)
+
+    def test_affine_rejects_a_bias_of_the_wrong_width(self):
+        with pytest.raises(ShapeError, match="affine"):
+            T.affine(t64(np.ones((2, 3))), t64(np.ones((3, 4))), t64(np.ones(3)))
+
+    def test_affine_gradients_by_finite_differences(self):
+        rng = np.random.default_rng(51)
+        x, w, b = (t64(rng.normal(size=shape), requires_grad=True)
+                   for shape in ((5, 4), (4, 3), (3,)))
+        g = rng.normal(size=(5, 3))
+        _backward_through(T.affine(x, w, b), g)
+        for t in (x, w, b):
+            numeric = fd_gradient(lambda: float(np.sum(T.affine(x, w, b).data * g)), t.data)
+            assert max_rel_err(t.grad, numeric) < 1e-6
+
+    @pytest.mark.parametrize("axis", [None, -1], ids=["all", "last-axis"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_mean_is_one_node_with_the_bits_of_scaled_sum(self, dtype, axis):
+        rng = np.random.default_rng(52)
+        data = rng.normal(size=(3, 7)).astype(dtype)
+        g = rng.normal(size=() if axis is None else (3,)).astype(dtype)
+        results = []
+        for fused in (True, False):
+            a = T.Tensor(data.copy(), requires_grad=True)
+            start = len(T._tape)
+            out = T.mean(a, axis=axis) if fused else T.scale(T.sum_(a, axis=axis), 1.0 / (
+                a.data.size if axis is None else a.shape[axis]))
+            assert len(T._tape) - start == (1 if fused else 2)
+            _backward_through(out, g)
+            results.append((out.data.tobytes(), a.grad.tobytes()))
+        assert results[0] == results[1]
+
+
 class TestSoftmax:
     def test_symmetry(self):
         out = T.softmax(t64([0.0, 0.0]), axis=0)
@@ -283,9 +345,9 @@ class TestTape:
             assert y.grad is None if k == 0 else np.array_equal(y.grad, x.data)
         assert np.array_equal(squares.grad, np.ones(2))
 
-    def test_adaptive_focal_mlp_stacked_step_is_nine_tape_nodes(self):
-        """Five MLP nodes, focal_nll, the per-client mean's sum_ and scale,
-        and the sum over clients; the MLP reads each tensor once, so its
+    def test_adaptive_focal_mlp_stacked_step_is_six_tape_nodes(self):
+        """Three MLP nodes (affine, relu, affine), focal_nll, the per-client
+        mean and the sum over clients; the MLP reads each tensor once, so its
         gradients are the depth-first walk's bit for bit."""
         from fedfocal import losses as L
         from fedfocal import models as M
@@ -305,7 +367,7 @@ class TestTape:
             loss = L.batch_loss(model.batch_logits(stack, x), L.targets(y, 3, coeffs), loss_cfg,
                                 gamma_param=L.trainable_gamma(stack, loss_cfg))
             root = T.sum_(loss)
-            assert len(T._tape) - start == 9
+            assert len(T._tape) - start == 6
             stack.zero_grads()
             walk(root)
             grads[walk] = [t.grad.tobytes() for t in stack.tensors()]
