@@ -132,8 +132,9 @@ class Adam:
         self.t = np.zeros(params.flat.shape[:-1], dtype=np.int64)
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
-        # row t: the bias corrections 1 - b1**t and 1 - b2**t of step t
-        self._corrections = np.empty((0, 2), dtype=params.flat.dtype)
+        # row t: the correction 1 - b**t of step t; no count exceeds the calls
+        self._calls = 0
+        self._c1 = self._c2 = np.empty((0, 1), dtype=params.flat.dtype)
 
     def step(self, group: ModelParams | None = None, rows: slice | None = None) -> None:
         """Update moments and parameters in place, in the operand order of
@@ -145,36 +146,37 @@ class Adam:
         rows step: group is a view of them that holds their gradients, so
         the parameters and moments are updated where they lie. Rows may be
         at different step counts; each row's bias corrections 1 - b**t are
-        looked up by its own count in a table of the Python floats a lone
+        looked up by its own count in tables of the Python floats a lone
         step would compute, cast to the parameter dtype, and divide the row
         as a column.
 
-        One pass over the whole buffer: every op is elementwise, so each
+        Gradients come from the set's ``grad`` buffer, a hand-set one copied
+        there first. One pass over it: every op is elementwise, so each
         scalar gets the bits a per-tensor, per-client loop would give it. A
         tensor without a gradient keeps its value and its moments."""
         params = self.params if group is None else group
         sel = ... if rows is None else rows
-        self.t[sel] += 1
+        counts = self.t[sel]
+        counts += 1
+        self._calls += 1
+        if self._calls >= len(self._c1):
+            self._c1, self._c2 = (np.array([[1 - b ** t] for t in range(2 * self._calls + 1)],
+                                           dtype=self.m.dtype) for b in (self.beta1, self.beta2))
         tensors = params.tensors()
         present = [i for i, x in enumerate(tensors) if x.grad is not None]
+        for x in (tensors[i] for i in present):
+            if x.grad is not x._grad_view:  # set by hand
+                x._grad_view[...] = x.grad
         if not present:
             return
-        lead = params.flat.shape[:-1]
-        g = np.concatenate([tensors[i].grad.reshape(lead + (-1,)) for i in present], axis=-1)
-        p, m, v = params.flat, self.m[sel], self.v[sel]
-        counts = self.t[sel]
-        top = int(counts.max())
-        if top >= len(self._corrections):
-            self._corrections = np.array(
-                [(1 - self.beta1 ** t, 1 - self.beta2 ** t) for t in range(2 * top + 1)],
-                dtype=p.dtype)
-        c1, c2 = (col.reshape(lead + (1,)) for col in self._corrections[counts].T)
+        p, g, m, v = params.flat, params.grad, self.m[sel], self.v[sel]
+        c1, c2 = self._c1[counts], self._c2[counts]
         live = None
         if len(present) < len(tensors):
             sizes = [math.prod(shape) for _, shape in params.manifest()]
             ends = np.cumsum(sizes)
             live = np.concatenate([np.arange(ends[i] - sizes[i], ends[i]) for i in present])
-            p, m, v = p[..., live], m[..., live], v[..., live]
+            p, g, m, v = p[..., live], g[..., live], m[..., live], v[..., live]
         m *= self.beta1
         m += (1 - self.beta1) * g
         v *= self.beta2
@@ -244,12 +246,12 @@ def local_train(model, global_params: ModelParams,
 
     A client's epochs share one batch-size sequence; the rows are sorted
     once by it, longest and largest first, only to make the runs long. Once
-    a round: the labels and loss weights are checked and built, the
-    features cast to the model dtype, the epochs' sample orders drawn into
-    one index array, and the per-class norms tallied after the last step,
-    in step order. The rows return in the given client order, with their
-    optimizer steps as batch counts. A NaN in training names its round and
-    client."""
+    a round: the labels are checked and their one-hot rows and loss
+    weights built in the model dtype, the features cast to it, the epochs'
+    sample orders drawn into one index array, and the per-class norms
+    tallied after the last step, in step order. The rows return in the
+    given client order, with their optimizer steps as batch counts. A NaN
+    in training names its round and client."""
     ids = list(range(len(shards))) if client_ids is None else list(client_ids)
     client_coeffs = [client_imbalance(h, loss_cfg.epsilon) for h in hists]
     sizes = [y.size for _, y in shards]
@@ -261,7 +263,8 @@ def local_train(model, global_params: ModelParams,
     if loss_cfg.kind == "adaptive_focal":
         coeffs = np.concatenate([dynamic_coefficient(c_k, class_coeffs, y, loss_cfg.blend)
                                  for c_k, (_, y) in zip(client_coeffs, shards)])
-    targets = L.targets(np.concatenate([y for _, y in shards]), model.num_classes, coeffs)
+    targets = L.targets(np.concatenate([y for _, y in shards]), model.num_classes, coeffs,
+                        model.dtype)
     b = fed_cfg.batch_size
     sequences = [[min(b, n - start) for start in range(0, n, b)] for n in sizes]
     order = sorted(range(len(shards)), key=sequences.__getitem__, reverse=True)
@@ -333,7 +336,7 @@ def _culprits(ids: list[int], *stacks: np.ndarray) -> str:
 def aggregation_weights(client_coeffs, eps: float) -> np.ndarray:
     """Normalized inverse of (coeff + eps): balanced clients weigh more."""
     coeffs = np.asarray(client_coeffs, dtype=np.float64)
-    if np.any(coeffs < 0):
+    if not np.all(coeffs >= 0):  # NaN fails this, as it must
         raise ContractError("client imbalance coefficients must be >= 0")
     w = 1.0 / (coeffs + eps)
     return w / w.sum()
@@ -341,6 +344,8 @@ def aggregation_weights(client_coeffs, eps: float) -> np.ndarray:
 
 def sample_size_weights(counts) -> np.ndarray:
     counts = np.asarray(counts, dtype=np.float64)
+    if not (np.all(counts >= 0) and counts.sum() > 0):
+        raise ContractError(f"sample counts must be >= 0, not all 0: {counts.tolist()}")
     return counts / counts.sum()
 
 
@@ -350,7 +355,8 @@ def aggregate(stack: ModelParams, weights) -> ModelParams:
     Computed anchored at row 0, theta_0 + sum_k w_k * (theta_k - theta_0),
     which is the same convex combination but makes a unanimous stack an
     exact fixed point bit for bit. Every op is elementwise, so each scalar
-    gets the bits of a per-tensor loop.
+    gets the bits of a per-tensor loop. Weights must be convex: >= 0 and
+    summing to 1 within the tolerance ``RoundRecord`` checks.
     """
     rows = stack.flat
     if rows.ndim != 2 or rows.shape[0] < 1:
@@ -358,6 +364,8 @@ def aggregate(stack: ModelParams, weights) -> ModelParams:
     weights = np.asarray(weights, dtype=np.float64)
     if weights.size != rows.shape[0]:
         raise ContractError(f"{weights.size} weights for {rows.shape[0]} clients")
+    if not (np.all(weights >= 0) and abs(sum(weights.tolist()) - 1.0) <= 1e-12):
+        raise ContractError(f"aggregation weights must be >= 0 and sum to 1: {weights.tolist()}")
     anchor = rows[0].astype(np.float64)
     acc = anchor.copy()
     for w, row in zip(weights[1:], rows[1:]):

@@ -59,26 +59,35 @@ class LossConfig:
             raise ConfigError(f"epsilon must be finite and positive, got {self.epsilon}")
 
 
+@dataclass(slots=True, eq=False)
 class Targets:
-    """Class labels checked against a class count, with their float64 loss
-    weights 1 + c (None without coefficients). Make them with ``targets``;
-    indexing selects labels and weights alike, so a trainer checks a
-    round's labels once and indexes each batch out of them."""
+    """Class labels checked against a class count, with their loss weights
+    1 + c (None without coefficients) and one-hot rows [..., C] in the loss
+    dtype (float64 weights and no rows without one). Make them with
+    ``targets``; indexing selects all three alike, so a trainer checks and
+    casts a round's labels once and indexes each batch out of them."""
 
-    __slots__ = ("labels", "weights")
-
-    def __init__(self, labels: np.ndarray, weights: np.ndarray | None):
-        self.labels = labels
-        self.weights = weights
+    labels: np.ndarray
+    weights: np.ndarray | None
+    onehot: np.ndarray | None = None
 
     def __getitem__(self, index) -> "Targets":
-        return Targets(self.labels[index], None if self.weights is None else self.weights[index])
+        return Targets(self.labels[index],
+                       None if self.weights is None else self.weights[index],
+                       None if self.onehot is None else self.onehot[index])
+
+    def cast(self, num_classes: int, dtype) -> "Targets":
+        """These labels with their one-hot rows and weights in dtype."""
+        onehot = (self.labels[..., None] == np.arange(num_classes)).astype(dtype)
+        weights = None if self.weights is None else self.weights.astype(dtype)
+        return Targets(self.labels, weights, onehot)
 
 
-def targets(labels, num_classes: int, coeffs=None) -> Targets:
+def targets(labels, num_classes: int, coeffs=None, dtype=None) -> Targets:
     """Labels checked to lie in 0..num_classes-1 and, when coeffs (one
     nonnegative imbalance coefficient per label) are given, the weights
-    1 + c. Every loss checks its labels here."""
+    1 + c. With dtype, the loss dtype, the weights and one-hot rows are
+    built in it. Every loss checks its labels here."""
     labels = np.asarray(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ContractError(f"labels must lie in 0..{num_classes - 1}")
@@ -91,10 +100,12 @@ def targets(labels, num_classes: int, coeffs=None) -> Targets:
         if not np.all(coeffs >= 0):  # NaN fails this, as it must
             raise ContractError("imbalance coefficients must be >= 0")
         weights = 1.0 + coeffs
-    return Targets(labels, weights)
+    checked = Targets(labels, weights)
+    return checked if dtype is None else checked.cast(num_classes, dtype)
 
 
-def _focal_nll(logits: Tensor, labels: np.ndarray, weights, gamma) -> Tensor:
+def _focal_nll(logits: Tensor, batch: Targets, gamma, weighted: bool) -> Tensor:
+    labels = batch.labels
     if logits.data.ndim not in (2, 3):
         raise ContractError(f"logits must be [batch, classes] or [clients, batch, "
                             f"classes], got shape {logits.shape}")
@@ -103,9 +114,13 @@ def _focal_nll(logits: Tensor, labels: np.ndarray, weights, gamma) -> Tensor:
                             f"got shape {labels.shape}")
     if labels.shape != logits.shape[:-1]:
         raise ShapeError(f"labels of shape {labels.shape} for logits {logits.shape}")
-    if weights is not None:
-        weights = weights.astype(logits.dtype, copy=False)
-    return T.focal_nll(logits, labels, PROB_FLOOR, gamma=gamma, weights=weights)
+    if batch.onehot is None:  # targets built without a dtype: cast them for this call
+        batch = batch.cast(logits.shape[-1], logits.dtype)
+    elif batch.onehot.shape != logits.shape or batch.onehot.dtype != logits.dtype:
+        raise ContractError(f"targets of {batch.onehot.shape[-1]} classes in "
+                            f"{batch.onehot.dtype} for {logits.dtype} logits {logits.shape}")
+    return T.focal_nll(logits, batch.onehot, PROB_FLOOR, gamma=gamma,
+                       weights=batch.weights if weighted else None)
 
 
 def per_sample_losses(logits: Tensor, labels, *, gamma=None,
@@ -118,8 +133,8 @@ def per_sample_losses(logits: Tensor, labels, *, gamma=None,
     a stack) turns on the focal factor; coeffs (one nonnegative value per
     sample) adds the adaptive multiplier (1 + c).
     """
-    checked = targets(labels, logits.shape[-1], coeffs)
-    return _focal_nll(logits, checked.labels, checked.weights, gamma)
+    return _focal_nll(logits, targets(labels, logits.shape[-1], coeffs, logits.dtype),
+                      gamma, weighted=True)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -149,6 +164,7 @@ def batch_loss(logits: Tensor, batch: Targets, cfg: LossConfig, *,
     """The configured loss of a training batch, whose labels (and, for the
     adaptive kind, weights) were checked by ``targets``; the same bits as
     ``cross_entropy``, ``focal_loss`` or ``adaptive_focal_loss`` on them.
+    Targets built in a dtype must be in the logits' dtype.
 
     gamma_param, when given, is the trainable gamma living in the model's
     parameter list (one per client on a stack); otherwise the configured
@@ -159,10 +175,10 @@ def batch_loss(logits: Tensor, batch: Targets, cfg: LossConfig, *,
         gamma = None
     else:
         gamma = gamma_param if gamma_param is not None else cfg.gamma
-    weights = batch.weights if cfg.kind == "adaptive_focal" else None
-    if cfg.kind == "adaptive_focal" and weights is None:
+    weighted = cfg.kind == "adaptive_focal"
+    if weighted and batch.weights is None:
         raise ContractError("adaptive focal loss needs per-sample coefficients")
-    return T.mean(_focal_nll(logits, batch.labels, weights, gamma), axis=-1)
+    return T.mean(_focal_nll(logits, batch, gamma, weighted), axis=-1)
 
 
 def clamp_gamma(params: ModelParams, cfg: LossConfig) -> None:

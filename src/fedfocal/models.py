@@ -106,6 +106,10 @@ class ModelParams:
     ``losses.clamp_gamma`` write into the buffer. ``from_flat`` also wraps
     a [K, P] stack of K sets, one per client: a round trains its clients on
     one stack, and aggregation reads its rows into the next global set.
+    A trainable set also owns ``grad``, shaped like ``flat``: each tensor's
+    gradient slot is a view of it, which ``tensor.backward`` writes and
+    ``federation.Adam.step`` reads as one array. A tensor's ``grad`` None
+    (``zero_grads``) marks its slot as holding no gradient this step.
     """
 
     def __init__(self, items: list[tuple[str, Tensor]]):
@@ -121,15 +125,18 @@ class ModelParams:
         self._manifest = [(name, t.shape) for name, t in items]
         self.flat = (np.concatenate([t.data.reshape(-1) for _, t in items])
                      if items else np.empty(0))
-        for (_, t), view in zip(items, _cut(self.flat, self._manifest)):
-            t.data = view
+        self.grad = np.zeros_like(self.flat)
+        for (_, t), view, slot in zip(items, _cut(self.flat, self._manifest),
+                                      _cut(self.grad, self._manifest)):
+            t.data, t._grad_view = view, slot
 
     @classmethod
     def from_flat(cls, manifest: list[tuple[str, tuple[int, ...]]], flat: np.ndarray,
                   requires_grad: bool = True) -> "ModelParams":
         """A set whose tensors view the buffer flat itself (no copy), cut in
         manifest order. flat is one 1-D buffer, or a [K, P] stack of K
-        sets, one per row, whose tensors are then [K, *shape]."""
+        sets, one per row, whose tensors are then [K, *shape]. A trainable
+        set gets a fresh ``grad`` buffer; a frozen one has none."""
         if flat.ndim not in (1, 2) or not flat.flags.c_contiguous:
             raise ContractError("a parameter buffer must be one contiguous 1-D array "
                                 "or a contiguous stack of them")
@@ -140,18 +147,25 @@ class ModelParams:
         params._names = [name for name, _ in manifest]
         params._manifest = list(manifest)
         params.flat = flat
+        params.grad = np.zeros_like(flat) if requires_grad else None
         params._by_name = {name: Tensor(view, requires_grad=requires_grad)
                            for (name, _), view in zip(manifest, _cut(flat, manifest))}
+        if requires_grad:
+            for t, slot in zip(params._by_name.values(), _cut(params.grad, manifest)):
+                t._grad_view = slot
         return params
 
     def rows(self, sel: slice) -> "ModelParams":
-        """A view of the rows sel of this [K, P] stack: one trainable tensor
-        per parameter over the same rows of this set's own tensors, sharing
-        the buffer and the manifest."""
+        """A view of the rows sel of this trainable [K, P] stack: one
+        trainable tensor per parameter over the same rows of this set's own
+        tensors, sharing both buffers (``flat``, ``grad``) and the manifest."""
         view = ModelParams.__new__(ModelParams)
-        view._names, view._manifest, view.flat = self._names, self._manifest, self.flat[sel]
-        view._by_name = {name: Tensor(t.data[sel], requires_grad=True)
-                         for name, t in self._by_name.items()}
+        view._names, view._manifest = self._names, self._manifest
+        view.flat, view.grad = self.flat[sel], self.grad[sel]
+        view._by_name = {}
+        for name, t in self._by_name.items():
+            view._by_name[name] = row = Tensor(t.data[sel], requires_grad=True)
+            row._grad_view = t._grad_view[sel]
         return view
 
     @property

@@ -23,7 +23,8 @@ reproducible across runs.
 
 Operations never write into their operands. Parameter tensors are views into
 their ``ModelParams.flat`` buffer, and only ``federation.Adam.step`` and
-``losses.clamp_gamma`` write them, in place.
+``losses.clamp_gamma`` write them, in place; ``backward`` writes their
+gradients into their slots of the set's ``ModelParams.grad`` buffer.
 
 Broadcasting is rejected except for the affine-bias pattern (matrix [R, C]
 plus vector [C]). The one other shape rule is a leading client axis: the
@@ -57,11 +58,12 @@ class Tensor:
 
     A parameter tensor's data is a view into its ``ModelParams.flat``
     buffer; only ``federation.Adam.step`` and ``losses.clamp_gamma`` write
-    it. The ``grad`` slot mutates during backward and
-    ``ModelParams.zero_grads``.
+    it. The ``grad`` slot mutates during backward (into a parameter's view
+    of ``ModelParams.grad``) and ``ModelParams.zero_grads``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_grad_view",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -72,6 +74,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Callable[[np.ndarray], tuple] | None = None
+        self._grad_view: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -88,6 +91,16 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={_DTYPE_NAMES[self.dtype]}, requires_grad={self.requires_grad})"
+
+
+def _wrap(data) -> Tensor:
+    """A tensor over an operation's float array, skipping the constructor's checks."""
+    if type(data) is not np.ndarray:  # a numpy scalar from a reduction
+        return Tensor(data)
+    out = Tensor.__new__(Tensor)
+    out.data, out.grad, out.requires_grad = data, None, False
+    out._parents, out._vjp, out._grad_view = (), None, None
+    return out
 
 
 # weak references to every recorded tensor, in creation order
@@ -137,7 +150,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """[M, K] x [K, N], or two client stacks [S, M, K] x [S, K, N] slice by slice."""
     _check_same_dtype(a, b)
     _check_product("matmul", a, b)
-    out = Tensor(a.data @ b.data)
+    out = _wrap(a.data @ b.data)
 
     def vjp(g):
         ga = g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None
@@ -155,7 +168,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     _check_product("affine", x, w)
     if b.shape != w.shape[:-2] + w.shape[-1:]:
         raise ShapeError(f"affine bias {b.shape} does not fit {x.shape} x {w.shape}")
-    out = Tensor(x.data @ w.data + b.data[..., None, :])
+    out = _wrap(x.data @ w.data + b.data[..., None, :])
 
     def vjp(g):
         gx = g @ np.swapaxes(w.data, -1, -2) if x.requires_grad else None
@@ -230,7 +243,7 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, a.dtype.type(0)))
+    out = _wrap(np.maximum(a.data, a.dtype.type(0)))
     mask = a.data > 0
     return _record(out, (a,), lambda g: (g * mask,))
 
@@ -358,7 +371,7 @@ def mean(a: Tensor, axis: int | None = None) -> Tensor:
     scale(sum_(a, axis), 1 / n)."""
     s = a.dtype.type(1.0 / (a.data.size if axis is None else a.shape[axis]))
     spread = _spread(a, axis)
-    return _record(Tensor(a.data.sum(axis=axis) * s), (a,), lambda g: spread(g * s))
+    return _record(_wrap(a.data.sum(axis=axis) * s), (a,), lambda g: spread(g * s))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -390,14 +403,14 @@ def _row_power(base: np.ndarray, e, shift: float) -> np.ndarray:
     return np.stack([np.power(row, dt(x + shift)) for row, x in zip(base, e)])
 
 
-def focal_nll(logits: Tensor, labels: np.ndarray, floor: float, gamma=None,
+def focal_nll(logits: Tensor, onehot: np.ndarray, floor: float, gamma=None,
               weights: np.ndarray | None = None) -> Tensor:
     """Per-sample w * (1 - p_t)^gamma * -log(p_t) as one tape node.
 
-    logits are [B, C], or a client stack [K, B, C]; labels, weights and the
-    result have their shape without the class axis. p_t is the softmax
-    probability of each row's label (labels already checked to lie in
-    0..C-1). Both p_t and 1 - p_t are clamped to [floor, 1]. gamma None
+    logits are [B, C], or a client stack [K, B, C]; onehot, the labels as
+    one-hot rows, has their shape and dtype; weights and the result have
+    it without the class axis. p_t is the softmax probability of each
+    row's label. Both p_t and 1 - p_t are clamped to [floor, 1]. gamma None
     drops the focal factor; a float (shared by every client) or a tensor
     keeps it, and a trainable gamma gets its gradient. A gamma tensor is a
     scalar, or on a stack one scalar per client ([K]). weights (the logits
@@ -426,16 +439,15 @@ def focal_nll(logits: Tensor, labels: np.ndarray, floor: float, gamma=None,
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     ex = np.exp(shifted)
     s = ex / ex.sum(axis=-1, keepdims=True)
-    onehot = (labels[..., None] == np.arange(logits.shape[-1])).astype(dt)
     p_t = (s * onehot).sum(axis=-1)
     clamped = np.minimum(np.maximum(p_t, floor), 1.0)
-    nll_mask = (p_t >= floor) & (p_t <= 1.0)
+    nll_mask = clamped == p_t  # p_t within [floor, 1]; NaN is not
     nll = np.log(clamped) * dt.type(-1.0)
     out = nll
     if gamma is not None:
-        rest = np.ones_like(p_t) - p_t
+        rest = dt.type(1) - p_t
         base = np.minimum(np.maximum(rest, floor), 1.0)
-        base_mask = (rest >= floor) & (rest <= 1.0)
+        base_mask = base == rest
         focal = _row_power(base, e, 0.0)
         out = focal * nll
     if weights is not None:
@@ -466,7 +478,7 @@ def focal_nll(logits: Tensor, labels: np.ndarray, floor: float, gamma=None,
         return (g_s - inner) * s, g_exp
 
     parents = (logits,) if exponent is None else (logits, exponent)
-    return _record(Tensor(out), parents, vjp)
+    return _record(_wrap(out), parents, vjp)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
@@ -513,9 +525,9 @@ def backward(loss: Tensor) -> None:
     that has a pending gradient takes it into ``grad`` and passes its VJP's
     pieces to its parents; a parent read by several operations sums them,
     newest first. Leaves (tensors no operation made, such as parameters)
-    take their summed gradient after the walk. Entries whose tensors are
-    gone are dropped from the tape. Repeated calls without
-    ``ModelParams.zero_grads`` accumulate.
+    take their summed gradient after the walk, a parameter in its slot of
+    ``ModelParams.grad``. Entries whose tensors are gone are dropped from
+    the tape. Repeated calls without ``ModelParams.zero_grads`` accumulate.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -541,7 +553,14 @@ def backward(loss: Tensor) -> None:
     live.reverse()
     _tape[:] = live
     for leaf, g in pending.values():
-        leaf.grad = g if leaf.grad is None else leaf.grad + g
+        view = leaf._grad_view
+        if view is None:
+            leaf.grad = g if leaf.grad is None else leaf.grad + g
+        elif leaf.grad is None:
+            view[...] = g  # a copy keeps -0.0, which 0.0 + g would not
+            leaf.grad = view
+        else:
+            leaf.grad = np.add(leaf.grad, g, out=view)
 
 
 # ---------------------------------------------------------------------------

@@ -212,9 +212,10 @@ class TestTrainCommand:
     def test_overflowing_round_names_every_client_before_aggregating(self, tmp_path, capsys):
         # one step per client at this rate leaves every parameter non-finite
         out = tmp_path / "run"
-        code = main(["train", "--preset", "smoke", "--out", str(out),
-                     "--set", "federation.learning_rate=1e39", "--set", "federation.rounds=1",
-                     "--set", "federation.batch_size=4096"])
+        with pytest.warns(RuntimeWarning, match="overflow encountered in cast"):
+            code = main(["train", "--preset", "smoke", "--out", str(out),
+                         "--set", "federation.learning_rate=1e39", "--set", "federation.rounds=1",
+                         "--set", "federation.batch_size=4096"])
         assert code == 3
         assert "round 1, clients 0, 1, 2: non-finite parameters" in capsys.readouterr().err
         assert not (out / "final.ckpt").exists()

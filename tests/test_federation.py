@@ -64,6 +64,15 @@ class TestAggregationWeights:
         with pytest.raises(ContractError):
             F.aggregation_weights([-0.1, 1.0], eps=1e-6)
 
+    @pytest.mark.parametrize("make", [
+        lambda: F.aggregation_weights([float("nan"), 1.0], eps=1e-6),
+        lambda: F.sample_size_weights([0, 0]),
+        lambda: F.sample_size_weights([-3, 5]),
+    ], ids=["nan-coeff", "zero-total", "negative-count"])
+    def test_weights_that_would_not_be_convex_rejected(self, make):
+        with pytest.raises(ContractError, match=">= 0"):
+            make()
+
 
 class TestAggregate:
     def _stack(self, rows):
@@ -102,6 +111,20 @@ class TestAggregate:
     def test_weight_count_other_than_k_rejected(self, weights):
         with pytest.raises(ContractError, match="weights for 2 clients"):
             F.aggregate(self._stack([[1.0, 2.0], [3.0, 4.0]]), weights)
+
+    @pytest.mark.parametrize("weights", [
+        [2.0, 0.0], [float("nan"), 0.5], [0.5, 0.6], [1.5, -0.5], [float("inf"), 0.0],
+        [0.5, 0.5 + 1e-11],
+    ], ids=["sum-2", "nan", "sum-1.1", "negative", "inf", "sum-off-by-1e-11"])
+    def test_weights_that_are_not_convex_rejected(self, weights):
+        # the anchored sum never reads weights[0]: [2, 0] would give row 0
+        # back and [nan, 0.5] the midpoint, both without a word
+        with pytest.raises(ContractError, match=">= 0 and sum to 1"):
+            F.aggregate(self._stack([[1.0, 2.0], [3.0, 4.0]]), weights)
+
+    def test_weight_count_checked_before_values(self):
+        with pytest.raises(ContractError, match="weights for 2 clients"):
+            F.aggregate(self._stack([[1.0, 2.0], [3.0, 4.0]]), [float("nan")] * 3)
 
 
 class TestLocalTrain:

@@ -132,6 +132,89 @@ def test_adam_step_without_any_gradient_changes_nothing():
     assert not opt.m.any() and not opt.v.any()
 
 
+class TestGradBuffer:
+    """Backward writes each parameter's gradient into its slot of the set's
+    one ``grad`` buffer, and Adam reads that buffer."""
+
+    def test_leaf_gradient_of_negative_zero_keeps_its_bytes(self):
+        p = T.parameter(np.array([1.0, 3.0]))
+        params = M.ModelParams([("p", p)])
+        loss = T.sum_(T.mul(p, T.constant(np.array([-0.0, 2.0]))))
+        T.backward(loss)
+        # a copy: 0.0 + -0.0 would be 0.0
+        assert p.grad.tobytes() == np.array([-0.0, 2.0]).tobytes()
+        assert np.shares_memory(p.grad, params.grad)
+        T.backward(loss)  # a gradient already there takes the next one in place
+        assert p.grad.tobytes() == np.array([-0.0, 4.0]).tobytes()
+        assert np.shares_memory(p.grad, params.grad)
+
+    def test_backward_through_row_view_writes_only_its_rows(self):
+        rng = np.random.default_rng(3)
+        manifest = [("w", (3, 2)), ("b", (2,))]
+        stack = M.ModelParams.from_flat(manifest, rng.normal(size=(4, 8)))
+        stack.grad[...] = 7.0
+        view = stack.rows(slice(1, 3))
+        x = T.constant(rng.normal(size=(2, 5, 3)))
+        T.backward(T.sum_(T.affine(x, view["w"], view["b"])))
+        assert (stack.grad[[0, 3]] == 7.0).all()
+        alone = M.ModelParams.from_flat(manifest, stack.flat[1:3].copy())
+        T.backward(T.sum_(T.affine(x, alone["w"], alone["b"])))
+        assert stack.grad[1:3].tobytes() == alone.grad.tobytes()
+        for name in ("w", "b"):
+            assert np.shares_memory(view[name].grad, stack.grad[1:3]), name
+
+    def test_stacked_ce_run_keeps_idle_gamma_bit_for_bit(self):
+        """CE never reads a trainable gamma, so gamma never has a gradient:
+        its value and moments stay as they were, whatever its slot holds."""
+        model = M.MlpClassifier(M.MlpConfig(input_dim=4, hidden_dim=6, num_classes=3))
+        params = model.init_params(np.random.default_rng(0), gamma_init=2.0)
+        assert params.manifest()[-1] == ("loss.gamma", ())
+        stack = M.ModelParams.from_flat(params.manifest(), np.tile(params.flat, (3, 1)))
+        stack.grad[...] = np.nan  # a slot is read only while its tensor has a gradient
+        opt = F.Adam(stack, lr=0.05)
+        loss_cfg = L.LossConfig(kind="ce", gamma_trainable=True)
+        rng = np.random.default_rng(1)
+        for sel in (slice(0, 3), slice(0, 2), slice(1, 3), slice(0, 3)):
+            k = sel.stop - sel.start
+            group = stack.rows(sel)
+            batch = L.targets(rng.integers(0, 3, size=(k, 5)), 3, dtype=model.dtype)
+            logits = model.batch_logits(group, rng.normal(size=(k, 5, 4)))
+            loss = L.batch_loss(logits, batch, loss_cfg,
+                                gamma_param=L.trainable_gamma(group, loss_cfg))
+            group.zero_grads()
+            T.backward(T.sum_(loss))
+            assert group["loss.gamma"].grad is None
+            opt.step(group, sel)
+        assert stack.flat[:, -1].tobytes() == np.full(3, 2.0, dtype=model.dtype).tobytes()
+        zeros = np.zeros(3, dtype=model.dtype).tobytes()
+        assert opt.m[:, -1].tobytes() == zeros and opt.v[:, -1].tobytes() == zeros
+        assert (stack.flat[:, :-1] != params.flat[:-1]).any(axis=1).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adam_past_table_regrowths_matches_per_tensor_adam(self, dtype):
+        """40 steps from gradients that backward writes into the buffer; the
+        bias-correction tables grow at calls 1, 3, 7, 15 and 31. b.b has a
+        gradient only on odd steps."""
+        params = random_params(7, dtype)
+        oracle_params = M.ModelParams.from_flat(params.manifest(), params.flat.copy())
+        opt = F.Adam(params, lr=0.01)
+        oracle = PerTensorAdam(oracle_params, lr=0.01)
+        rng = np.random.default_rng(8)
+        for step in range(40):
+            used = [(name, t) for name, t in params if name != "b.b" or step % 2]
+            terms = [T.sum_(T.mul(t, T.constant(rng.normal(size=t.shape).astype(dtype))))
+                     for _, t in used]
+            loss = terms[0]
+            for term in terms[1:]:
+                loss = T.add(loss, term)
+            params.zero_grads()
+            T.backward(loss)
+            for name, t in params:
+                oracle_params[name].grad = None if t.grad is None else t.grad.copy()
+            opt.step()
+            oracle.step()
+            assert params.flat.tobytes() == oracle_params.flat.tobytes(), step
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("clients", [1, 2, 5])
 def test_flat_aggregate_equals_per_tensor_aggregate_bitwise(dtype, clients):

@@ -90,19 +90,19 @@ def test_stacked_focal_nll_equals_per_slice_bitwise(stack, c, mode, gammas, weig
     # a few rows far from the others so that both clamps take effect
     raw = rng.normal(size=(k, b, c)) * rng.choice([1.0, 40.0], size=(k, b, 1))
     logits = leaf(raw.astype(dtype))
-    labels = rng.integers(0, c, size=(k, b))
+    onehot = np.eye(c, dtype=dtype)[rng.integers(0, c, size=(k, b))]
     weights = (1.0 + rng.uniform(0, 3, size=(k, b))).astype(dtype) if weighted else None
     exps = np.asarray(gammas[:k], dtype=dtype)
     # the exponents 2.0 and 0.5 take numpy's scalar fast paths; every client
     # must keep a scalar exponent of its own
     gamma = {"none": None, "shared": float(gammas[0]), "per-client": leaf(exps)}[mode]
     g = rng.normal(size=(k, b)).astype(dtype)
-    out = T.focal_nll(logits, labels, 1e-12, gamma=gamma, weights=weights)
+    out = T.focal_nll(logits, onehot, 1e-12, gamma=gamma, weights=weights)
     grads_through(out, g)
     for i in range(k):
         li = leaf(logits.data[i].copy())
         gi = leaf(exps[i].copy()) if mode == "per-client" else gamma
-        oi = T.focal_nll(li, labels[i], 1e-12, gamma=gi,
+        oi = T.focal_nll(li, onehot[i], 1e-12, gamma=gi,
                          weights=None if weights is None else weights[i])
         grads_through(oi, g[i])
         assert out.data[i].tobytes() == oi.data.tobytes()
@@ -187,10 +187,10 @@ class TestStackedGradientsByFiniteDifferences:
     def test_focal_nll_with_per_client_gamma(self):
         rng = np.random.default_rng(2)
         logits = leaf(rng.normal(size=(3, 5, 4)))
-        labels = rng.integers(0, 4, size=(3, 5))
+        onehot = np.eye(4)[rng.integers(0, 4, size=(3, 5))]
         gamma = leaf(np.array([0.5, 2.0, 1.3]))
         weights = 1.0 + rng.uniform(size=(3, 5))
-        _fd_check(lambda: T.focal_nll(logits, labels, 1e-12, gamma=gamma, weights=weights),
+        _fd_check(lambda: T.focal_nll(logits, onehot, 1e-12, gamma=gamma, weights=weights),
                   logits, gamma)
 
     def test_per_client_mean(self):
@@ -252,10 +252,10 @@ def test_transpose_swaps_the_last_two_axes_of_every_slice():
 
 def test_focal_nll_gamma_must_be_one_per_client():
     logits = T.constant(np.zeros((3, 2, 4)))
-    labels = np.zeros((3, 2), dtype=np.int64)
+    onehot = np.eye(4)[np.zeros((3, 2), dtype=np.int64)]
     for shape in ((), (2,), (3, 1)):
         with pytest.raises(ShapeError, match="one scalar per client"):
-            T.focal_nll(logits, labels, 1e-12, gamma=T.constant(np.full(shape, 2.0)))
+            T.focal_nll(logits, onehot, 1e-12, gamma=T.constant(np.full(shape, 2.0)))
 
 
 def test_stacked_params_view_their_rows():

@@ -145,6 +145,27 @@ class TestTargets:
             with pytest.raises(ContractError, match=">= 0"):
                 L.targets([0, 1], 4, coeffs=[0.5, bad])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_onehot_rows_follow_indexing(self, dtype):
+        rng = np.random.default_rng(6)
+        labels = rng.integers(0, 5, size=30)
+        coeffs = rng.uniform(0.0, 2.0, size=30)
+        checked = L.targets(labels, 5, coeffs, dtype)
+        for idx in (rng.permutation(30)[:7], rng.permutation(30)[:12].reshape(3, 4)):
+            batch = checked[idx]
+            assert np.array_equal(batch.labels, labels[idx])
+            assert batch.onehot.tobytes() == np.eye(5, dtype=dtype)[labels[idx]].tobytes()
+            assert batch.weights.tobytes() == (1.0 + coeffs[idx]).astype(dtype).tobytes()
+
+    def test_batch_loss_rejects_targets_in_another_dtype(self):
+        cfg = L.LossConfig(kind="ce")
+        with pytest.raises(ContractError, match="float32"):
+            L.batch_loss(logits64([[0.0, 1.0], [1.0, 0.0]]),
+                         L.targets([0, 1], 2, dtype=np.float32), cfg)
+        with pytest.raises(ContractError, match="3 classes"):
+            L.batch_loss(logits64([[0.0, 1.0], [1.0, 0.0]]),
+                         L.targets([0, 1], 3, dtype=np.float64), cfg)
+
     def test_adaptive_batch_needs_weights(self):
         with pytest.raises(ContractError, match="coefficients"):
             L.batch_loss(logits64([[0.0, 1.0]]), L.targets([0], 2),
