@@ -150,6 +150,8 @@ def synthesize_longtail(counts, feature_spec, seed: int,
         class_names = tuple(f"class-{i}" for i in range(num_classes))
     elif len(class_names) != num_classes:
         raise ContractError(f"{len(class_names)} names for {num_classes} classes")
+    if seed < 0:
+        raise ConfigError(f"synthesis seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     labels = np.concatenate([np.full(n, i, dtype=np.int64)
                              for i, n in enumerate(counts)])

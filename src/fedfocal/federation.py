@@ -2,19 +2,22 @@
 exchange, and imbalance-aware aggregation.
 
 One communication round proceeds as: the server broadcasts the global
-parameters; every selected client recomputes its skew statistic, trains for
-the configured local epochs with moment-reset Adam, and tallies per-class
-gradient norms; the server recomputes the global class-rarity vector from
-the client histograms, derives aggregation weights, averages the trained
-parameters in fixed client order, and evaluates the new global model on the
-held-out test set.
+parameters; every selected client trains for the configured local epochs
+with moment-reset Adam, its loss weighted by its skew statistic and the
+global class-rarity vector of the selected clients' histograms, and tallies
+per-class gradient norms; the server derives aggregation weights, averages
+the trained parameters in fixed client order, and evaluates the new global
+model on the held-out test set.
 
 A round is one [K, P] stack from broadcast to aggregate, one row per
 selected client, and so are its Adam moments. Epoch by epoch, at each tick,
 each run of adjacent rows whose next minibatches have the same size takes
 one stacked step on its slice (``local_train``); ``aggregate`` reads the
 trained rows. No client's arithmetic depends on another's, so each row
-ends with the bits it would have training alone.
+ends with the bits it would have training alone. What depends only on the
+selection (statistics, labels, features, schedule, the stack and its row
+views) is a ``RoundPlan``, rebuilt only when the selection changes: once a
+run under full participation.
 
 Determinism: every random stream is derived from the master seed together
 with its role and (round, client) coordinates, each client draws its
@@ -79,6 +82,8 @@ class FederationConfig:
                               f"got {self.beta1} and {self.beta2}")
         if not 0.0 < self.adam_eps < math.inf:
             raise ConfigError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
+        if self.seed < 0:
+            raise ConfigError(f"federation seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -119,8 +124,8 @@ class Adam:
     """Adaptive-moment optimizer over one parameter set's flat buffer, or
     over a [K, P] stack of them with one row, one moment pair and one step
     count per client. Moments start at zero on construction, so one
-    instance per round gives the stateless-across-rounds behavior the
-    protocol requires."""
+    instance per round, or one ``reset`` before each, gives the
+    stateless-across-rounds behavior the protocol requires."""
 
     def __init__(self, params: ModelParams, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -135,6 +140,10 @@ class Adam:
         # row t: the correction 1 - b**t of step t; no count exceeds the calls
         self._calls = 0
         self._c1 = self._c2 = np.empty((0, 1), dtype=params.flat.dtype)
+
+    def reset(self) -> None:
+        """Moments and step counts back to zero, as on construction."""
+        self.t[...], self.m[...], self.v[...], self._calls = 0, 0, 0, 0
 
     def step(self, group: ModelParams | None = None, rows: slice | None = None) -> None:
         """Update moments and parameters in place, in the operand order of
@@ -200,14 +209,14 @@ class RoundResult:
     batch_counts: list[int]  # optimizer steps each row took
 
 
-def _permutations(sizes: list[int], offsets, fed_cfg: FederationConfig,
+def _permutations(sizes: list[int], fed_cfg: FederationConfig,
                   rngs: list[np.random.Generator]) -> np.ndarray:
     """Each client's sample order of each local epoch as one [E, K, n_max]
     array of indices into the round's concatenated shards: one permutation
     of its n samples per epoch from its own stream, padded with zeros.
     Batch t of a client is its epoch's order cut at t * batch_size."""
     perms = np.zeros((fed_cfg.local_epochs, len(sizes), max(sizes, default=0)), dtype=np.int64)
-    for k, (n, offset, rng) in enumerate(zip(sizes, offsets, rngs)):
+    for k, (n, offset, rng) in enumerate(zip(sizes, itertools.accumulate([0] + sizes), rngs)):
         for epoch in range(fed_cfg.local_epochs):
             perms[epoch, k, :n] = offset + rng.permutation(n)
     return perms
@@ -225,37 +234,37 @@ def _runs(sizes: list[int]) -> list[slice]:
     return runs
 
 
-def local_train(model, global_params: ModelParams,
-                shards: list[tuple[np.ndarray, np.ndarray]],
-                hists: list[ClassHistogram], class_coeffs: list[float],
-                loss_cfg: L.LossConfig, fed_cfg: FederationConfig,
-                rngs: list[np.random.Generator], client_ids: list[int] | None = None,
-                round_index: int = 0) -> RoundResult:
-    """One round's local training of the given clients on one [K, P] stack.
+@dataclass
+class RoundPlan:
+    """What a round's training needs that stays fixed while the selected
+    clients do; ``plan_round`` builds it. A round only copies the broadcast
+    into ``stack``, resets ``opt`` and draws the clients' sample orders."""
+    client_ids: list[int]
+    client_coeffs: list[float]
+    class_coeffs: list[float]
+    features: np.ndarray  # the shards, concatenated and cast to the model dtype
+    targets: L.Targets
+    sizes: list[int]
+    order: list[int]  # the clients in row order
+    ticks: list[list[tuple[slice, int, int, ModelParams]]]  # rows, batch bounds, view
+    tally_rows: np.ndarray  # each trained sample's row, in step order
+    tally_batch: np.ndarray  # [N, 1]: the size of its batch, in the model dtype
+    stack: ModelParams
+    opt: Adam
 
-    Each client starts from the broadcast, runs E epochs of minibatch Adam
-    on its shard and tallies per-class logit-gradient norms. The clients'
-    parameters and moments are one [K, P] stack, one row per client. The
-    epochs run one after another. Within one, at each tick, each maximal run
-    of adjacent rows whose next batches have the same size is a group: one
-    stacked forward, loss, backward and Adam step on its [K', B, ...] batch
-    and on its rows in place, through one view made on its first step. A
-    client whose epoch is used up sits out the epoch's last ticks. Each
-    client does the arithmetic it would do alone, so the results are those
-    of training the clients one after another, bit for bit.
 
-    A client's epochs share one batch-size sequence; the rows are sorted
-    once by it, longest and largest first, only to make the runs long. Once
-    a round: the labels are checked and their one-hot rows and loss
-    weights built in the model dtype, the features cast to it, the epochs'
-    sample orders drawn into one index array, and the per-class norms
-    tallied after the last step, in step order. The rows return in the
-    given client order, with their optimizer steps as batch counts. A NaN
-    in training names its round and client."""
+def plan_round(model, global_params: ModelParams,
+               shards: list[tuple[np.ndarray, np.ndarray]],
+               hists: list[ClassHistogram], class_coeffs: list[float],
+               loss_cfg: L.LossConfig, fed_cfg: FederationConfig,
+               client_ids: list[int] | None = None) -> RoundPlan:
+    """The plan of every round that trains these clients on these shards;
+    global_params gives only the stack's shape. A client's epochs share one
+    batch-size sequence; the rows are sorted by it, longest and largest
+    first, only to make the runs long. Labels are checked here."""
     ids = list(range(len(shards))) if client_ids is None else list(client_ids)
     client_coeffs = [client_imbalance(h, loss_cfg.epsilon) for h in hists]
     sizes = [y.size for _, y in shards]
-    offsets = np.cumsum([0] + sizes)
     features = np.concatenate([x for x, _ in shards], dtype=model.dtype)
     # coefficients and weights are elementwise in the labels, so indexing the
     # round's targets per batch gives each batch's weights bit for bit
@@ -269,27 +278,71 @@ def local_train(model, global_params: ModelParams,
     sequences = [[min(b, n - start) for start in range(0, n, b)] for n in sizes]
     order = sorted(range(len(shards)), key=sequences.__getitem__, reverse=True)
     sequences = [sequences[i] for i in order]
-    perms = _permutations(sizes, offsets, fed_cfg, rngs)[:, order]
-    ticks = [_runs([seq[tick] if tick < len(seq) else 0 for seq in sequences])
-             for tick in range(max(map(len, sequences), default=0))]
+    flat = global_params.flat
+    stack = ModelParams.from_flat(global_params.manifest(),
+                                  np.empty((len(shards),) + flat.shape, dtype=flat.dtype))
+    views, ticks = {(0, len(shards)): stack}, []
+    for tick in range(max(map(len, sequences), default=0)):
+        runs = _runs([seq[tick] if tick < len(seq) else 0 for seq in sequences])
+        views.update({(s.start, s.stop): stack.rows(s) for s in runs
+                      if (s.start, s.stop) not in views})
+        ticks.append([(s, tick * b, tick * b + sequences[s.start][tick], views[s.start, s.stop])
+                      for s in runs])
+    # each step's rows with its batch size, every epoch
+    rows, batch = np.array([(r, hi - lo) for groups in ticks for sel, lo, hi, _ in groups
+                            for r in range(sel.start, sel.stop)] * fed_cfg.local_epochs,
+                           dtype=np.int64).reshape(-1, 2).T
+    return RoundPlan(ids, client_coeffs, list(class_coeffs), features, targets, sizes,
+                     order, ticks, np.repeat(rows, batch),
+                     np.repeat(batch.astype(model.dtype), batch)[:, None], stack,
+                     Adam(stack, fed_cfg.learning_rate, fed_cfg.beta1, fed_cfg.beta2,
+                          fed_cfg.adam_eps))
 
-    manifest, flat = global_params.manifest(), global_params.flat
-    stack = ModelParams.from_flat(
-        manifest, np.broadcast_to(flat, (len(shards),) + flat.shape).copy())
-    opt = Adam(stack, fed_cfg.learning_rate, fed_cfg.beta1, fed_cfg.beta2, fed_cfg.adam_eps)
-    # the views of the runs of adjacent rows that have stepped as one group
-    views = {(0, len(shards)): stack}
-    steps = []  # each step's rows, labels and logit gradients, tallied after the epochs
-    loss_sums = np.zeros(len(shards))
+
+def local_train(model, global_params: ModelParams,
+                shards: list[tuple[np.ndarray, np.ndarray]],
+                hists: list[ClassHistogram], class_coeffs: list[float],
+                loss_cfg: L.LossConfig, fed_cfg: FederationConfig,
+                rngs: list[np.random.Generator], client_ids: list[int] | None = None,
+                round_index: int = 0, plan: RoundPlan | None = None) -> RoundResult:
+    """One round's local training of the given clients on one [K, P] stack.
+
+    Each client starts from the broadcast, runs E epochs of minibatch Adam
+    on its shard and tallies per-class logit-gradient norms. The clients'
+    parameters and moments are one [K, P] stack, one row per client. The
+    epochs run one after another. Within one, at each tick, each maximal run
+    of adjacent rows whose next batches have the same size is a group: one
+    stacked forward, loss, backward and Adam step on its [K', B, ...] batch
+    and on its rows in place, through the plan's view of them. A client
+    whose epoch is used up sits out the epoch's last ticks. Each client
+    does the arithmetic it would do alone, so the results are those of
+    training the clients one after another, bit for bit.
+
+    Once per client selection, ``plan_round`` builds everything else (here,
+    when plan is None; a given plan stands in for shards, hists and
+    class_coeffs, and one for other clients is a ``ContractError``). Once
+    a round: the broadcast is copied into the stack, Adam reset, the
+    epochs' sample orders drawn into one index array, and the per-class
+    norms tallied after the last step, in step order. The rows return,
+    copied, in the given client order, with their optimizer steps as batch
+    counts. A NaN in training names its round and client."""
+    ids = list(range(len(shards))) if client_ids is None else list(client_ids)
+    if plan is None:
+        plan = plan_round(model, global_params, shards, hists, class_coeffs, loss_cfg,
+                          fed_cfg, ids)
+    elif plan.client_ids != ids:
+        raise ContractError(f"a plan for clients {plan.client_ids} cannot train clients {ids}")
+    stack, opt, order, targets = plan.stack, plan.opt, plan.order, plan.targets
+    stack.flat[...] = global_params.flat
+    opt.reset()
+    perms = _permutations(plan.sizes, fed_cfg, rngs)[:, order]
+    steps = []  # each step's labels and logit gradients, tallied after the epochs
+    loss_sums = np.zeros(len(ids))
     for perm in perms:
-        for tick, runs in enumerate(ticks):
-            for sel in runs:
-                idx = perm[sel, tick * b:tick * b + sequences[sel.start][tick]]
-                x, batch = features[idx], targets[idx]
-                span = (sel.start, sel.stop)
-                if span not in views:
-                    views[span] = stack.rows(sel)
-                group = views[span]
+        for groups in plan.ticks:
+            for sel, lo, hi, group in groups:
+                idx = perm[sel, lo:hi]
+                x, batch = plan.features[idx], targets[idx]
                 gamma_param = L.trainable_gamma(group, loss_cfg)
                 try:
                     logits = model.batch_logits(group, x)
@@ -299,30 +352,27 @@ def local_train(model, global_params: ModelParams,
                     raise NumericError(f"round {round_index}, {culprits}: {exc}") from exc
                 group.zero_grads()
                 T.backward(T.sum_(loss))
-                steps.append((sel, batch.labels, logits.grad))
+                steps.append((batch.labels, logits.grad))
                 opt.step(group, sel)
                 if gamma_param is not None:
                     L.clamp_gamma(group, loss_cfg)
                 loss_sums[sel] += loss.data
-    num_classes = hists[0].num_classes
-    norm_sums = np.zeros((len(shards), num_classes))
-    norm_counts = np.zeros((len(shards), num_classes), dtype=np.int64)
+    num_classes = model.num_classes
+    norm_sums = np.zeros((len(ids), num_classes))
+    norm_counts = np.zeros((len(ids), num_classes), dtype=np.int64)
     if steps:
-        sels, labels, grads = zip(*steps)
-        at = (np.concatenate([np.repeat(np.arange(sel.start, sel.stop), y.shape[1])
-                              for sel, y in zip(sels, labels)]),
-              np.concatenate([y.ravel() for y in labels]))
-        batch = np.repeat(np.array([y.shape[1] for y in labels], dtype=grads[0].dtype),
-                          [y.size for y in labels])
+        labels, grads = zip(*steps)
+        at = plan.tally_rows, np.concatenate([y.ravel() for y in labels])
         norms = ME.per_sample_logit_grad_norms(
-            np.concatenate([g.reshape(-1, num_classes) for g in grads]), batch[:, None])
+            np.concatenate([g.reshape(-1, num_classes) for g in grads]), plan.tally_batch)
         # unbuffered and in step order: each cell takes a per-sample loop's adds
         np.add.at(norm_sums, at, norms)
         np.add.at(norm_counts, at, 1)
     row_of = np.argsort(order)
-    return RoundResult(ModelParams.from_flat(manifest, stack.flat[row_of]), client_coeffs,
-                       norm_sums[row_of], norm_counts[row_of], loss_sums[row_of].tolist(),
-                       opt.t[row_of].tolist())
+    return RoundResult(ModelParams.from_flat(stack.manifest(), stack.flat[row_of],
+                                             requires_grad=False),
+                       list(plan.client_coeffs), norm_sums[row_of], norm_counts[row_of],
+                       loss_sums[row_of].tolist(), opt.t[row_of].tolist())
 
 
 def _culprits(ids: list[int], *stacks: np.ndarray) -> str:
@@ -435,21 +485,25 @@ def run_federation(bundle, partition: PartitionResult, model,
         raise ConfigError("every client shard is empty; nothing to train")
 
     records: list[RoundRecord] = []
-    class_coeffs: list[float] = []
+    plan = None
     for t in range(1, fed_cfg.rounds + 1):
         selected = _select_clients(fed_cfg, t, eligible)
         warnings = [f"client {k} skipped: empty shard" for k in skipped]
+        own_shards = [shards[k] for k in selected]
+        own_hists = [partition.histograms[k] for k in selected]
 
-        # the class-rarity vector each client trains with this round
-        class_coeffs = global_class_imbalance(
-            [partition.histograms[k] for k in selected], loss_cfg.epsilon)
+        # the plan, with the class-rarity vector the clients train with,
+        # changes only with the selection
+        if plan is None or plan.client_ids != selected:
+            plan = plan_round(model, global_params, own_shards, own_hists,
+                              global_class_imbalance(own_hists, loss_cfg.epsilon),
+                              loss_cfg, fed_cfg, selected)
 
         # selected is ascending, so the stack's rows are in aggregation order
-        trained = local_train(model, global_params, [shards[k] for k in selected],
-                              [partition.histograms[k] for k in selected], class_coeffs,
+        trained = local_train(model, global_params, own_shards, own_hists, plan.class_coeffs,
                               loss_cfg, fed_cfg,
                               [derive_rng(fed_cfg.seed, _CLIENT_ROLE, t, k) for k in selected],
-                              client_ids=selected, round_index=t)
+                              client_ids=selected, round_index=t, plan=plan)
         if not np.isfinite(trained.params.flat).all():
             culprits = _culprits(selected, trained.params.flat)
             raise NumericError(f"round {t}, {culprits}: non-finite parameters after training")
@@ -491,7 +545,7 @@ def run_federation(bundle, partition: PartitionResult, model,
             if total_batches else float("nan"),
             warnings=warnings,
         ))
-    return FederationRun(records, global_params, class_coeffs,
+    return FederationRun(records, global_params, plan.class_coeffs,
                          tail_classes, head_classes)
 
 

@@ -102,10 +102,11 @@ class ModelParams:
     weighted sum over the whole set is one array operation. The
     constructor copies the given tensors' values into a fresh buffer and
     rebinds each tensor's ``data`` to its view: the tensors passed in
-    become this set's own. Only ``federation.Adam.step`` and
-    ``losses.clamp_gamma`` write into the buffer. ``from_flat`` also wraps
-    a [K, P] stack of K sets, one per client: a round trains its clients on
-    one stack, and aggregation reads its rows into the next global set.
+    become this set's own. Only ``federation.Adam.step``,
+    ``losses.clamp_gamma`` and the broadcast copy into a round plan's stack
+    write into the buffer. ``from_flat`` also wraps a [K, P] stack of K
+    sets, one per client: a round trains its clients on one stack, and
+    aggregation reads its rows into the next global set.
     A trainable set also owns ``grad``, shaped like ``flat``: each tensor's
     gradient slot is a view of it, which ``tensor.backward`` writes and
     ``federation.Adam.step`` reads as one array. A tensor's ``grad`` None

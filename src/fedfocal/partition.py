@@ -38,6 +38,8 @@ class PartitionSpec:
             raise ConfigError(f"unknown partition mode {self.mode!r}")
         if self.num_clients < 1:
             raise ConfigError("need at least one client")
+        if self.seed < 0:
+            raise ConfigError(f"partition seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must lie in [0, 1), got {self.test_fraction}")
         if self.mode == "fixed":

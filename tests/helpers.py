@@ -174,13 +174,14 @@ def per_tensor_aggregate(stack, weights):
 
 
 def serial_local_train(model, global_params, shards, hists, class_coeffs, loss_cfg,
-                       fed_cfg, rngs, client_ids=None, round_index=0):
+                       fed_cfg, rngs, client_ids=None, round_index=0, plan=None):
     """federation.local_train as clients trained before they were stacked:
     one after another, each alone on its own copy of the broadcast with its
     own optimizer (federation.Adam, looked up at call time so a test can
     patch it), one rank-2 forward, loss, backward and step per batch. The
     lockstep trainer must reproduce its results bit for bit; the clients'
-    results are stacked into one round result, in the given order."""
+    results are stacked into one round result, in the given order. A round
+    plan is accepted and not read: everything is built from the shards."""
     from fedfocal import federation as F
 
     params, coeffs, sums, counts, losses, batches = zip(*[

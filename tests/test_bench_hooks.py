@@ -76,3 +76,21 @@ def test_traced_run_spans_local_train_per_round_and_adam_step_per_group(layers, 
     assert names.count("federation.local_train") == 2
     assert names.count("federation.adam_step") == 2 * groups
     assert names.count("losses.batch_loss") == 2 * groups
+
+
+def test_traced_run_plans_once_and_trains_once_per_round(layers, tmp_path):
+    """Under full participation a run builds its round plan once, so the
+    benchmark's imbalance.coeff_calls reads one call per client, not one
+    per client and round, while local_train still runs every round."""
+    from fedfocal import experiment as X
+
+    cfg = X.preset_config("smoke").with_overrides({"federation.rounds": 3})
+    tracer = sys.modules["spans"].Tracer()
+    patches = layers.install(tracer)
+    try:
+        X.run_experiment(cfg, tmp_path / "run")
+    finally:
+        assert patches.restore() == []
+    names = [s[1] for s in tracer.spans]
+    assert names.count("federation.local_train") == 3
+    assert names.count("imbalance.dynamic_coefficient") == cfg["partition.clients"] == 3

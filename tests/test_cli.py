@@ -71,6 +71,20 @@ class TestSynthAndPartitionCommands:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 3
         assert "class counts" in capsys.readouterr().err
 
+    def test_negative_seed_exits_two_before_writing(self, tmp_path, capsys):
+        """synth and partition once exited 1 on numpy's "expected
+        non-negative integer" traceback."""
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not data.exists()
+        assert main(["synth", "--out", str(data), "--counts", "40,20,10"]) == 0
+        out = tmp_path / "parts" / "manifest"
+        assert main(["partition", "--data", str(data), "--out", str(out),
+                     "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.parent.exists()
+
     def test_synth_tiles_mode(self, tmp_path):
         data = tmp_path / "tiles"
         assert main(["synth", "--out", str(data), "--counts", "8,4",
@@ -174,6 +188,19 @@ class TestTrainCommand:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
         assert not caught, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("args", [
+        ["--set", "federation.seed=-1"], ["--set", "partition.seed=-1"],
+        ["--set", "dataset.synth.seed=-1"], ["--seed", "-1"],
+    ], ids=["federation", "partition", "synth", "--seed"])
+    def test_negative_seed_exits_two_before_writing(self, tmp_path, capsys, args):
+        """Each once exited 1 on numpy's "expected non-negative integer"
+        traceback; the federation seed only after config.echo and
+        partition.manifest were written."""
+        out = tmp_path / "run"
+        assert main(["train", "--preset", "smoke", "--out", str(out)] + args + FAST) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("override", ["run.name=caf\u00e9", "run.name=a\nb",
                                           "dataset.path=data\tset"],

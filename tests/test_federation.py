@@ -10,6 +10,7 @@ from fedfocal import losses as L
 from fedfocal import models as M
 from fedfocal import partition as P
 from fedfocal.errors import ConfigError, ContractError
+from fedfocal.imbalance import global_class_imbalance
 
 from helpers import serial_local_train
 
@@ -263,6 +264,112 @@ class TestLocalTrain:
         for k in range(2):
             assert result.params.flat[k].tobytes() == oracle.params.flat[k].tobytes(), k
         assert result.loss_sums == oracle.loss_sums
+
+
+def smoke_setup(rounds, **overrides):
+    cfg = X.preset_config("smoke").with_overrides({"federation.rounds": rounds, **overrides})
+    bundle, model = X.prepare(cfg)
+    return (bundle, X.run_partition(cfg, bundle), model, cfg.loss_config(),
+            cfg.federation_config())
+
+
+def round_bytes(result):
+    return (result.params.flat.tobytes(), result.client_coeffs, result.norm_sums.tobytes(),
+            result.norm_counts.tobytes(), result.loss_sums, result.batch_counts)
+
+
+class TestRoundPlan:
+    @staticmethod
+    def _counted_run(monkeypatch, rounds):
+        """Calls of dynamic_coefficient, trainable [K, P] wraps and row views
+        in a smoke run of the given rounds, all clients every round."""
+        from fedfocal import imbalance as I
+
+        calls = {"coeffs": 0, "stacks": 0, "views": []}
+        from_flat, rows = M.ModelParams.from_flat, M.ModelParams.rows
+
+        def coefficient(*args):
+            calls["coeffs"] += 1
+            return I.dynamic_coefficient(*args)
+
+        def wrapping(manifest, flat, requires_grad=True):
+            calls["stacks"] += flat.ndim == 2 and requires_grad
+            return from_flat(manifest, flat, requires_grad)
+
+        def viewing(self, sel):
+            calls["views"].append((sel.start, sel.stop))
+            return rows(self, sel)
+
+        monkeypatch.setattr(F, "dynamic_coefficient", coefficient)
+        monkeypatch.setattr(M.ModelParams, "from_flat", staticmethod(wrapping))
+        monkeypatch.setattr(M.ModelParams, "rows", viewing)
+        F.run_federation(*smoke_setup(rounds))
+        monkeypatch.undo()
+        return calls
+
+    def test_full_participation_plans_once_per_run(self, monkeypatch):
+        """Four rounds of the same three clients: one coefficient per client,
+        one stack and each group's view once, the views of one round."""
+        calls = self._counted_run(monkeypatch, 4)
+        assert calls["coeffs"] == 3
+        assert calls["stacks"] == 1
+        assert calls["views"] and len(set(calls["views"])) == len(calls["views"])
+        assert calls["views"] == self._counted_run(monkeypatch, 1)["views"]
+
+    def test_partial_participation_replans_when_the_selection_changes(self, monkeypatch):
+        planned = []
+        plan_round = F.plan_round
+
+        def planning(*args, **kw):
+            plan = plan_round(*args, **kw)
+            planned.append(plan.client_ids)
+            return plan
+
+        monkeypatch.setattr(F, "plan_round", planning)
+        run = F.run_federation(*smoke_setup(8, **{"federation.client_fraction": 0.67}))
+        selections = [rec.selected for rec in run.records]
+        changed = [s for t, s in enumerate(selections) if t == 0 or s != selections[t - 1]]
+        assert 1 < len(changed) < len(selections)  # the run both keeps and changes plans
+        assert planned == changed
+
+    def test_plan_for_other_clients_rejected(self):
+        bundle, part, model = tiny_setup()
+        fed, loss = tiny_fed(), L.LossConfig()
+        params = model.init_params(np.random.default_rng(0))
+        shards = [(bundle.features[list(idx)], bundle.labels[list(idx)])
+                  for idx in part.client_indices[:2]]
+        args = (model, params, shards, list(part.histograms[:2]), [1.0] * 3, loss, fed)
+        plan = F.plan_round(*args, client_ids=[0, 1])
+        with pytest.raises(ContractError, match=r"plan for clients \[0, 1\]"):
+            F.local_train(*args, [np.random.default_rng(k) for k in range(2)],
+                          client_ids=[0, 2], plan=plan)
+
+    @pytest.mark.parametrize("loss", [L.LossConfig(), L.LossConfig(gamma_trainable=True)],
+                             ids=["adaptive", "trainable-gamma"])
+    def test_reused_plan_matches_fresh_plans_bytewise(self, loss):
+        """Two rounds from different broadcasts and streams through one plan
+        give the results of planning each round afresh, and the second
+        round leaves the first one's trained rows as they were."""
+        bundle, part, model = tiny_setup(mode="dirichlet", beta=0.5)
+        fed = tiny_fed(batch_size=7, local_epochs=2)
+        shards = [(bundle.features[list(idx)], bundle.labels[list(idx)])
+                  for idx in part.client_indices]
+        coeffs = global_class_imbalance(list(part.histograms), loss.epsilon)
+        args = (shards, list(part.histograms), coeffs, loss, fed)
+        broadcasts = [F.initial_params(model, loss, seed) for seed in (1, 2)]
+
+        def streams(t):
+            return [F.derive_rng(0, F._CLIENT_ROLE, t, k) for k in range(3)]
+
+        plan = F.plan_round(model, broadcasts[0], *args)
+        reused = [F.local_train(model, g, *args, streams(t), round_index=t, plan=plan)
+                  for t, g in enumerate(broadcasts, start=1)]
+        first = round_bytes(reused[0])
+        fresh = [F.local_train(model, g, *args, streams(t), round_index=t)
+                 for t, g in enumerate(broadcasts, start=1)]
+        assert first[0] != round_bytes(reused[1])[0]
+        assert [round_bytes(r) for r in reused] == [round_bytes(r) for r in fresh]
+        assert not np.shares_memory(reused[1].params.flat, plan.stack.flat)
 
 
 class TestRunFederation:
