@@ -12,12 +12,13 @@ model on the held-out test set.
 A round is one [K, P] stack from broadcast to aggregate, one row per
 selected client, and so are its Adam moments. Epoch by epoch, at each tick,
 each run of adjacent rows whose next minibatches have the same size takes
-one stacked step on its slice (``local_train``); ``aggregate`` reads the
-trained rows. No client's arithmetic depends on another's, so each row
-ends with the bits it would have training alone. What depends only on the
-selection (statistics, labels, features, schedule, the stack and its row
-views) is a ``RoundPlan``, rebuilt only when the selection changes: once a
-run under full participation.
+one stacked forward and loss on its slice, and the tick one backward and
+one Adam step on the rows that stepped (``local_train``); ``aggregate``
+reads the trained rows. No client's arithmetic depends on another's, so
+each row ends with the bits it would have training alone. What depends
+only on the selection (statistics, labels, features, schedule, the stack
+and its views, batch buffers) is a ``RoundPlan``, rebuilt only when the
+selection changes: once a run under full participation.
 
 Determinism: every random stream is derived from the master seed together
 with its role and (round, client) coordinates, each client draws its
@@ -145,7 +146,8 @@ class Adam:
         """Moments and step counts back to zero, as on construction."""
         self.t[...], self.m[...], self.v[...], self._calls = 0, 0, 0, 0
 
-    def step(self, group: ModelParams | None = None, rows: slice | None = None) -> None:
+    def step(self, group: ModelParams | None = None, rows: slice | None = None,
+             reached: ModelParams | None = None) -> None:
         """Update moments and parameters in place, in the operand order of
         m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
         p = p - lr*m_hat / (sqrt(v_hat) + eps).
@@ -153,11 +155,12 @@ class Adam:
         Without arguments every row steps, from the gradients on the
         optimizer's own tensors. With rows, a slice of the stack, only those
         rows step: group is a view of them that holds their gradients, so
-        the parameters and moments are updated where they lie. Rows may be
-        at different step counts; each row's bias corrections 1 - b**t are
-        looked up by its own count in tables of the Python floats a lone
-        step would compute, cast to the parameter dtype, and divide the row
-        as a column.
+        the parameters and moments are updated where they lie. Which
+        tensors have a gradient is read off reached, a view of some of the
+        rows, when given. Rows may be at different step counts; each row's
+        bias corrections 1 - b**t are looked up by its own count in tables
+        of the Python floats a lone step would compute, cast to the
+        parameter dtype, and divide the row as a column.
 
         Gradients come from the set's ``grad`` buffer, a hand-set one copied
         there first. One pass over it: every op is elementwise, so each
@@ -171,7 +174,7 @@ class Adam:
         if self._calls >= len(self._c1):
             self._c1, self._c2 = (np.array([[1 - b ** t] for t in range(2 * self._calls + 1)],
                                            dtype=self.m.dtype) for b in (self.beta1, self.beta2))
-        tensors = params.tensors()
+        tensors = (params if reached is None else reached).tensors()
         present = [i for i, x in enumerate(tensors) if x.grad is not None]
         for x in (tensors[i] for i in present):
             if x.grad is not x._grad_view:  # set by hand
@@ -238,7 +241,8 @@ def _runs(sizes: list[int]) -> list[slice]:
 class RoundPlan:
     """What a round's training needs that stays fixed while the selected
     clients do; ``plan_round`` builds it. A round only copies the broadcast
-    into ``stack``, resets ``opt`` and draws the clients' sample orders."""
+    into ``stack``, resets ``opt``, draws the clients' sample orders and
+    gathers its batches into ``x`` and ``batches``."""
     client_ids: list[int]
     client_coeffs: list[float]
     class_coeffs: list[float]
@@ -246,8 +250,13 @@ class RoundPlan:
     targets: L.Targets
     sizes: list[int]
     order: list[int]  # the clients in row order
-    ticks: list[list[tuple[slice, int, int, ModelParams]]]  # rows, batch bounds, view
-    tally_rows: np.ndarray  # each trained sample's row, in step order
+    x: np.ndarray  # every step's samples, in step order
+    batches: L.Targets  # their targets
+    # per epoch and tick: the rows that step, their view, and per group its rows, view and batch
+    epochs: list[list[tuple[slice, ModelParams,
+                            list[tuple[slice, ModelParams, np.ndarray, L.Targets]]]]]
+    gather_at: np.ndarray  # each trained sample's place in the sample orders, in step order
+    tally_rows: np.ndarray  # its row
     tally_batch: np.ndarray  # [N, 1]: the size of its batch, in the model dtype
     stack: ModelParams
     opt: Adam
@@ -261,7 +270,7 @@ def plan_round(model, global_params: ModelParams,
     """The plan of every round that trains these clients on these shards;
     global_params gives only the stack's shape. A client's epochs share one
     batch-size sequence; the rows are sorted by it, longest and largest
-    first, only to make the runs long. Labels are checked here."""
+    first: a tick's rows are a prefix, and its runs long. Labels are checked here."""
     ids = list(range(len(shards))) if client_ids is None else list(client_ids)
     client_coeffs = [client_imbalance(h, loss_cfg.epsilon) for h in hists]
     sizes = [y.size for _, y in shards]
@@ -274,27 +283,52 @@ def plan_round(model, global_params: ModelParams,
                                  for c_k, (_, y) in zip(client_coeffs, shards)])
     targets = L.targets(np.concatenate([y for _, y in shards]), model.num_classes, coeffs,
                         model.dtype)
-    b = fed_cfg.batch_size
+    b, k, n_max = fed_cfg.batch_size, len(shards), max(sizes, default=0)
     sequences = [[min(b, n - start) for start in range(0, n, b)] for n in sizes]
-    order = sorted(range(len(shards)), key=sequences.__getitem__, reverse=True)
+    order = sorted(range(k), key=sequences.__getitem__, reverse=True)
     sequences = [sequences[i] for i in order]
     flat = global_params.flat
     stack = ModelParams.from_flat(global_params.manifest(),
-                                  np.empty((len(shards),) + flat.shape, dtype=flat.dtype))
-    views, ticks = {(0, len(shards)): stack}, []
+                                  np.empty((k,) + flat.shape, dtype=flat.dtype))
+    views = {(0, k): stack}
+
+    def view(s: slice) -> ModelParams:
+        if (s.start, s.stop) not in views:
+            views[s.start, s.stop] = stack.rows(s)
+        return views[s.start, s.stop]
+
+    ticks = []  # each tick's rows with a batch (a prefix), and its groups' rows and bounds
     for tick in range(max(map(len, sequences), default=0)):
         runs = _runs([seq[tick] if tick < len(seq) else 0 for seq in sequences])
-        views.update({(s.start, s.stop): stack.rows(s) for s in runs
-                      if (s.start, s.stop) not in views})
-        ticks.append([(s, tick * b, tick * b + sequences[s.start][tick], views[s.start, s.stop])
-                      for s in runs])
-    # each step's rows with its batch size, every epoch
-    rows, batch = np.array([(r, hi - lo) for groups in ticks for sel, lo, hi, _ in groups
-                            for r in range(sel.start, sel.stop)] * fed_cfg.local_epochs,
-                           dtype=np.int64).reshape(-1, 2).T
-    return RoundPlan(ids, client_coeffs, list(class_coeffs), features, targets, sizes,
-                     order, ticks, np.repeat(rows, batch),
-                     np.repeat(batch.astype(model.dtype), batch)[:, None], stack,
+        ticks.append((slice(0, runs[-1].stop),
+                      [(s, tick * b, tick * b + sequences[s.start][tick]) for s in runs]))
+    epochs = range(fed_cfg.local_epochs)
+    # each row's steps, in step order: the row, its batch size and the
+    # batch's first place in the [E, K, n_max] sample orders of the clients
+    step_rows, step_batch, first = np.array(
+        [(r, hi - lo, (e * k + order[r]) * n_max + lo) for e in epochs
+         for _, groups in ticks for s, lo, hi in groups for r in range(s.start, s.stop)],
+        dtype=np.int64).reshape(-1, 3).T
+    at = np.repeat(first - np.cumsum(step_batch) + step_batch, step_batch)
+    at += np.arange(at.size)  # each trained sample's place in the sample orders
+    x = np.empty(at.shape + features.shape[1:], dtype=features.dtype)
+    batches = L.Targets(*(None if a is None else np.empty(at.shape + a.shape[1:], dtype=a.dtype)
+                          for a in (targets.labels, targets.weights, targets.onehot)))
+    plan_epochs, stop = [], 0
+    for _ in epochs:
+        plan_epochs.append([])
+        for rows, groups in ticks:
+            steps = []
+            for s, lo, hi in groups:  # its batch: the next [K', B] block of the buffers
+                shape = (s.stop - s.start, hi - lo)
+                start, stop = stop, stop + math.prod(shape)
+                x_, *t = (None if a is None else a[start:stop].reshape(shape + a.shape[1:])
+                          for a in (x, batches.labels, batches.weights, batches.onehot))
+                steps.append((s, view(s), x_, L.Targets(*t)))
+            plan_epochs[-1].append((rows, view(rows), steps))
+    return RoundPlan(ids, client_coeffs, list(class_coeffs), features, targets, sizes, order,
+                     x, batches, plan_epochs, at, np.repeat(step_rows, step_batch),
+                     np.repeat(step_batch.astype(model.dtype), step_batch)[:, None], stack,
                      Adam(stack, fed_cfg.learning_rate, fed_cfg.beta1, fed_cfg.beta2,
                           fed_cfg.adam_eps))
 
@@ -312,62 +346,69 @@ def local_train(model, global_params: ModelParams,
     parameters and moments are one [K, P] stack, one row per client. The
     epochs run one after another. Within one, at each tick, each maximal run
     of adjacent rows whose next batches have the same size is a group: one
-    stacked forward, loss, backward and Adam step on its [K', B, ...] batch
-    and on its rows in place, through the plan's view of them. A client
-    whose epoch is used up sits out the epoch's last ticks. Each client
-    does the arithmetic it would do alone, so the results are those of
-    training the clients one after another, bit for bit.
+    stacked forward and loss on its [K', B, ...] batch and the plan's view
+    of its rows. Then one backward from the sum of the groups' losses and
+    one Adam step on the rows that stepped, in place. A client whose epoch
+    is used up sits out its last ticks. Each client does the arithmetic it
+    would do alone, so the results are those of training the clients one
+    after another, bit for bit.
 
     Once per client selection, ``plan_round`` builds everything else (here,
     when plan is None; a given plan stands in for shards, hists and
     class_coeffs, and one for other clients is a ``ContractError``). Once
     a round: the broadcast is copied into the stack, Adam reset, the
-    epochs' sample orders drawn into one index array, and the per-class
-    norms tallied after the last step, in step order. The rows return,
-    copied, in the given client order, with their optimizer steps as batch
-    counts. A NaN in training names its round and client."""
+    epochs' sample orders drawn and their batches gathered into the plan,
+    and the per-class norms tallied after the last step, in step order. The
+    rows return, copied, in the given client order, with their optimizer
+    steps as batch counts. A NaN in training names its round and client."""
     ids = list(range(len(shards))) if client_ids is None else list(client_ids)
     if plan is None:
         plan = plan_round(model, global_params, shards, hists, class_coeffs, loss_cfg,
                           fed_cfg, ids)
     elif plan.client_ids != ids:
         raise ContractError(f"a plan for clients {plan.client_ids} cannot train clients {ids}")
-    stack, opt, order, targets = plan.stack, plan.opt, plan.order, plan.targets
+    stack, opt, order, batches = plan.stack, plan.opt, plan.order, plan.batches
     stack.flat[...] = global_params.flat
     opt.reset()
-    perms = _permutations(plan.sizes, fed_cfg, rngs)[:, order]
-    steps = []  # each step's labels and logit gradients, tallied after the epochs
+    samples = _permutations(plan.sizes, fed_cfg, rngs).reshape(-1)[plan.gather_at]
+    for src, out in ((plan.features, plan.x), (plan.targets.labels, batches.labels),
+                     (plan.targets.weights, batches.weights),
+                     (plan.targets.onehot, batches.onehot)):
+        if src is not None:  # the indices are in range; "clip" skips the buffered copy
+            np.take(src, samples, axis=0, out=out, mode="clip")
+    grads = []  # each step's logit gradients, tallied after the epochs
     loss_sums = np.zeros(len(ids))
-    for perm in perms:
-        for groups in plan.ticks:
-            for sel, lo, hi, group in groups:
-                idx = perm[sel, lo:hi]
-                x, batch = plan.features[idx], targets[idx]
+    for ticks in plan.epochs:
+        for rows, prefix, groups in ticks:
+            losses, logits = [], []
+            for sel, group, x, batch in groups:
                 gamma_param = L.trainable_gamma(group, loss_cfg)
                 try:
-                    logits = model.batch_logits(group, x)
-                    loss = L.batch_loss(logits, batch, loss_cfg, gamma_param=gamma_param)
+                    logits.append(model.batch_logits(group, x))
+                    losses.append(L.batch_loss(logits[-1], batch, loss_cfg,
+                                               gamma_param=gamma_param))
                 except NumericError as exc:
                     culprits = _culprits([ids[i] for i in order[sel]], x, group.flat)
                     raise NumericError(f"round {round_index}, {culprits}: {exc}") from exc
                 group.zero_grads()
-                T.backward(T.sum_(loss))
-                steps.append((batch.labels, logits.grad))
-                opt.step(group, sel)
-                if gamma_param is not None:
-                    L.clamp_gamma(group, loss_cfg)
-                loss_sums[sel] += loss.data
+            loss = losses[0] if len(losses) == 1 else T.concat(losses)
+            T.backward(T.sum_(loss))
+            grads += [out.grad for out in logits]
+            # every group runs the same model and loss, so reaches the same tensors
+            opt.step(prefix, rows, reached=groups[0][1])
+            if gamma_param is not None:
+                L.clamp_gamma(prefix, loss_cfg)
+            loss_sums[rows] += loss.data
     num_classes = model.num_classes
     norm_sums = np.zeros((len(ids), num_classes))
     norm_counts = np.zeros((len(ids), num_classes), dtype=np.int64)
-    if steps:
-        labels, grads = zip(*steps)
-        at = plan.tally_rows, np.concatenate([y.ravel() for y in labels])
+    if grads:
+        at = plan.tally_rows * num_classes + batches.labels
         norms = ME.per_sample_logit_grad_norms(
             np.concatenate([g.reshape(-1, num_classes) for g in grads]), plan.tally_batch)
-        # unbuffered and in step order: each cell takes a per-sample loop's adds
-        np.add.at(norm_sums, at, norms)
-        np.add.at(norm_counts, at, 1)
+        # float64 and in step order: each cell takes a per-sample loop's adds
+        norm_sums = np.bincount(at, norms, norm_sums.size).reshape(norm_sums.shape)
+        norm_counts = np.bincount(at, None, norm_sums.size).reshape(norm_sums.shape)
     row_of = np.argsort(order)
     return RoundResult(ModelParams.from_flat(stack.manifest(), stack.flat[row_of],
                                              requires_grad=False),

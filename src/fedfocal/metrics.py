@@ -132,13 +132,21 @@ def classification_metrics(cm: ConfusionMatrix) -> MetricReport:
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(x, kind="stable")
-    sorted_x = x[order]
-    first = np.flatnonzero(np.concatenate(([True], sorted_x[1:] != sorted_x[:-1])))
-    last = np.append(first[1:], x.size) - 1
-    ranks = np.empty(x.size, dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
+    """1-based ranks along the first axis with ties sharing their average
+    rank: of a vector, or of each column of an [N, C] array, [C, N] out.
+    One sort serves every column; the ranks are exact half-integers."""
+    cols = np.ascontiguousarray(x.T)
+    # each entry's flat index in cols, in sorted order, one row a column
+    offsets = np.arange(0, cols.size, cols.shape[-1]).reshape(cols.shape[:-1] + (1,))
+    order = np.argsort(cols, axis=-1, kind="stable") + offsets
+    sorted_x = cols.reshape(-1)[order]
+    starts = np.ones(cols.shape, dtype=bool)  # no tie block spans two columns
+    starts[..., 1:] = sorted_x[..., 1:] != sorted_x[..., :-1]
+    first = np.flatnonzero(starts)
+    last = np.append(first[1:], starts.size) - 1
+    ranks = np.empty(cols.shape, dtype=np.float64)
+    ranks.reshape(-1)[order] = (np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
+                                .reshape(cols.shape) - offsets)
     return ranks
 
 
@@ -149,6 +157,7 @@ def _ovr_auc(scores: np.ndarray, labels: np.ndarray) -> tuple[float | None, list
         raise ContractError(f"scores {scores.shape} do not match {labels.size} labels")
     per_auc: list[float | None] = []
     flags: list[str] = []
+    ranks = _average_ranks(scores) if labels.size else None  # every class's, one sort
     for i in range(scores.shape[1]):
         pos = labels == i
         n_pos = int(pos.sum())
@@ -158,8 +167,7 @@ def _ovr_auc(scores: np.ndarray, labels: np.ndarray) -> tuple[float | None, list
             flags.append(f"class {i}: AUC undefined "
                          f"({'no positives' if n_pos == 0 else 'no negatives'})")
             continue
-        ranks = _average_ranks(scores[:, i])
-        auc = (ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        auc = (ranks[i][pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
         per_auc.append(float(auc))
     defined = [a for a in per_auc if a is not None]
     macro = float(np.mean(defined)) if defined else None

@@ -339,9 +339,8 @@ def multi_head_attention(z: Tensor, params: ModelParams, layer: int,
 
 def feed_forward(z: Tensor, params: ModelParams, layer: int) -> Tensor:
     prefix = f"layers.{layer}.ffn"
-    rows = _fold(z, params[f"{prefix}.w1"])
-    hidden = T.relu(T.affine(rows, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
-    out = T.affine(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+    out = T.perceptron(_fold(z, params[f"{prefix}.w1"]),
+                       *(params[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2")))
     return T.reshape(out, z.shape)
 
 
@@ -399,8 +398,8 @@ def init_mlp_params(cfg: MlpConfig, rng: np.random.Generator, dtype=np.float32,
 def mlp_forward(features: Tensor, params: ModelParams) -> Tensor:
     """One hidden ReLU layer; accepts a [B, F] batch, or a [K, B, F] stack
     on stacked parameters."""
-    hidden = T.relu(T.affine(features, params["mlp.w1"], params["mlp.b1"]))
-    return T.affine(hidden, params["mlp.w2"], params["mlp.b2"])
+    return T.perceptron(features, params["mlp.w1"], params["mlp.b1"], params["mlp.w2"],
+                        params["mlp.b2"])
 
 
 # ---------------------------------------------------------------------------

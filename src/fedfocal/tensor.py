@@ -28,10 +28,10 @@ gradients into their slots of the set's ``ModelParams.grad`` buffer.
 
 Broadcasting is rejected except for the affine-bias pattern (matrix [R, C]
 plus vector [C]). The one other shape rule is a leading client axis: the
-operations a training step of the MLP uses (``affine``, ``relu``,
-``focal_nll`` and the per-client ``mean`` over the last axis), as well as
-``matmul`` and the bias ``add``, also take a stack of K independent
-problems, [K, R, C] with [K, C, N] or [K, C], and
+operations a training step of the MLP uses (``perceptron``, ``focal_nll``
+and the per-client ``mean`` over the last axis), as well as ``affine``,
+``relu``, ``matmul`` and the bias ``add``, also take a stack of K
+independent problems, [K, R, C] with [K, C, N] or [K, C], and
 give each slice the bits the rank-2 operation gives it alone; so does a
 ``layer_norm`` with one [K, D] affine row per client. ``transpose`` swaps
 the last two axes at any rank.
@@ -137,27 +137,34 @@ def parameter(data, dtype=None) -> Tensor:
 # primitives
 
 
-def _check_product(op: str, a: Tensor, b: Tensor) -> None:
-    ranks = (a.data.ndim, b.data.ndim)
-    if ranks != (2, 2) and (ranks != (3, 3) or a.shape[0] != b.shape[0]):
+def _check_product(op: str, a: tuple[int, ...], b: tuple[int, ...]) -> None:
+    ranks = (len(a), len(b))
+    if ranks != (2, 2) and (ranks != (3, 3) or a[0] != b[0]):
         raise ShapeError(f"{op} requires rank-2 operands or two stacks of one "
-                         f"depth, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"{op} inner dimensions disagree: {a.shape} x {b.shape}")
+                         f"depth, got {a} and {b}")
+    if a[-1] != b[-2]:
+        raise ShapeError(f"{op} inner dimensions disagree: {a} x {b}")
+
+
+def _check_affine(op: str, x: tuple[int, ...], w: Tensor, b: Tensor) -> None:
+    _check_product(op, x, w.shape)
+    if b.shape != w.shape[:-2] + w.shape[-1:]:
+        raise ShapeError(f"{op} bias {b.shape} does not fit {x} x {w.shape}")
+
+
+def _affine_vjp(g, x: np.ndarray, w: Tensor, b: Tensor | None, x_needs: bool) -> list:
+    """The gradients of x @ w (+ b) that reach x (when x_needs), w and b."""
+    return [g @ np.swapaxes(w.data, -1, -2) if x_needs else None,
+            np.swapaxes(x, -1, -2) @ g if w.requires_grad else None,
+            g.sum(axis=-2) if b is not None and b.requires_grad else None]
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """[M, K] x [K, N], or two client stacks [S, M, K] x [S, K, N] slice by slice."""
     _check_same_dtype(a, b)
-    _check_product("matmul", a, b)
+    _check_product("matmul", a.shape, b.shape)
     out = _wrap(a.data @ b.data)
-
-    def vjp(g):
-        ga = g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None
-        gb = np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None
-        return ga, gb
-
-    return _record(out, (a, b), vjp)
+    return _record(out, (a, b), lambda g: _affine_vjp(g, a.data, b, None, a.requires_grad)[:2])
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -165,18 +172,29 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     [K, R, D] x [K, D, E] + [K, E]. Values and gradients are those of
     add(matmul(x, w), b) bit for bit."""
     _check_same_dtype(x, w, b)
-    _check_product("affine", x, w)
-    if b.shape != w.shape[:-2] + w.shape[-1:]:
-        raise ShapeError(f"affine bias {b.shape} does not fit {x.shape} x {w.shape}")
+    _check_affine("affine", x.shape, w, b)
     out = _wrap(x.data @ w.data + b.data[..., None, :])
+    return _record(out, (x, w, b), lambda g: _affine_vjp(g, x.data, w, b, x.requires_grad))
+
+
+def perceptron(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """affine(relu(affine(x, w1, b1)), w2, b2) as one node, on [R, D] rows
+    or a client stack [K, R, D]. Forward and backward repeat the chain's
+    expressions, so values and gradients are its bits."""
+    _check_same_dtype(x, w1, b1, w2, b2)
+    _check_affine("perceptron", x.shape, w1, b1)
+    _check_affine("perceptron", x.shape[:-1] + w1.shape[-1:], w2, b2)
+    pre = x.data @ w1.data + b1.data[..., None, :]
+    hidden, mask = np.maximum(pre, pre.dtype.type(0)), pre > 0
+    out = _wrap(hidden @ w2.data + b2.data[..., None, :])
 
     def vjp(g):
-        gx = g @ np.swapaxes(w.data, -1, -2) if x.requires_grad else None
-        gw = np.swapaxes(x.data, -1, -2) @ g if w.requires_grad else None
-        gb = g.sum(axis=-2) if b.requires_grad else None
-        return gx, gw, gb
+        first_layer = x.requires_grad or w1.requires_grad or b1.requires_grad
+        gh, gw2, gb2 = _affine_vjp(g, hidden, w2, b2, first_layer)
+        return (_affine_vjp(gh * mask, x.data, w1, b1, x.requires_grad) if first_layer
+                else [None] * 3) + [gw2, gb2]
 
-    return _record(out, (x, w, b), vjp)
+    return _record(out, (x, w1, b1, w2, b2), vjp)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -313,16 +331,16 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         raise ContractError("concat of an empty sequence")
     _check_same_dtype(*tensors)
     try:
-        out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
+        out = _wrap(np.concatenate([t.data for t in tensors], axis=axis))
     except ValueError as exc:
         raise ShapeError(f"concat shapes disagree off axis {axis}: "
                          f"{[t.shape for t in tensors]}") from exc
     sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
+    lead = (slice(None),) * (axis % out.data.ndim)  # each operand's slice of the result
+    cuts = [lead + (slice(end - n, end),) for n, end in zip(sizes, np.cumsum(sizes).tolist())]
 
     def vjp(g):
-        pieces = np.split(g, offsets, axis=axis)
-        return tuple(p if t.requires_grad else None for p, t in zip(pieces, tensors))
+        return tuple(g[cut] if t.requires_grad else None for cut, t in zip(cuts, tensors))
 
     return _record(out, tuple(tensors), vjp)
 

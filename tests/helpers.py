@@ -81,6 +81,16 @@ def chain_per_sample_losses(logits, labels, *, gamma=None, coeffs=None, floor=1e
     return out
 
 
+def chain_perceptron(x, w1, b1, w2, b2):
+    """affine(relu(affine(x, w1, b1)), w2, b2) as three tape nodes. This is
+    how the MLP and the ViT feed-forward ran before the two-layer ReLU block
+    became one node; the fused node must reproduce its values and gradients
+    bit for bit."""
+    from fedfocal import tensor as T
+
+    return T.affine(T.relu(T.affine(x, w1, b1)), w2, b2)
+
+
 def dfs_backward(loss):
     """tensor.backward as it ran before the tape: a depth-first search from
     the loss builds a parents-before-children order of the graph, leaves

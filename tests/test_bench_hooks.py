@@ -49,10 +49,10 @@ def test_install_then_restore_puts_every_original_back(layers):
     assert patches.restore() == []
 
 
-def test_traced_run_spans_local_train_per_round_and_adam_step_per_group(layers, tmp_path):
+def test_traced_run_spans_local_train_per_round_and_adam_step_per_tick(layers, tmp_path):
     """The benchmark reads federation.client_updates, federation.steps and
     losses.calls from these spans; a trainer that bypassed any of these
-    names would read 0."""
+    names would read 0. A tick takes one Adam step over all its groups."""
     from fedfocal import experiment as X
 
     cfg = X.preset_config("smoke").with_overrides({
@@ -63,9 +63,9 @@ def test_traced_run_spans_local_train_per_round_and_adam_step_per_group(layers, 
     # each client's batch sizes; per tick one group per distinct size
     sequences = [[min(batch, n - s) for s in range(0, n, batch)]
                  for n in map(len, X.run_partition(cfg, bundle).client_indices) if n]
-    groups = sum(len({seq[t] for seq in sequences if t < len(seq)})
-                 for t in range(max(map(len, sequences))))
-    assert max(map(len, sequences)) <= groups < sum(map(len, sequences))
+    ticks = max(map(len, sequences))
+    groups = sum(len({seq[t] for seq in sequences if t < len(seq)}) for t in range(ticks))
+    assert ticks < groups < sum(map(len, sequences))
     tracer = sys.modules["spans"].Tracer()
     patches = layers.install(tracer)
     try:
@@ -74,7 +74,7 @@ def test_traced_run_spans_local_train_per_round_and_adam_step_per_group(layers, 
         assert patches.restore() == []
     names = [s[1] for s in tracer.spans]
     assert names.count("federation.local_train") == 2
-    assert names.count("federation.adam_step") == 2 * groups
+    assert names.count("federation.adam_step") == 2 * ticks
     assert names.count("losses.batch_loss") == 2 * groups
 
 

@@ -2,6 +2,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedfocal import data as D
 from fedfocal import experiment as X
@@ -10,7 +12,7 @@ from fedfocal import losses as L
 from fedfocal import models as M
 from fedfocal import partition as P
 from fedfocal.errors import ConfigError, ContractError
-from fedfocal.imbalance import global_class_imbalance
+from fedfocal.imbalance import ClassHistogram, global_class_imbalance
 
 from helpers import serial_local_train
 
@@ -370,6 +372,96 @@ class TestRoundPlan:
         assert first[0] != round_bytes(reused[1])[0]
         assert [round_bytes(r) for r in reused] == [round_bytes(r) for r in fresh]
         assert not np.shares_memory(reused[1].params.flat, plan.stack.flat)
+
+
+class TestTicks:
+    """A tick is one position in the batch schedule the clients share: its
+    groups each run a forward and a loss, then the tick takes one backward
+    and one Adam step over the rows that stepped."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=6), st.integers(1, 17),
+           st.integers(1, 3))
+    def test_each_ticks_stepping_rows_are_a_prefix_of_the_plan(self, sizes, batch_size,
+                                                                epochs):
+        model = M.MlpClassifier(M.MlpConfig(input_dim=2, hidden_dim=3, num_classes=3))
+        shards = [(np.zeros((n, 2)), np.arange(n) % 3) for n in sizes]
+        plan = F.plan_round(model, model.init_params(np.random.default_rng(0)), shards,
+                            [ClassHistogram.from_labels(y, 3) for _, y in shards],
+                            [1.0] * 3, L.LossConfig(kind="ce"),
+                            tiny_fed(num_clients=len(sizes), batch_size=batch_size,
+                                     local_epochs=epochs))
+        batches = [-(-sizes[c] // batch_size) for c in plan.order]  # each row's, an epoch
+        assert len(plan.epochs) == epochs
+        for ticks in plan.epochs:
+            assert len(ticks) == max(batches)
+            for t, (rows, prefix, groups) in enumerate(ticks):
+                stepping = [r for r, n in enumerate(batches) if n > t]
+                assert stepping == list(range(rows.stop)) and rows.start == 0
+                assert prefix.flat.shape[0] == rows.stop
+                assert np.shares_memory(prefix.flat, plan.stack.flat[rows])
+                assert [r for sel, *_ in groups for r in range(sel.start, sel.stop)] == stepping
+                for sel, group, x, batch in groups:
+                    n = {min(batch_size, sizes[plan.order[r]] - t * batch_size)
+                         for r in range(sel.start, sel.stop)}
+                    assert {x.shape[1]} == n and batch.labels.shape == x.shape[:2]
+                    assert group.flat.shape[0] == x.shape[0] == sel.stop - sel.start
+                    assert np.shares_memory(x, plan.x)
+        # each trained sample is gathered once a round, from its client's sample order
+        n_max = max(sizes)
+        e, c, j = np.unravel_index(plan.gather_at, (epochs, len(sizes), max(n_max, 1)))
+        assert len(set(zip(e, c, j))) == plan.x.shape[0] == epochs * sum(sizes)
+        assert np.all(j < np.array(sizes, dtype=int)[c])
+        assert np.array_equal(np.array(plan.order, dtype=int)[plan.tally_rows], c)
+
+    @staticmethod
+    def _round(loss_cfg, plan_hook=None, **fed):
+        """Shards of 40, 37 and 21 samples: at batch 16 they run [16, 16, 8],
+        [16, 16, 5] and [16, 5] an epoch, so ticks 1 and 2 each hold two
+        groups. The lockstep round through a plan, the serial oracle's
+        round, and the plan."""
+        rng = np.random.default_rng(9)
+        model = M.MlpClassifier(M.MlpConfig(input_dim=4, hidden_dim=8, num_classes=3))
+        params = F.initial_params(model, loss_cfg, 0)
+        shards = [(rng.normal(size=(n, 4)), rng.integers(0, 3, size=n)) for n in (40, 37, 21)]
+        hists = [ClassHistogram.from_labels(y, 3) for _, y in shards]
+        args = (model, params, shards, hists, global_class_imbalance(hists, loss_cfg.epsilon),
+                loss_cfg, tiny_fed(learning_rate=0.05, **fed))
+        plan = F.plan_round(*args)
+        assert any(len(groups) > 1 for _, _, groups in plan.epochs[0])
+        if plan_hook:
+            plan_hook(plan)
+        result = F.local_train(*args, [np.random.default_rng(k) for k in range(3)], plan=plan)
+        oracle = serial_local_train(*args, [np.random.default_rng(k) for k in range(3)])
+        return result, oracle, plan
+
+    def test_trainable_gamma_clamped_like_the_serial_oracle(self):
+        """gamma grows past its upper bound within the first steps and is
+        clamped back after every tick's step, on every row."""
+        loss = L.LossConfig(gamma_trainable=True, gamma=2.0, gamma_hi=2.05)
+        result, oracle, _ = self._round(loss, batch_size=16)
+        assert round_bytes(result) == round_bytes(oracle)
+        assert np.all(result.params["loss.gamma"].data == np.float32(2.05))
+
+    def test_ce_idle_gamma_keeps_its_value_slot_and_moments(self):
+        """CE never reads gamma, so no tick's backward reaches it: its value,
+        its gradient slot (filled with NaN here) and its moments stay."""
+        loss = L.LossConfig(kind="ce", gamma_trainable=True)
+
+        def fill(plan):
+            assert plan.stack.manifest()[-1] == ("loss.gamma", ())
+            plan.stack.grad[:, -1] = np.nan
+
+        result, oracle, plan = self._round(loss, fill, batch_size=16)
+        assert round_bytes(result) == round_bytes(oracle)
+        assert np.isnan(plan.stack.grad[:, -1]).all()
+        assert not plan.opt.m[:, -1].any() and not plan.opt.v[:, -1].any()
+        assert np.all(result.params["loss.gamma"].data == np.float32(loss.gamma))
+
+    def test_two_epochs_at_batch_seven_match_the_serial_oracle(self):
+        result, oracle, _ = self._round(L.LossConfig(), batch_size=7, local_epochs=2)
+        assert round_bytes(result) == round_bytes(oracle)
+        assert result.batch_counts == [12, 12, 6]
 
 
 class TestRunFederation:

@@ -122,6 +122,20 @@ class TestAuc:
             brute = np.array([1.0 + np.sum(x < v) + 0.5 * (np.sum(x == v) - 1) for v in x])
             assert ME._average_ranks(x).tobytes() == brute.tobytes()
 
+    def test_column_ranks_from_one_sort_equal_brute_force_on_heavy_ties(self):
+        """An [N, C] array is ranked with one sort, column by column: each
+        row of the [C, N] result is that column's brute-force average rank."""
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            n, c = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+            x = rng.integers(0, int(rng.integers(1, 5)), size=(n, c)) * 0.5
+            ranks = ME._average_ranks(x)
+            assert ranks.shape == (c, n)
+            for col, row in zip(x.T, ranks):
+                brute = np.array([1.0 + np.sum(col < v) + 0.5 * (np.sum(col == v) - 1)
+                                  for v in col])
+                assert row.tobytes() == brute.tobytes()
+
     def test_evaluate_scores_auc_equals_auc_ovr(self):
         rng = np.random.default_rng(14)
         for _ in range(30):

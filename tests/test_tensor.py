@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fedfocal import tensor as T
 from fedfocal.errors import ConfigError, ContractError, IngestionError, NumericError, ShapeError
 
-from helpers import dfs_backward, fd_gradient, max_rel_err
+from helpers import chain_perceptron, dfs_backward, fd_gradient, max_rel_err
 
 
 def t64(data, requires_grad=False):
@@ -88,6 +88,67 @@ class TestFusedNodes:
         for t in (x, w, b):
             numeric = fd_gradient(lambda: float(np.sum(T.affine(x, w, b).data * g)), t.data)
             assert max_rel_err(t.grad, numeric) < 1e-6
+
+    @pytest.mark.parametrize("needs", [(True,) * 5, (False,) + (True,) * 4,
+                                       (False, False, False, True, True),
+                                       (True, False, False, False, False), (False,) * 5],
+                             ids=["all", "params", "second-layer", "x-only", "no-grad"])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["rank2", "stack"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_perceptron_equals_affine_relu_affine_chain_bitwise(self, dtype, lead, needs):
+        rng = np.random.default_rng(53)
+        shapes = ((9, 4), (4, 6), (6,), (6, 3), (3,))
+        arrays = [rng.normal(size=lead + shape).astype(dtype) for shape in shapes]
+        g = rng.normal(size=lead + (9, 3)).astype(dtype)
+        results = []
+        for fused in (True, False):
+            leaves = [T.Tensor(a.copy(), requires_grad=n) for a, n in zip(arrays, needs)]
+            start = len(T._tape)
+            out = (T.perceptron if fused else chain_perceptron)(*leaves)
+            nodes = len(T._tape) - start
+            _backward_through(out, g)
+            results.append([out.data.tobytes()] + [None if t.grad is None else t.grad.tobytes()
+                                                   for t in leaves])
+            if fused:
+                assert nodes == any(needs)
+        assert results[0] == results[1]
+        assert [grad is not None for grad in results[0][1:]] == list(needs)
+
+    @pytest.mark.parametrize("x_trainable", [True, False], ids=["x-trainable", "x-constant"])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["rank2", "stack"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_perceptron_gradients_by_finite_differences(self, dtype, lead, x_trainable):
+        """Differences of a float64 evaluation of the perturbed buffers. The
+        biases keep every pre-activation clear of the ReLU kink by more than
+        a difference step moves it, with both signs in every slice, so the
+        function is linear along each coordinate there."""
+        rng = np.random.default_rng(54)
+        x, w1, w2 = (rng.uniform(-0.5, 0.5, size=lead + shape).astype(dtype)
+                     for shape in ((5, 3), (3, 4), (4, 2)))
+        b1 = np.broadcast_to(np.array([1.0, -1.0, 1.5, -1.5], dtype=dtype), lead + (4,)).copy()
+        b2 = rng.normal(size=lead + (2,)).astype(dtype)
+        pre = x @ w1 + b1[..., None, :]
+        assert np.abs(pre).min() > 0.2 and (pre > 0).any() and (pre < 0).any()
+        leaves = [T.Tensor(x, requires_grad=x_trainable)] + [
+            T.Tensor(a, requires_grad=True) for a in (w1, b1, w2, b2)]
+        g = rng.normal(size=lead + (5, 2))
+        _backward_through(T.perceptron(*leaves), g.astype(dtype))
+
+        def value():
+            wide = [T.Tensor(t.data.astype(np.float64)) for t in leaves]
+            return float(np.sum(T.perceptron(*wide).data * g))
+
+        for t in leaves[0 if x_trainable else 1:]:
+            numeric = fd_gradient(value, t.data)
+            assert max_rel_err(t.grad, numeric) < (1e-4 if dtype == np.float32 else 1e-7)
+        assert x_trainable or leaves[0].grad is None
+
+    def test_perceptron_rejects_a_second_layer_that_does_not_fit(self):
+        x, w1, b1 = t64(np.ones((2, 3))), t64(np.ones((3, 4))), t64(np.ones(4))
+        with pytest.raises(ShapeError, match="perceptron"):
+            T.perceptron(x, w1, b1, t64(np.ones((5, 2))), t64(np.ones(2)))
+        with pytest.raises(ShapeError, match="perceptron bias"):
+            T.perceptron(x, w1, b1, t64(np.ones((4, 2))), t64(np.ones(3)))
 
     @pytest.mark.parametrize("axis", [None, -1], ids=["all", "last-axis"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
@@ -345,9 +406,9 @@ class TestTape:
             assert y.grad is None if k == 0 else np.array_equal(y.grad, x.data)
         assert np.array_equal(squares.grad, np.ones(2))
 
-    def test_adaptive_focal_mlp_stacked_step_is_six_tape_nodes(self):
-        """Three MLP nodes (affine, relu, affine), focal_nll, the per-client
-        mean and the sum over clients; the MLP reads each tensor once, so its
+    def test_adaptive_focal_mlp_stacked_step_is_four_tape_nodes(self):
+        """The MLP's one perceptron node, focal_nll, the per-client mean and
+        the sum over clients; the MLP reads each tensor once, so its
         gradients are the depth-first walk's bit for bit."""
         from fedfocal import losses as L
         from fedfocal import models as M
@@ -367,7 +428,7 @@ class TestTape:
             loss = L.batch_loss(model.batch_logits(stack, x), L.targets(y, 3, coeffs), loss_cfg,
                                 gamma_param=L.trainable_gamma(stack, loss_cfg))
             root = T.sum_(loss)
-            assert len(T._tape) - start == 6
+            assert len(T._tape) - start == 4
             stack.zero_grads()
             walk(root)
             grads[walk] = [t.grad.tobytes() for t in stack.tensors()]
