@@ -12,13 +12,14 @@ model on the held-out test set.
 A round is one [K, P] stack from broadcast to aggregate, one row per
 selected client, and so are its Adam moments. Epoch by epoch, at each tick,
 each run of adjacent rows whose next minibatches have the same size takes
-one stacked forward and loss on its slice, and the tick one backward and
-one Adam step on the rows that stepped (``local_train``); ``aggregate``
-reads the trained rows. No client's arithmetic depends on another's, so
-each row ends with the bits it would have training alone. What depends
-only on the selection (statistics, labels, features, schedule, the stack
-and its views, batch buffers) is a ``RoundPlan``, rebuilt only when the
-selection changes: once a run under full participation.
+one stacked forward on its slice, and the tick one loss over all its
+groups' samples, one backward and one Adam step on the rows that stepped
+(``local_train``); ``aggregate`` reads the trained rows. No client's
+arithmetic depends on another's, so each row ends with the bits it would
+have training alone. What depends only on the selection (statistics,
+labels, features, schedule, the stack and its views, batch buffers) is a
+``RoundPlan``, rebuilt only when the selection changes: once a run under
+full participation.
 
 Determinism: every random stream is derived from the master seed together
 with its role and (round, client) coordinates, each client draws its
@@ -252,9 +253,10 @@ class RoundPlan:
     order: list[int]  # the clients in row order
     x: np.ndarray  # every step's samples, in step order
     batches: L.Targets  # their targets
-    # per epoch and tick: the rows that step, their view, and per group its rows, view and batch
-    epochs: list[list[tuple[slice, ModelParams,
-                            list[tuple[slice, ModelParams, np.ndarray, L.Targets]]]]]
+    # per epoch and tick: the rows that step, their view, per group its
+    # rows, view and samples, and the tick's targets, its groups' back to back
+    epochs: list[list[tuple[slice, ModelParams, list[tuple[slice, ModelParams, np.ndarray]],
+                            L.Targets]]]
     gather_at: np.ndarray  # each trained sample's place in the sample orders, in step order
     tally_rows: np.ndarray  # its row
     tally_batch: np.ndarray  # [N, 1]: the size of its batch, in the model dtype
@@ -318,14 +320,12 @@ def plan_round(model, global_params: ModelParams,
     for _ in epochs:
         plan_epochs.append([])
         for rows, groups in ticks:
-            steps = []
-            for s, lo, hi in groups:  # its batch: the next [K', B] block of the buffers
+            steps, first = [], stop
+            for s, lo, hi in groups:  # its samples: the next [K', B] block of the buffers
                 shape = (s.stop - s.start, hi - lo)
                 start, stop = stop, stop + math.prod(shape)
-                x_, *t = (None if a is None else a[start:stop].reshape(shape + a.shape[1:])
-                          for a in (x, batches.labels, batches.weights, batches.onehot))
-                steps.append((s, view(s), x_, L.Targets(*t)))
-            plan_epochs[-1].append((rows, view(rows), steps))
+                steps.append((s, view(s), x[start:stop].reshape(shape + x.shape[1:])))
+            plan_epochs[-1].append((rows, view(rows), steps, batches[first:stop]))
     return RoundPlan(ids, client_coeffs, list(class_coeffs), features, targets, sizes, order,
                      x, batches, plan_epochs, at, np.repeat(step_rows, step_batch),
                      np.repeat(step_batch.astype(model.dtype), step_batch)[:, None], stack,
@@ -346,12 +346,13 @@ def local_train(model, global_params: ModelParams,
     parameters and moments are one [K, P] stack, one row per client. The
     epochs run one after another. Within one, at each tick, each maximal run
     of adjacent rows whose next batches have the same size is a group: one
-    stacked forward and loss on its [K', B, ...] batch and the plan's view
-    of its rows. Then one backward from the sum of the groups' losses and
-    one Adam step on the rows that stepped, in place. A client whose epoch
-    is used up sits out its last ticks. Each client does the arithmetic it
-    would do alone, so the results are those of training the clients one
-    after another, bit for bit.
+    stacked forward on its [K', B, ...] batch and the plan's view of its
+    rows. Then one loss node over the tick's groups, on the tick's slice of
+    the plan's targets, with one batch mean per row; one backward from their
+    sum; and one Adam step on the rows that stepped, in place. A client
+    whose epoch is used up sits out its last ticks. Each client does the
+    arithmetic it would do alone, so the results are those of training the
+    clients one after another, bit for bit.
 
     Once per client selection, ``plan_round`` builds everything else (here,
     when plan is None; a given plan stands in for shards, hists and
@@ -360,7 +361,8 @@ def local_train(model, global_params: ModelParams,
     epochs' sample orders drawn and their batches gathered into the plan,
     and the per-class norms tallied after the last step, in step order. The
     rows return, copied, in the given client order, with their optimizer
-    steps as batch counts. A NaN in training names its round and client."""
+    steps as batch counts. A NaN in training names its round and the
+    clients among the tick's rows that hold it."""
     ids = list(range(len(shards))) if client_ids is None else list(client_ids)
     if plan is None:
         plan = plan_round(model, global_params, shards, hists, class_coeffs, loss_cfg,
@@ -379,24 +381,24 @@ def local_train(model, global_params: ModelParams,
     grads = []  # each step's logit gradients, tallied after the epochs
     loss_sums = np.zeros(len(ids))
     for ticks in plan.epochs:
-        for rows, prefix, groups in ticks:
-            losses, logits = [], []
-            for sel, group, x, batch in groups:
-                gamma_param = L.trainable_gamma(group, loss_cfg)
-                try:
+        for rows, prefix, groups, batch in ticks:
+            logits, gammas = [], []
+            try:
+                for _, group, x in groups:
                     logits.append(model.batch_logits(group, x))
-                    losses.append(L.batch_loss(logits[-1], batch, loss_cfg,
-                                               gamma_param=gamma_param))
-                except NumericError as exc:
-                    culprits = _culprits([ids[i] for i in order[sel]], x, group.flat)
-                    raise NumericError(f"round {round_index}, {culprits}: {exc}") from exc
-                group.zero_grads()
-            loss = losses[0] if len(losses) == 1 else T.concat(losses)
+                    gammas.append(L.trainable_gamma(group, loss_cfg))
+                    group.zero_grads()
+                loss = L.batch_loss(logits, batch, loss_cfg,
+                                    gamma_param=None if gammas[0] is None else gammas)
+            except NumericError as exc:
+                culprits = _culprits([ids[i] for i in order[rows]],
+                                     [r for *_, x in groups for r in x], prefix.flat)
+                raise NumericError(f"round {round_index}, {culprits}: {exc}") from exc
             T.backward(T.sum_(loss))
             grads += [out.grad for out in logits]
             # every group runs the same model and loss, so reaches the same tensors
             opt.step(prefix, rows, reached=groups[0][1])
-            if gamma_param is not None:
+            if gammas[0] is not None:
                 L.clamp_gamma(prefix, loss_cfg)
             loss_sums[rows] += loss.data
     num_classes = model.num_classes
@@ -458,9 +460,12 @@ def aggregate(stack: ModelParams, weights) -> ModelParams:
     if not (np.all(weights >= 0) and abs(sum(weights.tolist()) - 1.0) <= 1e-12):
         raise ContractError(f"aggregation weights must be >= 0 and sum to 1: {weights.tolist()}")
     anchor = rows[0].astype(np.float64)
+    diffs = rows[1:].astype(np.float64)
+    diffs -= anchor
+    diffs *= weights[1:, None]
     acc = anchor.copy()
-    for w, row in zip(weights[1:], rows[1:]):
-        acc += w * (row.astype(np.float64) - anchor)
+    for d in diffs:
+        acc += d
     return ModelParams.from_flat(stack.manifest(), acc.astype(rows.dtype))
 
 

@@ -104,23 +104,29 @@ def targets(labels, num_classes: int, coeffs=None, dtype=None) -> Targets:
     return checked if dtype is None else checked.cast(num_classes, dtype)
 
 
-def _focal_nll(logits: Tensor, batch: Targets, gamma, weighted: bool) -> Tensor:
-    labels = batch.labels
-    if logits.data.ndim not in (2, 3):
-        raise ContractError(f"logits must be [batch, classes] or [clients, batch, "
-                            f"classes], got shape {logits.shape}")
-    if labels.ndim != logits.data.ndim - 1:
-        raise ContractError(f"labels must have rank {logits.data.ndim - 1}, "
-                            f"got shape {labels.shape}")
-    if labels.shape != logits.shape[:-1]:
-        raise ShapeError(f"labels of shape {labels.shape} for logits {logits.shape}")
+def _focal_nll(logits, batch: Targets, gamma, weighted: bool, mean: bool) -> Tensor:
+    labels, first = batch.labels, logits if isinstance(logits, Tensor) else logits[0]
+    if first is logits:  # a list's labels are its groups' rows, flat, counted by focal_nll
+        if logits.data.ndim not in (2, 3):
+            raise ContractError(f"logits must be [batch, classes] or [clients, batch, "
+                                f"classes], got shape {logits.shape}")
+        if labels.ndim != logits.data.ndim - 1:
+            raise ContractError(f"labels must have rank {logits.data.ndim - 1}, "
+                                f"got shape {labels.shape}")
+        if labels.shape != logits.shape[:-1]:
+            raise ShapeError(f"labels of shape {labels.shape} for logits {logits.shape}")
     if batch.onehot is None:  # targets built without a dtype: cast them for this call
-        batch = batch.cast(logits.shape[-1], logits.dtype)
-    elif batch.onehot.shape != logits.shape or batch.onehot.dtype != logits.dtype:
+        batch = batch.cast(first.shape[-1], first.dtype)
+    elif batch.onehot.shape[-1] != first.shape[-1] or batch.onehot.dtype != first.dtype:
         raise ContractError(f"targets of {batch.onehot.shape[-1]} classes in "
-                            f"{batch.onehot.dtype} for {logits.dtype} logits {logits.shape}")
+                            f"{batch.onehot.dtype} for {first.dtype} logits {first.shape}")
     return T.focal_nll(logits, batch.onehot, PROB_FLOOR, gamma=gamma,
-                       weights=batch.weights if weighted else None)
+                       weights=batch.weights if weighted else None, mean=mean)
+
+
+def _loss(logits: Tensor, labels, gamma=None, coeffs=None, mean: bool = True) -> Tensor:
+    return _focal_nll(logits, targets(labels, logits.shape[-1], coeffs, logits.dtype),
+                      gamma, weighted=True, mean=mean)
 
 
 def per_sample_losses(logits: Tensor, labels, *, gamma=None,
@@ -133,20 +139,19 @@ def per_sample_losses(logits: Tensor, labels, *, gamma=None,
     a stack) turns on the focal factor; coeffs (one nonnegative value per
     sample) adds the adaptive multiplier (1 + c).
     """
-    return _focal_nll(logits, targets(labels, logits.shape[-1], coeffs, logits.dtype),
-                      gamma, weighted=True)
+    return _loss(logits, labels, gamma, coeffs, mean=False)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean over the batch of -log p_t (one mean per client on a stack)."""
-    return T.mean(per_sample_losses(logits, labels), axis=-1)
+    return _loss(logits, labels)
 
 
 def focal_loss(logits: Tensor, labels, gamma=2.0) -> Tensor:
     """Mean over the batch of -(1 - p_t)^gamma * log(p_t)."""
     if not isinstance(gamma, Tensor) and gamma < 0:
         raise ContractError(f"gamma must be >= 0, got {gamma}")
-    return T.mean(per_sample_losses(logits, labels, gamma=gamma), axis=-1)
+    return _loss(logits, labels, gamma)
 
 
 def adaptive_focal_loss(logits: Tensor, labels, coeffs, gamma=2.0) -> Tensor:
@@ -156,20 +161,21 @@ def adaptive_focal_loss(logits: Tensor, labels, coeffs, gamma=2.0) -> Tensor:
     """
     if coeffs is None:
         raise ContractError("adaptive focal loss needs per-sample coefficients")
-    return T.mean(per_sample_losses(logits, labels, gamma=gamma, coeffs=coeffs), axis=-1)
+    return _loss(logits, labels, gamma, coeffs)
 
 
-def batch_loss(logits: Tensor, batch: Targets, cfg: LossConfig, *,
-               gamma_param: Tensor | None = None) -> Tensor:
+def batch_loss(logits, batch: Targets, cfg: LossConfig, *, gamma_param=None) -> Tensor:
     """The configured loss of a training batch, whose labels (and, for the
     adaptive kind, weights) were checked by ``targets``; the same bits as
     ``cross_entropy``, ``focal_loss`` or ``adaptive_focal_loss`` on them.
     Targets built in a dtype must be in the logits' dtype.
 
-    gamma_param, when given, is the trainable gamma living in the model's
-    parameter list (one per client on a stack); otherwise the configured
-    constant is used. On a client stack the result holds one loss per
-    client.
+    logits are one tensor, or a list: a lockstep tick's groups, with flat
+    targets in their order, all in one tape node. gamma_param, when given,
+    is the trainable gamma living in the model's parameter list (one per
+    client on a stack; a list, one per group); otherwise the configured
+    constant is used. The result is the batch mean: one per client on a
+    stack, and one per client row, in row order, for a list.
     """
     if cfg.kind == "ce":
         gamma = None
@@ -178,7 +184,7 @@ def batch_loss(logits: Tensor, batch: Targets, cfg: LossConfig, *,
     weighted = cfg.kind == "adaptive_focal"
     if weighted and batch.weights is None:
         raise ContractError("adaptive focal loss needs per-sample coefficients")
-    return T.mean(_focal_nll(logits, batch, gamma, weighted), axis=-1)
+    return _focal_nll(logits, batch, gamma, weighted, mean=True)
 
 
 def clamp_gamma(params: ModelParams, cfg: LossConfig) -> None:

@@ -28,13 +28,15 @@ gradients into their slots of the set's ``ModelParams.grad`` buffer.
 
 Broadcasting is rejected except for the affine-bias pattern (matrix [R, C]
 plus vector [C]). The one other shape rule is a leading client axis: the
-operations a training step of the MLP uses (``perceptron``, ``focal_nll``
-and the per-client ``mean`` over the last axis), as well as ``affine``,
-``relu``, ``matmul`` and the bias ``add``, also take a stack of K
-independent problems, [K, R, C] with [K, C, N] or [K, C], and
+operations a training step of the MLP uses (``perceptron`` and
+``focal_nll`` with its per-client mean), as well as ``affine``, ``relu``,
+``matmul``, the bias ``add`` and ``mean`` over the last axis, also take a
+stack of K independent problems, [K, R, C] with [K, C, N] or [K, C], and
 give each slice the bits the rank-2 operation gives it alone; so does a
 ``layer_norm`` with one [K, D] affine row per client. ``transpose`` swaps
-the last two axes at any rank.
+the last two axes at any rank. ``focal_nll`` also takes a list of such
+stacks, a lockstep tick's groups, as one node, and gives each block the
+bits of its own call.
 """
 
 from __future__ import annotations
@@ -409,8 +411,9 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _record(out, (a,), vjp)
 
 
-def _row_power(base: np.ndarray, e, shift: float) -> np.ndarray:
-    """base ** (e + shift), e one float or one float per client row.
+def _row_power(base: np.ndarray, e, shift: float, sizes: list[int] | None) -> np.ndarray:
+    """base ** (e + shift), e one float or one float per client row, whose
+    samples lie back to back in the flat base, sizes of them a row.
 
     Each row gets a scalar exponent of its own: numpy takes fast paths for
     some scalar exponents (2.0, 0.5) that an array exponent skips, and the
@@ -418,46 +421,73 @@ def _row_power(base: np.ndarray, e, shift: float) -> np.ndarray:
     dt = base.dtype.type
     if isinstance(e, float):
         return np.power(base, dt(e + shift))
-    return np.stack([np.power(row, dt(x + shift)) for row, x in zip(base, e)])
+    return np.concatenate([np.power(base[z - n:z], dt(x + shift))
+                           for n, z, x in zip(sizes, np.cumsum(sizes).tolist(), e)])
 
 
-def focal_nll(logits: Tensor, onehot: np.ndarray, floor: float, gamma=None,
-              weights: np.ndarray | None = None) -> Tensor:
-    """Per-sample w * (1 - p_t)^gamma * -log(p_t) as one tape node.
+def focal_nll(logits, onehot: np.ndarray, floor: float, gamma=None,
+              weights: np.ndarray | None = None, mean: bool = False) -> Tensor:
+    """Per-sample w * (1 - p_t)^gamma * -log(p_t) as one tape node, or with
+    mean each client's batch mean of it.
 
-    logits are [B, C], or a client stack [K, B, C]; onehot, the labels as
-    one-hot rows, has their shape and dtype; weights and the result have
-    it without the class axis. p_t is the softmax probability of each
-    row's label. Both p_t and 1 - p_t are clamped to [floor, 1]. gamma None
-    drops the focal factor; a float (shared by every client) or a tensor
-    keeps it, and a trainable gamma gets its gradient. A gamma tensor is a
-    scalar, or on a stack one scalar per client ([K]). weights (the logits
-    dtype) multiply the result.
+    logits are [B, C], a client stack [K, B, C], or a list of such blocks
+    (a lockstep tick's groups) read as the rows of one [N, C] array; the
+    one-hot labels and the weights, in the logits dtype, have the shape of
+    the logits or of those rows (weights without the class axis). The
+    result has the labels' shape, or for blocks [N]; the means have it
+    without the batch axis, or for blocks one per client row, in order.
+    p_t is the softmax probability of each row's label. Both p_t and 1 - p_t
+    are clamped to [floor, 1]. gamma None drops the focal factor; a float
+    (shared by every client) or a tensor keeps it, and a trainable gamma
+    gets its gradient. A gamma tensor holds one scalar per client ([] or
+    [K]); blocks take a list of them, one per block.
 
-    Forward and backward repeat, expression for expression, the chain of
-    primitives this node replaces (softmax, mul by the one-hot, sum_, clamp,
-    log, scale, sub, clamp, power, mul, mul), so values and gradients are
-    the chain's bit for bit, on each slice of a stack as well.
+    Forward and backward repeat the expressions of the primitive chain this
+    node replaces (softmax, mul by the one-hot, sum_, clamp, log, scale,
+    sub, clamp, power, mul, mul, then the mean: a sum over a block's batch
+    axis times 1 / B). Each is elementwise or reduces one row's classes or
+    one client's batch, so each block and stack slice gets the chain's bits.
     """
-    dt = logits.dtype
-    exponent = None
-    if isinstance(gamma, Tensor):
-        stacked = logits.data.ndim == 3
-        if not (gamma.shape == logits.shape[:1] if stacked else gamma.data.size == 1):
-            raise ShapeError(f"tensor exponent must be one scalar per client, got shape "
-                             f"{gamma.shape} for logits {logits.shape}")
-        _check_same_dtype(logits, gamma)
-        exponent = gamma
-        e = gamma.data.tolist() if stacked else float(gamma.data.reshape(()))
+    one = isinstance(logits, Tensor)
+    blocks = [logits] if one else logits
+    exps = [gamma] if isinstance(gamma, Tensor) else gamma if isinstance(gamma, list) else None
+    c, spans, z, r = blocks[0].data.shape[-1], [], 0, 0
+    for b in blocks:  # its client rows and batch size, and where its samples and rows end
+        shape = b.data.shape
+        if len(shape) not in (2, 3) or shape[-1] != c:
+            raise ShapeError(f"focal_nll needs [B, C] or [K, B, C] logits of one class "
+                             f"count, got {[b.shape for b in blocks]}")
+        k, n = shape[0] if len(shape) == 3 else 1, shape[-2]
+        spans.append((k, n, z := z + k * n, r := r + k))
+    if onehot.size != z * c:
+        raise ShapeError(f"one-hot rows {onehot.shape} for logits {[b.shape for b in blocks]}")
+    sizes = None
+    if exps is not None:
+        if len(exps) != len(blocks) or any(
+                x.shape != b.shape[:1] if b.data.ndim == 3 else x.data.size != 1
+                for x, b in zip(exps, blocks)):
+            raise ShapeError(f"tensor exponent must be one scalar per client, got shapes "
+                             f"{[x.shape for x in exps]} for logits {[b.shape for b in blocks]}")
+        e = [v for x in exps for v in x.data.reshape(-1).tolist()]
+        sizes = [n for k, n, _, _ in spans for _ in range(k)]  # each client row's batch
     elif gamma is not None:
         e = float(gamma)
-    if np.isnan(logits.data).any():
-        bad = np.flatnonzero(np.isnan(logits.data))
+    if len(blocks) > 1 or exps:
+        _check_same_dtype(*blocks, *(exps or ()))
+    dt = blocks[0].dtype
+    rows = (blocks[0].data.reshape(-1, c) if len(blocks) == 1
+            else np.concatenate([b.data.reshape(-1, c) for b in blocks]))
+    if one:  # the labels' shape to the rows'
+        onehot = onehot.reshape(rows.shape)
+        weights = None if weights is None else weights.ravel()
+    # the ufunc reductions are ndarray.max and sum without their Python wrappers
+    if np.logical_or.reduce(np.isnan(rows), axis=None):
+        bad = np.flatnonzero(np.isnan(rows))
         raise NumericError(f"softmax input contains NaN at flat index {int(bad[0])}")
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    shifted = rows - np.maximum.reduce(rows, axis=-1, keepdims=True)
     ex = np.exp(shifted)
-    s = ex / ex.sum(axis=-1, keepdims=True)
-    p_t = (s * onehot).sum(axis=-1)
+    s = ex / np.add.reduce(ex, axis=-1, keepdims=True)
+    p_t = np.add.reduce(s * onehot, axis=-1)
     clamped = np.minimum(np.maximum(p_t, floor), 1.0)
     nll_mask = clamped == p_t  # p_t within [floor, 1]; NaN is not
     nll = np.log(clamped) * dt.type(-1.0)
@@ -466,37 +496,54 @@ def focal_nll(logits: Tensor, onehot: np.ndarray, floor: float, gamma=None,
         rest = dt.type(1) - p_t
         base = np.minimum(np.maximum(rest, floor), 1.0)
         base_mask = base == rest
-        focal = _row_power(base, e, 0.0)
+        focal = _row_power(base, e, 0.0, sizes)
         out = focal * nll
     if weights is not None:
         out = weights * out
+    if mean:
+        out = [np.add.reduce(out[z - k * n:z].reshape(k, n), axis=-1) * dt.type(1.0 / n)
+               for k, n, z, _ in spans]
+        out = out[0] if len(out) == 1 else np.concatenate(out)
+    if one:
+        out = out.reshape(logits.shape[:-2] if mean else logits.shape[:-1])
 
     def vjp(g):
-        if weights is not None:
+        g = g.reshape(-1)
+        if mean:  # each row's gradient times 1 / B over its batch, times the weights (or 1)
+            w = np.ones_like(p_t) if weights is None else weights
+            g = [((g[r - k:r] * dt.type(1.0 / n))[:, None] * w[z - k * n:z].reshape(k, n)).ravel()
+                 for k, n, z, r in spans]
+            g = g[0] if len(g) == 1 else np.concatenate(g)
+        elif weights is not None:
             g = g * weights
         g_nll = g
-        g_exp = None
+        g_exps = [None] * len(exps) if exps else []
         if gamma is not None:
             g_focal = g * nll
             g_nll = g * focal
             if isinstance(e, float):
                 g_base = (np.zeros_like(base) if e == 0.0
-                          else g_focal * e * _row_power(base, e, -1.0))
+                          else g_focal * e * _row_power(base, e, -1.0, sizes))
             else:
-                g_base = g_focal * np.asarray(e, dtype=dt)[:, None] * _row_power(base, e, -1.0)
-                g_base[np.asarray(e) == 0.0] = 0
-            if exponent is not None and exponent.requires_grad:
-                g_exp = (g_focal * focal * np.log(base)).sum(axis=-1).reshape(exponent.shape)
-                g_exp = g_exp.astype(dt)
+                g_base = (g_focal * np.repeat(np.asarray(e, dtype=dt), sizes)
+                          * _row_power(base, e, -1.0, sizes))
+                g_base[np.repeat(np.asarray(e) == 0.0, sizes)] = 0
+            if exps and any(x.requires_grad for x in exps):
+                g_e = g_focal * focal * np.log(base)
+                g_exps = [np.add.reduce(g_e[z - k * n:z].reshape(k, n), axis=-1)
+                          .reshape(x.shape).astype(dt) for (k, n, z, _), x in zip(spans, exps)]
         g_pt = (g_nll * dt.type(-1.0) / clamped) * nll_mask
         if gamma is not None:
             g_pt = g_pt + -(g_base * base_mask)
         g_s = g_pt[..., None] * onehot
-        inner = (g_s * s).sum(axis=-1, keepdims=True)
-        return (g_s - inner) * s, g_exp
+        inner = np.add.reduce(g_s * s, axis=-1, keepdims=True)
+        g_rows = (g_s - inner) * s
+        if len(blocks) == 1:
+            return [g_rows.reshape(blocks[0].data.shape)] + g_exps
+        return [g_rows[z - k * n:z].reshape(b.data.shape)
+                for (k, n, z, _), b in zip(spans, blocks)] + g_exps
 
-    parents = (logits,) if exponent is None else (logits, exponent)
-    return _record(_wrap(out), parents, vjp)
+    return _record(_wrap(out), blocks if exps is None else [*blocks, *exps], vjp)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:

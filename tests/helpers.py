@@ -81,6 +81,82 @@ def chain_per_sample_losses(logits, labels, *, gamma=None, coeffs=None, floor=1e
     return out
 
 
+def _row_power(base, e, shift):
+    dt = base.dtype.type
+    if isinstance(e, float):
+        return np.power(base, dt(e + shift))
+    return np.stack([np.power(row, dt(x + shift)) for row, x in zip(base, e)])
+
+
+def per_group_focal_nll(logits, onehot, floor, gamma=None, weights=None):
+    """tensor.focal_nll as it ran before a lockstep tick took one loss node:
+    one node per group's logits, [B, C] or a client stack [K, B, C], with
+    onehot of their shape, per-sample losses out, and gamma None, a float,
+    or a tensor (a scalar, or one per client on a stack). With the per-client
+    T.mean after it (``per_group_loss``) it is the chain the tick node must
+    reproduce, value, logits gradient and gamma gradient, bit for bit."""
+    from fedfocal import tensor as T
+
+    dt = logits.dtype
+    exponent = None
+    if isinstance(gamma, T.Tensor):
+        exponent = gamma
+        e = gamma.data.tolist() if logits.data.ndim == 3 else float(gamma.data.reshape(()))
+    elif gamma is not None:
+        e = float(gamma)
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    ex = np.exp(shifted)
+    s = ex / ex.sum(axis=-1, keepdims=True)
+    p_t = (s * onehot).sum(axis=-1)
+    clamped = np.minimum(np.maximum(p_t, floor), 1.0)
+    nll_mask = clamped == p_t
+    nll = np.log(clamped) * dt.type(-1.0)
+    out = nll
+    if gamma is not None:
+        rest = dt.type(1) - p_t
+        base = np.minimum(np.maximum(rest, floor), 1.0)
+        base_mask = base == rest
+        focal = _row_power(base, e, 0.0)
+        out = focal * nll
+    if weights is not None:
+        out = weights * out
+
+    def vjp(g):
+        if weights is not None:
+            g = g * weights
+        g_nll = g
+        g_exp = None
+        if gamma is not None:
+            g_focal = g * nll
+            g_nll = g * focal
+            if isinstance(e, float):
+                g_base = (np.zeros_like(base) if e == 0.0
+                          else g_focal * e * _row_power(base, e, -1.0))
+            else:
+                g_base = g_focal * np.asarray(e, dtype=dt)[:, None] * _row_power(base, e, -1.0)
+                g_base[np.asarray(e) == 0.0] = 0
+            if exponent is not None and exponent.requires_grad:
+                g_exp = (g_focal * focal * np.log(base)).sum(axis=-1).reshape(exponent.shape)
+                g_exp = g_exp.astype(dt)
+        g_pt = (g_nll * dt.type(-1.0) / clamped) * nll_mask
+        if gamma is not None:
+            g_pt = g_pt + -(g_base * base_mask)
+        g_s = g_pt[..., None] * onehot
+        inner = (g_s * s).sum(axis=-1, keepdims=True)
+        return (g_s - inner) * s, g_exp
+
+    parents = (logits,) if exponent is None else (logits, exponent)
+    return T._record(T._wrap(out), parents, vjp)
+
+
+def per_group_loss(logits, onehot, floor, gamma=None, weights=None):
+    """One group's batch mean (one per client on a stack): per_group_focal_nll
+    then T.mean over the batch axis, two tape nodes."""
+    from fedfocal import tensor as T
+
+    return T.mean(per_group_focal_nll(logits, onehot, floor, gamma, weights), axis=-1)
+
+
 def chain_perceptron(x, w1, b1, w2, b2):
     """affine(relu(affine(x, w1, b1)), w2, b2) as three tape nodes. This is
     how the MLP and the ViT feed-forward ran before the two-layer ReLU block

@@ -52,7 +52,8 @@ def test_install_then_restore_puts_every_original_back(layers):
 def test_traced_run_spans_local_train_per_round_and_adam_step_per_tick(layers, tmp_path):
     """The benchmark reads federation.client_updates, federation.steps and
     losses.calls from these spans; a trainer that bypassed any of these
-    names would read 0. A tick takes one Adam step over all its groups."""
+    names would read 0. A tick takes one loss and one Adam step over all
+    its groups."""
     from fedfocal import experiment as X
 
     cfg = X.preset_config("smoke").with_overrides({
@@ -75,7 +76,7 @@ def test_traced_run_spans_local_train_per_round_and_adam_step_per_tick(layers, t
     names = [s[1] for s in tracer.spans]
     assert names.count("federation.local_train") == 2
     assert names.count("federation.adam_step") == 2 * ticks
-    assert names.count("losses.batch_loss") == 2 * groups
+    assert names.count("losses.batch_loss") == 2 * ticks
 
 
 def test_traced_run_plans_once_and_trains_once_per_round(layers, tmp_path):

@@ -11,7 +11,8 @@ from fedfocal import federation as F
 from fedfocal import losses as L
 from fedfocal import models as M
 from fedfocal import partition as P
-from fedfocal.errors import ConfigError, ContractError
+from fedfocal import tensor as T
+from fedfocal.errors import ConfigError, ContractError, NumericError
 from fedfocal.imbalance import ClassHistogram, global_class_imbalance
 
 from helpers import serial_local_train
@@ -395,18 +396,22 @@ class TestTicks:
         assert len(plan.epochs) == epochs
         for ticks in plan.epochs:
             assert len(ticks) == max(batches)
-            for t, (rows, prefix, groups) in enumerate(ticks):
+            for t, (rows, prefix, groups, batch) in enumerate(ticks):
                 stepping = [r for r, n in enumerate(batches) if n > t]
                 assert stepping == list(range(rows.stop)) and rows.start == 0
                 assert prefix.flat.shape[0] == rows.stop
                 assert np.shares_memory(prefix.flat, plan.stack.flat[rows])
                 assert [r for sel, *_ in groups for r in range(sel.start, sel.stop)] == stepping
-                for sel, group, x, batch in groups:
+                for sel, group, x in groups:
                     n = {min(batch_size, sizes[plan.order[r]] - t * batch_size)
                          for r in range(sel.start, sel.stop)}
-                    assert {x.shape[1]} == n and batch.labels.shape == x.shape[:2]
+                    assert {x.shape[1]} == n
                     assert group.flat.shape[0] == x.shape[0] == sel.stop - sel.start
                     assert np.shares_memory(x, plan.x)
+                # the tick's targets: its groups' samples, back to back
+                assert batch.labels.shape == (sum(x.shape[0] * x.shape[1] for *_, x in groups),)
+                assert np.shares_memory(batch.labels, plan.batches.labels)
+                assert np.shares_memory(batch.onehot, plan.batches.onehot)
         # each trained sample is gathered once a round, from its client's sample order
         n_max = max(sizes)
         e, c, j = np.unravel_index(plan.gather_at, (epochs, len(sizes), max(n_max, 1)))
@@ -415,20 +420,25 @@ class TestTicks:
         assert np.array_equal(np.array(plan.order, dtype=int)[plan.tally_rows], c)
 
     @staticmethod
-    def _round(loss_cfg, plan_hook=None, **fed):
+    def _args(loss_cfg, **fed):
         """Shards of 40, 37 and 21 samples: at batch 16 they run [16, 16, 8],
         [16, 16, 5] and [16, 5] an epoch, so ticks 1 and 2 each hold two
-        groups. The lockstep round through a plan, the serial oracle's
-        round, and the plan."""
+        groups. The arguments of local_train before its streams."""
         rng = np.random.default_rng(9)
         model = M.MlpClassifier(M.MlpConfig(input_dim=4, hidden_dim=8, num_classes=3))
         params = F.initial_params(model, loss_cfg, 0)
         shards = [(rng.normal(size=(n, 4)), rng.integers(0, 3, size=n)) for n in (40, 37, 21)]
         hists = [ClassHistogram.from_labels(y, 3) for _, y in shards]
-        args = (model, params, shards, hists, global_class_imbalance(hists, loss_cfg.epsilon),
+        return (model, params, shards, hists, global_class_imbalance(hists, loss_cfg.epsilon),
                 loss_cfg, tiny_fed(learning_rate=0.05, **fed))
+
+    @staticmethod
+    def _round(loss_cfg, plan_hook=None, **fed):
+        """The lockstep round through a plan, the serial oracle's round, and
+        the plan, on the shards of ``_args``."""
+        args = TestTicks._args(loss_cfg, **fed)
         plan = F.plan_round(*args)
-        assert any(len(groups) > 1 for _, _, groups in plan.epochs[0])
+        assert any(len(groups) > 1 for _, _, groups, _ in plan.epochs[0])
         if plan_hook:
             plan_hook(plan)
         result = F.local_train(*args, [np.random.default_rng(k) for k in range(3)], plan=plan)
@@ -457,6 +467,46 @@ class TestTicks:
         assert np.isnan(plan.stack.grad[:, -1]).all()
         assert not plan.opt.m[:, -1].any() and not plan.opt.v[:, -1].any()
         assert np.all(result.params["loss.gamma"].data == np.float32(loss.gamma))
+
+    def test_nan_in_a_short_batch_names_its_client_only(self):
+        """Client 2's short batch of 5 shares tick 1 with the group of clients
+        0 and 1, and the tick takes one loss over both groups. A NaN feature
+        in that batch fails it, and the error names client 2 alone."""
+        args = self._args(L.LossConfig(), batch_size=16)
+        _, _, groups, _ = F.plan_round(*args).epochs[0][1]
+        assert [(sel.start, sel.stop) for sel, *_ in groups] == [(0, 2), (2, 3)]
+        short = np.random.default_rng(2).permutation(21)[16:]  # client 2's stream, epoch 1
+        args[2][2][0][short[3], 1] = np.nan
+        with pytest.raises(NumericError,
+                           match=r"^round 4, client 2: softmax input contains NaN"):
+            F.local_train(*args, [np.random.default_rng(k) for k in range(3)], round_index=4)
+
+    def test_a_round_takes_one_loss_and_one_backward_per_tick(self, monkeypatch):
+        """A tick records one perceptron node per group, then one focal_nll
+        and the sum_ that backward starts from: 3 nodes for a one-group MLP
+        tick, 4 for a two-group one."""
+        args = self._args(L.LossConfig(), batch_size=16, local_epochs=2)
+        plan = F.plan_round(*args)
+        tape = {"losses": 0, "nodes": [], "after": len(T._tape)}
+        batch_loss, backward = L.batch_loss, T.backward
+
+        def counting_loss(*a, **k):
+            tape["losses"] += 1
+            return batch_loss(*a, **k)
+
+        def counting_backward(root):
+            # entries since the last backward pruned the tape: this tick's nodes
+            tape["nodes"].append(len(T._tape) - tape["after"])
+            backward(root)
+            tape["after"] = len(T._tape)
+
+        monkeypatch.setattr(L, "batch_loss", counting_loss)
+        monkeypatch.setattr(T, "backward", counting_backward)
+        F.local_train(*args, [np.random.default_rng(k) for k in range(3)], plan=plan)
+        groups = [len(groups) for ticks in plan.epochs for _, _, groups, _ in ticks]
+        assert groups == [1, 2, 2] * 2
+        assert tape["losses"] == len(groups)
+        assert tape["nodes"] == [n + 2 for n in groups]
 
     def test_two_epochs_at_batch_seven_match_the_serial_oracle(self):
         result, oracle, _ = self._round(L.LossConfig(), batch_size=7, local_epochs=2)

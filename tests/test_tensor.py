@@ -406,9 +406,9 @@ class TestTape:
             assert y.grad is None if k == 0 else np.array_equal(y.grad, x.data)
         assert np.array_equal(squares.grad, np.ones(2))
 
-    def test_adaptive_focal_mlp_stacked_step_is_four_tape_nodes(self):
-        """The MLP's one perceptron node, focal_nll, the per-client mean and
-        the sum over clients; the MLP reads each tensor once, so its
+    def test_adaptive_focal_mlp_stacked_step_is_three_tape_nodes(self):
+        """The MLP's one perceptron node, focal_nll with its per-client mean,
+        and the sum over clients; the MLP reads each tensor once, so its
         gradients are the depth-first walk's bit for bit."""
         from fedfocal import losses as L
         from fedfocal import models as M
@@ -428,7 +428,7 @@ class TestTape:
             loss = L.batch_loss(model.batch_logits(stack, x), L.targets(y, 3, coeffs), loss_cfg,
                                 gamma_param=L.trainable_gamma(stack, loss_cfg))
             root = T.sum_(loss)
-            assert len(T._tape) - start == 4
+            assert len(T._tape) - start == 3
             stack.zero_grads()
             walk(root)
             grads[walk] = [t.grad.tobytes() for t in stack.tensors()]
