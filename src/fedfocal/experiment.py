@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from .errors import AggregationError, ConfigError, IngestionError
 from .imbalance import ImbalanceReport
 from .models import (MlpClassifier, ModelParams, ViTClassifier, check_manifests_match,
                      load_params, save_params)
-from .partition import PartitionResult, build_partition, write_manifest
+from .partition import PartitionResult, PartitionSpec, build_partition, write_manifest
 from .tensor import DTYPES, save_array
 
 CSV_COLUMNS = ("round", "accuracy", "macro_f1", "macro_precision", "macro_recall",
@@ -81,12 +81,13 @@ def prepare(cfg: ExperimentConfig) -> tuple[DatasetBundle, object]:
 
 
 def run_partition(cfg: ExperimentConfig, bundle: DatasetBundle) -> PartitionResult:
-    """The client/test split a run trains and is scored on."""
+    """The client/test split a run trains and is scored on; a centralized
+    run's is one shard of the whole training pool, split by the federation seed."""
+    spec = cfg.partition_spec()
     if cfg["run.mode"] == "centralized":
-        part = F.centralized_partition(bundle, cfg["partition.test_fraction"],
-                                       cfg["federation.seed"])
-    else:
-        part = build_partition(bundle.labels, cfg.partition_spec(), bundle.num_classes)
+        spec = PartitionSpec(mode="fixed", ratios=(1.0,), num_clients=1,
+                             test_fraction=spec.test_fraction, seed=cfg["federation.seed"])
+    part = build_partition(bundle.labels, spec, bundle.num_classes)
     if not part.test_indices:
         raise ConfigError("partition has no global test set to evaluate on")
     return part
@@ -140,12 +141,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> F.FederationRun:
 
     (out / "config.echo").write_text(cfg.to_text(), encoding="ascii")
 
-    if cfg["run.mode"] == "centralized":
-        run = F.run_centralized(bundle, model, loss_cfg, fed_cfg,
-                                val_fraction=cfg["partition.test_fraction"])
+    if cfg["run.mode"] == "centralized":  # a one-client federation
+        fed_cfg = replace(fed_cfg, num_clients=1, client_fraction=1.0, aggregation="uniform")
     else:
         write_manifest(out / "partition.manifest", part)
-        run = F.run_federation(bundle, part, model, loss_cfg, fed_cfg)
+    run = F.run_federation(bundle, part, model, loss_cfg, fed_cfg)
 
     last = run.records[-1]
     report = ImbalanceReport(
@@ -287,7 +287,7 @@ class FinishedRun:
     def score_test_set(self) -> tuple[np.ndarray, np.ndarray]:
         """Final-model class scores on the held-out test set, and its labels."""
         idx = self.test_indices
-        return (F.eval_scores(self.model, self.params, self.bundle.features[idx]),
+        return (F.eval_scores(self.model, self.params, self.bundle.features, idx),
                 self.bundle.labels[idx])
 
 
@@ -301,7 +301,7 @@ def load_run(run_dir) -> FinishedRun:
     params = load_params(run_dir / "final.ckpt")
     expected = F.initial_params(model, cfg.loss_config(), cfg["federation.seed"])
     try:
-        check_manifests_match([expected, params])
+        check_manifests_match(expected, params)
     except AggregationError as exc:
         raise IngestionError(f"{run_dir / 'final.ckpt'} does not match "
                              f"{run_dir / 'config.echo'}: {exc}") from exc

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .errors import ConfigError, ContractError, NumericError
 from .imbalance import (ClassHistogram, client_imbalance, dynamic_coefficient,
                         global_class_imbalance, head_tail_split, imbalance_score)
 from .models import ModelParams
-from .partition import PartitionResult, PartitionSpec, build_partition
+from .partition import PartitionResult
 
 AGGREGATION_MODES = ("inverse_imbalance", "sample_size", "uniform")
 
@@ -147,28 +147,22 @@ class Adam:
         """Moments and step counts back to zero, as on construction."""
         self.t[...], self.m[...], self.v[...], self._calls = 0, 0, 0, 0
 
-    def step(self, group: ModelParams | None = None, rows: slice | None = None,
-             reached: ModelParams | None = None) -> None:
+    def step(self, rows: slice | None = None, reached: ModelParams | None = None) -> None:
         """Update moments and parameters in place, in the operand order of
         m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
         p = p - lr*m_hat / (sqrt(v_hat) + eps).
 
-        Without arguments every row steps, from the gradients on the
-        optimizer's own tensors. With rows, a slice of the stack, only those
-        rows step: group is a view of them that holds their gradients, so
-        the parameters and moments are updated where they lie. Which
-        tensors have a gradient is read off reached, a view of some of the
-        rows, when given. Rows may be at different step counts; each row's
-        bias corrections 1 - b**t are looked up by its own count in tables
+        Every row steps, or only rows, a slice of the stack, where they lie,
+        in one pass over the set's ``grad`` buffer (a hand-set gradient is
+        copied there first). Which tensors have a gradient is read off the
+        optimizer's own tensors, or off reached, a view of some of the rows;
+        one without keeps its value and its moments. Each row's bias
+        corrections 1 - b**t are looked up by its own step count in tables
         of the Python floats a lone step would compute, cast to the
-        parameter dtype, and divide the row as a column.
-
-        Gradients come from the set's ``grad`` buffer, a hand-set one copied
-        there first. One pass over it: every op is elementwise, so each
-        scalar gets the bits a per-tensor, per-client loop would give it. A
-        tensor without a gradient keeps its value and its moments."""
-        params = self.params if group is None else group
-        sel = ... if rows is None else rows
+        parameter dtype, and divide the row as a column. Every op is
+        elementwise, so each scalar gets the bits a per-tensor, per-client
+        loop would give it."""
+        params, sel = self.params, ... if rows is None else rows
         counts = self.t[sel]
         counts += 1
         self._calls += 1
@@ -182,7 +176,7 @@ class Adam:
                 x._grad_view[...] = x.grad
         if not present:
             return
-        p, g, m, v = params.flat, params.grad, self.m[sel], self.v[sel]
+        p, g, m, v = params.flat[sel], params.grad[sel], self.m[sel], self.v[sel]
         c1, c2 = self._c1[counts], self._c2[counts]
         live = None
         if len(present) < len(tensors):
@@ -199,7 +193,7 @@ class Adam:
         denom += self.eps
         p -= self.lr * m_hat / denom
         if live is not None:
-            params.flat[..., live], self.m[sel][..., live], self.v[sel][..., live] = p, m, v
+            params.flat[sel][..., live], self.m[sel][..., live], self.v[sel][..., live] = p, m, v
 
 
 @dataclass
@@ -253,10 +247,9 @@ class RoundPlan:
     order: list[int]  # the clients in row order
     x: np.ndarray  # every step's samples, in step order
     batches: L.Targets  # their targets
-    # per epoch and tick: the rows that step, their view, per group its
-    # rows, view and samples, and the tick's targets, its groups' back to back
-    epochs: list[list[tuple[slice, ModelParams, list[tuple[slice, ModelParams, np.ndarray]],
-                            L.Targets]]]
+    # per epoch and tick: the rows that step, per group its rows, a view of
+    # them and its samples, and the tick's targets, its groups' back to back
+    epochs: list[list[tuple[slice, list[tuple[slice, ModelParams, np.ndarray]], L.Targets]]]
     gather_at: np.ndarray  # each trained sample's place in the sample orders, in step order
     tally_rows: np.ndarray  # its row
     tally_batch: np.ndarray  # [N, 1]: the size of its batch, in the model dtype
@@ -292,13 +285,7 @@ def plan_round(model, global_params: ModelParams,
     flat = global_params.flat
     stack = ModelParams.from_flat(global_params.manifest(),
                                   np.empty((k,) + flat.shape, dtype=flat.dtype))
-    views = {(0, k): stack}
-
-    def view(s: slice) -> ModelParams:
-        if (s.start, s.stop) not in views:
-            views[s.start, s.stop] = stack.rows(s)
-        return views[s.start, s.stop]
-
+    views = {(0, k): stack}  # one view of each run of rows, for all its ticks
     ticks = []  # each tick's rows with a batch (a prefix), and its groups' rows and bounds
     for tick in range(max(map(len, sequences), default=0)):
         runs = _runs([seq[tick] if tick < len(seq) else 0 for seq in sequences])
@@ -324,8 +311,11 @@ def plan_round(model, global_params: ModelParams,
             for s, lo, hi in groups:  # its samples: the next [K', B] block of the buffers
                 shape = (s.stop - s.start, hi - lo)
                 start, stop = stop, stop + math.prod(shape)
-                steps.append((s, view(s), x[start:stop].reshape(shape + x.shape[1:])))
-            plan_epochs[-1].append((rows, view(rows), steps, batches[first:stop]))
+                if (s.start, s.stop) not in views:
+                    views[s.start, s.stop] = stack.rows(s)
+                steps.append((s, views[s.start, s.stop],
+                              x[start:stop].reshape(shape + x.shape[1:])))
+            plan_epochs[-1].append((rows, steps, batches[first:stop]))
     return RoundPlan(ids, client_coeffs, list(class_coeffs), features, targets, sizes, order,
                      x, batches, plan_epochs, at, np.repeat(step_rows, step_batch),
                      np.repeat(step_batch.astype(model.dtype), step_batch)[:, None], stack,
@@ -342,14 +332,14 @@ def local_train(model, global_params: ModelParams,
     """One round's local training of the given clients on one [K, P] stack.
 
     Each client starts from the broadcast, runs E epochs of minibatch Adam
-    on its shard and tallies per-class logit-gradient norms. The clients'
-    parameters and moments are one [K, P] stack, one row per client. The
-    epochs run one after another. Within one, at each tick, each maximal run
-    of adjacent rows whose next batches have the same size is a group: one
-    stacked forward on its [K', B, ...] batch and the plan's view of its
-    rows. Then one loss node over the tick's groups, on the tick's slice of
-    the plan's targets, with one batch mean per row; one backward from their
-    sum; and one Adam step on the rows that stepped, in place. A client
+    on its shard, one row of the stack and of Adam's moments, and tallies
+    per-class logit-gradient norms. Within an epoch, at each tick, each
+    maximal run of adjacent rows whose next batches have the same size is
+    a group: one stacked forward on its [K', B, ...] batch and the plan's
+    view of its rows. Then one loss node over the tick's groups, on the
+    tick's slice of the plan's targets, with one batch mean per row; one
+    backward from their sum; one Adam step on the rows that stepped, in
+    place; and a trainable gamma clamped on each group's view. A client
     whose epoch is used up sits out its last ticks. Each client does the
     arithmetic it would do alone, so the results are those of training the
     clients one after another, bit for bit.
@@ -381,7 +371,7 @@ def local_train(model, global_params: ModelParams,
     grads = []  # each step's logit gradients, tallied after the epochs
     loss_sums = np.zeros(len(ids))
     for ticks in plan.epochs:
-        for rows, prefix, groups, batch in ticks:
+        for rows, groups, batch in ticks:
             logits, gammas = [], []
             try:
                 for _, group, x in groups:
@@ -392,14 +382,15 @@ def local_train(model, global_params: ModelParams,
                                     gamma_param=None if gammas[0] is None else gammas)
             except NumericError as exc:
                 culprits = _culprits([ids[i] for i in order[rows]],
-                                     [r for *_, x in groups for r in x], prefix.flat)
+                                     [r for *_, x in groups for r in x], stack.flat[rows])
                 raise NumericError(f"round {round_index}, {culprits}: {exc}") from exc
             T.backward(T.sum_(loss))
             grads += [out.grad for out in logits]
             # every group runs the same model and loss, so reaches the same tensors
-            opt.step(prefix, rows, reached=groups[0][1])
-            if gammas[0] is not None:
-                L.clamp_gamma(prefix, loss_cfg)
+            opt.step(rows, reached=groups[0][1])
+            if gammas[0] is not None:  # the groups hold exactly the rows that stepped
+                for _, group, _ in groups:
+                    L.clamp_gamma(group, loss_cfg)
             loss_sums[rows] += loss.data
     num_classes = model.num_classes
     norm_sums = np.zeros((len(ids), num_classes))
@@ -469,16 +460,20 @@ def aggregate(stack: ModelParams, weights) -> ModelParams:
     return ModelParams.from_flat(stack.manifest(), acc.astype(rows.dtype))
 
 
-def eval_scores(model, params: ModelParams, features: np.ndarray,
-                batch_size: int = 512) -> np.ndarray:
-    """Softmax class scores without gradient tracking."""
+def eval_scores(model, params: ModelParams, features: np.ndarray, indices) -> np.ndarray:
+    """Softmax class scores of the samples features[indices], 512 a forward,
+    without gradient tracking. A sample whose max logit is not finite, so
+    that its scores are not, is a NumericError that names its index."""
     frozen = ModelParams.from_flat(params.manifest(), params.flat, requires_grad=False)
     rows = []
-    for start in range(0, features.shape[0], batch_size):
-        logits = model.batch_logits(frozen, features[start:start + batch_size]).data
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        ex = np.exp(shifted)
-        rows.append(ex / ex.sum(axis=1, keepdims=True))
+    for start in range(0, len(indices), 512):
+        logits = model.batch_logits(frozen, features[indices[start:start + 512]])
+        if not np.isfinite(logits.data).all():  # a cheap screen; a row's max decides
+            bad = np.flatnonzero(~np.isfinite(logits.data.max(axis=-1)))
+            if bad.size:
+                raise NumericError(f"test sample {indices[start + bad[0]]}: "
+                                   f"non-finite class scores")
+        rows.append(T.softmax(logits).data)
     return np.concatenate(rows)
 
 
@@ -509,10 +504,10 @@ def run_federation(bundle, partition: PartitionResult, model,
     num_classes = bundle.num_classes
     shards = [(features[list(idx)], labels[list(idx)])
               for idx in partition.client_indices]
-    test_idx = list(partition.test_indices)
-    if not test_idx:
+    test_idx = np.asarray(partition.test_indices, dtype=np.int64)
+    if not test_idx.size:
         raise ConfigError("partition has no global test set to evaluate on")
-    test_x, test_y = features[test_idx], labels[test_idx]
+    test_y = labels[test_idx]
 
     global_params = initial_params(model, loss_cfg, fed_cfg.seed)
 
@@ -562,7 +557,10 @@ def run_federation(bundle, partition: PartitionResult, model,
             weights = np.full(len(selected), 1.0 / len(selected))
         global_params = aggregate(trained.params, weights)
 
-        scores_test = eval_scores(model, global_params, test_x)
+        try:
+            scores_test = eval_scores(model, global_params, features, test_idx)
+        except NumericError as exc:
+            raise NumericError(f"round {t}, {exc}") from exc
         report = ME.evaluate_scores(scores_test, test_y, num_classes)
 
         # adds rows in order (pairwise only for one class, whose norms are all 0)
@@ -594,22 +592,3 @@ def run_federation(bundle, partition: PartitionResult, model,
     return FederationRun(records, global_params, plan.class_coeffs,
                          tail_classes, head_classes)
 
-
-def centralized_partition(bundle, val_fraction: float, seed: int) -> PartitionResult:
-    """One shard holding the whole training pool beside a stratified
-    validation split."""
-    spec = PartitionSpec(mode="fixed", ratios=(1.0,), num_clients=1,
-                         test_fraction=val_fraction, seed=seed)
-    return build_partition(bundle.labels, spec, bundle.num_classes)
-
-
-def run_centralized(bundle, model, loss_cfg: L.LossConfig,
-                    fed_cfg: FederationConfig,
-                    val_fraction: float = 0.1) -> FederationRun:
-    """Single-trainer reference: one shard holding the whole training pool,
-    a stratified validation split, and one synchronization per epoch (so a
-    K=1 federation with matched total epochs follows the same trajectory)."""
-    partition = centralized_partition(bundle, val_fraction, fed_cfg.seed)
-    cfg = replace(fed_cfg, num_clients=1, client_fraction=1.0,
-                  aggregation="uniform")
-    return run_federation(bundle, partition, model, loss_cfg, cfg)

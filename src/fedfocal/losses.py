@@ -62,32 +62,25 @@ class LossConfig:
 @dataclass(slots=True, eq=False)
 class Targets:
     """Class labels checked against a class count, with their loss weights
-    1 + c (None without coefficients) and one-hot rows [..., C] in the loss
-    dtype (float64 weights and no rows without one). Make them with
-    ``targets``; indexing selects all three alike, so a trainer checks and
-    casts a round's labels once and indexes each batch out of them."""
+    1 + c (None without coefficients) and one-hot rows [..., C], both in
+    the loss dtype. Make them with ``targets``; indexing selects all three
+    alike, so a trainer checks and casts a round's labels once and slices
+    each tick's batches out of them."""
 
     labels: np.ndarray
     weights: np.ndarray | None
-    onehot: np.ndarray | None = None
+    onehot: np.ndarray
 
     def __getitem__(self, index) -> "Targets":
-        return Targets(self.labels[index],
-                       None if self.weights is None else self.weights[index],
-                       None if self.onehot is None else self.onehot[index])
-
-    def cast(self, num_classes: int, dtype) -> "Targets":
-        """These labels with their one-hot rows and weights in dtype."""
-        onehot = (self.labels[..., None] == np.arange(num_classes)).astype(dtype)
-        weights = None if self.weights is None else self.weights.astype(dtype)
-        return Targets(self.labels, weights, onehot)
+        weights = None if self.weights is None else self.weights[index]
+        return Targets(self.labels[index], weights, self.onehot[index])
 
 
-def targets(labels, num_classes: int, coeffs=None, dtype=None) -> Targets:
-    """Labels checked to lie in 0..num_classes-1 and, when coeffs (one
-    nonnegative imbalance coefficient per label) are given, the weights
-    1 + c. With dtype, the loss dtype, the weights and one-hot rows are
-    built in it. Every loss checks its labels here."""
+def targets(labels, num_classes: int, coeffs, dtype) -> Targets:
+    """Labels checked to lie in 0..num_classes-1, their one-hot rows and,
+    when coeffs (one nonnegative imbalance coefficient per label) are
+    given, the weights 1 + c; rows and weights in dtype, the loss dtype.
+    Every loss checks its labels here."""
     labels = np.asarray(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ContractError(f"labels must lie in 0..{num_classes - 1}")
@@ -99,9 +92,8 @@ def targets(labels, num_classes: int, coeffs=None, dtype=None) -> Targets:
                                 f"{coeffs.shape} for labels {labels.shape}")
         if not np.all(coeffs >= 0):  # NaN fails this, as it must
             raise ContractError("imbalance coefficients must be >= 0")
-        weights = 1.0 + coeffs
-    checked = Targets(labels, weights)
-    return checked if dtype is None else checked.cast(num_classes, dtype)
+        weights = (1.0 + coeffs).astype(dtype)
+    return Targets(labels, weights, (labels[..., None] == np.arange(num_classes)).astype(dtype))
 
 
 def _focal_nll(logits, batch: Targets, gamma, weighted: bool, mean: bool) -> Tensor:
@@ -115,9 +107,7 @@ def _focal_nll(logits, batch: Targets, gamma, weighted: bool, mean: bool) -> Ten
                                 f"got shape {labels.shape}")
         if labels.shape != logits.shape[:-1]:
             raise ShapeError(f"labels of shape {labels.shape} for logits {logits.shape}")
-    if batch.onehot is None:  # targets built without a dtype: cast them for this call
-        batch = batch.cast(first.shape[-1], first.dtype)
-    elif batch.onehot.shape[-1] != first.shape[-1] or batch.onehot.dtype != first.dtype:
+    if batch.onehot.shape[-1] != first.shape[-1] or batch.onehot.dtype != first.dtype:
         raise ContractError(f"targets of {batch.onehot.shape[-1]} classes in "
                             f"{batch.onehot.dtype} for {first.dtype} logits {first.shape}")
     return T.focal_nll(logits, batch.onehot, PROB_FLOOR, gamma=gamma,
@@ -168,7 +158,7 @@ def batch_loss(logits, batch: Targets, cfg: LossConfig, *, gamma_param=None) -> 
     """The configured loss of a training batch, whose labels (and, for the
     adaptive kind, weights) were checked by ``targets``; the same bits as
     ``cross_entropy``, ``focal_loss`` or ``adaptive_focal_loss`` on them.
-    Targets built in a dtype must be in the logits' dtype.
+    The targets must be built for the logits' class count and dtype.
 
     logits are one tensor, or a list: a lockstep tick's groups, with flat
     targets in their order, all in one tape node. gamma_param, when given,

@@ -194,20 +194,15 @@ class ModelParams:
             t.grad = None
 
 
-def check_manifests_match(params_list: list[ModelParams]) -> None:
-    """All participants must expose the same names and shapes, in order."""
-    ref = params_list[0].manifest()
-    for k, other in enumerate(params_list[1:], start=1):
-        m = other.manifest()
-        if m != ref:
-            for (n0, s0), (n1, s1) in zip(ref, m):
-                if (n0, s0) != (n1, s1):
-                    raise AggregationError(
-                        f"parameter manifest mismatch at entry {n0!r} "
-                        f"{s0} vs {n1!r} {s1} (participant {k})")
-            raise AggregationError(
-                f"parameter manifest length differs: {len(ref)} vs {len(m)} "
-                f"(participant {k})")
+def check_manifests_match(a: ModelParams, b: ModelParams) -> None:
+    """Both sets must expose the same names and shapes, in order."""
+    ref, other = a.manifest(), b.manifest()
+    for (n0, s0), (n1, s1) in zip(ref, other):
+        if (n0, s0) != (n1, s1):
+            raise AggregationError(f"parameter manifest mismatch at entry {n0!r} {s0} "
+                                   f"vs {n1!r} {s1}")
+    if len(ref) != len(other):
+        raise AggregationError(f"parameter manifest length differs: {len(ref)} vs {len(other)}")
 
 
 def sinusoidal_positions(n: int, dim: int, dtype=np.float64) -> np.ndarray:

@@ -308,7 +308,7 @@ def _serial_client(model, global_params, features, labels, hist, class_coeffs,
             y = labels[batch_idx]
             coeffs = None if shard_coeffs is None else shard_coeffs[batch_idx]
             logits = model.batch_logits(params, x)
-            loss = L.batch_loss(logits, L.targets(y, model.num_classes, coeffs), loss_cfg,
+            loss = L.batch_loss(logits, L.targets(y, model.num_classes, coeffs, model.dtype), loss_cfg,
                                 gamma_param=gamma_param)
             params.zero_grads()
             T.backward(loss)
@@ -401,7 +401,7 @@ def gradient_norm_by_group(model, params, features, labels, loss_cfg, tail, head
 
     labels = np.asarray(labels)
     logits = model.batch_logits(params, features)
-    loss = L.batch_loss(logits, L.targets(labels, model.num_classes, coeffs), loss_cfg,
+    loss = L.batch_loss(logits, L.targets(labels, model.num_classes, coeffs, model.dtype), loss_cfg,
                         gamma_param=L.trainable_gamma(params, loss_cfg))
     params.zero_grads()
     T.backward(loss)

@@ -236,6 +236,35 @@ class TestTrainCommand:
         assert code == 3
         assert "round 1, client 1: softmax input contains NaN" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_test_score_names_round_and_sample(self, tmp_path, capsys, bad):
+        """A NaN test feature once scored as class 0 and the run exited 0. A
+        non-finite score now ends training in its round, before final.ckpt,
+        and evaluate and analyze on a run whose test sample went bad after
+        it finished. +inf passes softmax's NaN check but scores NaN."""
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--counts", "120,60,30"]) == 0
+        args = ["--set", f"dataset.path={data}"] + FAST
+        assert main(["train", "--preset", "smoke", "--out", str(tmp_path / "clean")] + args) == 0
+        bundle = load_dataset(data)
+        cfg = X.preset_config("smoke").with_overrides(
+            {"dataset.path": str(data), "partition.test_fraction": 0.2})
+        sample = X.run_partition(cfg, bundle).test_indices[5]
+        bundle.features[sample, 0] = bad
+        save_dataset(data, bundle)
+        capsys.readouterr()
+        out = tmp_path / "run"
+        with (pytest.warns(RuntimeWarning, match="invalid value") if np.isinf(bad)
+              else warnings.catch_warnings()):
+            codes = [main(["train", "--preset", "smoke", "--out", str(out)] + args),
+                     main(["evaluate", "--run", str(tmp_path / "clean")]),
+                     main(["analyze", "--run", str(tmp_path / "clean")])]
+        assert codes == [3, 3, 3]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: round 1, test sample {sample}: non-finite class scores"] + [
+            f"error: test sample {sample}: non-finite class scores"] * 2
+        assert not (out / "final.ckpt").exists()
+
     def test_overflowing_round_names_every_client_before_aggregating(self, tmp_path, capsys):
         # one step per client at this rate leaves every parameter non-finite
         out = tmp_path / "run"

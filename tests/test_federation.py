@@ -396,11 +396,9 @@ class TestTicks:
         assert len(plan.epochs) == epochs
         for ticks in plan.epochs:
             assert len(ticks) == max(batches)
-            for t, (rows, prefix, groups, batch) in enumerate(ticks):
+            for t, (rows, groups, batch) in enumerate(ticks):
                 stepping = [r for r, n in enumerate(batches) if n > t]
                 assert stepping == list(range(rows.stop)) and rows.start == 0
-                assert prefix.flat.shape[0] == rows.stop
-                assert np.shares_memory(prefix.flat, plan.stack.flat[rows])
                 assert [r for sel, *_ in groups for r in range(sel.start, sel.stop)] == stepping
                 for sel, group, x in groups:
                     n = {min(batch_size, sizes[plan.order[r]] - t * batch_size)
@@ -438,7 +436,7 @@ class TestTicks:
         the plan, on the shards of ``_args``."""
         args = TestTicks._args(loss_cfg, **fed)
         plan = F.plan_round(*args)
-        assert any(len(groups) > 1 for _, _, groups, _ in plan.epochs[0])
+        assert any(len(groups) > 1 for _, groups, _ in plan.epochs[0])
         if plan_hook:
             plan_hook(plan)
         result = F.local_train(*args, [np.random.default_rng(k) for k in range(3)], plan=plan)
@@ -473,7 +471,7 @@ class TestTicks:
         0 and 1, and the tick takes one loss over both groups. A NaN feature
         in that batch fails it, and the error names client 2 alone."""
         args = self._args(L.LossConfig(), batch_size=16)
-        _, _, groups, _ = F.plan_round(*args).epochs[0][1]
+        _, groups, _ = F.plan_round(*args).epochs[0][1]
         assert [(sel.start, sel.stop) for sel, *_ in groups] == [(0, 2), (2, 3)]
         short = np.random.default_rng(2).permutation(21)[16:]  # client 2's stream, epoch 1
         args[2][2][0][short[3], 1] = np.nan
@@ -503,7 +501,7 @@ class TestTicks:
         monkeypatch.setattr(L, "batch_loss", counting_loss)
         monkeypatch.setattr(T, "backward", counting_backward)
         F.local_train(*args, [np.random.default_rng(k) for k in range(3)], plan=plan)
-        groups = [len(groups) for ticks in plan.epochs for _, _, groups, _ in ticks]
+        groups = [len(groups) for ticks in plan.epochs for _, groups, _ in ticks]
         assert groups == [1, 2, 2] * 2
         assert tape["losses"] == len(groups)
         assert tape["nodes"] == [n + 2 for n in groups]
@@ -671,38 +669,28 @@ class TestAdam:
 
 
 class TestCentralized:
-    def test_smoke_accuracy_within_five_points_of_federated(self):
-        from fedfocal import experiment as X
-
+    def test_smoke_accuracy_within_five_points_of_federated(self, tmp_path):
         cfg = X.preset_config("smoke", seed=0)
-        bundle = X.assemble_dataset(cfg)
-        model = X.build_model(cfg, bundle)
-        part = P.build_partition(bundle.labels, cfg.partition_spec(),
-                                 bundle.num_classes)
-        fed = F.run_federation(bundle, part, model, cfg.loss_config(),
-                               cfg.federation_config())
-        central = F.run_centralized(bundle, model, cfg.loss_config(),
-                                    cfg.federation_config(), val_fraction=0.2)
+        fed = X.run_experiment(cfg, tmp_path / "fed")
+        central = X.run_experiment(cfg.with_overrides({"run.mode": "centralized"}),
+                                   tmp_path / "central")
         gap = abs(fed.records[-1].metrics.accuracy
                   - central.records[-1].metrics.accuracy)
         assert gap <= 0.05
 
-    def test_equals_single_client_federation(self):
-        bundle = tiny_bundle()
-        model = M.MlpClassifier(M.MlpConfig(input_dim=4, hidden_dim=16, num_classes=3))
-        fed = tiny_fed(num_clients=1, rounds=4)
-        central = F.run_centralized(bundle, model, L.LossConfig(kind="ce"), fed,
-                                    val_fraction=0.2)
-        spec = P.PartitionSpec(mode="fixed", ratios=(1.0,), num_clients=1,
-                               test_fraction=0.2, seed=fed.seed)
-        part = P.build_partition(bundle.labels, spec, bundle.num_classes)
-        federated = F.run_federation(bundle, part, model, L.LossConfig(kind="ce"),
-                                     tiny_fed(num_clients=1, rounds=4,
-                                              aggregation="uniform"))
-        for name, t in federated.params:
-            assert central.params[name].data.tobytes() == t.data.tobytes()
-        for a, b in zip(central.records, federated.records):
-            assert a.metrics.accuracy == b.metrics.accuracy
+    def test_equals_single_client_federation(self, tmp_path):
+        """A centralized run is a one-client federation with uniform
+        aggregation, split with the federation seed; the partition seed is
+        not read."""
+        cfg = X.preset_config("smoke", seed=3).with_overrides({
+            "federation.rounds": 4, "partition.seed": 8})
+        X.run_experiment(cfg.with_overrides({"run.mode": "centralized"}), tmp_path / "central")
+        X.run_experiment(cfg.with_overrides({
+            "partition.ratios": (1.0,), "partition.clients": 1,
+            "federation.aggregation": "uniform", "partition.seed": 3}), tmp_path / "fed")
+        for name in ("metrics.csv", "rounds.jsonl", "final.ckpt"):
+            assert ((tmp_path / "central" / name).read_bytes()
+                    == (tmp_path / "fed" / name).read_bytes()), name
 
     def test_validation_split_is_stratified_nine_to_one(self):
         bundle = tiny_bundle(counts=(90, 45, 18))

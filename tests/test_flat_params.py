@@ -177,14 +177,14 @@ class TestGradBuffer:
         for sel in (slice(0, 3), slice(0, 2), slice(1, 3), slice(0, 3)):
             k = sel.stop - sel.start
             group = stack.rows(sel)
-            batch = L.targets(rng.integers(0, 3, size=(k, 5)), 3, dtype=model.dtype)
+            batch = L.targets(rng.integers(0, 3, size=(k, 5)), 3, None, model.dtype)
             logits = model.batch_logits(group, rng.normal(size=(k, 5, 4)))
             loss = L.batch_loss(logits, batch, loss_cfg,
                                 gamma_param=L.trainable_gamma(group, loss_cfg))
             group.zero_grads()
             T.backward(T.sum_(loss))
             assert group["loss.gamma"].grad is None
-            opt.step(group, sel)
+            opt.step(sel, reached=group)
         assert stack.flat[:, -1].tobytes() == np.full(3, 2.0, dtype=model.dtype).tobytes()
         zeros = np.zeros(3, dtype=model.dtype).tobytes()
         assert opt.m[:, -1].tobytes() == zeros and opt.v[:, -1].tobytes() == zeros

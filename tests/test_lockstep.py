@@ -284,12 +284,12 @@ def test_adam_steps_rows_at_different_step_counts_like_each_row_alone(dtype):
     alone = [M.ModelParams.from_flat(manifest, row.copy()) for row in start]
     oracles = [PerTensorAdam(params, lr=0.05) for params in alone]
     for sel in (slice(0, 2),) * 2 + (slice(1, 3),) * 2 + (slice(0, 3),):
-        group = M.ModelParams.from_flat(manifest, stack.flat[sel])
+        group = stack.rows(sel)
         grads = {name: rng.normal(size=(sel.stop - sel.start,) + shape).astype(dtype)
                  for name, shape in manifest}
         for name, g in grads.items():
             group[name].grad = g
-        opt.step(group, sel)
+        opt.step(sel, reached=group)
         for i, k in enumerate(range(sel.start, sel.stop)):
             for name, g in grads.items():
                 alone[k][name].grad = g[i]

@@ -125,7 +125,7 @@ class TestTargets:
         rng = np.random.default_rng(5)
         labels = rng.integers(0, 4, size=40)
         coeffs = rng.uniform(0.0, 3.0, size=40)
-        checked = L.targets(labels, 4, coeffs)
+        checked = L.targets(labels, 4, coeffs, dtype)
         cfg = L.LossConfig(kind=kind)
         for idx in (rng.permutation(40)[:9], rng.permutation(40)[:12].reshape(3, 4)):
             raw = rng.normal(size=idx.shape + (4,)) * 3.0
@@ -138,12 +138,12 @@ class TestTargets:
 
     def test_round_labels_checked_once(self):
         with pytest.raises(ContractError, match=r"0\.\.3"):
-            L.targets([0, 4, 1], 4)
+            L.targets([0, 4, 1], 4, None, np.float64)
         with pytest.raises(ContractError, match="one coefficient per sample"):
-            L.targets([0, 1], 4, coeffs=[0.5])
+            L.targets([0, 1], 4, [0.5], np.float64)
         for bad in (-1.0, float("nan")):
             with pytest.raises(ContractError, match=">= 0"):
-                L.targets([0, 1], 4, coeffs=[0.5, bad])
+                L.targets([0, 1], 4, [0.5, bad], np.float64)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_onehot_rows_follow_indexing(self, dtype):
@@ -161,14 +161,14 @@ class TestTargets:
         cfg = L.LossConfig(kind="ce")
         with pytest.raises(ContractError, match="float32"):
             L.batch_loss(logits64([[0.0, 1.0], [1.0, 0.0]]),
-                         L.targets([0, 1], 2, dtype=np.float32), cfg)
+                         L.targets([0, 1], 2, None, np.float32), cfg)
         with pytest.raises(ContractError, match="3 classes"):
             L.batch_loss(logits64([[0.0, 1.0], [1.0, 0.0]]),
-                         L.targets([0, 1], 3, dtype=np.float64), cfg)
+                         L.targets([0, 1], 3, None, np.float64), cfg)
 
     def test_adaptive_batch_needs_weights(self):
         with pytest.raises(ContractError, match="coefficients"):
-            L.batch_loss(logits64([[0.0, 1.0]]), L.targets([0], 2),
+            L.batch_loss(logits64([[0.0, 1.0]]), L.targets([0], 2, None, np.float64),
                          L.LossConfig(kind="adaptive_focal"))
 
 
@@ -283,7 +283,7 @@ class TestLossConfig:
         rng = np.random.default_rng(8)
         raw, labels = random_batch(rng)
         coeffs = np.abs(rng.normal(size=len(labels)))
-        checked = L.targets(labels, raw.shape[-1], coeffs)
+        checked = L.targets(labels, raw.shape[-1], coeffs, np.float64)
         ce = L.batch_loss(logits64(raw), checked, L.LossConfig(kind="ce"))
         assert ce.data.tobytes() == L.cross_entropy(logits64(raw), labels).data.tobytes()
         fo = L.batch_loss(logits64(raw), checked, L.LossConfig(kind="focal", gamma=2.0))

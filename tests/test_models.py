@@ -317,7 +317,7 @@ class TestOneForward:
                 else:
                     logits, tokens = per_image_vit_forward(params, images, cfg,
                                                            model._positions)
-                loss = L.batch_loss(logits, L.targets(labels, 4, coeffs), loss_cfg,
+                loss = L.batch_loss(logits, L.targets(labels, 4, coeffs, dtype), loss_cfg,
                                     gamma_param=L.trainable_gamma(params, loss_cfg))
                 params.zero_grads()
                 T.backward(loss)
@@ -346,7 +346,7 @@ class TestOneForward:
 
         def nodes(params, x, y):
             start = len(T._tape)  # only a backward drops tape entries
-            loss = L.batch_loss(model.batch_logits(params, x), L.targets(y, 3), loss_cfg)
+            loss = L.batch_loss(model.batch_logits(params, x), L.targets(y, 3, None, model.dtype), loss_cfg)
             if loss.data.ndim:
                 T.sum_(loss)  # the sum over clients that backward starts from
             return len(T._tape) - start
@@ -386,7 +386,7 @@ class TestOneForward:
             grads = {}
             for walk in (T.backward, dfs_backward):
                 logits = model.batch_logits(params, images)
-                loss = L.batch_loss(logits, L.targets(labels, 4, coeffs), loss_cfg,
+                loss = L.batch_loss(logits, L.targets(labels, 4, coeffs, dtype), loss_cfg,
                                     gamma_param=L.trainable_gamma(params, loss_cfg))
                 params.zero_grads()
                 walk(T.sum_(loss))
@@ -460,7 +460,7 @@ class TestModelParams:
         b = small_params(seed=21)
         items = [(n if n != "head.bias" else "head.bias2", t) for n, t in b]
         with pytest.raises(AggregationError, match="head.bias"):
-            M.check_manifests_match([a, M.ModelParams(items)])
+            M.check_manifests_match(a, M.ModelParams(items))
 
     def test_checkpoint_round_trip(self, tmp_path):
         params = small_params(seed=22, dtype=np.float32)

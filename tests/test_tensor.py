@@ -425,7 +425,8 @@ class TestTape:
         grads = {}
         for walk in (T.backward, dfs_backward):
             start = len(T._tape)
-            loss = L.batch_loss(model.batch_logits(stack, x), L.targets(y, 3, coeffs), loss_cfg,
+            loss = L.batch_loss(model.batch_logits(stack, x),
+                                L.targets(y, 3, coeffs, np.float32), loss_cfg,
                                 gamma_param=L.trainable_gamma(stack, loss_cfg))
             root = T.sum_(loss)
             assert len(T._tape) - start == 3

@@ -117,7 +117,7 @@ def test_a_dir20_like_tick_matches_the_per_group_chain_bitwise(dtype, mode):
 @pytest.mark.parametrize("trainable", [False, True], ids=["gamma-const", "gamma-trainable"])
 def test_batch_loss_on_a_list_is_the_per_group_losses_in_row_order(kind, trainable):
     """L.batch_loss on a tick's groups and their flat targets against one
-    L.batch_loss per group, with targets built with and without a dtype."""
+    L.batch_loss per group."""
     rng = np.random.default_rng(5)
     cfg = L.LossConfig(kind=kind, gamma_trainable=trainable)
     shapes = [(3, 16), (2, 9), (1, 1)]
@@ -125,24 +125,23 @@ def test_batch_loss_on_a_list_is_the_per_group_losses_in_row_order(kind, trainab
     labels = [rng.integers(0, 4, size=s) for s in shapes]
     coeffs = [rng.uniform(0, 2, size=s) for s in shapes]
     gammas = [np.full(s[0], 2.0, dtype=np.float32) for s in shapes]
-    for dtype in (np.float32, None):
-        tick = L.targets(flat_rows(labels), 4, flat_rows(coeffs), dtype)
-        logits = [leaf(x.copy()) for x in raws]
-        exps = [leaf(g.copy()) for g in gammas] if trainable else None
-        loss = L.batch_loss(logits, tick, cfg, gamma_param=exps)
-        T.backward(T.sum_(loss))
-        alone = [leaf(x.copy()) for x in raws]
-        alone_exps = [leaf(g.copy()) for g in gammas] if trainable else [None] * 3
-        parts = [L.batch_loss(a, L.targets(y, 4, co, dtype), cfg, gamma_param=e)
-                 for a, y, co, e in zip(alone, labels, coeffs, alone_exps)]
-        T.backward(T.sum_(T.concat(parts)))
-        assert loss.shape == (6,)
-        assert loss.data.tobytes() == np.concatenate([p.data for p in parts]).tobytes()
-        for a, b in zip(logits + (exps or []), alone + (alone_exps if trainable else [])):
-            if a.grad is None:  # CE never reads gamma
-                assert kind == "ce" and b.grad is None
-            else:
-                assert a.grad.tobytes() == b.grad.tobytes()
+    tick = L.targets(flat_rows(labels), 4, flat_rows(coeffs), np.float32)
+    logits = [leaf(x.copy()) for x in raws]
+    exps = [leaf(g.copy()) for g in gammas] if trainable else None
+    loss = L.batch_loss(logits, tick, cfg, gamma_param=exps)
+    T.backward(T.sum_(loss))
+    alone = [leaf(x.copy()) for x in raws]
+    alone_exps = [leaf(g.copy()) for g in gammas] if trainable else [None] * 3
+    parts = [L.batch_loss(a, L.targets(y, 4, co, np.float32), cfg, gamma_param=e)
+             for a, y, co, e in zip(alone, labels, coeffs, alone_exps)]
+    T.backward(T.sum_(T.concat(parts)))
+    assert loss.shape == (6,)
+    assert loss.data.tobytes() == np.concatenate([p.data for p in parts]).tobytes()
+    for a, b in zip(logits + (exps or []), alone + (alone_exps if trainable else [])):
+        if a.grad is None:  # CE never reads gamma
+            assert kind == "ce" and b.grad is None
+        else:
+            assert a.grad.tobytes() == b.grad.tobytes()
 
 
 def test_one_tensor_keeps_its_shapes():
