@@ -170,18 +170,19 @@ class Adam:
             self._c1, self._c2 = (np.array([[1 - b ** t] for t in range(2 * self._calls + 1)],
                                            dtype=self.m.dtype) for b in (self.beta1, self.beta2))
         tensors = (params if reached is None else reached).tensors()
-        present = [i for i, x in enumerate(tensors) if x.grad is not None]
-        for x in (tensors[i] for i in present):
-            if x.grad is not x._grad_view:  # set by hand
+        odd = [x for x in tensors if x.grad is not x._grad_view]  # none, or set by hand
+        for x in odd:
+            if x.grad is not None:
                 x._grad_view[...] = x.grad
+        present = [i for i, x in enumerate(tensors) if x.grad is not None] if odd else tensors
         if not present:
             return
         p, g, m, v = params.flat[sel], params.grad[sel], self.m[sel], self.v[sel]
-        c1, c2 = self._c1[counts], self._c2[counts]
+        c1, c2 = self._c1.take(counts, axis=0), self._c2.take(counts, axis=0)
         live = None
         if len(present) < len(tensors):
             sizes = [math.prod(shape) for _, shape in params.manifest()]
-            ends = np.cumsum(sizes)
+            ends = list(itertools.accumulate(sizes))
             live = np.concatenate([np.arange(ends[i] - sizes[i], ends[i]) for i in present])
             p, g, m, v = p[..., live], g[..., live], m[..., live], v[..., live]
         m *= self.beta1
@@ -338,8 +339,8 @@ def local_train(model, global_params: ModelParams,
     a group: one stacked forward on its [K', B, ...] batch and the plan's
     view of its rows. Then one loss node over the tick's groups, on the
     tick's slice of the plan's targets, with one batch mean per row; one
-    backward from their sum; one Adam step on the rows that stepped, in
-    place; and a trainable gamma clamped on each group's view. A client
+    backward seeded with ones over those means; one Adam step on the rows
+    that stepped, in place; and a trainable gamma clamped on each group's view. A client
     whose epoch is used up sits out its last ticks. Each client does the
     arithmetic it would do alone, so the results are those of training the
     clients one after another, bit for bit.
@@ -370,6 +371,7 @@ def local_train(model, global_params: ModelParams,
             np.take(src, samples, axis=0, out=out, mode="clip")
     grads = []  # each step's logit gradients, tallied after the epochs
     loss_sums = np.zeros(len(ids))
+    ones = np.ones(len(ids), dtype=model.dtype)  # backward's seed: each row's loss, summed
     for ticks in plan.epochs:
         for rows, groups, batch in ticks:
             logits, gammas = [], []
@@ -384,7 +386,7 @@ def local_train(model, global_params: ModelParams,
                 culprits = _culprits([ids[i] for i in order[rows]],
                                      [r for *_, x in groups for r in x], stack.flat[rows])
                 raise NumericError(f"round {round_index}, {culprits}: {exc}") from exc
-            T.backward(T.sum_(loss))
+            T.backward(loss, ones[rows])
             grads += [out.grad for out in logits]
             # every group runs the same model and loss, so reaches the same tensors
             opt.step(rows, reached=groups[0][1])
@@ -462,12 +464,20 @@ def aggregate(stack: ModelParams, weights) -> ModelParams:
 
 def eval_scores(model, params: ModelParams, features: np.ndarray, indices) -> np.ndarray:
     """Softmax class scores of the samples features[indices], 512 a forward,
-    without gradient tracking. A sample whose max logit is not finite, so
-    that its scores are not, is a NumericError that names its index."""
+    without gradient tracking. A sample whose max logit is not finite, or a
+    non-finite one a forward rejects first, is a NumericError naming it."""
     frozen = ModelParams.from_flat(params.manifest(), params.flat, requires_grad=False)
     rows = []
     for start in range(0, len(indices), 512):
-        logits = model.batch_logits(frozen, features[indices[start:start + 512]])
+        x = features[indices[start:start + 512]]
+        try:
+            logits = model.batch_logits(frozen, x)
+        except NumericError as exc:
+            bad = np.flatnonzero(~np.isfinite(x.reshape(len(x), -1)).all(axis=-1))
+            if not bad.size:
+                raise
+            raise NumericError(f"test sample {indices[start + bad[0]]}: "
+                               f"non-finite class scores") from exc
         if not np.isfinite(logits.data).all():  # a cheap screen; a row's max decides
             bad = np.flatnonzero(~np.isfinite(logits.data.max(axis=-1)))
             if bad.size:

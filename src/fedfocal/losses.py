@@ -107,7 +107,7 @@ def _focal_nll(logits, batch: Targets, gamma, weighted: bool, mean: bool) -> Ten
                                 f"got shape {labels.shape}")
         if labels.shape != logits.shape[:-1]:
             raise ShapeError(f"labels of shape {labels.shape} for logits {logits.shape}")
-    if batch.onehot.shape[-1] != first.shape[-1] or batch.onehot.dtype != first.dtype:
+    if batch.onehot.shape[-1] != first.data.shape[-1] or batch.onehot.dtype != first.data.dtype:
         raise ContractError(f"targets of {batch.onehot.shape[-1]} classes in "
                             f"{batch.onehot.dtype} for {first.dtype} logits {first.shape}")
     return T.focal_nll(logits, batch.onehot, PROB_FLOOR, gamma=gamma,

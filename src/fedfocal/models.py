@@ -184,13 +184,13 @@ class ModelParams:
             yield name, self._by_name[name]
 
     def tensors(self) -> list[Tensor]:
-        return [self._by_name[n] for n in self._names]
+        return list(self._by_name.values())  # built in manifest order
 
     def manifest(self) -> list[tuple[str, tuple[int, ...]]]:
         return list(self._manifest)
 
     def zero_grads(self) -> None:
-        for _, t in self:
+        for t in self._by_name.values():
             t.grad = None
 
 
@@ -420,7 +420,7 @@ class MlpClassifier:
         """[B, F] features give [B, C] logits; a client stack, [K, B, F]
         features on stacked parameters, gives [K, B, C]."""
         x = T.constant(np.asarray(features, dtype=self.dtype))
-        if x.data.ndim not in (2, 3) or x.shape[-1] != self.cfg.input_dim:
+        if x.data.ndim not in (2, 3) or x.data.shape[-1] != self.cfg.input_dim:
             raise ShapeError(f"feature batch shape {x.shape} does not match "
                              f"input dim {self.cfg.input_dim}")
         return mlp_forward(x, params)

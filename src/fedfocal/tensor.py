@@ -30,18 +30,18 @@ Broadcasting is rejected except for the affine-bias pattern (matrix [R, C]
 plus vector [C]). The one other shape rule is a leading client axis: the
 operations a training step of the MLP uses (``perceptron`` and
 ``focal_nll`` with its per-client mean), as well as ``affine``, ``relu``,
-``matmul``, the bias ``add`` and ``mean`` over the last axis, also take a
-stack of K independent problems, [K, R, C] with [K, C, N] or [K, C], and
-give each slice the bits the rank-2 operation gives it alone; so does a
-``layer_norm`` with one [K, D] affine row per client. ``transpose`` swaps
-the last two axes at any rank. ``focal_nll`` also takes a list of such
-stacks, a lockstep tick's groups, as one node, and gives each block the
-bits of its own call.
+``matmul`` and the bias ``add``, also take a stack of K independent
+problems, [K, R, C] with [K, C, N] or [K, C], and give each slice the bits
+the rank-2 operation gives it alone; so does a ``layer_norm`` with one
+[K, D] affine row per client. ``transpose`` swaps the last two axes at any
+rank. ``focal_nll`` also takes a list of such stacks, a lockstep tick's
+groups, as one node, and gives each block the bits of its own call.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import weakref
 from typing import Callable, Sequence
@@ -121,9 +121,9 @@ def _record(out: Tensor, parents: Sequence[Tensor], vjp) -> Tensor:
 
 
 def _check_same_dtype(*tensors: Tensor) -> None:
-    dt = tensors[0].dtype
+    dt = tensors[0].data.dtype
     for t in tensors[1:]:
-        if t.dtype != dt:
+        if t.data.dtype != dt:
             raise ContractError(f"dtype mismatch: {_DTYPE_NAMES[dt]} vs {_DTYPE_NAMES[t.dtype]}")
 
 
@@ -155,10 +155,11 @@ def _check_affine(op: str, x: tuple[int, ...], w: Tensor, b: Tensor) -> None:
 
 
 def _affine_vjp(g, x: np.ndarray, w: Tensor, b: Tensor | None, x_needs: bool) -> list:
-    """The gradients of x @ w (+ b) that reach x (when x_needs), w and b."""
-    return [g @ np.swapaxes(w.data, -1, -2) if x_needs else None,
-            np.swapaxes(x, -1, -2) @ g if w.requires_grad else None,
-            g.sum(axis=-2) if b is not None and b.requires_grad else None]
+    """The gradients of x @ w (+ b) that reach x (when x_needs), w and b; the
+    ndarray method and the ufunc skip np.swapaxes's and .sum's Python wrappers."""
+    return [g @ w.data.swapaxes(-1, -2) if x_needs else None,
+            x.swapaxes(-1, -2) @ g if w.requires_grad else None,
+            np.add.reduce(g, axis=-2) if b is not None and b.requires_grad else None]
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -183,9 +184,15 @@ def perceptron(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Ten
     """affine(relu(affine(x, w1, b1)), w2, b2) as one node, on [R, D] rows
     or a client stack [K, R, D]. Forward and backward repeat the chain's
     expressions, so values and gradients are its bits."""
-    _check_same_dtype(x, w1, b1, w2, b2)
-    _check_affine("perceptron", x.shape, w1, b1)
-    _check_affine("perceptron", x.shape[:-1] + w1.shape[-1:], w2, b2)
+    xs, s1, s2, dt = x.data.shape, w1.data.shape, w2.data.shape, x.data.dtype
+    # one screen for the checks below, which name what is wrong when it fails
+    if not (len(xs) in (2, 3) and s1[:-1] == xs[:-2] + xs[-1:]
+            and b1.data.shape == s1[:-2] + s1[-1:] == s2[:-1]
+            and b2.data.shape == s2[:-2] + s2[-1:]
+            and dt == w1.data.dtype == b1.data.dtype == w2.data.dtype == b2.data.dtype):
+        _check_same_dtype(x, w1, b1, w2, b2)
+        _check_affine("perceptron", xs, w1, b1)
+        _check_affine("perceptron", xs[:-1] + s1[-1:], w2, b2)
     pre = x.data @ w1.data + b1.data[..., None, :]
     hidden, mask = np.maximum(pre, pre.dtype.type(0)), pre > 0
     out = _wrap(hidden @ w2.data + b2.data[..., None, :])
@@ -385,15 +392,6 @@ def sum_(a: Tensor, axis: int | None = None) -> Tensor:
     return _record(Tensor(a.data.sum(axis=axis)), (a,), _spread(a, axis))
 
 
-def mean(a: Tensor, axis: int | None = None) -> Tensor:
-    """Mean over every element, or over one axis: axis=-1 of a [K, B] stack
-    gives each client its own batch mean. One node with the bits of
-    scale(sum_(a, axis), 1 / n)."""
-    s = a.dtype.type(1.0 / (a.data.size if axis is None else a.shape[axis]))
-    spread = _spread(a, axis)
-    return _record(_wrap(a.data.sum(axis=axis) * s), (a,), lambda g: spread(g * s))
-
-
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Numerically safe softmax: the axis max is subtracted before exp."""
     if np.isnan(a.data).any():
@@ -422,7 +420,7 @@ def _row_power(base: np.ndarray, e, shift: float, sizes: list[int] | None) -> np
     if isinstance(e, float):
         return np.power(base, dt(e + shift))
     return np.concatenate([np.power(base[z - n:z], dt(x + shift))
-                           for n, z, x in zip(sizes, np.cumsum(sizes).tolist(), e)])
+                           for n, z, x in zip(sizes, itertools.accumulate(sizes), e)])
 
 
 def focal_nll(logits, onehot: np.ndarray, floor: float, gamma=None,
@@ -464,7 +462,7 @@ def focal_nll(logits, onehot: np.ndarray, floor: float, gamma=None,
     sizes = None
     if exps is not None:
         if len(exps) != len(blocks) or any(
-                x.shape != b.shape[:1] if b.data.ndim == 3 else x.data.size != 1
+                x.data.shape != b.data.shape[:1] if b.data.ndim == 3 else x.data.size != 1
                 for x, b in zip(exps, blocks)):
             raise ShapeError(f"tensor exponent must be one scalar per client, got shapes "
                              f"{[x.shape for x in exps]} for logits {[b.shape for b in blocks]}")
@@ -474,7 +472,7 @@ def focal_nll(logits, onehot: np.ndarray, floor: float, gamma=None,
         e = float(gamma)
     if len(blocks) > 1 or exps:
         _check_same_dtype(*blocks, *(exps or ()))
-    dt = blocks[0].dtype
+    dt = blocks[0].data.dtype
     rows = (blocks[0].data.reshape(-1, c) if len(blocks) == 1
             else np.concatenate([b.data.reshape(-1, c) for b in blocks]))
     if one:  # the labels' shape to the rows'
@@ -505,16 +503,14 @@ def focal_nll(logits, onehot: np.ndarray, floor: float, gamma=None,
                for k, n, z, _ in spans]
         out = out[0] if len(out) == 1 else np.concatenate(out)
     if one:
-        out = out.reshape(logits.shape[:-2] if mean else logits.shape[:-1])
+        out = out.reshape(logits.data.shape[:-2] if mean else logits.data.shape[:-1])
 
     def vjp(g):
         g = g.reshape(-1)
-        if mean:  # each row's gradient times 1 / B over its batch, times the weights (or 1)
-            w = np.ones_like(p_t) if weights is None else weights
-            g = [((g[r - k:r] * dt.type(1.0 / n))[:, None] * w[z - k * n:z].reshape(k, n)).ravel()
-                 for k, n, z, r in spans]
+        if mean:  # each row's gradient times 1 / B, over its batch
+            g = [(g[r - k:r] * dt.type(1.0 / n)).repeat(n) for k, n, _, r in spans]
             g = g[0] if len(g) == 1 else np.concatenate(g)
-        elif weights is not None:
+        if weights is not None:
             g = g * weights
         g_nll = g
         g_exps = [None] * len(exps) if exps else []
@@ -522,12 +518,12 @@ def focal_nll(logits, onehot: np.ndarray, floor: float, gamma=None,
             g_focal = g * nll
             g_nll = g * focal
             if isinstance(e, float):
-                g_base = (np.zeros_like(base) if e == 0.0
+                g_base = (np.zeros(base.shape, dt) if e == 0.0
                           else g_focal * e * _row_power(base, e, -1.0, sizes))
             else:
-                g_base = (g_focal * np.repeat(np.asarray(e, dtype=dt), sizes)
+                g_base = (g_focal * np.asarray(e, dtype=dt).repeat(sizes)
                           * _row_power(base, e, -1.0, sizes))
-                g_base[np.repeat(np.asarray(e) == 0.0, sizes)] = 0
+                g_base[(np.asarray(e) == 0.0).repeat(sizes)] = 0
             if exps and any(x.requires_grad for x in exps):
                 g_e = g_focal * focal * np.log(base)
                 g_exps = [np.add.reduce(g_e[z - k * n:z].reshape(k, n), axis=-1)
@@ -583,8 +579,12 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
 # backward pass
 
 
-def backward(loss: Tensor) -> None:
+def backward(loss: Tensor, grad: np.ndarray | None = None) -> None:
     """Populate ``grad`` of every requires_grad tensor ``loss`` depends on.
+
+    The walk starts from grad, an ndarray of loss's shape and dtype, or
+    from 1 for a scalar loss: ones over one loss per client give the bits
+    of ``backward(sum_(loss))``.
 
     Walks the tape from its newest entry to its oldest. A recorded tensor
     that has a pending gradient takes it into ``grad`` and passes its VJP's
@@ -594,11 +594,17 @@ def backward(loss: Tensor) -> None:
     ``ModelParams.grad``. Entries whose tensors are gone are dropped from
     the tape. Repeated calls without ``ModelParams.zero_grads`` accumulate.
     """
-    if loss.data.size != 1:
-        raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
+    if grad is None:
+        if loss.data.size != 1:
+            raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
+        grad = np.ones_like(loss.data)
+    elif not (isinstance(grad, np.ndarray) and grad.shape == loss.data.shape
+              and grad.dtype == loss.data.dtype):
+        raise ContractError(f"backward seed must be a {loss.data.dtype} ndarray "
+                            f"of shape {loss.shape}")
     if not loss.requires_grad:
         return
-    pending: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones_like(loss.data))}
+    pending: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, grad)}
     live = []
     for ref in reversed(_tape):
         node = ref()

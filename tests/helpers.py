@@ -93,7 +93,7 @@ def per_group_focal_nll(logits, onehot, floor, gamma=None, weights=None):
     one node per group's logits, [B, C] or a client stack [K, B, C], with
     onehot of their shape, per-sample losses out, and gamma None, a float,
     or a tensor (a scalar, or one per client on a stack). With the per-client
-    T.mean after it (``per_group_loss``) it is the chain the tick node must
+    ``mean`` after it (``per_group_loss``) it is the chain the tick node must
     reproduce, value, logits gradient and gamma gradient, bit for bit."""
     from fedfocal import tensor as T
 
@@ -149,12 +149,21 @@ def per_group_focal_nll(logits, onehot, floor, gamma=None, weights=None):
     return T._record(T._wrap(out), parents, vjp)
 
 
-def per_group_loss(logits, onehot, floor, gamma=None, weights=None):
-    """One group's batch mean (one per client on a stack): per_group_focal_nll
-    then T.mean over the batch axis, two tape nodes."""
+def mean(a, axis=None):
+    """Mean over every element, or over one axis: axis=-1 of a [K, B] stack
+    gives each client its own batch mean. One tape node with the bits of
+    tensor.scale(tensor.sum_(a, axis), 1 / n)."""
     from fedfocal import tensor as T
 
-    return T.mean(per_group_focal_nll(logits, onehot, floor, gamma, weights), axis=-1)
+    s = a.dtype.type(1.0 / (a.data.size if axis is None else a.shape[axis]))
+    spread = T._spread(a, axis)
+    return T._record(T._wrap(a.data.sum(axis=axis) * s), (a,), lambda g: spread(g * s))
+
+
+def per_group_loss(logits, onehot, floor, gamma=None, weights=None):
+    """One group's batch mean (one per client on a stack): per_group_focal_nll
+    then ``mean`` over the batch axis, two tape nodes."""
+    return mean(per_group_focal_nll(logits, onehot, floor, gamma, weights), axis=-1)
 
 
 def chain_perceptron(x, w1, b1, w2, b2):

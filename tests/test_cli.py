@@ -237,26 +237,31 @@ class TestTrainCommand:
         assert "round 1, client 1: softmax input contains NaN" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-    def test_non_finite_test_score_names_round_and_sample(self, tmp_path, capsys, bad):
+    @pytest.mark.parametrize("preset, kind", [("smoke", "blobs"), ("vit-smoke", "tiles")],
+                             ids=["mlp", "vit"])
+    def test_non_finite_test_score_names_round_and_sample(self, tmp_path, capsys, bad,
+                                                          preset, kind):
         """A NaN test feature once scored as class 0 and the run exited 0. A
         non-finite score now ends training in its round, before final.ckpt,
         and evaluate and analyze on a run whose test sample went bad after
-        it finished. +inf passes softmax's NaN check but scores NaN."""
+        it finished. +inf passes softmax's NaN check but scores NaN. On the
+        ViT one bad pixel fails the attention softmax before any score, and
+        the error still names the sample, not a place in the attention."""
         data = tmp_path / "data"
-        assert main(["synth", "--out", str(data), "--counts", "120,60,30"]) == 0
+        assert main(["synth", "--out", str(data), "--counts", "120,60,30", "--kind", kind]) == 0
         args = ["--set", f"dataset.path={data}"] + FAST
-        assert main(["train", "--preset", "smoke", "--out", str(tmp_path / "clean")] + args) == 0
+        assert main(["train", "--preset", preset, "--out", str(tmp_path / "clean")] + args) == 0
         bundle = load_dataset(data)
-        cfg = X.preset_config("smoke").with_overrides(
+        cfg = X.preset_config(preset).with_overrides(
             {"dataset.path": str(data), "partition.test_fraction": 0.2})
         sample = X.run_partition(cfg, bundle).test_indices[5]
-        bundle.features[sample, 0] = bad
+        bundle.features[sample].flat[0] = bad
         save_dataset(data, bundle)
         capsys.readouterr()
         out = tmp_path / "run"
         with (pytest.warns(RuntimeWarning, match="invalid value") if np.isinf(bad)
               else warnings.catch_warnings()):
-            codes = [main(["train", "--preset", "smoke", "--out", str(out)] + args),
+            codes = [main(["train", "--preset", preset, "--out", str(out)] + args),
                      main(["evaluate", "--run", str(tmp_path / "clean")]),
                      main(["analyze", "--run", str(tmp_path / "clean")])]
         assert codes == [3, 3, 3]

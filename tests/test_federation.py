@@ -1,3 +1,5 @@
+import os
+import sys
 import threading
 
 import numpy as np
@@ -480,9 +482,9 @@ class TestTicks:
             F.local_train(*args, [np.random.default_rng(k) for k in range(3)], round_index=4)
 
     def test_a_round_takes_one_loss_and_one_backward_per_tick(self, monkeypatch):
-        """A tick records one perceptron node per group, then one focal_nll
-        and the sum_ that backward starts from: 3 nodes for a one-group MLP
-        tick, 4 for a two-group one."""
+        """A tick records one perceptron node per group, then the one
+        focal_nll that backward starts from: 2 nodes for a one-group MLP
+        tick, 3 for a two-group one."""
         args = self._args(L.LossConfig(), batch_size=16, local_epochs=2)
         plan = F.plan_round(*args)
         tape = {"losses": 0, "nodes": [], "after": len(T._tape)}
@@ -492,10 +494,10 @@ class TestTicks:
             tape["losses"] += 1
             return batch_loss(*a, **k)
 
-        def counting_backward(root):
+        def counting_backward(*args):
             # entries since the last backward pruned the tape: this tick's nodes
             tape["nodes"].append(len(T._tape) - tape["after"])
-            backward(root)
+            backward(*args)
             tape["after"] = len(T._tape)
 
         monkeypatch.setattr(L, "batch_loss", counting_loss)
@@ -504,7 +506,37 @@ class TestTicks:
         groups = [len(groups) for ticks in plan.epochs for _, groups, _ in ticks]
         assert groups == [1, 2, 2] * 2
         assert tape["losses"] == len(groups)
-        assert tape["nodes"] == [n + 2 for n in groups]
+        assert tape["nodes"] == [n + 1 for n in groups]
+
+    @pytest.mark.parametrize("kind", ["adaptive_focal", "ce"])
+    def test_a_tick_calls_no_python_function_of_numpy(self, kind):
+        """numpy's Python-level wrappers (np.swapaxes, the _methods._sum
+        behind ndarray.sum, np.ones_like) cost about a microsecond a call
+        on a smoke tick whose arithmetic takes about 100 µs. Counted with
+        sys.setprofile from one Adam step to the next: a one-group tick
+        calls no Python function of numpy's package, and a multi-group
+        tick only np.concatenate's dispatcher."""
+        args = self._args(L.LossConfig(kind=kind), batch_size=16, local_epochs=2)
+        plan = F.plan_round(*args)
+        numpy_dir, ticks = os.path.dirname(np.__file__) + os.sep, []
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event == "return" and code is F.Adam.step.__code__:
+                ticks.append([])  # the calls of the next tick
+            elif event == "call" and ticks and code.co_filename.startswith(numpy_dir):
+                ticks[-1].append(code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            F.local_train(*args, [np.random.default_rng(k) for k in range(3)], plan=plan)
+        finally:
+            sys.setprofile(None)
+        groups = [len(groups) for ticks in plan.epochs for _, groups, _ in ticks]
+        assert groups == [1, 2, 2] * 2
+        # every tick after the first; what follows the last step is the tally
+        for n, calls in zip(groups[1:], ticks[:-1]):
+            assert set(calls) <= ({"concatenate"} if n > 1 else set()), calls
 
     def test_two_epochs_at_batch_seven_match_the_serial_oracle(self):
         result, oracle, _ = self._round(L.LossConfig(), batch_size=7, local_epochs=2)

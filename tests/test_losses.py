@@ -9,7 +9,7 @@ from fedfocal import losses as L
 from fedfocal import tensor as T
 from fedfocal.errors import ConfigError, ContractError, NumericError
 
-from helpers import chain_per_sample_losses, fd_gradient, max_rel_err
+from helpers import chain_per_sample_losses, fd_gradient, max_rel_err, mean
 
 
 def logits64(data):
@@ -299,7 +299,7 @@ def _loss_and_grads(per_sample, raw, labels, dtype, gamma, trainable, coeffs):
     if trainable:
         gamma = T.Tensor(gamma, requires_grad=True, dtype=dtype)
     vec = per_sample(logits, labels, gamma=gamma, coeffs=coeffs)
-    loss = T.mean(vec)
+    loss = mean(vec)
     T.backward(loss)
     return (vec.data.tobytes(), loss.data.tobytes(), logits.grad.tobytes(),
             gamma.grad.tobytes() if trainable else None)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fedfocal import tensor as T
 from fedfocal.errors import ConfigError, ContractError, IngestionError, NumericError, ShapeError
 
-from helpers import chain_perceptron, dfs_backward, fd_gradient, max_rel_err
+from helpers import chain_perceptron, dfs_backward, fd_gradient, max_rel_err, mean
 
 
 def t64(data, requires_grad=False):
@@ -150,6 +150,37 @@ class TestFusedNodes:
         with pytest.raises(ShapeError, match="perceptron bias"):
             T.perceptron(x, w1, b1, t64(np.ones((4, 2))), t64(np.ones(3)))
 
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["rows", "stack"])
+    def test_perceptron_raises_what_its_checks_raise(self, lead):
+        """perceptron screens its operands in one expression and runs its
+        dtype and two affine checks only when the screen fails. Operands
+        that fit, and every copy with one operand off by one dimension (one
+        grown, dropped or added) or in float32, raise the checks' first
+        error, message and all, or nothing."""
+        fit = [lead + (2, 3), lead + (3, 4), lead + (4,), lead + (4, 5), lead + (5,)]
+        cases = [(fit, None)] + [(fit, i) for i in range(5)]
+        for i, s in enumerate(fit):
+            near = [s[:j] + (s[j] + 1,) + s[j + 1:] for j in range(len(s))]
+            near += [s[:j] + s[j + 1:] for j in range(len(s))] + [(2,) + s]
+            cases += [(fit[:i] + [t] + fit[i + 1:], None) for t in near]
+
+        def raised(f, *ops):
+            try:
+                f(*ops)
+            except (ContractError, ShapeError) as exc:
+                return type(exc), str(exc)
+            return None
+
+        def checks(x, w1, b1, w2, b2):
+            T._check_same_dtype(x, w1, b1, w2, b2)
+            T._check_affine("perceptron", x.shape, w1, b1)
+            T._check_affine("perceptron", x.shape[:-1] + w1.shape[-1:], w2, b2)
+
+        for shapes, retyped in cases:
+            ops = [T.Tensor(np.ones(s), dtype=np.float32 if i == retyped else np.float64)
+                   for i, s in enumerate(shapes)]
+            assert raised(T.perceptron, *ops) == raised(checks, *ops), (shapes, retyped)
+
     @pytest.mark.parametrize("axis", [None, -1], ids=["all", "last-axis"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
     def test_mean_is_one_node_with_the_bits_of_scaled_sum(self, dtype, axis):
@@ -160,7 +191,7 @@ class TestFusedNodes:
         for fused in (True, False):
             a = T.Tensor(data.copy(), requires_grad=True)
             start = len(T._tape)
-            out = T.mean(a, axis=axis) if fused else T.scale(T.sum_(a, axis=axis), 1.0 / (
+            out = mean(a, axis=axis) if fused else T.scale(T.sum_(a, axis=axis), 1.0 / (
                 a.data.size if axis is None else a.shape[axis]))
             assert len(T._tape) - start == (1 if fused else 2)
             _backward_through(out, g)
@@ -361,6 +392,17 @@ class TestBackward:
         with pytest.raises(ContractError):
             T.backward(T.scale(x, 2.0))
 
+    def test_seed_must_be_an_array_of_the_loss_shape_and_dtype(self):
+        x = t64([1.0, 2.0], requires_grad=True)
+        loss = T.scale(x, 2.0)
+        wanted = r"seed must be a float64 ndarray of shape \(2,\)"
+        for bad in (np.ones(3), np.ones((2, 1)), np.ones(2, dtype=np.float32), [1.0, 1.0], 1.0):
+            with pytest.raises(ContractError, match=wanted):
+                T.backward(loss, bad)
+        assert x.grad is None
+        T.backward(loss, np.array([1.0, -0.5]))
+        assert x.grad.tolist() == [2.0, -1.0]
+
     def test_shared_subexpression_fanout(self):
         # z = x*x reused twice: d/dx [sum(z) + sum(z)] = 4x
         x = t64([1.0, -2.0], requires_grad=True)
@@ -444,7 +486,7 @@ class TestDeterminism:
 
         def run():
             x = t64(a, requires_grad=True)
-            out = T.mean(T.softmax(T.matmul(x, t64(b)), axis=1))
+            out = mean(T.softmax(T.matmul(x, t64(b)), axis=1))
             T.backward(out)
             return out.data.copy(), x.grad.copy()
 
@@ -515,7 +557,7 @@ class TestDtypeDiscipline:
 
     def test_float32_pipeline_stays_float32(self):
         x = T.Tensor(np.ones((2, 2)), dtype=np.float32, requires_grad=True)
-        out = T.mean(T.relu(T.matmul(x, T.Tensor(np.ones((2, 2)), dtype=np.float32))))
+        out = mean(T.relu(T.matmul(x, T.Tensor(np.ones((2, 2)), dtype=np.float32))))
         assert out.dtype == np.float32
         T.backward(out)
         assert x.grad.dtype == np.float32

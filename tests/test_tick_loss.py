@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedfocal import losses as L
+from fedfocal import models as M
 from fedfocal import tensor as T
 from fedfocal.errors import ShapeError
 
@@ -142,6 +143,50 @@ def test_batch_loss_on_a_list_is_the_per_group_losses_in_row_order(kind, trainab
             assert kind == "ce" and b.grad is None
         else:
             assert a.grad.tobytes() == b.grad.tobytes()
+
+
+def _model_tick(model, groups, seeded):
+    """One lockstep tick of model with trainable gamma on a stack of
+    perturbed rows: groups are (rows, batch) of adjacent rows, and the tick
+    takes one batch_loss over all of them. Backward is seeded with ones
+    over the per-client losses, or starts from their sum_. Returns the
+    loss, the stack's gradient buffer and each group's logits gradient."""
+    rng = np.random.default_rng(11)
+    params = model.init_params(rng, gamma_init=2.0)
+    k = sum(rows for rows, _ in groups)
+    stack = M.ModelParams.from_flat(params.manifest(), np.broadcast_to(
+        params.flat, (k,) + params.flat.shape).copy())
+    stack.flat += rng.normal(scale=0.05, size=stack.flat.shape).astype(stack.flat.dtype)
+    shape = (8,) if model.kind == "mlp" else (1, 16, 16)
+    logits, gammas, labels, at = [], [], [], 0
+    for rows, batch in groups:
+        view = stack.rows(slice(at, at + rows))
+        at += rows
+        logits.append(model.batch_logits(view, rng.normal(size=(rows, batch) + shape)))
+        gammas.append(L.trainable_gamma(view, L.LossConfig(gamma_trainable=True)))
+        labels.append(rng.integers(0, 3, size=rows * batch))
+    y = np.concatenate(labels)
+    loss = L.batch_loss(logits, L.targets(y, 3, rng.uniform(0, 2, size=y.size), model.dtype),
+                        L.LossConfig(gamma_trainable=True), gamma_param=gammas)
+    if seeded:
+        T.backward(loss, np.ones(k, dtype=model.dtype))
+    else:
+        T.backward(T.sum_(loss))
+    return loss.data.tobytes(), stack.grad.tobytes(), [x.grad.tobytes() for x in logits]
+
+
+@pytest.mark.parametrize("model, groups", [
+    (M.MlpClassifier(M.MlpConfig(input_dim=8, hidden_dim=6, num_classes=3)),
+     [(2, 16), (1, 9), (3, 5)]),
+    (M.ViTClassifier(M.ViTConfig(image_size=16, num_classes=3)), [(2, 4), (1, 3)]),
+], ids=["mlp-3-groups", "vit-2-groups"])
+def test_ones_over_the_client_losses_seed_the_bits_of_their_sum(model, groups):
+    """backward(loss, ones) gives every parameter (gamma included) and every
+    logits gradient the bits of backward(sum_(loss)): sum_'s VJP only
+    spreads its seed of 1 over the rows."""
+    seeded = _model_tick(model, groups, seeded=True)
+    assert seeded == _model_tick(model, groups, seeded=False)
+    assert np.frombuffer(seeded[1], dtype=model.dtype)[-1] != 0  # gamma was reached
 
 
 def test_one_tensor_keeps_its_shapes():
