@@ -154,9 +154,10 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     if args.dry_run:
         bundle, _ = X.prepare(cfg)
+        part = X.run_partition(cfg, bundle)  # the checks of a run, before --out is made
         out.mkdir(parents=True, exist_ok=True)
         if cfg["run.mode"] == "federated":
-            write_manifest(out / "partition.manifest", X.run_partition(cfg, bundle))
+            write_manifest(out / "partition.manifest", part)
         (out / "config.echo").write_text(cfg.to_text(), encoding="ascii")
         print(f"dry run ok: {bundle.num_samples} samples, config echoed to {out}")
         return EXIT_OK

@@ -340,10 +340,12 @@ def local_train(model, global_params: ModelParams,
     view of its rows. Then one loss node over the tick's groups, on the
     tick's slice of the plan's targets, with one batch mean per row; one
     backward seeded with ones over those means; one Adam step on the rows
-    that stepped, in place; and a trainable gamma clamped on each group's view. A client
-    whose epoch is used up sits out its last ticks. Each client does the
-    arithmetic it would do alone, so the results are those of training the
-    clients one after another, bit for bit.
+    that stepped, in place; and one clamp of a trainable gamma over the
+    whole stack, which leaves a row that sat the tick out as it was: every
+    row with samples steps at tick 0 of an epoch and was clamped then. A
+    client whose epoch is used up sits out its last ticks. Each client does
+    the arithmetic it would do alone, so the results are those of training
+    the clients one after another, bit for bit.
 
     Once per client selection, ``plan_round`` builds everything else (here,
     when plan is None; a given plan stands in for shards, hists and
@@ -390,9 +392,8 @@ def local_train(model, global_params: ModelParams,
             grads += [out.grad for out in logits]
             # every group runs the same model and loss, so reaches the same tensors
             opt.step(rows, reached=groups[0][1])
-            if gammas[0] is not None:  # the groups hold exactly the rows that stepped
-                for _, group, _ in groups:
-                    L.clamp_gamma(group, loss_cfg)
+            if gammas[0] is not None:
+                L.clamp_gamma(stack, loss_cfg)
             loss_sums[rows] += loss.data
     num_classes = model.num_classes
     norm_sums = np.zeros((len(ids), num_classes))

@@ -178,11 +178,12 @@ def batch_loss(logits, batch: Targets, cfg: LossConfig, *, gamma_param=None) -> 
 
 
 def clamp_gamma(params: ModelParams, cfg: LossConfig) -> None:
-    """Project the trainable gamma back into its configured bounds."""
+    """Project the trainable gamma back into its configured bounds, in place."""
     if "loss.gamma" not in params:
         return
-    g = params["loss.gamma"]
-    g.data[...] = np.clip(g.data, cfg.gamma_lo, cfg.gamma_hi)
+    g = params["loss.gamma"].data  # np.clip's bits; bound first, a tie keeps g's -0.0
+    np.maximum(cfg.gamma_lo, g, out=g)
+    np.minimum(cfg.gamma_hi, g, out=g)
 
 
 def trainable_gamma(params: ModelParams, cfg: LossConfig) -> Tensor | None:

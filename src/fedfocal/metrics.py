@@ -304,16 +304,14 @@ def attention_rollout(maps, grads) -> np.ndarray:
     return np.zeros_like(mask)
 
 
-def grad_rollout_for_sample(classifier, params: ModelParams, image,
-                            target_class: int | None = None) -> np.ndarray:
-    """Rollout mask for one image, driven by the chosen class logit
-    (predicted class when target_class is None)."""
+def grad_rollout_for_sample(classifier, params: ModelParams, image) -> np.ndarray:
+    """Rollout mask for one image, driven by its predicted class logit: the
+    backward is seeded at the logits, one-hot on that class."""
     logits, stack = classifier.forward_single(params, image)
-    if target_class is None:
-        target_class = int(np.argmax(logits.data))
     params.zero_grads()
-    score = T.sum_(T.slice_axis(logits, 0, target_class, target_class + 1))
-    T.backward(score)
+    onehot = np.zeros_like(logits.data)
+    onehot[np.argmax(logits.data)] = 1
+    T.backward(logits, onehot)
     return attention_rollout([layer.data for layer in stack],
                              [layer.grad for layer in stack])
 

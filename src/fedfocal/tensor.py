@@ -35,7 +35,9 @@ problems, [K, R, C] with [K, C, N] or [K, C], and give each slice the bits
 the rank-2 operation gives it alone; so does a ``layer_norm`` with one
 [K, D] affine row per client. ``transpose`` swaps the last two axes at any
 rank. ``focal_nll`` also takes a list of such stacks, a lockstep tick's
-groups, as one node, and gives each block the bits of its own call.
+groups, as one node, and gives each block the bits of its own call. Its
+softmax forward and VJP are ``softmax``'s own, so the loss, evaluation and
+attention share one softmax.
 """
 
 from __future__ import annotations
@@ -392,21 +394,25 @@ def sum_(a: Tensor, axis: int | None = None) -> Tensor:
     return _record(Tensor(a.data.sum(axis=axis)), (a,), _spread(a, axis))
 
 
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax over axis, the max subtracted before exp; a NaN is a NumericError.
+    The ufunc reductions are ndarray.any, max and sum without their wrappers."""
+    if np.logical_or.reduce(np.isnan(x), axis=None):
+        bad = np.flatnonzero(np.isnan(x))
+        raise NumericError(f"softmax input contains NaN at flat index {int(bad[0])}")
+    ex = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
+    return ex / np.add.reduce(ex, axis=axis, keepdims=True)
+
+
+def _softmax_vjp(g: np.ndarray, s: np.ndarray, axis: int) -> np.ndarray:
+    """The gradient reaching a softmax's input from g at its output s."""
+    return (g - np.add.reduce(g * s, axis=axis, keepdims=True)) * s
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Numerically safe softmax: the axis max is subtracted before exp."""
-    if np.isnan(a.data).any():
-        bad = np.flatnonzero(np.isnan(a.data))
-        raise NumericError(f"softmax input contains NaN at flat index {int(bad[0])}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    s = ex / ex.sum(axis=axis, keepdims=True)
-    out = Tensor(s)
-
-    def vjp(g):
-        inner = (g * s).sum(axis=axis, keepdims=True)
-        return ((g - inner) * s,)
-
-    return _record(out, (a,), vjp)
+    s = _softmax(a.data, axis)
+    return _record(_wrap(s), (a,), lambda g: (_softmax_vjp(g, s, axis),))
 
 
 def _row_power(base: np.ndarray, e, shift: float, sizes: list[int] | None) -> np.ndarray:
@@ -419,8 +425,10 @@ def _row_power(base: np.ndarray, e, shift: float, sizes: list[int] | None) -> np
     dt = base.dtype.type
     if isinstance(e, float):
         return np.power(base, dt(e + shift))
-    return np.concatenate([np.power(base[z - n:z], dt(x + shift))
-                           for n, z, x in zip(sizes, itertools.accumulate(sizes), e)])
+    out = np.empty(base.shape, base.dtype)
+    for n, z, x in zip(sizes, itertools.accumulate(sizes), e):
+        np.power(base[z - n:z], dt(x + shift), out=out[z - n:z])
+    return out
 
 
 def focal_nll(logits, onehot: np.ndarray, floor: float, gamma=None,
@@ -478,13 +486,7 @@ def focal_nll(logits, onehot: np.ndarray, floor: float, gamma=None,
     if one:  # the labels' shape to the rows'
         onehot = onehot.reshape(rows.shape)
         weights = None if weights is None else weights.ravel()
-    # the ufunc reductions are ndarray.max and sum without their Python wrappers
-    if np.logical_or.reduce(np.isnan(rows), axis=None):
-        bad = np.flatnonzero(np.isnan(rows))
-        raise NumericError(f"softmax input contains NaN at flat index {int(bad[0])}")
-    shifted = rows - np.maximum.reduce(rows, axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    s = ex / np.add.reduce(ex, axis=-1, keepdims=True)
+    s = _softmax(rows, -1)
     p_t = np.add.reduce(s * onehot, axis=-1)
     clamped = np.minimum(np.maximum(p_t, floor), 1.0)
     nll_mask = clamped == p_t  # p_t within [floor, 1]; NaN is not
@@ -531,11 +533,7 @@ def focal_nll(logits, onehot: np.ndarray, floor: float, gamma=None,
         g_pt = (g_nll * dt.type(-1.0) / clamped) * nll_mask
         if gamma is not None:
             g_pt = g_pt + -(g_base * base_mask)
-        g_s = g_pt[..., None] * onehot
-        inner = np.add.reduce(g_s * s, axis=-1, keepdims=True)
-        g_rows = (g_s - inner) * s
-        if len(blocks) == 1:
-            return [g_rows.reshape(blocks[0].data.shape)] + g_exps
+        g_rows = _softmax_vjp(g_pt[..., None] * onehot, s, -1)
         return [g_rows[z - k * n:z].reshape(b.data.shape)
                 for (k, n, z, _), b in zip(spans, blocks)] + g_exps
 

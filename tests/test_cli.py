@@ -103,6 +103,18 @@ class TestTrainCommand:
         assert (out / "partition.manifest").exists()
         assert not (out / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("mode", ["federated", "centralized"])
+    def test_dry_run_without_a_test_set_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                                   mode):
+        """A dry run checks the partition as the run does, before it makes --out."""
+        out = tmp_path / "run"
+        code = main(["train", "--preset", "smoke", "--out", str(out), "--dry-run"] + FAST
+                    + ["--set", f"run.mode={mode}", "--set", "partition.test_fraction=0"])
+        assert code == 2
+        assert "partition has no global test set" in capsys.readouterr().err
+        assert not (out / "config.echo").exists()
+        assert not out.exists()
+
     def test_train_writes_all_artifacts(self, tmp_path):
         out = tmp_path / "run"
         assert main(["train", "--preset", "smoke", "--out", str(out)] + FAST) == 0

@@ -508,15 +508,18 @@ class TestTicks:
         assert tape["losses"] == len(groups)
         assert tape["nodes"] == [n + 1 for n in groups]
 
-    @pytest.mark.parametrize("kind", ["adaptive_focal", "ce"])
-    def test_a_tick_calls_no_python_function_of_numpy(self, kind):
+    @pytest.mark.parametrize("kind, trainable", [("adaptive_focal", False), ("ce", False),
+                                                 ("adaptive_focal", True)],
+                             ids=["adaptive_focal", "ce", "adaptive_focal-trainable_gamma"])
+    def test_a_tick_calls_no_python_function_of_numpy(self, kind, trainable):
         """numpy's Python-level wrappers (np.swapaxes, the _methods._sum
-        behind ndarray.sum, np.ones_like) cost about a microsecond a call
-        on a smoke tick whose arithmetic takes about 100 µs. Counted with
-        sys.setprofile from one Adam step to the next: a one-group tick
-        calls no Python function of numpy's package, and a multi-group
-        tick only np.concatenate's dispatcher."""
-        args = self._args(L.LossConfig(kind=kind), batch_size=16, local_epochs=2)
+        behind ndarray.sum, np.ones_like, np.clip) cost about a microsecond
+        a call on a smoke tick whose arithmetic takes about 100 µs. Counted
+        with sys.setprofile from one Adam step to the next, the gamma clamp
+        included: a one-group tick calls no Python function of numpy's
+        package, and a multi-group tick only np.concatenate's dispatcher."""
+        args = self._args(L.LossConfig(kind=kind, gamma_trainable=trainable),
+                          batch_size=16, local_epochs=2)
         plan = F.plan_round(*args)
         numpy_dir, ticks = os.path.dirname(np.__file__) + os.sep, []
 

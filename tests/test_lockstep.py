@@ -3,6 +3,10 @@ operations it stacks, bit for bit and by finite differences, and the
 lockstep trainer against the serial per-client loop it replaced
 (tests/helpers.serial_local_train), artifact for artifact."""
 
+import itertools
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +14,13 @@ from hypothesis import strategies as st
 
 from fedfocal import experiment as X
 from fedfocal import federation as F
+from fedfocal import losses as L
 from fedfocal import models as M
 from fedfocal import tensor as T
+from fedfocal.data import DatasetBundle
 from fedfocal.errors import ShapeError
+from fedfocal.imbalance import ClassHistogram
+from fedfocal.partition import PartitionResult
 
 from helpers import (GATE_CONFIGS, PerTensorAdam, fd_gradient, max_rel_err, mean,
                      serial_local_train)
@@ -344,3 +352,73 @@ def test_artifacts_identical_to_serial_oracle(tmp_path, monkeypatch, preset, ove
     for key, files in outputs.items():
         for name, a, b in zip(ARTIFACTS, reference, files):
             assert a == b, f"{name} differs on {key}"
+
+
+def _federation(sizes, seed, feature_shape, num_classes):
+    """A dataset whose client shards hold sizes samples, back to back, and
+    then a test set of 12, with a partition over it."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes) + 12
+    labels = rng.integers(0, num_classes, size=n)
+    features = rng.normal(size=(n,) + feature_shape)
+    features.reshape(n, -1)[:, 0] += labels  # some signal to learn
+    ends = list(itertools.accumulate(sizes))
+    shards = tuple(tuple(range(end - size, end)) for size, end in zip(sizes, ends))
+    part = PartitionResult(shards, tuple(range(ends[-1], n)), num_classes,
+                           tuple(ClassHistogram.from_labels(labels[list(shard)], num_classes)
+                                 for shard in shards))
+    return DatasetBundle(features, labels, tuple(f"c{c}" for c in range(num_classes))), part
+
+
+def _lockstep_and_serial(cfg, sizes, seed, feature_shape, num_classes, loss_cfg, **fed):
+    """Two rounds of run_federation on the data of ``_federation`` with the
+    model cfg builds, with local_train and with the serial oracle patched
+    in: each run's records, as rounds.jsonl lines, and final buffer bytes."""
+    bundle, part = _federation(sizes, seed, feature_shape, num_classes)
+    model = X.build_model(cfg, bundle)
+    fed_cfg = F.FederationConfig(num_clients=len(sizes), rounds=2, seed=seed, **fed)
+    runs = []
+    for trainer in (F.local_train, serial_local_train):
+        with mock.patch.object(F, "local_train", trainer):
+            run = F.run_federation(bundle, part, model, loss_cfg, fed_cfg)
+        runs.append(([json.dumps(X.round_record_json(r)) for r in run.records],
+                     run.params.flat.tobytes()))
+    return runs
+
+
+FEDERATIONS = dict(
+    # bounds close around gamma = 2 clamp a trainable gamma within a few steps
+    loss=st.builds(L.LossConfig, kind=st.sampled_from(["ce", "focal", "adaptive_focal"]),
+                   gamma_trainable=st.booleans(), gamma_lo=st.sampled_from([0.5, 1.95]),
+                   gamma_hi=st.sampled_from([2.05, 5.0])),
+    fed=st.fixed_dictionaries(dict(
+        batch_size=st.integers(1, 17), learning_rate=st.sampled_from([1e-3, 0.05]),
+        client_fraction=st.one_of(st.just(1.0), st.floats(0.1, 0.95)),
+        aggregation=st.sampled_from(["inverse_imbalance", "sample_size", "uniform"]))),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sizes=st.lists(st.integers(0, 40), min_size=1, max_size=6).filter(any),
+       epochs=st.integers(1, 3), dtype=st.sampled_from(["f32", "f64"]), **FEDERATIONS)
+def test_random_mlp_federations_match_the_serial_oracle(sizes, epochs, dtype, loss, fed, seed):
+    """Generative gate: on small random MLP federations (empty shards, every
+    batch size from 1 to past the largest shard, partial and full
+    participation, every loss kind and aggregation rule, trainable gamma on
+    and off), two rounds with the lockstep trainer give the records and
+    final bytes the serial per-client loop gives."""
+    cfg = X.preset_config("smoke").with_overrides({"run.dtype": dtype})
+    lockstep, serial = _lockstep_and_serial(cfg, sizes, seed, (8,), 5, loss,
+                                            local_epochs=epochs, **fed)
+    assert lockstep == serial
+
+
+@settings(max_examples=8, deadline=None)
+@given(sizes=st.lists(st.integers(0, 9), min_size=1, max_size=3).filter(any),
+       epochs=st.integers(1, 2), **FEDERATIONS)
+def test_random_vit_federations_match_the_serial_oracle(sizes, epochs, loss, fed, seed):
+    """The generative gate on a few tiny federations of the vit-smoke model."""
+    lockstep, serial = _lockstep_and_serial(X.preset_config("vit-smoke"), sizes, seed,
+                                            (1, 16, 16), 3, loss, local_epochs=epochs, **fed)
+    assert lockstep == serial

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fedfocal import losses as L
 from fedfocal import tensor as T
 from fedfocal.errors import ConfigError, ContractError, NumericError
+from fedfocal.models import ModelParams
 
 from helpers import chain_per_sample_losses, fd_gradient, max_rel_err, mean
 
@@ -264,6 +265,21 @@ class TestTrainableGamma:
         params["loss.gamma"].data[...] = -3.0
         L.clamp_gamma(params, cfg)
         assert float(params["loss.gamma"].data) == cfg.gamma_lo
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lo, hi", [(0.0, 5.0), (-0.0, 0.0), (0.5, 5.0)])
+    def test_clamp_gives_the_bits_of_np_clip(self, dtype, lo, hi):
+        """On a stack of gammas, in place: values past either bound, at a
+        bound, a zero of either sign at a zero bound, and NaN."""
+        manifest = [("w", (2,)), ("loss.gamma", ())]
+        values = [-0.0, 0.0, np.nan, -3.0, 11.0, 0.5, 5.0, 2.0, np.inf, -np.inf]
+        flat = np.zeros((len(values), 3), dtype=dtype)
+        flat[:, 2] = values
+        stack = ModelParams.from_flat(manifest, flat)
+        expected = np.clip(flat[:, 2], lo, hi)
+        L.clamp_gamma(stack, L.LossConfig(gamma_trainable=True, gamma=hi, gamma_lo=lo,
+                                          gamma_hi=hi))
+        assert stack.flat[:, 2].tobytes() == expected.tobytes()
 
 
 class TestLossConfig:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fedfocal import losses as L
 from fedfocal import metrics as ME
 from fedfocal import models as M
+from fedfocal import tensor as T
 from fedfocal.errors import ConfigError, ContractError, ShapeError
 
 from helpers import gradient_norm_by_group
@@ -353,6 +354,40 @@ class TestAttentionRollout:
         mask = ME.grad_rollout_for_sample(model, params, image)
         assert mask.shape == (cfg.num_patches,)
         assert mask.min() >= 0.0 and mask.max() <= 1.0
+
+    def test_rollout_seeds_the_logits_and_records_nothing_after_the_forward(self,
+                                                                            monkeypatch):
+        """The backward starts at the logits, one-hot on the predicted class:
+        no tape node follows the forward, and the mask has the bits of the
+        class logit sliced out and summed."""
+        cfg = M.ViTConfig(image_size=8, patch_size=4, channels=1, embed_dim=8,
+                          num_heads=2, head_dim=4, ffn_dim=16, num_layers=2,
+                          num_classes=3)
+        model = M.ViTClassifier(cfg, dtype=np.float32)
+        params = model.init_params(np.random.default_rng(9))
+        image = np.random.default_rng(9).normal(size=(1, 8, 8))
+        logits, stack = model.forward_single(params, image)
+        c = int(np.argmax(logits.data))
+        T.backward(T.sum_(T.slice_axis(logits, 0, c, c + 1)))
+        chain = ME.attention_rollout([m.data for m in stack], [m.grad for m in stack])
+
+        recorded, at_forward = [], []
+        record, forward = T._record, model.forward_single
+
+        def counting_record(out, parents, vjp):
+            recorded.append(out)
+            return record(out, parents, vjp)
+
+        def counted_forward(*args):
+            result = forward(*args)
+            at_forward.append(len(recorded))
+            return result
+
+        monkeypatch.setattr(T, "_record", counting_record)
+        monkeypatch.setattr(model, "forward_single", counted_forward)
+        mask = ME.grad_rollout_for_sample(model, params, image)
+        assert at_forward == [len(recorded)] and recorded
+        assert mask.tobytes() == chain.tobytes()
 
 
 class TestEvaluateScores:
