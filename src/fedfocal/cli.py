@@ -10,25 +10,25 @@ import argparse
 import sys
 from pathlib import Path
 
-
 from . import experiment as X
-from .config import ExperimentConfig
-from .data import BlobSpec, TileSpec, save_dataset, synthesize_longtail, load_dataset
+from .config import SCHEMA, ExperimentConfig
+from .data import save_dataset, synthesize_longtail, load_dataset
 from .errors import ConfigError, FedFocalError
 from .metrics import evaluate_scores
-from .partition import PartitionSpec, build_partition, write_manifest
+from .partition import build_partition, write_manifest
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _ints(raw: str) -> list[int]:
-    return [int(p) for p in raw.split(",") if p.strip()]
-
-
-def _floats(raw: str) -> list[float]:
-    return [float(p) for p in raw.split(",") if p.strip()]
+def _add_key_flags(p: argparse.ArgumentParser, prefix: str) -> None:
+    """One flag per config key under prefix (dataset.synth.image_size is
+    --image-size); SCHEMA parses each value and gives its default."""
+    for key in SCHEMA:
+        if key.startswith(prefix):
+            p.add_argument("--" + key[len(prefix):].replace("_", "-"), dest=key,
+                           metavar="VALUE", help=f"config key {key}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,28 +38,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset directory")
     p.add_argument("--out", required=True)
-    p.add_argument("--counts", type=_ints, default=[1000, 400, 200, 60, 20])
-    p.add_argument("--kind", choices=["blobs", "tiles"], default="blobs")
-    p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--radius", type=float, default=2.5)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--image-size", type=int, default=16)
-    p.add_argument("--channels", type=int, default=1)
-    p.add_argument("--noise", type=float, default=0.25)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--names", default=None,
-                   help="comma-separated class names (default class-i)")
+    p.add_argument("--names", help="comma-separated class names (default class-i)")
+    _add_key_flags(p, "dataset.synth.")
 
     p = sub.add_parser("partition", help="split a dataset and write the manifest")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=["fixed", "dirichlet"], default="fixed")
-    p.add_argument("--ratios", type=_floats, default=[0.5, 0.3, 0.2])
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--clients", type=int, default=3)
-    p.add_argument("--test-fraction", type=float, default=0.1)
-    p.add_argument("--test-ratio-index", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    _add_key_flags(p, "partition.")
 
     for name, help_text in (("train", "run one configured experiment"),
                             ("sweep", "run a preset family of experiments")):
@@ -110,15 +95,17 @@ def _resolve_config(args) -> ExperimentConfig:
     return cfg.with_overrides(overrides) if overrides else cfg
 
 
+def _key_flags_config(args) -> ExperimentConfig:
+    """The default config with the command's config-key flags set."""
+    flags = {k: v for k, v in vars(args).items() if k in SCHEMA and v is not None}
+    return ExperimentConfig({}).with_overrides(flags)
+
+
 def cmd_synth(args) -> int:
-    if args.kind == "blobs":
-        spec = BlobSpec(dim=args.dim, radius=args.radius, sigma=args.sigma)
-    else:
-        spec = TileSpec(image_size=args.image_size, channels=args.channels,
-                        noise=args.noise)
+    cfg = _key_flags_config(args)
     names = args.names.split(",") if args.names else None
-    bundle = synthesize_longtail(args.counts, spec, seed=args.seed,
-                                 class_names=names)
+    bundle = synthesize_longtail(cfg["dataset.synth.counts"], X.feature_spec(cfg),
+                                 seed=cfg["dataset.synth.seed"], class_names=names)
     save_dataset(args.out, bundle)
     print(f"wrote {bundle.num_samples} samples, {bundle.num_classes} classes "
           f"to {args.out}")
@@ -126,17 +113,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_partition(args) -> int:
+    spec = _key_flags_config(args).partition_spec()
     bundle = load_dataset(args.data)
-    if args.mode == "fixed":
-        spec = PartitionSpec(mode="fixed", ratios=tuple(args.ratios),
-                             num_clients=args.clients,
-                             test_fraction=args.test_fraction,
-                             test_ratio_index=args.test_ratio_index,
-                             seed=args.seed)
-    else:
-        spec = PartitionSpec(mode="dirichlet", beta=args.beta,
-                             num_clients=args.clients,
-                             test_fraction=args.test_fraction, seed=args.seed)
     result = build_partition(bundle.labels, spec, bundle.num_classes)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -153,12 +131,7 @@ def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     out = Path(args.out)
     if args.dry_run:
-        bundle, _ = X.prepare(cfg)
-        part = X.run_partition(cfg, bundle)  # the checks of a run, before --out is made
-        out.mkdir(parents=True, exist_ok=True)
-        if cfg["run.mode"] == "federated":
-            write_manifest(out / "partition.manifest", part)
-        (out / "config.echo").write_text(cfg.to_text(), encoding="ascii")
+        bundle, _, _ = X.set_up_run(cfg, out)
         print(f"dry run ok: {bundle.num_samples} samples, config echoed to {out}")
         return EXIT_OK
     run = X.run_experiment(cfg, out)

@@ -184,7 +184,7 @@ class ExperimentConfig:
                                  test_fraction=v["partition.test_fraction"],
                                  test_ratio_index=v["partition.test_ratio_index"],
                                  seed=v["partition.seed"])
-        return PartitionSpec(mode="dirichlet", beta=v["partition.beta"],
+        return PartitionSpec(mode=v["partition.mode"], beta=v["partition.beta"],
                              num_clients=v["partition.clients"],
                              test_fraction=v["partition.test_fraction"],
                              seed=v["partition.seed"])

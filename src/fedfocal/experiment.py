@@ -39,18 +39,19 @@ CSV_COLUMNS = ("round", "accuracy", "macro_f1", "macro_precision", "macro_recall
                "head_grad_norm", "gamma", "train_loss")
 
 
+def feature_spec(cfg: ExperimentConfig) -> BlobSpec | TileSpec:
+    """The synthesizer the dataset.synth.* keys describe."""
+    if cfg["dataset.synth.kind"] == "blobs":
+        return BlobSpec(dim=cfg["dataset.synth.dim"], radius=cfg["dataset.synth.radius"],
+                        sigma=cfg["dataset.synth.sigma"])
+    return TileSpec(image_size=cfg["dataset.synth.image_size"],
+                    channels=cfg["dataset.synth.channels"], noise=cfg["dataset.synth.noise"])
+
+
 def assemble_dataset(cfg: ExperimentConfig) -> DatasetBundle:
     if cfg["dataset.path"]:
         return load_dataset(cfg["dataset.path"])
-    if cfg["dataset.synth.kind"] == "blobs":
-        spec = BlobSpec(dim=cfg["dataset.synth.dim"],
-                        radius=cfg["dataset.synth.radius"],
-                        sigma=cfg["dataset.synth.sigma"])
-    else:
-        spec = TileSpec(image_size=cfg["dataset.synth.image_size"],
-                        channels=cfg["dataset.synth.channels"],
-                        noise=cfg["dataset.synth.noise"])
-    return synthesize_longtail(cfg["dataset.synth.counts"], spec,
+    return synthesize_longtail(cfg["dataset.synth.counts"], feature_spec(cfg),
                                seed=cfg["dataset.synth.seed"])
 
 
@@ -130,21 +131,27 @@ def round_record_json(rec: F.RoundRecord) -> dict:
     }
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir) -> F.FederationRun:
-    """Execute one configured run and write all artifacts into out_dir."""
+def set_up_run(cfg: ExperimentConfig, out_dir) -> tuple[DatasetBundle, object, PartitionResult]:
+    """A run's data, model and split, checked before out_dir is made; then
+    out_dir holds config.echo and, when federated, partition.manifest."""
     bundle, model = prepare(cfg)
     part = run_partition(cfg, bundle)
-    loss_cfg = cfg.loss_config()
-    fed_cfg = cfg.federation_config()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
     (out / "config.echo").write_text(cfg.to_text(), encoding="ascii")
+    if cfg["run.mode"] == "federated":
+        write_manifest(out / "partition.manifest", part)
+    return bundle, model, part
 
+
+def run_experiment(cfg: ExperimentConfig, out_dir) -> F.FederationRun:
+    """Execute one configured run and write all artifacts into out_dir."""
+    bundle, model, part = set_up_run(cfg, out_dir)
+    out = Path(out_dir)
+    loss_cfg = cfg.loss_config()
+    fed_cfg = cfg.federation_config()
     if cfg["run.mode"] == "centralized":  # a one-client federation
         fed_cfg = replace(fed_cfg, num_clients=1, client_fraction=1.0, aggregation="uniform")
-    else:
-        write_manifest(out / "partition.manifest", part)
     run = F.run_federation(bundle, part, model, loss_cfg, fed_cfg)
 
     last = run.records[-1]
@@ -317,6 +324,7 @@ def analyze(run_dir, out_dir=None) -> dict:
     run = load_run(run_dir)
     cfg, bundle, test_idx = run.cfg, run.bundle, run.test_indices
     scores, test_y = run.score_test_set()
+    out.mkdir(parents=True, exist_ok=True)
 
     # decision curve: one row per (model, threshold)
     table = ME.decision_curve(scores, test_y, cfg["dca.thresholds"])

@@ -29,6 +29,7 @@ ascending index order, so reruns are identical bit for bit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -522,9 +523,7 @@ def run_federation(bundle, partition: PartitionResult, model,
 
     global_params = initial_params(model, loss_cfg, fed_cfg.seed)
 
-    pooled = partition.histograms[0]
-    for h in partition.histograms[1:]:
-        pooled = pooled.merge(h)
+    pooled = functools.reduce(ClassHistogram.merge, partition.histograms)
     present = [c for c, n in enumerate(pooled.counts) if n > 0]
     scores = [imbalance_score(pooled.total, pooled.counts[c]) for c in present]
     tail_pos, head_pos = head_tail_split(scores, fed_cfg.tail_fraction)

@@ -15,6 +15,7 @@ degenerates to N_k / eps, which is large but finite by construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -102,10 +103,7 @@ def global_class_imbalance(hists: list[ClassHistogram],
     """Per-class rarity over the pooled counts of all clients."""
     if not hists:
         raise ContractError("need at least one histogram")
-    pooled = hists[0]
-    for h in hists[1:]:
-        pooled = pooled.merge(h)
-    return per_class_ratios(pooled, eps)
+    return per_class_ratios(functools.reduce(ClassHistogram.merge, hists), eps)
 
 
 def dynamic_coefficient(client_coeff: float, class_coeffs: list[float],

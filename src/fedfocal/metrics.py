@@ -71,18 +71,26 @@ def predict(scores: np.ndarray) -> np.ndarray:
     return np.argmax(np.asarray(scores), axis=1)
 
 
+def _class_ids(values, what: str, count: int, num_classes: int) -> np.ndarray:
+    """values as an int64 vector of `count` class ids in 0..num_classes-1."""
+    ids = np.asarray(values)
+    if ids.shape != (count,):
+        raise ContractError(f"expected {count} {what}s, got shape {ids.shape}")
+    if ids.size and (ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= num_classes):
+        raise ContractError(f"{what} outside 0..{num_classes - 1}")
+    return ids.astype(np.int64, copy=False)
+
+
 def confusion(preds, labels, num_classes: int) -> ConfusionMatrix:
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
-    if preds.shape != labels.shape:
-        raise ContractError(f"preds and labels differ in length: "
-                            f"{preds.shape} vs {labels.shape}")
-    for arr, what in ((preds, "prediction"), (labels, "label")):
-        if arr.size and (arr.min() < 0 or arr.max() >= num_classes):
-            raise ContractError(f"{what} outside 0..{num_classes - 1}")
-    grid = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(grid, (labels, preds), 1)
-    return ConfusionMatrix(grid)
+    preds = _class_ids(preds, "prediction", np.size(preds), num_classes)
+    labels = _class_ids(labels, "label", preds.size, num_classes)
+    grid = np.bincount(labels * num_classes + preds, minlength=num_classes * num_classes)
+    return ConfusionMatrix(grid.reshape(num_classes, num_classes))
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den where den > 0, else 0."""
+    return np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
 
 
 def classification_metrics(cm: ConfusionMatrix) -> MetricReport:
@@ -93,41 +101,24 @@ def classification_metrics(cm: ConfusionMatrix) -> MetricReport:
     """
     if cm.total == 0:
         raise ContractError("empty confusion matrix")
-    g = cm.grid
-    c = cm.num_classes
-    tp = np.diag(g).astype(np.float64)
-    fn = g.sum(axis=1) - tp
-    fp = g.sum(axis=0) - tp
-    tn = cm.total - tp - fn - fp
-
-    flags: list[str] = []
-    precision = np.zeros(c)
-    recall = np.zeros(c)
-    specificity = np.zeros(c)
-    f1 = np.zeros(c)
-    for i in range(c):
-        if tp[i] + fp[i] > 0:
-            precision[i] = tp[i] / (tp[i] + fp[i])
-        else:
-            flags.append(f"class {i}: no predicted samples, precision set to 0")
-        if tp[i] + fn[i] > 0:
-            recall[i] = tp[i] / (tp[i] + fn[i])
-        else:
-            flags.append(f"class {i}: no true samples, recall set to 0")
-        if tn[i] + fp[i] > 0:
-            specificity[i] = tn[i] / (tn[i] + fp[i])
-        if precision[i] + recall[i] > 0:
-            f1[i] = 2 * precision[i] * recall[i] / (precision[i] + recall[i])
+    g = cm.grid.astype(np.float64)
+    tp = g.diagonal()
+    predicted, actual = g.sum(axis=0), g.sum(axis=1)
+    negatives = cm.total - actual
+    counts = np.array([predicted, actual, negatives])  # whole numbers, exact
+    rates = _ratio(np.array([tp, tp, negatives - (predicted - tp)]), counts)
+    f1 = _ratio(2 * rates[0] * rates[1], rates[0] + rates[1])
+    table = np.concatenate([rates, f1[None]])  # rows: precision, recall, specificity, F1
+    precision, recall, specificity, f1 = table.tolist()
+    mean_p, mean_r, mean_s, mean_f1 = table.mean(axis=1).tolist()
     return MetricReport(
-        accuracy=cm.accuracy,
-        macro_precision=float(precision.mean()),
-        macro_recall=float(recall.mean()),
-        macro_f1=float(f1.mean()),
-        macro_specificity=float(specificity.mean()),
-        macro_auc=None,
-        per_class={"precision": precision.tolist(), "recall": recall.tolist(),
-                   "f1": f1.tolist(), "specificity": specificity.tolist()},
-        flags=flags,
+        accuracy=cm.accuracy, macro_precision=mean_p, macro_recall=mean_r,
+        macro_f1=mean_f1, macro_specificity=mean_s, macro_auc=None,
+        per_class={"precision": precision, "recall": recall, "f1": f1,
+                   "specificity": specificity},
+        flags=[f"class {i}: " + ("no predicted samples, precision set to 0",
+                                 "no true samples, recall set to 0")[k]
+               for i, k in zip(*(counts[:2].T == 0).nonzero())],  # class by class
     )
 
 
@@ -150,28 +141,24 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _ovr_auc(scores: np.ndarray, labels: np.ndarray) -> tuple[float | None, list, list[str]]:
+def _ovr_auc(scores: np.ndarray, labels) -> tuple[float | None, list, list[str]]:
     """Macro AUC, rank-based one-vs-rest AUC per class (None where a class
     lacks positives or negatives) and the flags naming those classes."""
-    if scores.ndim != 2 or scores.shape[0] != labels.size:
-        raise ContractError(f"scores {scores.shape} do not match {labels.size} labels")
-    per_auc: list[float | None] = []
-    flags: list[str] = []
-    ranks = _average_ranks(scores) if labels.size else None  # every class's, one sort
-    for i in range(scores.shape[1]):
-        pos = labels == i
-        n_pos = int(pos.sum())
-        n_neg = int(labels.size - n_pos)
-        if n_pos == 0 or n_neg == 0:
-            per_auc.append(None)
-            flags.append(f"class {i}: AUC undefined "
-                         f"({'no positives' if n_pos == 0 else 'no negatives'})")
-            continue
-        auc = (ranks[i][pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-        per_auc.append(float(auc))
-    defined = [a for a in per_auc if a is not None]
-    macro = float(np.mean(defined)) if defined else None
-    return macro, per_auc, flags
+    if scores.ndim != 2:
+        raise ContractError(f"scores must be [N, C], got shape {scores.shape}")
+    n, c = scores.shape
+    labels = _class_ids(labels, "label", n, c)
+    n_pos = np.bincount(labels, minlength=c)
+    n_neg = n - n_pos
+    defined = (n_pos > 0) & (n_neg > 0)
+    # each sample's rank in its own class column: half-integers, summed exactly in any order
+    own_ranks = _average_ranks(scores)[labels, np.arange(n)] if n else np.zeros(0)
+    rank_sums = np.bincount(labels, weights=own_ranks, minlength=c)
+    auc = _ratio(rank_sums - n_pos * (n_pos + 1) / 2.0, n_pos * n_neg)
+    flags = [f"class {i}: AUC undefined ({'no positives' if n_pos[i] == 0 else 'no negatives'})"
+             for i in np.flatnonzero(~defined)]
+    macro = float(auc[defined].mean()) if defined.any() else None
+    return macro, np.where(defined, auc, None).tolist(), flags
 
 
 def auc_ovr(scores: np.ndarray, labels) -> tuple[float | None, dict]:
@@ -183,55 +170,45 @@ def auc_ovr(scores: np.ndarray, labels) -> tuple[float | None, dict]:
     lists, "flags": [...]}).
     """
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
     macro, per_auc, flags = _ovr_auc(scores, labels)
+    labels = np.asarray(labels)
     roc = [[] if auc is None else _roc_points(scores[:, i], labels == i)
            for i, auc in enumerate(per_auc)]
     return macro, {"auc": per_auc, "roc": roc, "flags": flags}
 
 
 def _roc_points(score: np.ndarray, pos: np.ndarray) -> list[tuple[float, float]]:
-    """(FPR, TPR) pairs swept from the highest threshold down."""
+    """(FPR, TPR) pairs swept from the highest threshold down: (0, 0), then
+    one point after each block of tied scores."""
     order = np.argsort(-score, kind="stable")
-    sorted_pos = pos[order]
     sorted_score = score[order]
-    n_pos = int(pos.sum())
-    n_neg = pos.size - n_pos
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    for k in range(pos.size):
-        tp += int(sorted_pos[k])
-        fp += int(~sorted_pos[k])
-        # emit a point only after consuming every sample tied at this score
-        if k + 1 < pos.size and sorted_score[k + 1] == sorted_score[k]:
-            continue
-        points.append((fp / n_neg, tp / n_pos))
-    return points
+    tp = np.cumsum(pos[order])
+    fp = np.arange(1, pos.size + 1) - tp
+    ends = np.append(sorted_score[1:] != sorted_score[:-1], True)
+    # the last counts are the negatives and the positives
+    return [(0.0, 0.0)] + list(zip((fp[ends] / fp[-1]).tolist(), (tp[ends] / tp[-1]).tolist()))
 
 
 def decision_curve(scores: np.ndarray, labels, thresholds) -> dict:
     """One-vs-rest net benefit NB = TP/n - FP/n * p/(1-p) per class/threshold.
 
-    Returns {"thresholds": [...], "per_class": [C][T] floats,
-    "macro": [T] floats}.
+    Labels must be one class id in 0..C-1 per score row. Returns
+    {"thresholds": [...], "per_class": [C][T] floats, "macro": [T] floats}.
     """
+    t = np.asarray(thresholds, dtype=np.float64).reshape(-1)
+    outside = t[~((0.0 < t) & (t < 1.0))]
+    if outside.size:
+        raise ConfigError(f"decision threshold must lie in (0, 1), got {float(outside[0])}")
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    thresholds = [float(t) for t in thresholds]
-    for t in thresholds:
-        if not 0.0 < t < 1.0:
-            raise ConfigError(f"decision threshold must lie in (0, 1), got {t}")
-    n = labels.size
-    c = scores.shape[1]
-    table = np.zeros((c, len(thresholds)))
-    for i in range(c):
-        y = labels == i
-        for k, t in enumerate(thresholds):
-            pred = scores[:, i] >= t
-            tp = float(np.sum(pred & y))
-            fp = float(np.sum(pred & ~y))
-            table[i, k] = tp / n - fp / n * (t / (1.0 - t))
-    return {"thresholds": thresholds, "per_class": table.tolist(),
+    if scores.ndim != 2 or not scores.shape[0]:
+        raise ContractError(f"scores must be [N, C] with N >= 1, got shape {scores.shape}")
+    n, c = scores.shape
+    y = _class_ids(labels, "label", n, c)[:, None, None] == np.arange(c)[:, None]  # [N, C, 1]
+    pred = scores[:, :, None] >= t  # [N, C, T]
+    tp = (pred & y).sum(axis=0)
+    fp = (pred & ~y).sum(axis=0)
+    table = tp / n - fp / n * (t / (1.0 - t))
+    return {"thresholds": t.tolist(), "per_class": table.tolist(),
             "macro": table.mean(axis=0).tolist()}
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import warnings
 
@@ -5,11 +6,11 @@ import numpy as np
 import pytest
 
 from fedfocal import experiment as X
-from fedfocal.cli import main
+from fedfocal.cli import build_parser, main
 from fedfocal.config import SCHEMA, ExperimentConfig
 from fedfocal.data import load_dataset, save_dataset
 from fedfocal.errors import ConfigError
-from fedfocal.partition import read_manifest
+from fedfocal.partition import build_partition, read_manifest, write_manifest
 
 FAST = [
     "--set", "dataset.synth.counts=120,60,30",
@@ -91,6 +92,60 @@ class TestSynthAndPartitionCommands:
                      "--kind", "tiles", "--image-size", "8"]) == 0
         bundle = load_dataset(data)
         assert bundle.features.shape == (12, 1, 8, 8)
+
+
+    @pytest.mark.parametrize("argv", [
+        ["partition", "--mode", "bogus"],
+        ["train", "--preset", "smoke", "--set", "partition.mode=bogus"] + FAST,
+    ], ids=["partition", "train"])
+    def test_unknown_partition_mode_exits_two_before_writing(self, tmp_path, capsys, argv):
+        """A mode other than fixed or dirichlet once trained a Dirichlet split
+        and exited 0."""
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--counts", "40,20,10"]) == 0
+        out = tmp_path / "parts" / "out"
+        assert main(argv + ["--data", str(data)] * (argv[0] == "partition")
+                    + ["--out", str(out)]) == 2
+        assert "unknown partition mode 'bogus'" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+
+def _key_flag_actions(command: str) -> list[argparse.Action]:
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [a for a in sub.choices[command]._actions
+            if a.option_strings and a.dest not in ("help", "out", "data", "names")]
+
+
+class TestKeyFlags:
+    """synth and partition take config keys as flags; SCHEMA alone parses
+    and defaults them, so the two cannot drift apart."""
+
+    @pytest.mark.parametrize("command, prefix", [("synth", "dataset.synth."),
+                                                 ("partition", "partition.")])
+    def test_every_flag_names_a_config_key_and_sets_no_default_or_type(self, command,
+                                                                      prefix):
+        actions = _key_flag_actions(command)
+        assert sorted(a.dest for a in actions) == sorted(k for k in SCHEMA
+                                                         if k.startswith(prefix))
+        for a in actions:
+            assert a.option_strings == ["--" + a.dest[len(prefix):].replace("_", "-")]
+            assert a.default is None and a.type is None, a.dest
+
+    def test_commands_without_flags_write_the_default_config(self, tmp_path):
+        cfg = ExperimentConfig({})
+        expected = X.assemble_dataset(cfg)
+        data, manifest = tmp_path / "data", tmp_path / "p.manifest"
+        assert main(["synth", "--out", str(data)]) == 0
+        bundle = load_dataset(data)
+        assert bundle.features.tobytes() == expected.features.tobytes()
+        assert bundle.features.shape == expected.features.shape
+        assert bundle.labels.tobytes() == expected.labels.tobytes()
+        assert bundle.class_names == expected.class_names
+        assert main(["partition", "--data", str(data), "--out", str(manifest)]) == 0
+        part = build_partition(expected.labels, cfg.partition_spec(), expected.num_classes)
+        write_manifest(tmp_path / "expected.manifest", part)
+        assert manifest.read_bytes() == (tmp_path / "expected.manifest").read_bytes()
 
 
 class TestTrainCommand:
@@ -335,6 +390,14 @@ class TestEvaluateAndAnalyze:
             cls, fpr, tpr = row.split(",")
             int(cls)
             assert 0.0 <= float(fpr) <= 1.0 and 0.0 <= float(tpr) <= 1.0, row
+
+    def test_analyze_makes_a_missing_out_dir_with_its_parents(self, finished_run, tmp_path):
+        """analyze --out once exited 3 on a directory that did not exist."""
+        out = tmp_path / "reports" / "deep"
+        assert main(["analyze", "--run", str(finished_run), "--out", str(out)]) == 0
+        for name in ("dca.csv", "roc.csv", "gradnorms.csv"):
+            assert (out / name).exists()
+            assert not (finished_run / name).exists()
 
     def test_analyze_missing_artifacts_diagnosed(self, tmp_path):
         empty = tmp_path / "empty"

@@ -410,3 +410,120 @@ def test_trace_identity_property(c, n, seed):
     cm = ME.confusion(preds, labels, c)
     assert cm.accuracy == np.mean(preds == labels)
     assert cm.total == n
+
+
+class TestBadLabels:
+    """auc_ovr and decision_curve once counted a label outside 0..C-1 as a
+    negative of every class: auc_ovr(scores, [0, 1, 5]) read 1.0."""
+
+    SCORES = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
+
+    @pytest.mark.parametrize("labels", [[0, 1, 5], [0, 1, -1], [0, 1, 2], [0, 1],
+                                        [0, 1, 1, 0], [[0], [1], [0]], [0.0, 1.0, 0.0]],
+                             ids=["above", "negative", "C", "short", "long", "2-d", "float"])
+    def test_labels_not_one_class_id_per_row_rejected(self, labels):
+        with pytest.raises(ContractError):
+            ME.auc_ovr(self.SCORES, labels)
+        with pytest.raises(ContractError):
+            ME.decision_curve(self.SCORES, labels, [0.5])
+        with pytest.raises(ContractError):
+            ME.evaluate_scores(self.SCORES, labels, 2)
+
+    def test_decision_curve_without_samples_rejected(self):
+        with pytest.raises(ContractError):
+            ME.decision_curve(np.zeros((0, 2)), [], [0.5])
+
+
+_TIED = st.sampled_from([0.0, 0.125, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def _scored_labels(draw):
+    """N rows of C scores, ties likely, and N labels from a random subset
+    of the classes, so some classes may be absent."""
+    c = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 12))
+    value = draw(st.sampled_from([_TIED, st.floats(0.0, 1.0)]))
+    scores = draw(st.lists(st.lists(value, min_size=c, max_size=c), min_size=n, max_size=n))
+    present = draw(st.lists(st.integers(0, c - 1), min_size=1, max_size=c, unique=True))
+    labels = draw(st.lists(st.sampled_from(present), min_size=n, max_size=n))
+    thresholds = draw(st.lists(st.one_of(st.sampled_from([0.125, 0.5, 0.75]),
+                                         st.floats(0.01, 0.99)), max_size=4))
+    return scores, labels, c, thresholds
+
+
+class TestEvaluationAgainstDefinitions:
+    """Each evaluation output against its definition, counted sample by
+    sample in plain Python ints and floats and compared with ==."""
+
+    @given(_scored_labels())
+    @settings(max_examples=200, deadline=None)
+    def test_class_metrics_and_flags(self, case):
+        scores, labels, c, _ = case
+        preds = [max(range(c), key=lambda j: (row[j], -j)) for row in scores]
+        report = ME.classification_metrics(ME.confusion(ME.predict(np.array(scores)), labels, c))
+        expected = {"precision": [], "recall": [], "specificity": [], "f1": []}
+        flags = []
+        for i in range(c):
+            tp = sum(p == i and y == i for p, y in zip(preds, labels))
+            fp = sum(p == i and y != i for p, y in zip(preds, labels))
+            fn = sum(p != i and y == i for p, y in zip(preds, labels))
+            tn = len(labels) - tp - fp - fn
+            precision = tp / (tp + fp) if tp + fp else 0.0
+            recall = tp / (tp + fn) if tp + fn else 0.0
+            expected["precision"].append(precision)
+            expected["recall"].append(recall)
+            expected["specificity"].append(tn / (tn + fp) if tn + fp else 0.0)
+            expected["f1"].append(2 * precision * recall / (precision + recall)
+                                  if precision + recall else 0.0)
+            if not tp + fp:
+                flags.append(f"class {i}: no predicted samples, precision set to 0")
+            if not tp + fn:
+                flags.append(f"class {i}: no true samples, recall set to 0")
+        assert report.per_class == expected
+        assert report.flags == flags
+        assert report.macro_f1 == pytest.approx(sum(expected["f1"]) / c)
+
+    @given(_scored_labels())
+    @settings(max_examples=200, deadline=None)
+    def test_auc_and_roc_points(self, case):
+        scores, labels, c, _ = case
+        macro, detail = ME.auc_ovr(np.array(scores), labels)
+        aucs, rocs, flags = [], [], []
+        for i in range(c):
+            col = [row[i] for row in scores]
+            pos = [y == i for y in labels]
+            n_pos, n_neg = sum(pos), len(pos) - sum(pos)
+            if not n_pos or not n_neg:
+                aucs.append(None)
+                rocs.append([])
+                flags.append(f"class {i}: AUC undefined "
+                             f"({'no positives' if not n_pos else 'no negatives'})")
+                continue
+            aucs.append(brute_force_auc(col, np.array(pos)))
+            sweep = [(0.0, 0.0)]
+            for s in sorted(set(col), reverse=True):
+                hits = [p for x, p in zip(col, pos) if x >= s]
+                sweep.append(((len(hits) - sum(hits)) / n_neg, sum(hits) / n_pos))
+            rocs.append(sweep)
+        assert detail == {"auc": aucs, "roc": rocs, "flags": flags}
+        defined = [a for a in aucs if a is not None]
+        assert macro == (pytest.approx(sum(defined) / len(defined)) if defined else None)
+
+    @given(_scored_labels())
+    @settings(max_examples=200, deadline=None)
+    def test_decision_curve(self, case):
+        scores, labels, c, thresholds = case
+        table = ME.decision_curve(np.array(scores), labels, thresholds)
+        n = len(labels)
+        per_class = []
+        for i in range(c):
+            row = []
+            for t in thresholds:
+                tp = sum(r[i] >= t and y == i for r, y in zip(scores, labels))
+                fp = sum(r[i] >= t and y != i for r, y in zip(scores, labels))
+                row.append(tp / n - fp / n * (t / (1.0 - t)))
+            per_class.append(row)
+        assert table["thresholds"] == thresholds
+        assert table["per_class"] == per_class
+        assert table["macro"] == pytest.approx([sum(col) / c for col in zip(*per_class)])
