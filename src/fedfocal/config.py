@@ -187,6 +187,7 @@ class ExperimentConfig:
         return PartitionSpec(mode=v["partition.mode"], beta=v["partition.beta"],
                              num_clients=v["partition.clients"],
                              test_fraction=v["partition.test_fraction"],
+                             test_ratio_index=v["partition.test_ratio_index"],
                              seed=v["partition.seed"])
 
     def vit_config(self, num_classes: int) -> ViTConfig:

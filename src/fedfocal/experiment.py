@@ -294,8 +294,8 @@ class FinishedRun:
     def score_test_set(self) -> tuple[np.ndarray, np.ndarray]:
         """Final-model class scores on the held-out test set, and its labels."""
         idx = self.test_indices
-        return (F.eval_scores(self.model, self.params, self.bundle.features, idx),
-                self.bundle.labels[idx])
+        test = F.bind_test_set(self.model, self.params, self.bundle.features, idx)
+        return F.eval_scores(test, self.params), self.bundle.labels[idx]
 
 
 def load_run(run_dir) -> FinishedRun:

@@ -17,9 +17,10 @@ groups' samples, one backward and one Adam step on the rows that stepped
 (``local_train``); ``aggregate`` reads the trained rows. No client's
 arithmetic depends on another's, so each row ends with the bits it would
 have training alone. What depends only on the selection (statistics,
-labels, features, schedule, the stack and its views, batch buffers) is a
-``RoundPlan``, rebuilt only when the selection changes: once a run under
-full participation.
+labels, features, schedule, the stack and its views, batch buffers, and
+each tick's operands bound to them) is a ``RoundPlan``, rebuilt only when
+the selection changes: once a run under full participation. The test set
+is bound once a run, for ``eval_scores``.
 
 Determinism: every random stream is derived from the master seed together
 with its role and (round, client) coordinates, each client draws its
@@ -33,6 +34,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -171,10 +173,12 @@ class Adam:
             self._c1, self._c2 = (np.array([[1 - b ** t] for t in range(2 * self._calls + 1)],
                                            dtype=self.m.dtype) for b in (self.beta1, self.beta2))
         tensors = (params if reached is None else reached).tensors()
-        odd = [x for x in tensors if x.grad is not x._grad_view]  # none, or set by hand
-        for x in odd:
-            if x.grad is not None:
-                x._grad_view[...] = x.grad
+        odd = False
+        for x in tensors:
+            if x.grad is not x._grad_view:  # none, or set by hand
+                odd = True
+                if x.grad is not None:
+                    x._grad_view[...] = x.grad
         present = [i for i, x in enumerate(tensors) if x.grad is not None] if odd else tensors
         if not present:
             return
@@ -186,14 +190,21 @@ class Adam:
             ends = list(itertools.accumulate(sizes))
             live = np.concatenate([np.arange(ends[i] - sizes[i], ends[i]) for i in present])
             p, g, m, v = p[..., live], g[..., live], m[..., live], v[..., live]
+        # in place where the operands allow; a product's operand order does not change its bits
         m *= self.beta1
-        m += (1 - self.beta1) * g
+        step = g * (1 - self.beta1)
+        m += step
         v *= self.beta2
-        v += (1 - self.beta2) * g * g
-        m_hat = m / c1
-        denom = np.sqrt(v / c2)
+        np.multiply(g, 1 - self.beta2, out=step)
+        step *= g
+        v += step
+        np.divide(m, c1, out=step)  # m_hat
+        denom = v / c2
+        np.sqrt(denom, out=denom)
         denom += self.eps
-        p -= self.lr * m_hat / denom
+        step *= self.lr
+        step /= denom
+        p -= step
         if live is not None:
             params.flat[sel][..., live], self.m[sel][..., live], self.v[sel][..., live] = p, m, v
 
@@ -222,16 +233,22 @@ def _permutations(sizes: list[int], fed_cfg: FederationConfig,
     return perms
 
 
-def _runs(sizes: list[int]) -> list[slice]:
-    """The maximal runs of adjacent rows whose batches have the same size;
-    a row with no batch (size 0) belongs to none."""
-    runs, start = [], 0
-    for size, run in itertools.groupby(sizes):
-        stop = start + len(list(run))
-        if size:
-            runs.append(slice(start, stop))
-        start = stop
-    return runs
+class Group(NamedTuple):
+    """Adjacent rows whose batches at a tick have one size, bound once per plan."""
+    rows: slice
+    params: ModelParams  # a view of those rows of the stack
+    x: np.ndarray  # their [K', B, ...] samples: a view of the plan's batch buffer
+    forward: Callable[[], T.Tensor]  # their logits, bound to params and x
+    gamma: T.Tensor | None  # their trainable gamma, or None
+
+
+class Tick(NamedTuple):
+    """One position in the clients' shared batch schedule, bound once per plan."""
+    rows: slice  # the rows that step: a prefix of the stack
+    groups: list[Group]
+    batch: L.Targets  # the groups' targets, back to back
+    seed: np.ndarray  # backward's: a one per stepping row, in the model dtype
+    gammas: list[T.Tensor] | None  # the groups' trainable gammas, or None
 
 
 @dataclass
@@ -239,7 +256,8 @@ class RoundPlan:
     """What a round's training needs that stays fixed while the selected
     clients do; ``plan_round`` builds it. A round only copies the broadcast
     into ``stack``, resets ``opt``, draws the clients' sample orders and
-    gathers its batches into ``x`` and ``batches``."""
+    gathers its batches into ``x`` and ``batches``, which every tick's
+    bound operands view."""
     client_ids: list[int]
     client_coeffs: list[float]
     class_coeffs: list[float]
@@ -247,11 +265,10 @@ class RoundPlan:
     targets: L.Targets
     sizes: list[int]
     order: list[int]  # the clients in row order
+    row_of: np.ndarray  # each client's row, in client order
     x: np.ndarray  # every step's samples, in step order
     batches: L.Targets  # their targets
-    # per epoch and tick: the rows that step, per group its rows, a view of
-    # them and its samples, and the tick's targets, its groups' back to back
-    epochs: list[list[tuple[slice, list[tuple[slice, ModelParams, np.ndarray]], L.Targets]]]
+    epochs: list[list[Tick]]  # per epoch, its ticks
     gather_at: np.ndarray  # each trained sample's place in the sample orders, in step order
     tally_rows: np.ndarray  # its row
     tally_batch: np.ndarray  # [N, 1]: the size of its batch, in the model dtype
@@ -290,9 +307,11 @@ def plan_round(model, global_params: ModelParams,
     views = {(0, k): stack}  # one view of each run of rows, for all its ticks
     ticks = []  # each tick's rows with a batch (a prefix), and its groups' rows and bounds
     for tick in range(max(map(len, sequences), default=0)):
-        runs = _runs([seq[tick] if tick < len(seq) else 0 for seq in sequences])
-        ticks.append((slice(0, runs[-1].stop),
-                      [(s, tick * b, tick * b + sequences[s.start][tick]) for s in runs]))
+        at = [seq[tick] for seq in sequences if tick < len(seq)]  # its rows' batch sizes
+        # each maximal run of rows with one batch size is a group
+        ends = list(itertools.accumulate(len(list(run)) for _, run in itertools.groupby(at)))
+        ticks.append((slice(0, len(at)), [(slice(lo, hi), tick * b, tick * b + at[lo])
+                                          for lo, hi in zip([0] + ends, ends)]))
     epochs = range(fed_cfg.local_epochs)
     # each row's steps, in step order: the row, its batch size and the
     # batch's first place in the [E, K, n_max] sample orders of the clients
@@ -305,6 +324,7 @@ def plan_round(model, global_params: ModelParams,
     x = np.empty(at.shape + features.shape[1:], dtype=features.dtype)
     batches = L.Targets(*(None if a is None else np.empty(at.shape + a.shape[1:], dtype=a.dtype)
                           for a in (targets.labels, targets.weights, targets.onehot)))
+    seeds = np.ones(k, dtype=model.dtype)
     plan_epochs, stop = [], 0
     for _ in epochs:
         plan_epochs.append([])
@@ -315,14 +335,16 @@ def plan_round(model, global_params: ModelParams,
                 start, stop = stop, stop + math.prod(shape)
                 if (s.start, s.stop) not in views:
                     views[s.start, s.stop] = stack.rows(s)
-                steps.append((s, views[s.start, s.stop],
-                              x[start:stop].reshape(shape + x.shape[1:])))
-            plan_epochs[-1].append((rows, steps, batches[first:stop]))
+                view, xs = views[s.start, s.stop], x[start:stop].reshape(shape + x.shape[1:])
+                steps.append(Group(s, view, xs, model.bind(view, xs),
+                                   L.trainable_gamma(view, loss_cfg)))
+            gammas = None if steps[0].gamma is None else [g.gamma for g in steps]
+            plan_epochs[-1].append(Tick(rows, steps, batches[first:stop], seeds[rows], gammas))
+    opt = Adam(stack, fed_cfg.learning_rate, fed_cfg.beta1, fed_cfg.beta2, fed_cfg.adam_eps)
     return RoundPlan(ids, client_coeffs, list(class_coeffs), features, targets, sizes, order,
-                     x, batches, plan_epochs, at, np.repeat(step_rows, step_batch),
-                     np.repeat(step_batch.astype(model.dtype), step_batch)[:, None], stack,
-                     Adam(stack, fed_cfg.learning_rate, fed_cfg.beta1, fed_cfg.beta2,
-                          fed_cfg.adam_eps))
+                     np.argsort(order), x, batches, plan_epochs, at,
+                     np.repeat(step_rows, step_batch),
+                     np.repeat(step_batch.astype(model.dtype), step_batch)[:, None], stack, opt)
 
 
 def local_train(model, global_params: ModelParams,
@@ -374,26 +396,24 @@ def local_train(model, global_params: ModelParams,
             np.take(src, samples, axis=0, out=out, mode="clip")
     grads = []  # each step's logit gradients, tallied after the epochs
     loss_sums = np.zeros(len(ids))
-    ones = np.ones(len(ids), dtype=model.dtype)  # backward's seed: each row's loss, summed
     for ticks in plan.epochs:
-        for rows, groups, batch in ticks:
-            logits, gammas = [], []
+        for rows, groups, batch, seed, gammas in ticks:
+            logits = []
             try:
-                for _, group, x in groups:
-                    logits.append(model.batch_logits(group, x))
-                    gammas.append(L.trainable_gamma(group, loss_cfg))
-                    group.zero_grads()
-                loss = L.batch_loss(logits, batch, loss_cfg,
-                                    gamma_param=None if gammas[0] is None else gammas)
+                for group in groups:
+                    group.params.zero_grads()
+                    logits.append(group.forward())
+                loss = L.batch_loss(logits, batch, loss_cfg, gamma_param=gammas)
             except NumericError as exc:
                 culprits = _culprits([ids[i] for i in order[rows]],
-                                     [r for *_, x in groups for r in x], stack.flat[rows])
+                                     [r for group in groups for r in group.x], stack.flat[rows])
                 raise NumericError(f"round {round_index}, {culprits}: {exc}") from exc
-            T.backward(loss, ones[rows])
-            grads += [out.grad for out in logits]
+            T.backward(loss, seed)
+            for out in logits:
+                grads.append(out.grad)
             # every group runs the same model and loss, so reaches the same tensors
-            opt.step(rows, reached=groups[0][1])
-            if gammas[0] is not None:
+            opt.step(rows, reached=groups[0].params)
+            if gammas is not None:
                 L.clamp_gamma(stack, loss_cfg)
             loss_sums[rows] += loss.data
     num_classes = model.num_classes
@@ -406,7 +426,7 @@ def local_train(model, global_params: ModelParams,
         # float64 and in step order: each cell takes a per-sample loop's adds
         norm_sums = np.bincount(at, norms, norm_sums.size).reshape(norm_sums.shape)
         norm_counts = np.bincount(at, None, norm_sums.size).reshape(norm_sums.shape)
-    row_of = np.argsort(order)
+    row_of = plan.row_of
     return RoundResult(ModelParams.from_flat(stack.manifest(), stack.flat[row_of],
                                              requires_grad=False),
                        list(plan.client_coeffs), norm_sums[row_of], norm_counts[row_of],
@@ -464,27 +484,41 @@ def aggregate(stack: ModelParams, weights) -> ModelParams:
     return ModelParams.from_flat(stack.manifest(), acc.astype(rows.dtype))
 
 
-def eval_scores(model, params: ModelParams, features: np.ndarray, indices) -> np.ndarray:
-    """Softmax class scores of the samples features[indices], 512 a forward,
-    without gradient tracking. A sample whose max logit is not finite, or a
-    non-finite one a forward rejects first, is a NumericError naming it."""
-    frozen = ModelParams.from_flat(params.manifest(), params.flat, requires_grad=False)
-    rows = []
+def bind_test_set(model, params: ModelParams, features: np.ndarray, indices) -> tuple:
+    """The samples features[indices] bound once for ``eval_scores``: a
+    frozen parameter set (params gives only its shape), which records no
+    tape node, and per 512 samples their dataset indices, the samples
+    gathered and cast once, and their forward under the frozen set."""
+    frozen = ModelParams.from_flat(params.manifest(), np.empty_like(params.flat),
+                                   requires_grad=False)
+    chunks = []
     for start in range(0, len(indices), 512):
-        x = features[indices[start:start + 512]]
+        at = np.asarray(indices[start:start + 512], dtype=np.int64)
+        x = np.asarray(features[at], dtype=model.dtype)
+        chunks.append((at, x, model.bind(frozen, x)))
+    return frozen, chunks
+
+
+def eval_scores(test: tuple, params: ModelParams) -> np.ndarray:
+    """Softmax class scores of the test samples bound by ``bind_test_set``
+    under params, copied into its frozen set. A sample whose max logit is
+    not finite, or a non-finite one a forward rejects first, is a
+    NumericError naming it."""
+    frozen, chunks = test
+    frozen.flat[...] = params.flat
+    rows = []
+    for at, x, forward in chunks:
         try:
-            logits = model.batch_logits(frozen, x)
+            logits = forward()
         except NumericError as exc:
             bad = np.flatnonzero(~np.isfinite(x.reshape(len(x), -1)).all(axis=-1))
             if not bad.size:
                 raise
-            raise NumericError(f"test sample {indices[start + bad[0]]}: "
-                               f"non-finite class scores") from exc
+            raise NumericError(f"test sample {at[bad[0]]}: non-finite class scores") from exc
         if not np.isfinite(logits.data).all():  # a cheap screen; a row's max decides
             bad = np.flatnonzero(~np.isfinite(logits.data.max(axis=-1)))
             if bad.size:
-                raise NumericError(f"test sample {indices[start + bad[0]]}: "
-                                   f"non-finite class scores")
+                raise NumericError(f"test sample {at[bad[0]]}: non-finite class scores")
         rows.append(T.softmax(logits).data)
     return np.concatenate(rows)
 
@@ -522,6 +556,7 @@ def run_federation(bundle, partition: PartitionResult, model,
     test_y = labels[test_idx]
 
     global_params = initial_params(model, loss_cfg, fed_cfg.seed)
+    test_set = bind_test_set(model, global_params, features, test_idx)
 
     pooled = functools.reduce(ClassHistogram.merge, partition.histograms)
     present = [c for c, n in enumerate(pooled.counts) if n > 0]
@@ -568,7 +603,7 @@ def run_federation(bundle, partition: PartitionResult, model,
         global_params = aggregate(trained.params, weights)
 
         try:
-            scores_test = eval_scores(model, global_params, features, test_idx)
+            scores_test = eval_scores(test_set, global_params)
         except NumericError as exc:
             raise NumericError(f"round {t}, {exc}") from exc
         report = ME.evaluate_scores(scores_test, test_y, num_classes)

@@ -96,27 +96,19 @@ def targets(labels, num_classes: int, coeffs, dtype) -> Targets:
     return Targets(labels, weights, (labels[..., None] == np.arange(num_classes)).astype(dtype))
 
 
-def _focal_nll(logits, batch: Targets, gamma, weighted: bool, mean: bool) -> Tensor:
-    labels, first = batch.labels, logits if isinstance(logits, Tensor) else logits[0]
-    if first is logits:  # a list's labels are its groups' rows, flat, counted by focal_nll
-        if logits.data.ndim not in (2, 3):
-            raise ContractError(f"logits must be [batch, classes] or [clients, batch, "
-                                f"classes], got shape {logits.shape}")
-        if labels.ndim != logits.data.ndim - 1:
-            raise ContractError(f"labels must have rank {logits.data.ndim - 1}, "
-                                f"got shape {labels.shape}")
-        if labels.shape != logits.shape[:-1]:
-            raise ShapeError(f"labels of shape {labels.shape} for logits {logits.shape}")
-    if batch.onehot.shape[-1] != first.data.shape[-1] or batch.onehot.dtype != first.data.dtype:
-        raise ContractError(f"targets of {batch.onehot.shape[-1]} classes in "
-                            f"{batch.onehot.dtype} for {first.dtype} logits {first.shape}")
-    return T.focal_nll(logits, batch.onehot, PROB_FLOOR, gamma=gamma,
-                       weights=batch.weights if weighted else None, mean=mean)
-
-
 def _loss(logits: Tensor, labels, gamma=None, coeffs=None, mean: bool = True) -> Tensor:
-    return _focal_nll(logits, targets(labels, logits.shape[-1], coeffs, logits.dtype),
-                      gamma, weighted=True, mean=mean)
+    batch = targets(labels, logits.shape[-1], coeffs, logits.dtype)
+    labels = batch.labels
+    if logits.data.ndim not in (2, 3):
+        raise ContractError(f"logits must be [batch, classes] or [clients, batch, "
+                            f"classes], got shape {logits.shape}")
+    if labels.ndim != logits.data.ndim - 1:
+        raise ContractError(f"labels must have rank {logits.data.ndim - 1}, "
+                            f"got shape {labels.shape}")
+    if labels.shape != logits.shape[:-1]:
+        raise ShapeError(f"labels of shape {labels.shape} for logits {logits.shape}")
+    return T.focal_nll(logits, batch.onehot, PROB_FLOOR, gamma=gamma, weights=batch.weights,
+                       mean=mean)
 
 
 def per_sample_losses(logits: Tensor, labels, *, gamma=None,
@@ -165,16 +157,16 @@ def batch_loss(logits, batch: Targets, cfg: LossConfig, *, gamma_param=None) -> 
     is the trainable gamma living in the model's parameter list (one per
     client on a stack; a list, one per group); otherwise the configured
     constant is used. The result is the batch mean: one per client on a
-    stack, and one per client row, in row order, for a list.
+    stack, and one per client row, in row order, for a list. ``focal_nll``
+    rejects targets of another class count or dtype.
     """
-    if cfg.kind == "ce":
-        gamma = None
-    else:
-        gamma = gamma_param if gamma_param is not None else cfg.gamma
-    weighted = cfg.kind == "adaptive_focal"
-    if weighted and batch.weights is None:
+    kind, weights = cfg.kind, batch.weights
+    if kind != "adaptive_focal":
+        weights = None
+    elif weights is None:
         raise ContractError("adaptive focal loss needs per-sample coefficients")
-    return _focal_nll(logits, batch, gamma, weighted, mean=True)
+    gamma = None if kind == "ce" else cfg.gamma if gamma_param is None else gamma_param
+    return T.focal_nll(logits, batch.onehot, PROB_FLOOR, gamma, weights, True)
 
 
 def clamp_gamma(params: ModelParams, cfg: LossConfig) -> None:

@@ -28,7 +28,7 @@ class ConfusionMatrix:
         g = np.asarray(self.grid)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ContractError(f"confusion grid must be square, got {g.shape}")
-        if np.any(g < 0):
+        if np.logical_or.reduce(g < 0, axis=None):
             raise ContractError("confusion grid must be nonnegative")
         object.__setattr__(self, "grid", g.astype(np.int64))
 
@@ -38,11 +38,11 @@ class ConfusionMatrix:
 
     @property
     def total(self) -> int:
-        return int(self.grid.sum())
+        return int(np.add.reduce(self.grid, axis=None))
 
     @property
     def accuracy(self) -> float:
-        return float(np.trace(self.grid) / self.total) if self.total else 0.0
+        return float(self.grid.trace() / self.total) if self.total else 0.0
 
 
 @dataclass
@@ -68,7 +68,7 @@ class MetricReport:
 
 def predict(scores: np.ndarray) -> np.ndarray:
     """Argmax with the lowest index winning ties."""
-    return np.argmax(np.asarray(scores), axis=1)
+    return np.asarray(scores).argmax(axis=1)
 
 
 def _class_ids(values, what: str, count: int, num_classes: int) -> np.ndarray:
@@ -76,7 +76,8 @@ def _class_ids(values, what: str, count: int, num_classes: int) -> np.ndarray:
     ids = np.asarray(values)
     if ids.shape != (count,):
         raise ContractError(f"expected {count} {what}s, got shape {ids.shape}")
-    if ids.size and (ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= num_classes):
+    if ids.size and (ids.dtype.kind not in "iu" or np.minimum.reduce(ids) < 0
+                     or np.maximum.reduce(ids) >= num_classes):
         raise ContractError(f"{what} outside 0..{num_classes - 1}")
     return ids.astype(np.int64, copy=False)
 
@@ -103,14 +104,14 @@ def classification_metrics(cm: ConfusionMatrix) -> MetricReport:
         raise ContractError("empty confusion matrix")
     g = cm.grid.astype(np.float64)
     tp = g.diagonal()
-    predicted, actual = g.sum(axis=0), g.sum(axis=1)
+    predicted, actual = np.add.reduce(g, axis=0), np.add.reduce(g, axis=1)
     negatives = cm.total - actual
     counts = np.array([predicted, actual, negatives])  # whole numbers, exact
     rates = _ratio(np.array([tp, tp, negatives - (predicted - tp)]), counts)
     f1 = _ratio(2 * rates[0] * rates[1], rates[0] + rates[1])
     table = np.concatenate([rates, f1[None]])  # rows: precision, recall, specificity, F1
     precision, recall, specificity, f1 = table.tolist()
-    mean_p, mean_r, mean_s, mean_f1 = table.mean(axis=1).tolist()
+    mean_p, mean_r, mean_s, mean_f1 = (np.add.reduce(table, axis=1) / table.shape[1]).tolist()
     return MetricReport(
         accuracy=cm.accuracy, macro_precision=mean_p, macro_recall=mean_r,
         macro_f1=mean_f1, macro_specificity=mean_s, macro_auc=None,
@@ -125,18 +126,19 @@ def classification_metrics(cm: ConfusionMatrix) -> MetricReport:
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks along the first axis with ties sharing their average
     rank: of a vector, or of each column of an [N, C] array, [C, N] out.
-    One sort serves every column; the ranks are exact half-integers."""
+    One sort serves every column, and need not be stable: a tie block's
+    entries share one rank, an exact half-integer."""
     cols = np.ascontiguousarray(x.T)
     # each entry's flat index in cols, in sorted order, one row a column
     offsets = np.arange(0, cols.size, cols.shape[-1]).reshape(cols.shape[:-1] + (1,))
-    order = np.argsort(cols, axis=-1, kind="stable") + offsets
+    order = cols.argsort(axis=-1) + offsets
     sorted_x = cols.reshape(-1)[order]
     starts = np.ones(cols.shape, dtype=bool)  # no tie block spans two columns
     starts[..., 1:] = sorted_x[..., 1:] != sorted_x[..., :-1]
-    first = np.flatnonzero(starts)
-    last = np.append(first[1:], starts.size) - 1
+    first = starts.reshape(-1).nonzero()[0]
+    last = np.concatenate((first[1:], [starts.size])) - 1
     ranks = np.empty(cols.shape, dtype=np.float64)
-    ranks.reshape(-1)[order] = (np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
+    ranks.reshape(-1)[order] = ((0.5 * (first + last) + 1.0).repeat(last - first + 1)
                                 .reshape(cols.shape) - offsets)
     return ranks
 
@@ -157,7 +159,8 @@ def _ovr_auc(scores: np.ndarray, labels) -> tuple[float | None, list, list[str]]
     auc = _ratio(rank_sums - n_pos * (n_pos + 1) / 2.0, n_pos * n_neg)
     flags = [f"class {i}: AUC undefined ({'no positives' if n_pos[i] == 0 else 'no negatives'})"
              for i in np.flatnonzero(~defined)]
-    macro = float(auc[defined].mean()) if defined.any() else None
+    kept = auc[defined]
+    macro = float(np.add.reduce(kept) / kept.size) if kept.size else None
     return macro, np.where(defined, auc, None).tolist(), flags
 
 
@@ -230,7 +233,7 @@ def per_sample_logit_grad_norms(logits: Tensor | np.ndarray, batch=None) -> np.n
             raise ContractError("run backward before reading logit gradients")
         logits, batch = logits.grad, logits.shape[-2]
     g = logits * batch
-    return np.sqrt((g.astype(np.float64) ** 2).sum(axis=-1))
+    return np.sqrt(np.add.reduce(g.astype(np.float64) ** 2, axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Tiny Vision Transformer and MLP classifiers built on the tensor core.
 
 Both models expose the same surface to the training layer: an ordered,
-named parameter list plus a batch logits function, so federation code never
+named parameter list plus a forward bound once to its parameters and input
+buffer (``bind``), and the batch logits it gives, so federation code never
 branches on the architecture.
 
 The transformer follows the classic encoder recipe: patch embedding with a
@@ -19,8 +20,10 @@ as biases. No step loops over images, heads or clients.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -390,13 +393,6 @@ def init_mlp_params(cfg: MlpConfig, rng: np.random.Generator, dtype=np.float32,
     return ModelParams(items)
 
 
-def mlp_forward(features: Tensor, params: ModelParams) -> Tensor:
-    """One hidden ReLU layer; accepts a [B, F] batch, or a [K, B, F] stack
-    on stacked parameters."""
-    return T.perceptron(features, params["mlp.w1"], params["mlp.b1"], params["mlp.w2"],
-                        params["mlp.b2"])
-
-
 # ---------------------------------------------------------------------------
 # uniform classifier facade used by the training loop
 
@@ -416,14 +412,20 @@ class MlpClassifier:
                     gamma_init: float | None = None) -> ModelParams:
         return init_mlp_params(self.cfg, rng, dtype=self.dtype, gamma_init=gamma_init)
 
-    def batch_logits(self, params: ModelParams, features: np.ndarray) -> Tensor:
-        """[B, F] features give [B, C] logits; a client stack, [K, B, F]
-        features on stacked parameters, gives [K, B, C]."""
+    def bind(self, params: ModelParams, features: np.ndarray) -> Callable[[], Tensor]:
+        """The logits of features under params as a call without arguments,
+        one ``perceptron`` node: [B, F] features give [B, C], a client stack
+        [K, B, F] on stacked parameters [K, B, C]. Features in the model
+        dtype are bound where they lie, like the parameters."""
         x = T.constant(np.asarray(features, dtype=self.dtype))
         if x.data.ndim not in (2, 3) or x.data.shape[-1] != self.cfg.input_dim:
             raise ShapeError(f"feature batch shape {x.shape} does not match "
                              f"input dim {self.cfg.input_dim}")
-        return mlp_forward(x, params)
+        return functools.partial(T.perceptron, x, *(params[f"mlp.{name}"]
+                                                  for name in ("w1", "b1", "w2", "b2")))
+
+    def batch_logits(self, params: ModelParams, features: np.ndarray) -> Tensor:
+        return self.bind(params, features)()
 
 
 class ViTClassifier:
@@ -447,14 +449,19 @@ class ViTClassifier:
         image = np.asarray(image, dtype=self.dtype)
         return vit_forward(image, params, self.cfg, positions=self._positions)
 
-    def batch_logits(self, params: ModelParams, images: np.ndarray) -> Tensor:
-        """[B, C, H, W] images give [B, classes] logits; a client stack,
-        [K, B, C, H, W] images on stacked parameters, gives [K, B, classes]."""
+    def bind(self, params: ModelParams, images: np.ndarray) -> Callable[[], Tensor]:
+        """The logits of images under params as a call without arguments:
+        [B, C, H, W] images give [B, classes], a client stack [K, B, C, H,
+        W] on stacked parameters [K, B, classes]. Images in the model dtype
+        are bound where they lie, like the parameters."""
         images = np.asarray(images, dtype=self.dtype)
         if images.ndim != 2 + params["head.weight"].data.ndim:
             raise ShapeError(f"expected [B, C, H, W] image batch or a stack of them, "
                              f"got {images.shape}")
-        return vit_forward(images, params, self.cfg, positions=self._positions)[0]
+        return lambda: vit_forward(images, params, self.cfg, positions=self._positions)[0]
+
+    def batch_logits(self, params: ModelParams, images: np.ndarray) -> Tensor:
+        return self.bind(params, images)()
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,8 @@ the rank-2 operation gives it alone; so does a ``layer_norm`` with one
 [K, D] affine row per client. ``transpose`` swaps the last two axes at any
 rank. ``focal_nll`` also takes a list of such stacks, a lockstep tick's
 groups, as one node, and gives each block the bits of its own call. Its
-softmax forward and VJP are ``softmax``'s own, so the loss, evaluation and
-attention share one softmax.
+softmax forward is ``softmax``'s own, and its VJP that of ``softmax`` on
+one-hot rows, so the loss, evaluation and attention share one softmax.
 """
 
 from __future__ import annotations
@@ -97,28 +97,23 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={_DTYPE_NAMES[self.dtype]}, requires_grad={self.requires_grad})"
 
 
-def _wrap(data) -> Tensor:
-    """A tensor over an operation's float array, skipping the constructor's checks."""
-    if type(data) is not np.ndarray:  # a numpy scalar from a reduction
-        return Tensor(data)
-    out = Tensor.__new__(Tensor)
-    out.data, out.grad, out.requires_grad = data, None, False
-    out._parents, out._vjp, out._grad_view = (), None, None
-    return out
-
-
 # weak references to every recorded tensor, in creation order
 _tape: list[weakref.ref] = []
 
 
-def _record(out: Tensor, parents: Sequence[Tensor], vjp) -> Tensor:
+def _record(data, parents: Sequence[Tensor], vjp) -> Tensor:
+    """The tensor over an operation's float result, skipping the constructor's
+    checks; on the tape with its parents and VJP when one needs a gradient."""
+    if type(data) is not np.ndarray:  # the numpy scalar of a full reduction
+        data = np.asarray(data)
+    out = Tensor.__new__(Tensor)
+    out.data, out.grad, out._grad_view = data, None, None
     for p in parents:  # any() over a generator costs ten times as much per op
         if p.requires_grad:
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._vjp = vjp
+            out.requires_grad, out._parents, out._vjp = True, tuple(parents), vjp
             _tape.append(weakref.ref(out))
-            break
+            return out
+    out.requires_grad, out._parents, out._vjp = False, (), None
     return out
 
 
@@ -168,7 +163,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """[M, K] x [K, N], or two client stacks [S, M, K] x [S, K, N] slice by slice."""
     _check_same_dtype(a, b)
     _check_product("matmul", a.shape, b.shape)
-    out = _wrap(a.data @ b.data)
+    out = a.data @ b.data
     return _record(out, (a, b), lambda g: _affine_vjp(g, a.data, b, None, a.requires_grad)[:2])
 
 
@@ -178,7 +173,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     add(matmul(x, w), b) bit for bit."""
     _check_same_dtype(x, w, b)
     _check_affine("affine", x.shape, w, b)
-    out = _wrap(x.data @ w.data + b.data[..., None, :])
+    out = x.data @ w.data + b.data[..., None, :]
     return _record(out, (x, w, b), lambda g: _affine_vjp(g, x.data, w, b, x.requires_grad))
 
 
@@ -186,23 +181,24 @@ def perceptron(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Ten
     """affine(relu(affine(x, w1, b1)), w2, b2) as one node, on [R, D] rows
     or a client stack [K, R, D]. Forward and backward repeat the chain's
     expressions, so values and gradients are its bits."""
-    xs, s1, s2, dt = x.data.shape, w1.data.shape, w2.data.shape, x.data.dtype
+    xd, w1d, b1d, w2d, b2d = x.data, w1.data, b1.data, w2.data, b2.data
+    xs, s1, s2, dt = xd.shape, w1d.shape, w2d.shape, xd.dtype
     # one screen for the checks below, which name what is wrong when it fails
+    # (numpy's dtypes of one kind are one object, and the checks compare by value)
     if not (len(xs) in (2, 3) and s1[:-1] == xs[:-2] + xs[-1:]
-            and b1.data.shape == s1[:-2] + s1[-1:] == s2[:-1]
-            and b2.data.shape == s2[:-2] + s2[-1:]
-            and dt == w1.data.dtype == b1.data.dtype == w2.data.dtype == b2.data.dtype):
+            and b1d.shape == s1[:-2] + s1[-1:] == s2[:-1] and b2d.shape == s2[:-2] + s2[-1:]
+            and dt is w1d.dtype is b1d.dtype is w2d.dtype is b2d.dtype):
         _check_same_dtype(x, w1, b1, w2, b2)
         _check_affine("perceptron", xs, w1, b1)
         _check_affine("perceptron", xs[:-1] + s1[-1:], w2, b2)
-    pre = x.data @ w1.data + b1.data[..., None, :]
-    hidden, mask = np.maximum(pre, pre.dtype.type(0)), pre > 0
-    out = _wrap(hidden @ w2.data + b2.data[..., None, :])
+    pre = xd @ w1d + b1d[..., None, :]
+    hidden, mask = np.maximum(pre, 0.0), pre > 0
+    out = hidden @ w2d + b2d[..., None, :]
 
     def vjp(g):
         first_layer = x.requires_grad or w1.requires_grad or b1.requires_grad
         gh, gw2, gb2 = _affine_vjp(g, hidden, w2, b2, first_layer)
-        return (_affine_vjp(gh * mask, x.data, w1, b1, x.requires_grad) if first_layer
+        return (_affine_vjp(gh * mask, xd, w1, b1, x.requires_grad) if first_layer
                 else [None] * 3) + [gw2, gb2]
 
     return _record(out, (x, w1, b1, w2, b2), vjp)
@@ -212,16 +208,14 @@ def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes; a stack of matrices transposes each one."""
     if a.data.ndim < 2:
         raise ShapeError(f"transpose requires a tensor of rank 2 or more, got {a.shape}")
-    out = Tensor(np.swapaxes(a.data, -1, -2).copy())
-    return _record(out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
+    return _record(np.swapaxes(a.data, -1, -2).copy(), (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != a.data.size:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
-    out = Tensor(a.data.reshape(shape))
-    return _record(out, (a,), lambda g: (g.reshape(a.shape),))
+    return _record(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -229,17 +223,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     or, on a client stack, [K, R, C] + [K, C]."""
     _check_same_dtype(a, b)
     if a.shape == b.shape:
-        out = Tensor(a.data + b.data)
-        return _record(out, (a, b), lambda g: (g, g))
+        return _record(a.data + b.data, (a, b), lambda g: (g, g))
     if a.data.ndim in (2, 3) and b.shape == a.shape[:-2] + a.shape[-1:]:
-        out = Tensor(a.data + b.data[..., None, :])
-
         def vjp(g):
             ga = g if a.requires_grad else None
             gb = g.sum(axis=-2) if b.requires_grad else None
             return ga, gb
 
-        return _record(out, (a, b), vjp)
+        return _record(a.data + b.data[..., None, :], (a, b), vjp)
     raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
 
@@ -247,42 +238,36 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b)
     if a.shape != b.shape:
         raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data - b.data)
-    return _record(out, (a, b), lambda g: (g, -g))
+    return _record(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b)
     if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data * b.data)
-
     def vjp(g):
         ga = g * b.data if a.requires_grad else None
         gb = g * a.data if b.requires_grad else None
         return ga, gb
 
-    return _record(out, (a, b), vjp)
+    return _record(a.data * b.data, (a, b), vjp)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = a.dtype.type(s)
-    out = Tensor(a.data * s)
-    return _record(out, (a,), lambda g: (g * s,))
+    return _record(a.data * s, (a,), lambda g: (g * s,))
 
 
 def relu(a: Tensor) -> Tensor:
-    out = _wrap(np.maximum(a.data, a.dtype.type(0)))
     mask = a.data > 0
-    return _record(out, (a,), lambda g: (g * mask,))
+    return _record(np.maximum(a.data, a.dtype.type(0)), (a,), lambda g: (g * mask,))
 
 
 def log(a: Tensor) -> Tensor:
     bad = np.flatnonzero(a.data <= 0)
     if bad.size:
         raise NumericError(f"log of nonpositive value at flat index {int(bad[0])}")
-    out = Tensor(np.log(a.data))
-    return _record(out, (a,), lambda g: (g / a.data,))
+    return _record(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def power(base: Tensor, exponent) -> Tensor:
@@ -314,27 +299,25 @@ def power(base: Tensor, exponent) -> Tensor:
                 ge = ge.astype(base.dtype)
             return gb, ge
 
-        return _record(Tensor(result), (base, exponent), vjp)
+        return _record(result, (base, exponent), vjp)
 
     e = float(exponent)
-    out = Tensor(np.power(base.data, base.dtype.type(e)))
 
     def vjp_scalar(g):
         if e == 0.0:
             return (np.zeros_like(base.data),)
         return (g * e * np.power(base.data, base.dtype.type(e - 1.0)),)
 
-    return _record(out, (base,), vjp_scalar)
+    return _record(np.power(base.data, base.dtype.type(e)), (base,), vjp_scalar)
 
 
 def clamp(a: Tensor, lo: float | None = None, hi: float | None = None) -> Tensor:
-    out = Tensor(np.clip(a.data, lo, hi))
     mask = np.ones(a.shape, dtype=bool)
     if lo is not None:
         mask &= a.data >= lo
     if hi is not None:
         mask &= a.data <= hi
-    return _record(out, (a,), lambda g: (g * mask,))
+    return _record(np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -342,12 +325,12 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         raise ContractError("concat of an empty sequence")
     _check_same_dtype(*tensors)
     try:
-        out = _wrap(np.concatenate([t.data for t in tensors], axis=axis))
+        out = np.concatenate([t.data for t in tensors], axis=axis)
     except ValueError as exc:
         raise ShapeError(f"concat shapes disagree off axis {axis}: "
                          f"{[t.shape for t in tensors]}") from exc
     sizes = [t.shape[axis] for t in tensors]
-    lead = (slice(None),) * (axis % out.data.ndim)  # each operand's slice of the result
+    lead = (slice(None),) * (axis % out.ndim)  # each operand's slice of the result
     cuts = [lead + (slice(end - n, end),) for n, end in zip(sizes, np.cumsum(sizes).tolist())]
 
     def vjp(g):
@@ -364,14 +347,12 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
         raise ShapeError(f"slice [{start}:{stop}] out of range for axis {axis} of {a.shape}")
     index = tuple(slice(start, stop) if d == axis else slice(None)
                   for d in range(a.data.ndim))
-    out = Tensor(a.data[index].copy())
-
     def vjp(g):
         full = np.zeros_like(a.data)
         full[index] = g
         return (full,)
 
-    return _record(out, (a,), vjp)
+    return _record(a.data[index].copy(), (a,), vjp)
 
 
 def _spread(a: Tensor, axis: int | None):
@@ -391,40 +372,36 @@ def _spread(a: Tensor, axis: int | None):
 
 
 def sum_(a: Tensor, axis: int | None = None) -> Tensor:
-    return _record(Tensor(a.data.sum(axis=axis)), (a,), _spread(a, axis))
+    return _record(a.data.sum(axis=axis), (a,), _spread(a, axis))
 
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
     """Softmax over axis, the max subtracted before exp; a NaN is a NumericError.
-    The ufunc reductions are ndarray.any, max and sum without their wrappers."""
-    if np.logical_or.reduce(np.isnan(x), axis=None):
+    The ufunc reductions are ndarray.max and sum without their wrappers. A
+    max is NaN when any operand is, so the largest row max screens for NaN."""
+    top = np.maximum.reduce(x, axis=axis, keepdims=True)
+    peak = np.maximum.reduce(top, axis=None, initial=-math.inf)
+    if peak != peak:
         bad = np.flatnonzero(np.isnan(x))
         raise NumericError(f"softmax input contains NaN at flat index {int(bad[0])}")
-    ex = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
+    ex = np.exp(x - top)
     return ex / np.add.reduce(ex, axis=axis, keepdims=True)
-
-
-def _softmax_vjp(g: np.ndarray, s: np.ndarray, axis: int) -> np.ndarray:
-    """The gradient reaching a softmax's input from g at its output s."""
-    return (g - np.add.reduce(g * s, axis=axis, keepdims=True)) * s
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Numerically safe softmax: the axis max is subtracted before exp."""
     s = _softmax(a.data, axis)
-    return _record(_wrap(s), (a,), lambda g: (_softmax_vjp(g, s, axis),))
+    return _record(s, (a,), lambda g: ((g - np.add.reduce(g * s, axis=axis, keepdims=True)) * s,))
 
 
-def _row_power(base: np.ndarray, e, shift: float, sizes: list[int] | None) -> np.ndarray:
-    """base ** (e + shift), e one float or one float per client row, whose
-    samples lie back to back in the flat base, sizes of them a row.
+def _row_power(base: np.ndarray, e: list[float], shift: float, sizes: list[int]) -> np.ndarray:
+    """base ** (e + shift) with one float of e per client row, whose samples
+    lie back to back in the flat base, sizes of them a row.
 
     Each row gets a scalar exponent of its own: numpy takes fast paths for
     some scalar exponents (2.0, 0.5) that an array exponent skips, and the
     bits differ."""
     dt = base.dtype.type
-    if isinstance(e, float):
-        return np.power(base, dt(e + shift))
     out = np.empty(base.shape, base.dtype)
     for n, z, x in zip(sizes, itertools.accumulate(sizes), e):
         np.power(base[z - n:z], dt(x + shift), out=out[z - n:z])
@@ -438,26 +415,30 @@ def focal_nll(logits, onehot: np.ndarray, floor: float, gamma=None,
 
     logits are [B, C], a client stack [K, B, C], or a list of such blocks
     (a lockstep tick's groups) read as the rows of one [N, C] array; the
-    one-hot labels and the weights, in the logits dtype, have the shape of
-    the logits or of those rows (weights without the class axis). The
-    result has the labels' shape, or for blocks [N]; the means have it
-    without the batch axis, or for blocks one per client row, in order.
-    p_t is the softmax probability of each row's label. Both p_t and 1 - p_t
-    are clamped to [floor, 1]. gamma None drops the focal factor; a float
-    (shared by every client) or a tensor keeps it, and a trainable gamma
-    gets its gradient. A gamma tensor holds one scalar per client ([] or
-    [K]); blocks take a list of them, one per block.
+    one-hot labels and the weights, in the logits dtype, hold one row (one
+    weight) per sample, in order. The result has the logits' shape less the
+    class axis, or for blocks [N]; the means have it less the batch axis
+    too, or for blocks one per client row, in order. p_t is the softmax
+    probability of each row's label; it and 1 - p_t are clamped below at
+    floor. gamma None drops the focal factor; a float (shared by every
+    client) or a tensor keeps it, and a trainable gamma gets its gradient.
+    A gamma tensor holds one scalar per client ([] or [K]); blocks take a
+    list of them, one per block.
 
     Forward and backward repeat the expressions of the primitive chain this
     node replaces (softmax, mul by the one-hot, sum_, clamp, log, scale,
     sub, clamp, power, mul, mul, then the mean: a sum over a block's batch
-    axis times 1 / B). Each is elementwise or reduces one row's classes or
-    one client's batch, so each block and stack slice gets the chain's bits.
+    axis times 1 / B), less steps that cannot change a bit: the clamps at 1
+    (no softmax probability exceeds 1) and the softmax VJP's row sum of
+    g * onehot * s (on one-hot rows g_t * p_t + 0). Each step is elementwise
+    or reduces one row's classes or one client's batch, so each block and
+    stack slice gets the chain's bits.
     """
     one = isinstance(logits, Tensor)
     blocks = [logits] if one else logits
     exps = [gamma] if isinstance(gamma, Tensor) else gamma if isinstance(gamma, list) else None
-    c, spans, z, r = blocks[0].data.shape[-1], [], 0, 0
+    first = blocks[0].data
+    c, dt, spans, z, r = first.shape[-1], first.dtype, [], 0, 0
     for b in blocks:  # its client rows and batch size, and where its samples and rows end
         shape = b.data.shape
         if len(shape) not in (2, 3) or shape[-1] != c:
@@ -465,9 +446,12 @@ def focal_nll(logits, onehot: np.ndarray, floor: float, gamma=None,
                              f"count, got {[b.shape for b in blocks]}")
         k, n = shape[0] if len(shape) == 3 else 1, shape[-2]
         spans.append((k, n, z := z + k * n, r := r + k))
+    if onehot.shape[-1:] != (c,) or onehot.dtype != dt:
+        raise ContractError(f"targets of {onehot.shape[-1] if onehot.ndim else 0} classes in "
+                            f"{onehot.dtype} for {dt} logits {first.shape}")
     if onehot.size != z * c:
         raise ShapeError(f"one-hot rows {onehot.shape} for logits {[b.shape for b in blocks]}")
-    sizes = None
+    sizes = e = None
     if exps is not None:
         if len(exps) != len(blocks) or any(
                 x.data.shape != b.data.shape[:1] if b.data.ndim == 3 else x.data.size != 1
@@ -480,37 +464,35 @@ def focal_nll(logits, onehot: np.ndarray, floor: float, gamma=None,
         e = float(gamma)
     if len(blocks) > 1 or exps:
         _check_same_dtype(*blocks, *(exps or ()))
-    dt = blocks[0].data.dtype
-    rows = (blocks[0].data.reshape(-1, c) if len(blocks) == 1
+    rows = (first.reshape(-1, c) if len(blocks) == 1
             else np.concatenate([b.data.reshape(-1, c) for b in blocks]))
-    if one:  # the labels' shape to the rows'
-        onehot = onehot.reshape(rows.shape)
-        weights = None if weights is None else weights.ravel()
+    onehot = onehot.reshape(rows.shape)
+    weights = None if weights is None else weights.reshape(-1)
     s = _softmax(rows, -1)
     p_t = np.add.reduce(s * onehot, axis=-1)
-    clamped = np.minimum(np.maximum(p_t, floor), 1.0)
-    nll_mask = clamped == p_t  # p_t within [floor, 1]; NaN is not
-    nll = np.log(clamped) * dt.type(-1.0)
+    clamped = np.maximum(p_t, floor)
+    nll_mask = clamped == p_t  # p_t at or above the floor; NaN is not
+    nll = np.log(clamped) * -1.0
     out = nll
     if gamma is not None:
-        rest = dt.type(1) - p_t
-        base = np.minimum(np.maximum(rest, floor), 1.0)
+        rest = 1.0 - p_t
+        base = np.maximum(rest, floor)
         base_mask = base == rest
-        focal = _row_power(base, e, 0.0, sizes)
+        focal = np.power(base, dt.type(e)) if sizes is None else _row_power(base, e, 0.0, sizes)
         out = focal * nll
     if weights is not None:
         out = weights * out
     if mean:
-        out = [np.add.reduce(out[z - k * n:z].reshape(k, n), axis=-1) * dt.type(1.0 / n)
+        out = [np.add.reduce(out[z - k * n:z].reshape(k, n), axis=-1) * (1.0 / n)
                for k, n, z, _ in spans]
         out = out[0] if len(out) == 1 else np.concatenate(out)
     if one:
-        out = out.reshape(logits.data.shape[:-2] if mean else logits.data.shape[:-1])
+        out = out.reshape(first.shape[:-2] if mean else first.shape[:-1])
 
     def vjp(g):
         g = g.reshape(-1)
         if mean:  # each row's gradient times 1 / B, over its batch
-            g = [(g[r - k:r] * dt.type(1.0 / n)).repeat(n) for k, n, _, r in spans]
+            g = [(g[r - k:r] * (1.0 / n)).repeat(n) for k, n, _, r in spans]
             g = g[0] if len(g) == 1 else np.concatenate(g)
         if weights is not None:
             g = g * weights
@@ -519,9 +501,9 @@ def focal_nll(logits, onehot: np.ndarray, floor: float, gamma=None,
         if gamma is not None:
             g_focal = g * nll
             g_nll = g * focal
-            if isinstance(e, float):
+            if sizes is None:
                 g_base = (np.zeros(base.shape, dt) if e == 0.0
-                          else g_focal * e * _row_power(base, e, -1.0, sizes))
+                          else g_focal * e * np.power(base, dt.type(e - 1.0)))
             else:
                 g_base = (g_focal * np.asarray(e, dtype=dt).repeat(sizes)
                           * _row_power(base, e, -1.0, sizes))
@@ -530,14 +512,16 @@ def focal_nll(logits, onehot: np.ndarray, floor: float, gamma=None,
                 g_e = g_focal * focal * np.log(base)
                 g_exps = [np.add.reduce(g_e[z - k * n:z].reshape(k, n), axis=-1)
                           .reshape(x.shape).astype(dt) for (k, n, z, _), x in zip(spans, exps)]
-        g_pt = (g_nll * dt.type(-1.0) / clamped) * nll_mask
+        g_pt = (g_nll * -1.0 / clamped) * nll_mask
         if gamma is not None:
-            g_pt = g_pt + -(g_base * base_mask)
-        g_rows = _softmax_vjp(g_pt[..., None] * onehot, s, -1)
+            g_pt = g_pt - g_base * base_mask
+        # softmax's VJP: on a one-hot row the sum of g_pt * onehot * s is
+        # g_pt * p_t, plus the +0 numpy's sum starts from (an all-zero row sums to +0)
+        g_rows = (g_pt[:, None] * onehot - (g_pt * p_t + 0.0)[:, None]) * s
         return [g_rows[z - k * n:z].reshape(b.data.shape)
                 for (k, n, z, _), b in zip(spans, blocks)] + g_exps
 
-    return _record(_wrap(out), blocks if exps is None else [*blocks, *exps], vjp)
+    return _record(out, blocks if exps is None else [*blocks, *exps], vjp)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
@@ -557,8 +541,6 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + a.dtype.type(eps))
     y = xc * inv
-    out = Tensor(y * gain.data.reshape(spread) + bias.data.reshape(spread))
-
     def vjp(g):
         dy = g * gain.data.reshape(spread)
         dx = None
@@ -570,7 +552,8 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
         dbias = g.reshape(rows).sum(axis=-2) if bias.requires_grad else None
         return dx, dgain, dbias
 
-    return _record(out, (a, gain, bias), vjp)
+    return _record(y * gain.data.reshape(spread) + bias.data.reshape(spread), (a, gain, bias),
+                   vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -592,36 +575,34 @@ def backward(loss: Tensor, grad: np.ndarray | None = None) -> None:
     ``ModelParams.grad``. Entries whose tensors are gone are dropped from
     the tape. Repeated calls without ``ModelParams.zero_grads`` accumulate.
     """
+    data = loss.data
     if grad is None:
-        if loss.data.size != 1:
+        if data.size != 1:
             raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
-        grad = np.ones_like(loss.data)
-    elif not (isinstance(grad, np.ndarray) and grad.shape == loss.data.shape
-              and grad.dtype == loss.data.dtype):
-        raise ContractError(f"backward seed must be a {loss.data.dtype} ndarray "
+        grad = np.ones_like(data)
+    elif not (isinstance(grad, np.ndarray) and grad.shape == data.shape
+              and grad.dtype == data.dtype):
+        raise ContractError(f"backward seed must be a {data.dtype} ndarray "
                             f"of shape {loss.shape}")
     if not loss.requires_grad:
         return
-    pending: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, grad)}
+    pending = {loss: grad}  # tensors hash by identity
     live = []
     for ref in reversed(_tape):
         node = ref()
         if node is None:
             continue
         live.append(ref)
-        entry = pending.pop(id(node), None)
-        if entry is None:
+        g = pending.pop(node, None)
+        if g is None:
             continue
-        g = entry[1]
         node.grad = g if node.grad is None else node.grad + g
         for parent, pg in zip(node._parents, node._vjp(g)):
-            if pg is None or not parent.requires_grad:
-                continue
-            key = id(parent)
-            pending[key] = (parent, pg if key not in pending else pending[key][1] + pg)
+            if pg is not None and parent.requires_grad:
+                pending[parent] = pg if parent not in pending else pending[parent] + pg
     live.reverse()
     _tape[:] = live
-    for leaf, g in pending.values():
+    for leaf, g in pending.items():
         view = leaf._grad_view
         if view is None:
             leaf.grad = g if leaf.grad is None else leaf.grad + g

@@ -146,7 +146,7 @@ def per_group_focal_nll(logits, onehot, floor, gamma=None, weights=None):
         return (g_s - inner) * s, g_exp
 
     parents = (logits,) if exponent is None else (logits, exponent)
-    return T._record(T._wrap(out), parents, vjp)
+    return T._record(out, parents, vjp)
 
 
 def mean(a, axis=None):
@@ -157,7 +157,7 @@ def mean(a, axis=None):
 
     s = a.dtype.type(1.0 / (a.data.size if axis is None else a.shape[axis]))
     spread = T._spread(a, axis)
-    return T._record(T._wrap(a.data.sum(axis=axis) * s), (a,), lambda g: spread(g * s))
+    return T._record(a.data.sum(axis=axis) * s, (a,), lambda g: spread(g * s))
 
 
 def per_group_loss(logits, onehot, floor, gamma=None, weights=None):

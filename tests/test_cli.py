@@ -1,6 +1,10 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +112,31 @@ class TestSynthAndPartitionCommands:
                     + ["--out", str(out)]) == 2
         assert "unknown partition mode 'bogus'" in capsys.readouterr().err
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["partition", "--mode", "dirichlet", "--test-ratio-index", "1"],
+        ["train", "--preset", "smoke", "--set", "partition.mode=dirichlet",
+         "--set", "partition.test_ratio_index=1"] + FAST,
+    ], ids=["partition", "train"])
+    def test_dirichlet_test_ratio_index_exits_two_before_writing(self, tmp_path, capsys,
+                                                                argv):
+        """A Dirichlet split once dropped test_ratio_index and exited 0, as if
+        it were unset."""
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--counts", "40,20,10"]) == 0
+        out = tmp_path / "parts" / "out"
+        assert main(argv + ["--data", str(data)] * (argv[0] == "partition")
+                    + ["--out", str(out)]) == 2
+        assert "test_ratio_index applies to fixed mode only" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_dirichlet_split_without_test_ratio_index_still_loads(self):
+        """The 20-client Dirichlet benchmark workload sets no test_ratio_index."""
+        cfg = X.preset_config("smoke", seed=5).with_overrides({
+            "partition.mode": "dirichlet", "partition.beta": 0.5, "partition.clients": 20,
+            "federation.concurrent": True, "federation.rounds": 100})
+        spec = cfg.partition_spec()
+        assert (spec.mode, spec.num_clients, spec.test_ratio_index) == ("dirichlet", 20, None)
 
 
 def _key_flag_actions(command: str) -> list[argparse.Action]:
@@ -491,3 +520,23 @@ class TestSweepCommand:
                      "--set", "partition.test_fraction=0.2"]) == 0
         rows = (out / "comparison.csv").read_text().splitlines()[1:]
         assert len(rows) == 5
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_smoke_artifacts_identical_across_blas_thread_counts(tmp_path):
+    """The matrix products run on OpenBLAS, whose thread count is fixed when
+    numpy loads. Ten smoke rounds write the same metrics.csv, rounds.jsonl
+    and final.ckpt, byte for byte, on one thread and on two."""
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(path)}
+        subprocess.run([sys.executable, "-m", "fedfocal.cli", "train", "--preset", "smoke",
+                        "--set", "federation.rounds=10", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        outputs.append([(out / name).read_bytes()
+                        for name in ("metrics.csv", "rounds.jsonl", "final.ckpt")])
+    assert outputs[0] == outputs[1]

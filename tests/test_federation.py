@@ -398,18 +398,23 @@ class TestTicks:
         assert len(plan.epochs) == epochs
         for ticks in plan.epochs:
             assert len(ticks) == max(batches)
-            for t, (rows, groups, batch) in enumerate(ticks):
+            for t, (rows, groups, batch, seed, gammas) in enumerate(ticks):
                 stepping = [r for r, n in enumerate(batches) if n > t]
                 assert stepping == list(range(rows.stop)) and rows.start == 0
                 assert [r for sel, *_ in groups for r in range(sel.start, sel.stop)] == stepping
-                for sel, group, x in groups:
+                assert seed.tolist() == [1.0] * rows.stop and gammas is None
+                for sel, group, x, forward, gamma in groups:
                     n = {min(batch_size, sizes[plan.order[r]] - t * batch_size)
                          for r in range(sel.start, sel.stop)}
                     assert {x.shape[1]} == n
                     assert group.flat.shape[0] == x.shape[0] == sel.stop - sel.start
-                    assert np.shares_memory(x, plan.x)
+                    assert np.shares_memory(x, plan.x) and gamma is None
+                    # the bound forward reads the buffers where they lie
+                    x[...], group.flat[...] = 0.5, 0.25
+                    want = model.batch_logits(group, x.copy()).data
+                    assert forward().data.tobytes() == want.tobytes()
                 # the tick's targets: its groups' samples, back to back
-                assert batch.labels.shape == (sum(x.shape[0] * x.shape[1] for *_, x in groups),)
+                assert batch.labels.shape == (sum(g.x.shape[0] * g.x.shape[1] for g in groups),)
                 assert np.shares_memory(batch.labels, plan.batches.labels)
                 assert np.shares_memory(batch.onehot, plan.batches.onehot)
         # each trained sample is gathered once a round, from its client's sample order
@@ -438,7 +443,7 @@ class TestTicks:
         the plan, on the shards of ``_args``."""
         args = TestTicks._args(loss_cfg, **fed)
         plan = F.plan_round(*args)
-        assert any(len(groups) > 1 for _, groups, _ in plan.epochs[0])
+        assert any(len(tick.groups) > 1 for tick in plan.epochs[0])
         if plan_hook:
             plan_hook(plan)
         result = F.local_train(*args, [np.random.default_rng(k) for k in range(3)], plan=plan)
@@ -473,7 +478,7 @@ class TestTicks:
         0 and 1, and the tick takes one loss over both groups. A NaN feature
         in that batch fails it, and the error names client 2 alone."""
         args = self._args(L.LossConfig(), batch_size=16)
-        _, groups, _ = F.plan_round(*args).epochs[0][1]
+        groups = F.plan_round(*args).epochs[0][1].groups
         assert [(sel.start, sel.stop) for sel, *_ in groups] == [(0, 2), (2, 3)]
         short = np.random.default_rng(2).permutation(21)[16:]  # client 2's stream, epoch 1
         args[2][2][0][short[3], 1] = np.nan
@@ -503,7 +508,7 @@ class TestTicks:
         monkeypatch.setattr(L, "batch_loss", counting_loss)
         monkeypatch.setattr(T, "backward", counting_backward)
         F.local_train(*args, [np.random.default_rng(k) for k in range(3)], plan=plan)
-        groups = [len(groups) for ticks in plan.epochs for _, groups, _ in ticks]
+        groups = [len(tick.groups) for ticks in plan.epochs for tick in ticks]
         assert groups == [1, 2, 2] * 2
         assert tape["losses"] == len(groups)
         assert tape["nodes"] == [n + 1 for n in groups]
@@ -535,11 +540,51 @@ class TestTicks:
             F.local_train(*args, [np.random.default_rng(k) for k in range(3)], plan=plan)
         finally:
             sys.setprofile(None)
-        groups = [len(groups) for ticks in plan.epochs for _, groups, _ in ticks]
+        groups = [len(tick.groups) for ticks in plan.epochs for tick in ticks]
         assert groups == [1, 2, 2] * 2
         # every tick after the first; what follows the last step is the tally
         for n, calls in zip(groups[1:], ticks[:-1]):
             assert set(calls) <= ({"concatenate"} if n > 1 else set()), calls
+
+    @pytest.mark.parametrize("kind, trainable, calls", [("adaptive_focal", False, 17),
+                                                        ("ce", False, 17),
+                                                        ("adaptive_focal", True, 31)],
+                             ids=["adaptive_focal", "ce", "adaptive_focal-trainable_gamma"])
+    def test_a_one_group_tick_keeps_its_framework_budget(self, kind, trainable, calls):
+        """The plan binds each group's input tensor, parameter tensors and
+        gamma, so a one-group MLP tick runs only the forward, the loss, the
+        backward with its two VJPs and the Adam step (and the gamma clamp),
+        and makes two Tensors: the logits and the loss. Counted with
+        sys.setprofile from one Adam step to the next; a Tensor is made by
+        its constructor or, skipping it, by object.__new__. A count that
+        grows is a cost on every tick; one that falls is a new pin."""
+        args = self._args(L.LossConfig(kind=kind, gamma_trainable=trainable),
+                          batch_size=16, local_epochs=2)
+        plan = F.plan_round(*args)
+        windows = []  # per tick after a step: its calls, and the makers of its Tensors
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event == "return" and code is F.Adam.step.__code__:
+                windows.append(([], []))
+            elif windows and event == "call":
+                windows[-1][0].append(code.co_name)
+                if code is T.Tensor.__init__.__code__:  # the maker is its caller
+                    windows[-1][1].append(frame.f_back.f_code.co_name)
+            elif windows and event == "c_call" and arg is object.__new__:
+                windows[-1][1].append(code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            F.local_train(*args, [np.random.default_rng(k) for k in range(3)], plan=plan)
+        finally:
+            sys.setprofile(None)
+        groups = [len(tick.groups) for ticks in plan.epochs for tick in ticks]
+        assert groups == [1, 2, 2] * 2
+        # the window after the step of epoch 1's last tick holds epoch 2's first
+        tick_calls, tensors = windows[2]
+        assert len(tick_calls) == calls, tick_calls
+        assert tensors == ["_record", "_record"]
 
     def test_two_epochs_at_batch_seven_match_the_serial_oracle(self):
         result, oracle, _ = self._round(L.LossConfig(), batch_size=7, local_epochs=2)
@@ -548,6 +593,38 @@ class TestTicks:
 
 
 class TestRunFederation:
+    def test_evaluation_is_bound_once_per_run(self, monkeypatch):
+        """The test features are gathered and cast, and their forward bound,
+        once a run; scoring a round copies the parameters into the bound
+        frozen set and builds no parameter set of its own."""
+        bundle, part, model = tiny_setup()
+        binds, built, scoring, scored = [], [], [], []
+        bind, from_flat, score = F.bind_test_set, M.ModelParams.from_flat, F.eval_scores
+
+        def counting_bind(*a):
+            binds.append(len(a[3]))
+            return bind(*a)
+
+        def counting_score(*a):
+            scoring.append(True)
+            try:
+                return score(*a)
+            finally:
+                scoring.pop()
+                scored.append(True)
+
+        def counting_from_flat(manifest, flat, requires_grad=True):
+            if scoring:
+                built.append(flat.shape)
+            return from_flat(manifest, flat, requires_grad)
+
+        monkeypatch.setattr(F, "bind_test_set", counting_bind)
+        monkeypatch.setattr(F, "eval_scores", counting_score)
+        monkeypatch.setattr(M.ModelParams, "from_flat", staticmethod(counting_from_flat))
+        run = F.run_federation(bundle, part, model, L.LossConfig(), tiny_fed(rounds=3))
+        assert binds == [len(part.test_indices)] and built == []
+        assert len(scored) == len(run.records) == 3
+
     def test_zero_lr_single_round_is_identity(self):
         bundle, part, model = tiny_setup()
         run = F.run_federation(bundle, part, model, L.LossConfig(kind="ce"),

@@ -403,7 +403,7 @@ class TestMlp:
         params = M.init_mlp_params(cfg, np.random.default_rng(0), dtype=np.float64)
         for _, t in params:
             t.data[:] = 0.0
-        logits = M.mlp_forward(T.constant(np.ones((2, 3))), params)
+        logits = M.MlpClassifier(cfg, np.float64).batch_logits(params, np.ones((2, 3)))
         assert np.array_equal(logits.data, np.zeros((2, 5)))
         probs = T.softmax(logits, axis=1)
         assert np.allclose(probs.data, 0.2)
@@ -418,7 +418,7 @@ class TestMlp:
         x = np.array([[1.0, 2.0]])
         # hidden pre-activation: [1+4+0.5, -1+1-0.5] = [5.5, -0.5] -> relu [5.5, 0]
         # logits: [5.5*1 + 0*(-1) + 0, 5.5*0 + 0*2 + 1] = [5.5, 1.0]
-        logits = M.mlp_forward(T.constant(x), params)
+        logits = M.MlpClassifier(cfg, np.float64).batch_logits(params, x)
         assert np.allclose(logits.data, [[5.5, 1.0]], atol=1e-15)
 
     def test_gradcheck(self):
@@ -428,7 +428,7 @@ class TestMlp:
         w = np.random.default_rng(3).normal(size=(5, 3))
 
         def build():
-            return T.sum_(T.mul(M.mlp_forward(T.constant(x), params),
+            return T.sum_(T.mul(M.MlpClassifier(cfg, np.float64).batch_logits(params, x),
                                 T.constant(w, dtype=np.float64)))
 
         T.backward(build())
