@@ -12,9 +12,10 @@ model on the held-out test set.
 A round is one [K, P] stack from broadcast to aggregate, one row per
 selected client, and so are its Adam moments. Epoch by epoch, at each tick,
 each run of adjacent rows whose next minibatches have the same size takes
-one stacked forward on its slice, and the tick one loss over all its
-groups' samples, one backward and one Adam step on the rows that stepped
-(``local_train``); ``aggregate`` reads the trained rows. No client's
+one stacked forward on its slice; the tick takes one loss-and-gradient
+call over all its groups' samples, each group's backward, and one Adam
+step on the rows that stepped (``local_train``); the MLP's tick records no
+tape node. ``aggregate`` reads the trained rows. No client's
 arithmetic depends on another's, so each row ends with the bits it would
 have training alone. What depends only on the selection (statistics,
 labels, features, schedule, the stack and its views, batch buffers, and
@@ -238,17 +239,15 @@ class Group(NamedTuple):
     rows: slice
     params: ModelParams  # a view of those rows of the stack
     x: np.ndarray  # their [K', B, ...] samples: a view of the plan's batch buffer
-    forward: Callable[[], T.Tensor]  # their logits, bound to params and x
-    gamma: T.Tensor | None  # their trainable gamma, or None
+    forward: Callable[[], np.ndarray]  # their logits, bound to params and x
+    backward: Callable[[np.ndarray], None]  # the logits' gradient into params' slots
 
 
 class Tick(NamedTuple):
     """One position in the clients' shared batch schedule, bound once per plan."""
     rows: slice  # the rows that step: a prefix of the stack
     groups: list[Group]
-    batch: L.Targets  # the groups' targets, back to back
-    seed: np.ndarray  # backward's: a one per stepping row, in the model dtype
-    gammas: list[T.Tensor] | None  # the groups' trainable gammas, or None
+    loss: L.TickLoss  # bound to the groups' targets, back to back
 
 
 @dataclass
@@ -268,6 +267,8 @@ class RoundPlan:
     row_of: np.ndarray  # each client's row, in client order
     x: np.ndarray  # every step's samples, in step order
     batches: L.Targets  # their targets
+    inv_batch: np.ndarray  # [N]: dtype(1 / B) of each one's batch of B
+    scale: np.ndarray  # [N]: that times its weight, the loss gradient's seed
     epochs: list[list[Tick]]  # per epoch, its ticks
     gather_at: np.ndarray  # each trained sample's place in the sample orders, in step order
     tally_rows: np.ndarray  # its row
@@ -324,7 +325,8 @@ def plan_round(model, global_params: ModelParams,
     x = np.empty(at.shape + features.shape[1:], dtype=features.dtype)
     batches = L.Targets(*(None if a is None else np.empty(at.shape + a.shape[1:], dtype=a.dtype)
                           for a in (targets.labels, targets.weights, targets.onehot)))
-    seeds = np.ones(k, dtype=model.dtype)
+    inv_batch = np.repeat(1.0 / step_batch, step_batch).astype(model.dtype)
+    scale = inv_batch if targets.weights is None else np.empty_like(inv_batch)
     plan_epochs, stop = [], 0
     for _ in epochs:
         plan_epochs.append([])
@@ -336,13 +338,15 @@ def plan_round(model, global_params: ModelParams,
                 if (s.start, s.stop) not in views:
                     views[s.start, s.stop] = stack.rows(s)
                 view, xs = views[s.start, s.stop], x[start:stop].reshape(shape + x.shape[1:])
-                steps.append(Group(s, view, xs, model.bind(view, xs),
-                                   L.trainable_gamma(view, loss_cfg)))
-            gammas = None if steps[0].gamma is None else [g.gamma for g in steps]
-            plan_epochs[-1].append(Tick(rows, steps, batches[first:stop], seeds[rows], gammas))
+                steps.append(Group(s, view, xs, *model.bind(view, xs)))
+            gammas = [L.trainable_gamma(g.params, loss_cfg) for g in steps]
+            plan_epochs[-1].append(Tick(rows, steps, L.bind_loss(
+                [g.x.shape[:2] + (model.num_classes,) for g in steps], model.dtype,
+                batches[first:stop], scale[first:stop], loss_cfg,
+                None if gammas[0] is None else gammas)))
     opt = Adam(stack, fed_cfg.learning_rate, fed_cfg.beta1, fed_cfg.beta2, fed_cfg.adam_eps)
     return RoundPlan(ids, client_coeffs, list(class_coeffs), features, targets, sizes, order,
-                     np.argsort(order), x, batches, plan_epochs, at,
+                     np.argsort(order), x, batches, inv_batch, scale, plan_epochs, at,
                      np.repeat(step_rows, step_batch),
                      np.repeat(step_batch.astype(model.dtype), step_batch)[:, None], stack, opt)
 
@@ -359,23 +363,26 @@ def local_train(model, global_params: ModelParams,
     on its shard, one row of the stack and of Adam's moments, and tallies
     per-class logit-gradient norms. Within an epoch, at each tick, each
     maximal run of adjacent rows whose next batches have the same size is
-    a group: one stacked forward on its [K', B, ...] batch and the plan's
-    view of its rows. Then one loss node over the tick's groups, on the
-    tick's slice of the plan's targets, with one batch mean per row; one
-    backward seeded with ones over those means; one Adam step on the rows
-    that stepped, in place; and one clamp of a trainable gamma over the
-    whole stack, which leaves a row that sat the tick out as it was: every
-    row with samples steps at tick 0 of an epoch and was clamped then. A
-    client whose epoch is used up sits out its last ticks. Each client does
-    the arithmetic it would do alone, so the results are those of training
-    the clients one after another, bit for bit.
+    a group: one bound forward on its [K', B, ...] batch and the plan's
+    view of its rows. Then one ``batch_loss`` over the tick's groups gives
+    each row's batch mean and each group's logits gradient (of ones over
+    the means), and a trainable gamma's gradient in its slots; each group's
+    bound backward writes its parameters' gradients into theirs; one Adam
+    step runs on the rows that stepped, in place, and one clamp of a
+    trainable gamma over the whole stack, which leaves a row that sat the
+    tick out as it was: every row with samples steps at tick 0 of an epoch
+    and was clamped then. A client whose epoch is used up sits out its
+    last ticks. Each client does the arithmetic it would do alone, so the
+    results are those of training the clients one after another, bit for
+    bit.
 
     Once per client selection, ``plan_round`` builds everything else (here,
     when plan is None; a given plan stands in for shards, hists and
     class_coeffs, and one for other clients is a ``ContractError``). Once
     a round: the broadcast is copied into the stack, Adam reset, the
-    epochs' sample orders drawn and their batches gathered into the plan,
-    and the per-class norms tallied after the last step, in step order. The
+    epochs' sample orders drawn and their batches gathered into the plan
+    (each sample's loss seed made in one multiply), and the per-class norms
+    tallied after the last step, in step order. The
     rows return, copied, in the given client order, with their optimizer
     steps as batch counts. A NaN in training names its round and the
     clients among the tick's rows that hold it."""
@@ -394,28 +401,30 @@ def local_train(model, global_params: ModelParams,
                      (plan.targets.onehot, batches.onehot)):
         if src is not None:  # the indices are in range; "clip" skips the buffered copy
             np.take(src, samples, axis=0, out=out, mode="clip")
+    if batches.weights is not None:
+        np.multiply(plan.inv_batch, batches.weights, out=plan.scale)
+    clamp = L.trainable_gamma(stack, loss_cfg) is not None
     grads = []  # each step's logit gradients, tallied after the epochs
     loss_sums = np.zeros(len(ids))
     for ticks in plan.epochs:
-        for rows, groups, batch, seed, gammas in ticks:
+        for rows, groups, loss in ticks:
             logits = []
             try:
                 for group in groups:
-                    group.params.zero_grads()
                     logits.append(group.forward())
-                loss = L.batch_loss(logits, batch, loss_cfg, gamma_param=gammas)
+                means, dlogits, _ = L.batch_loss(logits, loss)
             except NumericError as exc:
                 culprits = _culprits([ids[i] for i in order[rows]],
                                      [r for group in groups for r in group.x], stack.flat[rows])
                 raise NumericError(f"round {round_index}, {culprits}: {exc}") from exc
-            T.backward(loss, seed)
-            for out in logits:
-                grads.append(out.grad)
+            for group, g in zip(groups, dlogits):
+                group.backward(g)
+            grads += dlogits
             # every group runs the same model and loss, so reaches the same tensors
             opt.step(rows, reached=groups[0].params)
-            if gammas is not None:
+            if clamp:
                 L.clamp_gamma(stack, loss_cfg)
-            loss_sums[rows] += loss.data
+            loss_sums[rows] += means
     num_classes = model.num_classes
     norm_sums = np.zeros((len(ids), num_classes))
     norm_counts = np.zeros((len(ids), num_classes), dtype=np.int64)
@@ -495,7 +504,7 @@ def bind_test_set(model, params: ModelParams, features: np.ndarray, indices) -> 
     for start in range(0, len(indices), 512):
         at = np.asarray(indices[start:start + 512], dtype=np.int64)
         x = np.asarray(features[at], dtype=model.dtype)
-        chunks.append((at, x, model.bind(frozen, x)))
+        chunks.append((at, x, model.bind(frozen, x)[0]))
     return frozen, chunks
 
 
@@ -515,11 +524,11 @@ def eval_scores(test: tuple, params: ModelParams) -> np.ndarray:
             if not bad.size:
                 raise
             raise NumericError(f"test sample {at[bad[0]]}: non-finite class scores") from exc
-        if not np.isfinite(logits.data).all():  # a cheap screen; a row's max decides
-            bad = np.flatnonzero(~np.isfinite(logits.data.max(axis=-1)))
+        if not np.isfinite(logits).all():  # a cheap screen; a row's max decides
+            bad = np.flatnonzero(~np.isfinite(logits.max(axis=-1)))
             if bad.size:
                 raise NumericError(f"test sample {at[bad[0]]}: non-finite class scores")
-        rows.append(T.softmax(logits).data)
+        rows.append(T.softmax_kernel(logits, -1))
     return np.concatenate(rows)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,27 +147,55 @@ def adaptive_focal_loss(logits: Tensor, labels, coeffs, gamma=2.0) -> Tensor:
     return _loss(logits, labels, gamma, coeffs)
 
 
-def batch_loss(logits, batch: Targets, cfg: LossConfig, *, gamma_param=None) -> Tensor:
-    """The configured loss of a training batch, whose labels (and, for the
-    adaptive kind, weights) were checked by ``targets``; the same bits as
-    ``cross_entropy``, ``focal_loss`` or ``adaptive_focal_loss`` on them.
-    The targets must be built for the logits' class count and dtype.
+class TickLoss(NamedTuple):
+    """A lockstep tick's loss operands, bound once per plan by ``bind_loss``."""
+    spans: list[tuple[int, int, int]]  # tensor.focal_spans of its logits blocks
+    onehot: np.ndarray  # [N, C], a view of the plan's targets, and the rest [N]
+    weights: np.ndarray | None  # the adaptive kind's
+    scale: np.ndarray  # each sample's dtype(1 / B) times its weight: the seed
+    gamma: float | list[np.ndarray] | None  # a constant, or per block its rows' trainable one
+    sizes: list[int] | None  # with a trainable gamma, each client row's batch
+    slots: list[np.ndarray] | None  # and per block its gamma's gradient slots
 
-    logits are one tensor, or a list: a lockstep tick's groups, with flat
-    targets in their order, all in one tape node. gamma_param, when given,
-    is the trainable gamma living in the model's parameter list (one per
-    client on a stack; a list, one per group); otherwise the configured
-    constant is used. The result is the batch mean: one per client on a
-    stack, and one per client row, in row order, for a list. ``focal_nll``
-    rejects targets of another class count or dtype.
-    """
-    kind, weights = cfg.kind, batch.weights
-    if kind != "adaptive_focal":
-        weights = None
-    elif weights is None:
+
+def bind_loss(shapes: list[tuple[int, ...]], dtype, batch: Targets, scale: np.ndarray,
+              cfg: LossConfig, gammas: list[Tensor] | None = None) -> TickLoss:
+    """The configured loss of a tick's logits blocks of these shapes and
+    dtype, checked once and bound to their flat targets and scale. gammas,
+    one per block, is a trainable gamma; a loss that reads it marks its
+    gradient slot as holding one, and ``batch_loss`` writes it there."""
+    weights = batch.weights if cfg.kind == "adaptive_focal" else None
+    if cfg.kind == "adaptive_focal" and weights is None:
         raise ContractError("adaptive focal loss needs per-sample coefficients")
-    gamma = None if kind == "ce" else cfg.gamma if gamma_param is None else gamma_param
-    return T.focal_nll(logits, batch.onehot, PROB_FLOOR, gamma, weights, True)
+    exps = None if cfg.kind == "ce" or gammas is None else [x.data for x in gammas]
+    spans = T.focal_spans(shapes, batch.onehot, dtype, exps)
+    onehot = batch.onehot.reshape(-1, shapes[0][-1])
+    if exps is None:
+        return TickLoss(spans, onehot, weights, scale, None if cfg.kind == "ce" else cfg.gamma,
+                        None, None)
+    if any(x._grad_view is None for x in gammas):
+        raise ContractError("a trainable gamma needs its gradient slot in a trainable set")
+    for x in gammas:
+        x.grad = x._grad_view
+    return TickLoss(spans, onehot, weights, scale, [x.reshape(-1) for x in exps],  # [] as [1]
+                    [n for k, n, _ in spans for _ in range(k)],
+                    [x.grad.reshape(-1) for x in gammas])
+
+
+def batch_loss(logits: list[np.ndarray], tick: TickLoss):
+    """A tick's loss on its logits blocks (arrays) bound by ``bind_loss``:
+    each client row's batch mean, in row order, each block's logits
+    gradient and its gamma gradient, written into its slots (or None); the
+    gradients of ones over the means, with the bits the public losses give
+    each block on the tape."""
+    c = tick.onehot.shape[-1]
+    rows = (logits[0].reshape(-1, c) if len(logits) == 1
+            else np.concatenate([x.reshape(-1, c) for x in logits]))
+    e = tick.gamma if tick.sizes is None else [v for x in tick.gamma for v in x.tolist()]
+    out, vjp = T.focal_kernel(rows, tick.onehot, PROB_FLOOR, e, tick.sizes, tick.weights)
+    g_rows, g_exps = vjp(tick.scale, None if tick.sizes is None else tick.spans, tick.slots)
+    return T.batch_means(out, tick.spans), [g_rows[z - k * n:z].reshape(x.shape)
+                                            for (k, n, z), x in zip(tick.spans, logits)], g_exps
 
 
 def clamp_gamma(params: ModelParams, cfg: LossConfig) -> None:

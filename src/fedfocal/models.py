@@ -1,9 +1,9 @@
 """Tiny Vision Transformer and MLP classifiers built on the tensor core.
 
 Both models expose the same surface to the training layer: an ordered,
-named parameter list plus a forward bound once to its parameters and input
-buffer (``bind``), and the batch logits it gives, so federation code never
-branches on the architecture.
+named parameter list plus a forward and a backward bound once to its
+parameters and input buffer (``bind``; the MLP's off the tape, the ViT's
+on it), so federation code never branches on the architecture.
 
 The transformer follows the classic encoder recipe: patch embedding with a
 class token and additive positional encoding, stacked post-norm blocks
@@ -20,7 +20,6 @@ as biases. No step loops over images, heads or clients.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -111,7 +110,8 @@ class ModelParams:
     sets, one per client: a round trains its clients on one stack, and
     aggregation reads its rows into the next global set.
     A trainable set also owns ``grad``, shaped like ``flat``: each tensor's
-    gradient slot is a view of it, which ``tensor.backward`` writes and
+    gradient slot is a view of it, which ``tensor.backward``, a bound MLP's
+    backward and ``losses.batch_loss`` (a trainable gamma's) write and
     ``federation.Adam.step`` reads as one array. A tensor's ``grad`` None
     (``zero_grads``) marks its slot as holding no gradient this step.
     """
@@ -412,20 +412,34 @@ class MlpClassifier:
                     gamma_init: float | None = None) -> ModelParams:
         return init_mlp_params(self.cfg, rng, dtype=self.dtype, gamma_init=gamma_init)
 
-    def bind(self, params: ModelParams, features: np.ndarray) -> Callable[[], Tensor]:
-        """The logits of features under params as a call without arguments,
-        one ``perceptron`` node: [B, F] features give [B, C], a client stack
-        [K, B, F] on stacked parameters [K, B, C]. Features in the model
-        dtype are bound where they lie, like the parameters."""
-        x = T.constant(np.asarray(features, dtype=self.dtype))
-        if x.data.ndim not in (2, 3) or x.data.shape[-1] != self.cfg.input_dim:
-            raise ShapeError(f"feature batch shape {x.shape} does not match "
-                             f"input dim {self.cfg.input_dim}")
-        return functools.partial(T.perceptron, x, *(params[f"mlp.{name}"]
-                                                  for name in ("w1", "b1", "w2", "b2")))
+    def bind(self, params: ModelParams, features: np.ndarray) -> tuple[Callable, Callable]:
+        """forward() and backward(dlogits) of the MLP on features under
+        params, off the tape: [B, F] features give [B, C] logits, a client
+        stack [K, B, F] on stacked parameters [K, B, C]. Features in the
+        model dtype are bound where they lie, like the parameters; backward
+        writes into the four gradient slots, which stay marked as holding one."""
+        x = np.asarray(features, dtype=self.dtype)
+        tensors = [params[f"mlp.{n}"] for n in ("w1", "b1", "w2", "b2")]
+        T.check_perceptron(x, *tensors)
+        (w1, b1, w2, b2), saved = [t.data for t in tensors], []
+        for t in tensors:
+            t.grad = t._grad_view
+        slots = [t.grad for t in tensors]
+
+        def forward():
+            out, *saved[:] = T.perceptron_kernel(x, w1, b1, w2, b2)
+            return out
+
+        def backward(g):
+            T.perceptron_kernel_vjp(g, x, *saved, w1, w2, slots)
+            saved.clear()
+
+        return forward, backward
 
     def batch_logits(self, params: ModelParams, features: np.ndarray) -> Tensor:
-        return self.bind(params, features)()
+        """The logits of features under params as one ``perceptron`` node."""
+        return T.perceptron(T.constant(np.asarray(features, dtype=self.dtype)),
+                            *(params[f"mlp.{n}"] for n in ("w1", "b1", "w2", "b2")))
 
 
 class ViTClassifier:
@@ -449,19 +463,32 @@ class ViTClassifier:
         image = np.asarray(image, dtype=self.dtype)
         return vit_forward(image, params, self.cfg, positions=self._positions)
 
-    def bind(self, params: ModelParams, images: np.ndarray) -> Callable[[], Tensor]:
-        """The logits of images under params as a call without arguments:
-        [B, C, H, W] images give [B, classes], a client stack [K, B, C, H,
-        W] on stacked parameters [K, B, classes]. Images in the model dtype
-        are bound where they lie, like the parameters."""
+    def bind(self, params: ModelParams, images: np.ndarray) -> tuple[Callable, Callable]:
+        """forward() and backward(dlogits) of the ViT on images under params,
+        on the tape: forward clears the model's gradients (not a trainable
+        gamma's, which the loss writes) and builds a graph, which backward
+        seeds at the logits. Images in the model dtype are bound where they
+        lie, like the parameters."""
+        images = np.asarray(images, dtype=self.dtype)
+        tensors, graph = [t for name, t in params if name != "loss.gamma"], []
+
+        def forward():
+            for t in tensors:
+                t.grad = None
+            graph[:] = [self.batch_logits(params, images)]
+            return graph[0].data
+
+        return forward, lambda g: T.backward(graph.pop(), g)
+
+    def batch_logits(self, params: ModelParams, images: np.ndarray) -> Tensor:
+        """The logits of images under params on the tape: [B, C, H, W]
+        images give [B, classes], a client stack [K, B, C, H, W] on stacked
+        parameters [K, B, classes]."""
         images = np.asarray(images, dtype=self.dtype)
         if images.ndim != 2 + params["head.weight"].data.ndim:
             raise ShapeError(f"expected [B, C, H, W] image batch or a stack of them, "
                              f"got {images.shape}")
-        return lambda: vit_forward(images, params, self.cfg, positions=self._positions)[0]
-
-    def batch_logits(self, params: ModelParams, images: np.ndarray) -> Tensor:
-        return self.bind(params, images)()
+        return vit_forward(images, params, self.cfg, positions=self._positions)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -27,17 +27,16 @@ their ``ModelParams.flat`` buffer, and only ``federation.Adam.step`` and
 gradients into their slots of the set's ``ModelParams.grad`` buffer.
 
 Broadcasting is rejected except for the affine-bias pattern (matrix [R, C]
-plus vector [C]). The one other shape rule is a leading client axis: the
-operations a training step of the MLP uses (``perceptron`` and
-``focal_nll`` with its per-client mean), as well as ``affine``, ``relu``,
-``matmul`` and the bias ``add``, also take a stack of K independent
-problems, [K, R, C] with [K, C, N] or [K, C], and give each slice the bits
-the rank-2 operation gives it alone; so does a ``layer_norm`` with one
-[K, D] affine row per client. ``transpose`` swaps the last two axes at any
-rank. ``focal_nll`` also takes a list of such stacks, a lockstep tick's
-groups, as one node, and gives each block the bits of its own call. Its
-softmax forward is ``softmax``'s own, and its VJP that of ``softmax`` on
-one-hot rows, so the loss, evaluation and attention share one softmax.
+plus vector [C]). The one other shape rule is a leading client axis:
+``perceptron``, ``focal_nll`` with its per-client mean, ``affine``,
+``relu``, ``matmul`` and the bias ``add`` also take a stack of K
+independent problems, [K, R, C] with [K, C, N] or [K, C], and give each
+slice the bits the rank-2 operation gives it alone; so does a
+``layer_norm`` with one [K, D] affine row per client. ``transpose`` swaps
+the last two axes at any rank. ``perceptron`` and ``focal_nll`` are thin
+nodes over array kernels, which an MLP training tick runs off the tape
+(the loss over all of a tick's groups at once); ``softmax_kernel`` serves
+the loss, evaluation and attention.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ class Tensor:
     A parameter tensor's data is a view into its ``ModelParams.flat``
     buffer; only ``federation.Adam.step`` and ``losses.clamp_gamma`` write
     it. The ``grad`` slot mutates during backward (into a parameter's view
-    of ``ModelParams.grad``) and ``ModelParams.zero_grads``.
+    of ``ModelParams.grad``), at a model's or loss's bind, and in ``zero_grads``.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_grad_view",
@@ -117,10 +116,11 @@ def _record(data, parents: Sequence[Tensor], vjp) -> Tensor:
     return out
 
 
-def _check_same_dtype(*tensors: Tensor) -> None:
-    dt = tensors[0].data.dtype
-    for t in tensors[1:]:
-        if t.data.dtype != dt:
+def _check_same_dtype(*operands) -> None:
+    """One dtype for every operand, tensor or array."""
+    dt = operands[0].dtype
+    for t in operands[1:]:
+        if t.dtype != dt:
             raise ContractError(f"dtype mismatch: {_DTYPE_NAMES[dt]} vs {_DTYPE_NAMES[t.dtype]}")
 
 
@@ -177,31 +177,45 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record(out, (x, w, b), lambda g: _affine_vjp(g, x.data, w, b, x.requires_grad))
 
 
+def check_perceptron(x, w1, b1, w2, b2) -> None:
+    """The perceptron's operands, tensors or arrays, share a dtype and fit
+    two affine layers: [R, D] rows, or a client stack [K, R, D] of them."""
+    _check_same_dtype(x, w1, b1, w2, b2)
+    _check_affine("perceptron", x.shape, w1, b1)
+    _check_affine("perceptron", x.shape[:-1] + w1.shape[-1:], w2, b2)
+
+
+def perceptron_kernel(x, w1, b1, w2, b2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """relu(x @ w1 + b1) @ w2 + b2 on arrays checked by ``check_perceptron``:
+    the output, and the hidden rows and ReLU mask its VJP reads."""
+    pre = x @ w1 + b1[..., None, :]
+    hidden = np.maximum(pre, 0.0)
+    return hidden @ w2 + b2[..., None, :], hidden, pre > 0
+
+
+def perceptron_kernel_vjp(g, x, hidden, mask, w1, w2, out=(None,) * 4,
+                          x_needs: bool = False) -> list:
+    """The gradients of ``perceptron_kernel``'s output reaching x (when
+    x_needs), w1, b1, w2 and b2; the last four written into out's arrays
+    when given. The ndarray method and the ufuncs skip np.swapaxes's and
+    .sum's Python wrappers."""
+    gw2 = np.matmul(hidden.swapaxes(-1, -2), g, out=out[2])
+    gb2 = np.add.reduce(g, axis=-2, out=out[3])
+    gm = g @ w2.swapaxes(-1, -2)
+    gm *= mask
+    return [gm @ w1.swapaxes(-1, -2) if x_needs else None,
+            np.matmul(x.swapaxes(-1, -2), gm, out=out[0]),
+            np.add.reduce(gm, axis=-2, out=out[1]), gw2, gb2]
+
+
 def perceptron(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """affine(relu(affine(x, w1, b1)), w2, b2) as one node, on [R, D] rows
     or a client stack [K, R, D]. Forward and backward repeat the chain's
     expressions, so values and gradients are its bits."""
-    xd, w1d, b1d, w2d, b2d = x.data, w1.data, b1.data, w2.data, b2.data
-    xs, s1, s2, dt = xd.shape, w1d.shape, w2d.shape, xd.dtype
-    # one screen for the checks below, which name what is wrong when it fails
-    # (numpy's dtypes of one kind are one object, and the checks compare by value)
-    if not (len(xs) in (2, 3) and s1[:-1] == xs[:-2] + xs[-1:]
-            and b1d.shape == s1[:-2] + s1[-1:] == s2[:-1] and b2d.shape == s2[:-2] + s2[-1:]
-            and dt is w1d.dtype is b1d.dtype is w2d.dtype is b2d.dtype):
-        _check_same_dtype(x, w1, b1, w2, b2)
-        _check_affine("perceptron", xs, w1, b1)
-        _check_affine("perceptron", xs[:-1] + s1[-1:], w2, b2)
-    pre = xd @ w1d + b1d[..., None, :]
-    hidden, mask = np.maximum(pre, 0.0), pre > 0
-    out = hidden @ w2d + b2d[..., None, :]
-
-    def vjp(g):
-        first_layer = x.requires_grad or w1.requires_grad or b1.requires_grad
-        gh, gw2, gb2 = _affine_vjp(g, hidden, w2, b2, first_layer)
-        return (_affine_vjp(gh * mask, xd, w1, b1, x.requires_grad) if first_layer
-                else [None] * 3) + [gw2, gb2]
-
-    return _record(out, (x, w1, b1, w2, b2), vjp)
+    check_perceptron(x, w1, b1, w2, b2)
+    out, hidden, mask = perceptron_kernel(x.data, w1.data, b1.data, w2.data, b2.data)
+    return _record(out, (x, w1, b1, w2, b2), lambda g: perceptron_kernel_vjp(
+        g, x.data, hidden, mask, w1.data, w2.data, x_needs=x.requires_grad))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -375,7 +389,7 @@ def sum_(a: Tensor, axis: int | None = None) -> Tensor:
     return _record(a.data.sum(axis=axis), (a,), _spread(a, axis))
 
 
-def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+def softmax_kernel(x: np.ndarray, axis: int) -> np.ndarray:
     """Softmax over axis, the max subtracted before exp; a NaN is a NumericError.
     The ufunc reductions are ndarray.max and sum without their wrappers. A
     max is NaN when any operand is, so the largest row max screens for NaN."""
@@ -390,7 +404,7 @@ def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Numerically safe softmax: the axis max is subtracted before exp."""
-    s = _softmax(a.data, axis)
+    s = softmax_kernel(a.data, axis)
     return _record(s, (a,), lambda g: ((g - np.add.reduce(g * s, axis=axis, keepdims=True)) * s,))
 
 
@@ -408,97 +422,73 @@ def _row_power(base: np.ndarray, e: list[float], shift: float, sizes: list[int])
     return out
 
 
-def focal_nll(logits, onehot: np.ndarray, floor: float, gamma=None,
-              weights: np.ndarray | None = None, mean: bool = False) -> Tensor:
-    """Per-sample w * (1 - p_t)^gamma * -log(p_t) as one tape node, or with
-    mean each client's batch mean of it.
-
-    logits are [B, C], a client stack [K, B, C], or a list of such blocks
-    (a lockstep tick's groups) read as the rows of one [N, C] array; the
-    one-hot labels and the weights, in the logits dtype, hold one row (one
-    weight) per sample, in order. The result has the logits' shape less the
-    class axis, or for blocks [N]; the means have it less the batch axis
-    too, or for blocks one per client row, in order. p_t is the softmax
-    probability of each row's label; it and 1 - p_t are clamped below at
-    floor. gamma None drops the focal factor; a float (shared by every
-    client) or a tensor keeps it, and a trainable gamma gets its gradient.
-    A gamma tensor holds one scalar per client ([] or [K]); blocks take a
-    list of them, one per block.
-
-    Forward and backward repeat the expressions of the primitive chain this
-    node replaces (softmax, mul by the one-hot, sum_, clamp, log, scale,
-    sub, clamp, power, mul, mul, then the mean: a sum over a block's batch
-    axis times 1 / B), less steps that cannot change a bit: the clamps at 1
-    (no softmax probability exceeds 1) and the softmax VJP's row sum of
-    g * onehot * s (on one-hot rows g_t * p_t + 0). Each step is elementwise
-    or reduces one row's classes or one client's batch, so each block and
-    stack slice gets the chain's bits.
-    """
-    one = isinstance(logits, Tensor)
-    blocks = [logits] if one else logits
-    exps = [gamma] if isinstance(gamma, Tensor) else gamma if isinstance(gamma, list) else None
-    first = blocks[0].data
-    c, dt, spans, z, r = first.shape[-1], first.dtype, [], 0, 0
-    for b in blocks:  # its client rows and batch size, and where its samples and rows end
-        shape = b.data.shape
+def focal_spans(shapes: list[tuple[int, ...]], onehot: np.ndarray, dtype,
+                gammas: list[np.ndarray] | None = None) -> list[tuple[int, int, int]]:
+    """Each block's client rows k, batch n and samples' end, for logits
+    blocks of these shapes ([B, C] or [K, B, C]) read as the rows of one
+    [N, C] array; checks that the one-hot rows, in the logits dtype, hold
+    one row per sample and gammas (given) one scalar per client a block."""
+    c, spans, z = shapes[0][-1], [], 0
+    for shape in shapes:
         if len(shape) not in (2, 3) or shape[-1] != c:
             raise ShapeError(f"focal_nll needs [B, C] or [K, B, C] logits of one class "
-                             f"count, got {[b.shape for b in blocks]}")
+                             f"count, got {shapes}")
         k, n = shape[0] if len(shape) == 3 else 1, shape[-2]
-        spans.append((k, n, z := z + k * n, r := r + k))
-    if onehot.shape[-1:] != (c,) or onehot.dtype != dt:
+        spans.append((k, n, z := z + k * n))
+    if onehot.shape[-1:] != (c,) or onehot.dtype != dtype:
         raise ContractError(f"targets of {onehot.shape[-1] if onehot.ndim else 0} classes in "
-                            f"{onehot.dtype} for {dt} logits {first.shape}")
+                            f"{onehot.dtype} for {np.dtype(dtype)} logits {shapes[0]}")
     if onehot.size != z * c:
-        raise ShapeError(f"one-hot rows {onehot.shape} for logits {[b.shape for b in blocks]}")
-    sizes = e = None
-    if exps is not None:
-        if len(exps) != len(blocks) or any(
-                x.data.shape != b.data.shape[:1] if b.data.ndim == 3 else x.data.size != 1
-                for x, b in zip(exps, blocks)):
-            raise ShapeError(f"tensor exponent must be one scalar per client, got shapes "
-                             f"{[x.shape for x in exps]} for logits {[b.shape for b in blocks]}")
-        e = [v for x in exps for v in x.data.reshape(-1).tolist()]
-        sizes = [n for k, n, _, _ in spans for _ in range(k)]  # each client row's batch
-    elif gamma is not None:
-        e = float(gamma)
-    if len(blocks) > 1 or exps:
-        _check_same_dtype(*blocks, *(exps or ()))
-    rows = (first.reshape(-1, c) if len(blocks) == 1
-            else np.concatenate([b.data.reshape(-1, c) for b in blocks]))
-    onehot = onehot.reshape(rows.shape)
-    weights = None if weights is None else weights.reshape(-1)
-    s = _softmax(rows, -1)
+        raise ShapeError(f"one-hot rows {onehot.shape} for logits {shapes}")
+    if gammas is not None and (len(gammas) != len(shapes) or any(
+            x.shape != s[:1] if len(s) == 3 else x.size != 1 for x, s in zip(gammas, shapes))):
+        raise ShapeError(f"tensor exponent must be one scalar per client, got shapes "
+                         f"{[x.shape for x in gammas]} for logits {shapes}")
+    return spans
+
+
+def row_sums(x: np.ndarray, spans, outs=None) -> list[np.ndarray]:
+    """Each client row's sum of the per-sample x over its batch, a [k] array
+    per span of ``focal_spans`` (into outs' arrays when given)."""
+    return [np.add.reduce(x[z - k * n:z].reshape(k, n), axis=-1, out=o)
+            for (k, n, z), o in zip(spans, outs or itertools.repeat(None))]
+
+
+def batch_means(x: np.ndarray, spans) -> np.ndarray:
+    """Each client row's mean of the per-sample x over its batch, in row order."""
+    means = [m * (1.0 / n) for m, (_, n, _) in zip(row_sums(x, spans), spans)]
+    return means[0] if len(means) == 1 else np.concatenate(means)
+
+
+def focal_kernel(rows: np.ndarray, onehot: np.ndarray, floor: float, e, sizes,
+                 weights: np.ndarray | None):
+    """Per-sample w * (1 - p_t)^e * -log(p_t) of [N, C] logits rows, p_t
+    the softmax probability of each one-hot row's label, it and 1 - p_t
+    clamped below at floor; e None drops the focal factor, a float is every
+    sample's and a list one per client row, sizes of them back to back.
+    Returns the losses and vjp(g) (g per sample, times w by the caller): the
+    gradient reaching the rows and, with spans, each client row's exponent
+    gradient (``row_sums``, into outs). Both replay the primitive chain the
+    loss replaced, less steps that cannot change a bit (the clamps at 1 and
+    the softmax VJP's row sum, g_t * p_t + 0 on one-hot rows)."""
+    s = softmax_kernel(rows, -1)
     p_t = np.add.reduce(s * onehot, axis=-1)
     clamped = np.maximum(p_t, floor)
-    nll_mask = clamped == p_t  # p_t at or above the floor; NaN is not
     nll = np.log(clamped) * -1.0
     out = nll
-    if gamma is not None:
+    if e is not None:
         rest = 1.0 - p_t
         base = np.maximum(rest, floor)
-        base_mask = base == rest
-        focal = np.power(base, dt.type(e)) if sizes is None else _row_power(base, e, 0.0, sizes)
+        focal = (np.power(base, rows.dtype.type(e)) if sizes is None
+                 else _row_power(base, e, 0.0, sizes))
         out = focal * nll
     if weights is not None:
         out = weights * out
-    if mean:
-        out = [np.add.reduce(out[z - k * n:z].reshape(k, n), axis=-1) * (1.0 / n)
-               for k, n, z, _ in spans]
-        out = out[0] if len(out) == 1 else np.concatenate(out)
-    if one:
-        out = out.reshape(first.shape[:-2] if mean else first.shape[:-1])
 
-    def vjp(g):
-        g = g.reshape(-1)
-        if mean:  # each row's gradient times 1 / B, over its batch
-            g = [(g[r - k:r] * (1.0 / n)).repeat(n) for k, n, _, r in spans]
-            g = g[0] if len(g) == 1 else np.concatenate(g)
-        if weights is not None:
-            g = g * weights
-        g_nll = g
-        g_exps = [None] * len(exps) if exps else []
-        if gamma is not None:
+    def vjp(g, spans=None, outs=None):
+        g_nll, g_exps = g, None
+        if e is not None:
+            dt = base.dtype
             g_focal = g * nll
             g_nll = g * focal
             if sizes is None:
@@ -508,20 +498,50 @@ def focal_nll(logits, onehot: np.ndarray, floor: float, gamma=None,
                 g_base = (g_focal * np.asarray(e, dtype=dt).repeat(sizes)
                           * _row_power(base, e, -1.0, sizes))
                 g_base[(np.asarray(e) == 0.0).repeat(sizes)] = 0
-            if exps and any(x.requires_grad for x in exps):
-                g_e = g_focal * focal * np.log(base)
-                g_exps = [np.add.reduce(g_e[z - k * n:z].reshape(k, n), axis=-1)
-                          .reshape(x.shape).astype(dt) for (k, n, z, _), x in zip(spans, exps)]
-        g_pt = (g_nll * -1.0 / clamped) * nll_mask
-        if gamma is not None:
-            g_pt = g_pt - g_base * base_mask
-        # softmax's VJP: on a one-hot row the sum of g_pt * onehot * s is
-        # g_pt * p_t, plus the +0 numpy's sum starts from (an all-zero row sums to +0)
-        g_rows = (g_pt[:, None] * onehot - (g_pt * p_t + 0.0)[:, None]) * s
-        return [g_rows[z - k * n:z].reshape(b.data.shape)
-                for (k, n, z, _), b in zip(spans, blocks)] + g_exps
+            if spans is not None:
+                g_exps = row_sums(g_focal * focal * np.log(base), spans, outs)
+        g_pt = (g_nll * -1.0 / clamped) * (clamped == p_t)  # p_t at or above the floor
+        if e is not None:
+            g_pt = g_pt - g_base * (base == rest)
+        return (g_pt[:, None] * onehot - (g_pt * p_t + 0.0)[:, None]) * s, g_exps
 
-    return _record(out, blocks if exps is None else [*blocks, *exps], vjp)
+    return out, vjp
+
+
+def focal_nll(logits: Tensor, onehot: np.ndarray, floor: float, gamma=None,
+              weights: np.ndarray | None = None, mean: bool = False) -> Tensor:
+    """Per-sample w * (1 - p_t)^gamma * -log(p_t) of [B, C] logits or a
+    client stack [K, B, C] as one node over ``focal_kernel``, or with mean
+    each client's batch mean of it; the one-hot rows and the weights, in
+    the logits dtype, hold one row (one weight) per sample. gamma None
+    drops the focal factor; a float (every client's) or a tensor, one
+    scalar per client ([] or [K]), keeps it, and a trainable one gets its
+    gradient."""
+    exps = gamma if isinstance(gamma, Tensor) else None
+    spans = focal_spans([logits.shape], onehot, logits.dtype,
+                        None if exps is None else [exps.data])
+    (k, n, _), = spans
+    if exps is not None:
+        _check_same_dtype(logits, exps)
+        e, sizes = exps.data.reshape(-1).tolist(), [n] * k
+    else:
+        e, sizes = None if gamma is None else float(gamma), None
+    rows = logits.data.reshape(-1, logits.shape[-1])
+    weights = None if weights is None else weights.reshape(-1)
+    out, rows_vjp = focal_kernel(rows, onehot.reshape(rows.shape), floor, e, sizes, weights)
+    lead = logits.shape[:-2] if mean else logits.shape[:-1]
+
+    def vjp(g):
+        g = g.reshape(-1)
+        if mean:  # each row's gradient times 1 / B, over its batch
+            g = (g * (1.0 / n)).repeat(n)
+        if weights is not None:
+            g = g * weights
+        g_rows, g_exps = rows_vjp(g, spans if exps is not None and exps.requires_grad else None)
+        return g_rows.reshape(logits.shape), g_exps and g_exps[0].reshape(exps.shape)
+
+    return _record((batch_means(out, spans) if mean else out).reshape(lead),
+                   (logits,) if exps is None else (logits, exps), vjp)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:

@@ -81,6 +81,48 @@ def chain_per_sample_losses(logits, labels, *, gamma=None, coeffs=None, floor=1e
     return out
 
 
+def tape_batch_loss(logits, batch, cfg, gamma_param=None):
+    """losses.batch_loss on the tape, as it ran before a training tick left
+    it: the configured loss's batch means, one per client on a stack, as
+    one tensor.focal_nll node with mean=True. logits are one tensor, or a
+    list (a tick's groups, with flat targets in their order and gamma_param
+    a list, one per group) whose nodes' means are joined by concat. The
+    array-level batch_loss must reproduce its means and gradients (under a
+    backward seeded with ones) bit for bit."""
+    from fedfocal import losses as L
+    from fedfocal import tensor as T
+    from fedfocal.errors import ContractError
+
+    weights = batch.weights if cfg.kind == "adaptive_focal" else None
+    if cfg.kind == "adaptive_focal" and weights is None:
+        raise ContractError("adaptive focal loss needs per-sample coefficients")
+    gamma = None if cfg.kind == "ce" else cfg.gamma if gamma_param is None else gamma_param
+    if isinstance(logits, T.Tensor):
+        return T.focal_nll(logits, batch.onehot, L.PROB_FLOOR, gamma, weights, True)
+    parts, at = [], 0
+    for i, block in enumerate(logits):
+        n = int(np.prod(block.shape[:-1]))
+        parts.append(T.focal_nll(block, batch.onehot[at:at + n], L.PROB_FLOOR,
+                                 gamma[i] if isinstance(gamma, list) else gamma,
+                                 None if weights is None else weights[at:at + n], True))
+        at += n
+    return T.concat(parts)
+
+
+def bind_tick(shapes, batch, cfg, gammas=None):
+    """losses.bind_loss over logits blocks of these shapes, in the targets'
+    dtype, with the seed a round plan gathers: each sample's dtype(1 / B),
+    times its weight for the adaptive kind."""
+    from fedfocal import losses as L
+
+    dtype = batch.onehot.dtype
+    scale = np.concatenate([np.full(int(np.prod(s[:-1])), 1.0 / s[-2]) for s in shapes])
+    scale = scale.astype(dtype)
+    if cfg.kind == "adaptive_focal" and batch.weights is not None:
+        scale = scale * batch.weights
+    return L.bind_loss(shapes, dtype, batch, scale, cfg, gammas)
+
+
 def _row_power(base, e, shift):
     dt = base.dtype.type
     if isinstance(e, float):
@@ -317,8 +359,8 @@ def _serial_client(model, global_params, features, labels, hist, class_coeffs,
             y = labels[batch_idx]
             coeffs = None if shard_coeffs is None else shard_coeffs[batch_idx]
             logits = model.batch_logits(params, x)
-            loss = L.batch_loss(logits, L.targets(y, model.num_classes, coeffs, model.dtype), loss_cfg,
-                                gamma_param=gamma_param)
+            loss = tape_batch_loss(logits, L.targets(y, model.num_classes, coeffs, model.dtype),
+                                   loss_cfg, gamma_param=gamma_param)
             params.zero_grads()
             T.backward(loss)
             norms = ME.per_sample_logit_grad_norms(logits)
@@ -410,8 +452,8 @@ def gradient_norm_by_group(model, params, features, labels, loss_cfg, tail, head
 
     labels = np.asarray(labels)
     logits = model.batch_logits(params, features)
-    loss = L.batch_loss(logits, L.targets(labels, model.num_classes, coeffs, model.dtype), loss_cfg,
-                        gamma_param=L.trainable_gamma(params, loss_cfg))
+    loss = tape_batch_loss(logits, L.targets(labels, model.num_classes, coeffs, model.dtype),
+                           loss_cfg, gamma_param=L.trainable_gamma(params, loss_cfg))
     params.zero_grads()
     T.backward(loss)
     norms = ME.per_sample_logit_grad_norms(logits)

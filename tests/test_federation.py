@@ -398,25 +398,26 @@ class TestTicks:
         assert len(plan.epochs) == epochs
         for ticks in plan.epochs:
             assert len(ticks) == max(batches)
-            for t, (rows, groups, batch, seed, gammas) in enumerate(ticks):
+            for t, (rows, groups, loss) in enumerate(ticks):
                 stepping = [r for r, n in enumerate(batches) if n > t]
                 assert stepping == list(range(rows.stop)) and rows.start == 0
                 assert [r for sel, *_ in groups for r in range(sel.start, sel.stop)] == stepping
-                assert seed.tolist() == [1.0] * rows.stop and gammas is None
-                for sel, group, x, forward, gamma in groups:
+                assert loss.gamma is None and loss.slots is None
+                for sel, group, x, forward, _ in groups:
                     n = {min(batch_size, sizes[plan.order[r]] - t * batch_size)
                          for r in range(sel.start, sel.stop)}
                     assert {x.shape[1]} == n
                     assert group.flat.shape[0] == x.shape[0] == sel.stop - sel.start
-                    assert np.shares_memory(x, plan.x) and gamma is None
+                    assert np.shares_memory(x, plan.x)
                     # the bound forward reads the buffers where they lie
                     x[...], group.flat[...] = 0.5, 0.25
                     want = model.batch_logits(group, x.copy()).data
-                    assert forward().data.tobytes() == want.tobytes()
-                # the tick's targets: its groups' samples, back to back
-                assert batch.labels.shape == (sum(g.x.shape[0] * g.x.shape[1] for g in groups),)
-                assert np.shares_memory(batch.labels, plan.batches.labels)
-                assert np.shares_memory(batch.onehot, plan.batches.onehot)
+                    assert forward().tobytes() == want.tobytes()
+                # the tick's targets and seed: its groups' samples, back to back
+                count = sum(g.x.shape[0] * g.x.shape[1] for g in groups)
+                assert loss.onehot.shape == (count, 3) and loss.scale.shape == (count,)
+                assert np.shares_memory(loss.onehot, plan.batches.onehot)
+                assert np.shares_memory(loss.scale, plan.scale)
         # each trained sample is gathered once a round, from its client's sample order
         n_max = max(sizes)
         e, c, j = np.unravel_index(plan.gather_at, (epochs, len(sizes), max(n_max, 1)))
@@ -487,31 +488,43 @@ class TestTicks:
             F.local_train(*args, [np.random.default_rng(k) for k in range(3)], round_index=4)
 
     def test_a_round_takes_one_loss_and_one_backward_per_tick(self, monkeypatch):
-        """A tick records one perceptron node per group, then the one
-        focal_nll that backward starts from: 2 nodes for a one-group MLP
-        tick, 3 for a two-group one."""
+        """A tick takes one batch_loss over all its groups, one bound backward
+        per group and one Adam step. An MLP tick records no tape node and
+        never calls tensor.backward."""
         args = self._args(L.LossConfig(), batch_size=16, local_epochs=2)
         plan = F.plan_round(*args)
-        tape = {"losses": 0, "nodes": [], "after": len(T._tape)}
-        batch_loss, backward = L.batch_loss, T.backward
+        start, calls = len(T._tape), {"losses": [], "backwards": 0, "steps": 0, "tape": 0}
+        batch_loss, step, backward = L.batch_loss, F.Adam.step, T.backward
 
-        def counting_loss(*a, **k):
-            tape["losses"] += 1
-            return batch_loss(*a, **k)
+        def counting_loss(*a):
+            calls["losses"].append(len(T._tape) - start)  # nodes recorded so far
+            return batch_loss(*a)
 
-        def counting_backward(*args):
-            # entries since the last backward pruned the tape: this tick's nodes
-            tape["nodes"].append(len(T._tape) - tape["after"])
-            backward(*args)
-            tape["after"] = len(T._tape)
+        def counting_step(*a, **k):
+            calls["steps"] += 1
+            return step(*a, **k)
 
+        def counting_tape(*a):
+            calls["tape"] += 1
+            backward(*a)
+
+        def counted(bound):
+            def run(g):
+                calls["backwards"] += 1
+                bound(g)
+            return run
+
+        for tick in (tick for ticks in plan.epochs for tick in ticks):
+            tick.groups[:] = [g._replace(backward=counted(g.backward)) for g in tick.groups]
         monkeypatch.setattr(L, "batch_loss", counting_loss)
-        monkeypatch.setattr(T, "backward", counting_backward)
+        monkeypatch.setattr(F.Adam, "step", counting_step)
+        monkeypatch.setattr(T, "backward", counting_tape)
         F.local_train(*args, [np.random.default_rng(k) for k in range(3)], plan=plan)
         groups = [len(tick.groups) for ticks in plan.epochs for tick in ticks]
         assert groups == [1, 2, 2] * 2
-        assert tape["losses"] == len(groups)
-        assert tape["nodes"] == [n + 1 for n in groups]
+        assert calls["losses"] == [0] * len(groups) and calls["steps"] == len(groups)
+        assert calls["backwards"] == sum(groups) and calls["tape"] == 0
+        assert len(T._tape) == start
 
     @pytest.mark.parametrize("kind, trainable", [("adaptive_focal", False), ("ce", False),
                                                  ("adaptive_focal", True)],
@@ -546,18 +559,19 @@ class TestTicks:
         for n, calls in zip(groups[1:], ticks[:-1]):
             assert set(calls) <= ({"concatenate"} if n > 1 else set()), calls
 
-    @pytest.mark.parametrize("kind, trainable, calls", [("adaptive_focal", False, 17),
-                                                        ("ce", False, 17),
-                                                        ("adaptive_focal", True, 31)],
+    @pytest.mark.parametrize("kind, trainable, calls", [("adaptive_focal", False, 15),
+                                                        ("ce", False, 15),
+                                                        ("adaptive_focal", True, 23)],
                              ids=["adaptive_focal", "ce", "adaptive_focal-trainable_gamma"])
     def test_a_one_group_tick_keeps_its_framework_budget(self, kind, trainable, calls):
-        """The plan binds each group's input tensor, parameter tensors and
-        gamma, so a one-group MLP tick runs only the forward, the loss, the
-        backward with its two VJPs and the Adam step (and the gamma clamp),
-        and makes two Tensors: the logits and the loss. Counted with
-        sys.setprofile from one Adam step to the next; a Tensor is made by
-        its constructor or, skipping it, by object.__new__. A count that
-        grows is a cost on every tick; one that falls is a new pin."""
+        """The plan binds each group's forward and backward and the tick's
+        loss, so a one-group MLP tick runs only the bound forward with its
+        kernel, one batch_loss with its kernels, the bound backward with
+        its kernel and one Adam step (and the gamma clamp), and makes no
+        Tensor. Counted with sys.setprofile from one Adam step to the next;
+        a Tensor is made by its constructor or, skipping it, by
+        object.__new__. A count that grows is a cost on every tick; one
+        that falls is a new pin."""
         args = self._args(L.LossConfig(kind=kind, gamma_trainable=trainable),
                           batch_size=16, local_epochs=2)
         plan = F.plan_round(*args)
@@ -584,7 +598,8 @@ class TestTicks:
         # the window after the step of epoch 1's last tick holds epoch 2's first
         tick_calls, tensors = windows[2]
         assert len(tick_calls) == calls, tick_calls
-        assert tensors == ["_record", "_record"]
+        assert tick_calls.count("batch_loss") == tick_calls.count("step") == 1
+        assert tensors == []
 
     def test_two_epochs_at_batch_seven_match_the_serial_oracle(self):
         result, oracle, _ = self._round(L.LossConfig(), batch_size=7, local_epochs=2)

@@ -15,7 +15,7 @@ from fedfocal import tensor as T
 from fedfocal.errors import ContractError, IngestionError
 
 from helpers import (GATE_CONFIGS, PerTensorAdam, per_tensor_aggregate, serial_local_train,
-                     stack_params)
+                     stack_params, tape_batch_loss)
 
 SHAPES = [("a.w", (3, 4)), ("a.b", (4,)), ("b.w", (4, 2)), ("b.b", (2,)), ("loss.gamma", ())]
 
@@ -179,8 +179,8 @@ class TestGradBuffer:
             group = stack.rows(sel)
             batch = L.targets(rng.integers(0, 3, size=(k, 5)), 3, None, model.dtype)
             logits = model.batch_logits(group, rng.normal(size=(k, 5, 4)))
-            loss = L.batch_loss(logits, batch, loss_cfg,
-                                gamma_param=L.trainable_gamma(group, loss_cfg))
+            loss = tape_batch_loss(logits, batch, loss_cfg,
+                                   gamma_param=L.trainable_gamma(group, loss_cfg))
             group.zero_grads()
             T.backward(T.sum_(loss))
             assert group["loss.gamma"].grad is None

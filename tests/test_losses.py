@@ -10,7 +10,7 @@ from fedfocal import tensor as T
 from fedfocal.errors import ConfigError, ContractError, NumericError
 from fedfocal.models import ModelParams
 
-from helpers import chain_per_sample_losses, fd_gradient, max_rel_err, mean
+from helpers import chain_per_sample_losses, fd_gradient, max_rel_err, mean, tape_batch_loss
 
 
 def logits64(data):
@@ -134,7 +134,7 @@ class TestTargets:
                     "focal": lambda lg: L.focal_loss(lg, labels[idx], cfg.gamma),
                     "adaptive_focal": lambda lg: L.adaptive_focal_loss(
                         lg, labels[idx], coeffs[idx], cfg.gamma)}[kind]
-            got = L.batch_loss(T.Tensor(raw, dtype=dtype), checked[idx], cfg)
+            got = tape_batch_loss(T.Tensor(raw, dtype=dtype), checked[idx], cfg)
             assert got.data.tobytes() == want(T.Tensor(raw, dtype=dtype)).data.tobytes()
 
     def test_round_labels_checked_once(self):
@@ -159,18 +159,17 @@ class TestTargets:
             assert batch.weights.tobytes() == (1.0 + coeffs[idx]).astype(dtype).tobytes()
 
     def test_batch_loss_rejects_targets_in_another_dtype(self):
-        cfg = L.LossConfig(kind="ce")
+        """A tick's loss checks its targets once, when the plan binds it."""
+        cfg, scale = L.LossConfig(kind="ce"), np.full(2, 0.5)
         with pytest.raises(ContractError, match="float32"):
-            L.batch_loss(logits64([[0.0, 1.0], [1.0, 0.0]]),
-                         L.targets([0, 1], 2, None, np.float32), cfg)
+            L.bind_loss([(2, 2)], np.float64, L.targets([0, 1], 2, None, np.float32), scale, cfg)
         with pytest.raises(ContractError, match="3 classes"):
-            L.batch_loss(logits64([[0.0, 1.0], [1.0, 0.0]]),
-                         L.targets([0, 1], 3, None, np.float64), cfg)
+            L.bind_loss([(2, 2)], np.float64, L.targets([0, 1], 3, None, np.float64), scale, cfg)
 
     def test_adaptive_batch_needs_weights(self):
         with pytest.raises(ContractError, match="coefficients"):
-            L.batch_loss(logits64([[0.0, 1.0]]), L.targets([0], 2, None, np.float64),
-                         L.LossConfig(kind="adaptive_focal"))
+            L.bind_loss([(1, 2)], np.float64, L.targets([0], 2, None, np.float64), np.ones(1),
+                        L.LossConfig(kind="adaptive_focal"))
 
 
 class TestReductionChain:
@@ -300,11 +299,12 @@ class TestLossConfig:
         raw, labels = random_batch(rng)
         coeffs = np.abs(rng.normal(size=len(labels)))
         checked = L.targets(labels, raw.shape[-1], coeffs, np.float64)
-        ce = L.batch_loss(logits64(raw), checked, L.LossConfig(kind="ce"))
+        ce = tape_batch_loss(logits64(raw), checked, L.LossConfig(kind="ce"))
         assert ce.data.tobytes() == L.cross_entropy(logits64(raw), labels).data.tobytes()
-        fo = L.batch_loss(logits64(raw), checked, L.LossConfig(kind="focal", gamma=2.0))
+        fo = tape_batch_loss(logits64(raw), checked, L.LossConfig(kind="focal", gamma=2.0))
         assert fo.data.tobytes() == L.focal_loss(logits64(raw), labels, 2.0).data.tobytes()
-        af = L.batch_loss(logits64(raw), checked, L.LossConfig(kind="adaptive_focal", gamma=2.0))
+        af = tape_batch_loss(logits64(raw), checked,
+                             L.LossConfig(kind="adaptive_focal", gamma=2.0))
         expected = L.adaptive_focal_loss(logits64(raw), labels, coeffs, 2.0)
         assert af.data.tobytes() == expected.data.tobytes()
 

@@ -9,7 +9,7 @@ from fedfocal import tensor as T
 from fedfocal.errors import AggregationError, ConfigError, IngestionError, ShapeError
 
 from helpers import (dfs_backward, fd_gradient, max_rel_err, mlp_param_count,
-                     per_image_vit_forward, vit_param_count)
+                     per_image_vit_forward, tape_batch_loss, vit_param_count)
 
 SMALL = M.ViTConfig(image_size=8, patch_size=4, channels=1, embed_dim=8,
                     num_heads=2, head_dim=4, ffn_dim=16, num_layers=2,
@@ -317,8 +317,8 @@ class TestOneForward:
                 else:
                     logits, tokens = per_image_vit_forward(params, images, cfg,
                                                            model._positions)
-                loss = L.batch_loss(logits, L.targets(labels, 4, coeffs, dtype), loss_cfg,
-                                    gamma_param=L.trainable_gamma(params, loss_cfg))
+                loss = tape_batch_loss(logits, L.targets(labels, 4, coeffs, dtype), loss_cfg,
+                                       gamma_param=L.trainable_gamma(params, loss_cfg))
                 params.zero_grads()
                 T.backward(loss)
                 grads[path] = ({n: t.grad.copy() for n, t in params}, logits.data)
@@ -346,7 +346,8 @@ class TestOneForward:
 
         def nodes(params, x, y):
             start = len(T._tape)  # only a backward drops tape entries
-            loss = L.batch_loss(model.batch_logits(params, x), L.targets(y, 3, None, model.dtype), loss_cfg)
+            loss = tape_batch_loss(model.batch_logits(params, x),
+                                   L.targets(y, 3, None, model.dtype), loss_cfg)
             if loss.data.ndim:
                 T.sum_(loss)  # the sum over clients that backward starts from
             return len(T._tape) - start
@@ -386,8 +387,8 @@ class TestOneForward:
             grads = {}
             for walk in (T.backward, dfs_backward):
                 logits = model.batch_logits(params, images)
-                loss = L.batch_loss(logits, L.targets(labels, 4, coeffs, dtype), loss_cfg,
-                                    gamma_param=L.trainable_gamma(params, loss_cfg))
+                loss = tape_batch_loss(logits, L.targets(labels, 4, coeffs, dtype), loss_cfg,
+                                       gamma_param=L.trainable_gamma(params, loss_cfg))
                 params.zero_grads()
                 walk(T.sum_(loss))
                 grads[walk] = {n: t.grad.copy() for n, t in params}

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from fedfocal import tensor as T
 from fedfocal.errors import ConfigError, ContractError, IngestionError, NumericError, ShapeError
 
-from helpers import chain_perceptron, dfs_backward, fd_gradient, max_rel_err, mean
+from helpers import (chain_perceptron, dfs_backward, fd_gradient, max_rel_err, mean,
+                     tape_batch_loss)
 
 
 def t64(data, requires_grad=False):
@@ -152,11 +153,10 @@ class TestFusedNodes:
 
     @pytest.mark.parametrize("lead", [(), (2,)], ids=["rows", "stack"])
     def test_perceptron_raises_what_its_checks_raise(self, lead):
-        """perceptron screens its operands in one expression and runs its
-        dtype and two affine checks only when the screen fails. Operands
-        that fit, and every copy with one operand off by one dimension (one
-        grown, dropped or added) or in float32, raise the checks' first
-        error, message and all, or nothing."""
+        """perceptron runs its dtype and two affine checks (``check_perceptron``,
+        which a bound MLP runs once). Operands that fit, and every copy with
+        one operand off by one dimension (one grown, dropped or added) or in
+        float32, raise the checks' first error, message and all, or nothing."""
         fit = [lead + (2, 3), lead + (3, 4), lead + (4,), lead + (4, 5), lead + (5,)]
         cases = [(fit, None)] + [(fit, i) for i in range(5)]
         for i, s in enumerate(fit):
@@ -467,9 +467,9 @@ class TestTape:
         grads = {}
         for walk in (T.backward, dfs_backward):
             start = len(T._tape)
-            loss = L.batch_loss(model.batch_logits(stack, x),
-                                L.targets(y, 3, coeffs, np.float32), loss_cfg,
-                                gamma_param=L.trainable_gamma(stack, loss_cfg))
+            loss = tape_batch_loss(model.batch_logits(stack, x),
+                                   L.targets(y, 3, coeffs, np.float32), loss_cfg,
+                                   gamma_param=L.trainable_gamma(stack, loss_cfg))
             root = T.sum_(loss)
             assert len(T._tape) - start == 3
             stack.zero_grads()

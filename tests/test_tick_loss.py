@@ -1,7 +1,8 @@
-"""One loss node per lockstep tick: focal_nll over a list of blocks (a
-tick's groups, read as the rows of one array) against the per-group
-focal_nll and mean chain it replaced (tests/helpers.per_group_loss), bit for
-bit, by finite differences, and over random block lists."""
+"""One loss per lockstep tick: the array kernels losses.batch_loss runs
+over a list of blocks (a tick's groups, read as the rows of one array)
+against the per-group focal_nll and mean chain they replaced
+(tests/helpers.per_group_loss), bit for bit, by finite differences, and
+over random block lists; and batch_loss itself against the tape."""
 
 import numpy as np
 import pytest
@@ -13,13 +14,40 @@ from fedfocal import models as M
 from fedfocal import tensor as T
 from fedfocal.errors import ShapeError
 
-from helpers import fd_gradient, max_rel_err, per_group_focal_nll, per_group_loss
+from helpers import (bind_tick, fd_gradient, max_rel_err, per_group_focal_nll, per_group_loss,
+                     tape_batch_loss)
 
 FLOOR = 1e-12
 
 
 def leaf(arr):
     return T.parameter(arr, dtype=arr.dtype)
+
+
+def tick_kernels(logits, onehot, gamma, weights, mean, g):
+    """A tick's loss over its logits blocks (arrays) through the kernels
+    losses.batch_loss runs, under any gradient g of its outputs: the
+    outputs (per sample, or with mean per client row) in row order, each
+    block's logits gradient and, for per-client gammas (a list of arrays,
+    one per block), each block's gamma gradient."""
+    exps = gamma if isinstance(gamma, list) else None
+    spans = T.focal_spans([x.shape for x in logits], onehot, onehot.dtype, exps)
+    e, sizes = gamma, None
+    if exps is not None:
+        e = [v for x in exps for v in x.reshape(-1).tolist()]
+        sizes = [n for k, n, _ in spans for _ in range(k)]
+    rows = np.concatenate([x.reshape(-1, onehot.shape[-1]) for x in logits])
+    out, vjp = T.focal_kernel(rows, onehot, FLOOR, e, sizes, weights)
+    if mean:  # each row's gradient times 1 / B, over its batch
+        out = T.batch_means(out, spans)
+        ends = np.cumsum([k for k, _, _ in spans])
+        g = np.concatenate([(g[r - k:r] * (1.0 / n)).repeat(n)
+                            for (k, n, _), r in zip(spans, ends)])
+    if weights is not None:
+        g = g * weights
+    g_rows, g_exps = vjp(g, None if exps is None else spans)
+    return out, [g_rows[z - k * n:z].reshape(x.shape)
+                 for (k, n, z), x in zip(spans, logits)], g_exps
 
 
 def grads_through(out, g):
@@ -50,43 +78,42 @@ def flat_rows(arrays, c=None):
 
 def gamma_arg(mode, blocks, values):
     """The gamma of each block: None, one shared float, or per-client
-    trainable tensors ([k] on a stack, a scalar on a lone batch) cut from
-    values in row order."""
+    arrays ([k] on a stack, a scalar on a lone batch) cut from values in
+    row order; and the arrays, or None."""
     if mode != "per-client":
         return {"none": None, "shared": float(values[0])}[mode], None
-    tensors, at = [], 0
+    arrays, at = [], 0
     for k, _ in blocks:
         n = 1 if k is None else k
-        tensors.append(leaf(np.asarray(values[at:at + n]).reshape(() if k is None else (k,))))
+        arrays.append(np.asarray(values[at:at + n]).reshape(() if k is None else (k,)))
         at += n
-    return tensors, tensors
+    return arrays, arrays
 
 
 def compare_with_chain(dtype, blocks, c, mode, values, weighted, mean, seed):
     rng = np.random.default_rng(seed)
     arrays = make_tick(rng, blocks, c, dtype)
     exps = np.asarray(values, dtype=dtype)
-    gamma, tensors = gamma_arg(mode, blocks, exps)
-    logits = [leaf(x) for x, _, _ in arrays]
+    gamma, per_client = gamma_arg(mode, blocks, exps)
     weights = flat_rows([w for _, _, w in arrays]) if weighted else None
-    out = T.focal_nll(logits, flat_rows([o for _, o, _ in arrays], c), FLOOR, gamma=gamma,
-                      weights=weights, mean=mean)
     rows = [(1 if k is None else k) if mean else (b if k is None else k * b) for k, b in blocks]
     g = rng.normal(size=sum(rows)).astype(dtype)
-    grads_through(out, g)
+    out, grads, g_exps = tick_kernels([x for x, _, _ in arrays],
+                                      flat_rows([o for _, o, _ in arrays], c), gamma, weights,
+                                      mean, g)
     at = 0
     for i, ((x, onehot, w), n) in enumerate(zip(arrays, rows)):
         alone = leaf(x.copy())
-        gi = gamma if tensors is None else leaf(tensors[i].data.copy())
+        gi = gamma if per_client is None else leaf(per_client[i].copy())
         chain = per_group_loss if mean else per_group_focal_nll
         oi = chain(alone, onehot, FLOOR, gi, w if weighted else None)
         grads_through(oi, g[at:at + n].reshape(oi.shape))
-        assert out.data[at:at + n].tobytes() == oi.data.reshape(-1).tobytes(), i
-        assert logits[i].grad.tobytes() == alone.grad.tobytes(), i
-        if tensors is not None:
-            assert tensors[i].grad.tobytes() == gi.grad.tobytes(), i
+        assert out[at:at + n].tobytes() == oi.data.reshape(-1).tobytes(), i
+        assert grads[i].tobytes() == alone.grad.tobytes(), i
+        if per_client is not None:
+            assert g_exps[i].tobytes() == gi.grad.tobytes(), i
         at += n
-    assert at == out.data.size
+    assert at == out.size
 
 
 # gamma values; 2.0 and 0.5 take numpy's scalar fast paths, 0.0 drops the factor
@@ -118,7 +145,7 @@ def test_a_dir20_like_tick_matches_the_per_group_chain_bitwise(dtype, mode):
 @pytest.mark.parametrize("trainable", [False, True], ids=["gamma-const", "gamma-trainable"])
 def test_batch_loss_on_a_list_is_the_per_group_losses_in_row_order(kind, trainable):
     """L.batch_loss on a tick's groups and their flat targets against one
-    L.batch_loss per group."""
+    loss per group on the tape, backward seeded with ones."""
     rng = np.random.default_rng(5)
     cfg = L.LossConfig(kind=kind, gamma_trainable=trainable)
     shapes = [(3, 16), (2, 9), (1, 1)]
@@ -127,22 +154,25 @@ def test_batch_loss_on_a_list_is_the_per_group_losses_in_row_order(kind, trainab
     coeffs = [rng.uniform(0, 2, size=s) for s in shapes]
     gammas = [np.full(s[0], 2.0, dtype=np.float32) for s in shapes]
     tick = L.targets(flat_rows(labels), 4, flat_rows(coeffs), np.float32)
-    logits = [leaf(x.copy()) for x in raws]
-    exps = [leaf(g.copy()) for g in gammas] if trainable else None
-    loss = L.batch_loss(logits, tick, cfg, gamma_param=exps)
-    T.backward(T.sum_(loss))
+    # the tick's gammas live in a parameter set, whose gradient slots the loss writes
+    column = M.ModelParams.from_flat([("loss.gamma", ())], np.full((6, 1), 2.0, np.float32))
+    exps = ([column.rows(slice(a, a + s[0]))["loss.gamma"] for a, s in zip((0, 3, 5), shapes)]
+            if trainable else None)
+    loss, dlogits, dgammas = L.batch_loss(
+        [x.copy() for x in raws], bind_tick([s + (4,) for s in shapes], tick, cfg, exps))
     alone = [leaf(x.copy()) for x in raws]
     alone_exps = [leaf(g.copy()) for g in gammas] if trainable else [None] * 3
-    parts = [L.batch_loss(a, L.targets(y, 4, co, np.float32), cfg, gamma_param=e)
+    parts = [tape_batch_loss(a, L.targets(y, 4, co, np.float32), cfg, gamma_param=e)
              for a, y, co, e in zip(alone, labels, coeffs, alone_exps)]
     T.backward(T.sum_(T.concat(parts)))
     assert loss.shape == (6,)
-    assert loss.data.tobytes() == np.concatenate([p.data for p in parts]).tobytes()
-    for a, b in zip(logits + (exps or []), alone + (alone_exps if trainable else [])):
-        if a.grad is None:  # CE never reads gamma
+    assert loss.tobytes() == np.concatenate([p.data for p in parts]).tobytes()
+    for a, b in zip(dlogits + (dgammas or [None] * 3 if trainable else []),
+                    alone + (alone_exps if trainable else [])):
+        if a is None:  # CE never reads gamma
             assert kind == "ce" and b.grad is None
         else:
-            assert a.grad.tobytes() == b.grad.tobytes()
+            assert a.tobytes() == b.grad.tobytes()
 
 
 def _model_tick(model, groups, seeded):
@@ -166,8 +196,9 @@ def _model_tick(model, groups, seeded):
         gammas.append(L.trainable_gamma(view, L.LossConfig(gamma_trainable=True)))
         labels.append(rng.integers(0, 3, size=rows * batch))
     y = np.concatenate(labels)
-    loss = L.batch_loss(logits, L.targets(y, 3, rng.uniform(0, 2, size=y.size), model.dtype),
-                        L.LossConfig(gamma_trainable=True), gamma_param=gammas)
+    loss = tape_batch_loss(logits,
+                           L.targets(y, 3, rng.uniform(0, 2, size=y.size), model.dtype),
+                           L.LossConfig(gamma_trainable=True), gamma_param=gammas)
     if seeded:
         T.backward(loss, np.ones(k, dtype=model.dtype))
     else:
@@ -201,7 +232,7 @@ def test_one_tensor_keeps_its_shapes():
 
 
 class TestTickGradientsByFiniteDifferences:
-    """The tick node's analytic gradients of sum(loss * g) against central
+    """The tick kernels' analytic gradients of sum(loss * g) against central
     differences of a float64 evaluation, on a tick of three blocks with
     different batch sizes, one of them 1, and a lone [B, C] batch."""
 
@@ -214,36 +245,34 @@ class TestTickGradientsByFiniteDifferences:
         rng = np.random.default_rng(21)
         arrays = make_tick(rng, self.BLOCKS, 4, dtype, spread=False)
         # one client row's gamma is exactly 0
-        gamma, tensors = gamma_arg(mode, self.BLOCKS,
-                                   np.array([1.3, 0.0, 2.0, 0.5, 3.7, 2.5, 1.0], dtype=dtype))
-        logits = [leaf(x) for x, _, _ in arrays]
+        gamma, per_client = gamma_arg(mode, self.BLOCKS,
+                                      np.array([1.3, 0.0, 2.0, 0.5, 3.7, 2.5, 1.0], dtype=dtype))
+        logits = [x for x, _, _ in arrays]
         onehot = flat_rows([o for _, o, _ in arrays], 4)
         weights = flat_rows([w for _, _, w in arrays]) if weighted else None
         g = rng.normal(size=7)
-        out = T.focal_nll(logits, onehot, FLOOR, gamma=gamma, weights=weights, mean=True)
-        grads_through(out, g.astype(dtype))
+        _, grads, g_exps = tick_kernels(logits, onehot, gamma, weights, True, g.astype(dtype))
 
         def value():
-            wide = [T.Tensor(t.data.astype(np.float64)) for t in logits]
-            exps = (gamma if tensors is None
-                    else [T.Tensor(t.data.astype(np.float64)) for t in tensors])
-            loss = T.focal_nll(wide, onehot.astype(np.float64), FLOOR, gamma=exps,
-                               weights=None if weights is None else weights.astype(np.float64),
-                               mean=True)
-            return float(np.sum(loss.data * g))
+            wide = [x.astype(np.float64) for x in logits]
+            exps = gamma if per_client is None else [x.astype(np.float64) for x in per_client]
+            loss = tick_kernels(wide, onehot.astype(np.float64), exps,
+                                None if weights is None else weights.astype(np.float64),
+                                True, np.zeros(7))[0]
+            return float(np.sum(loss * g))
 
         tol = 1e-3 if dtype == np.float32 else 1e-6
-        for t in logits + (tensors or []):
-            assert max_rel_err(t.grad, fd_gradient(value, t.data), floor=1e-4) < tol
+        for x, grad in zip(logits + (per_client or []), grads + (g_exps or [])):
+            assert max_rel_err(grad, fd_gradient(value, x), floor=1e-4) < tol
 
 
 def test_gamma_list_must_match_the_blocks():
-    logits = [T.constant(np.zeros((2, 3, 4))), T.constant(np.zeros((1, 2, 4)))]
+    shapes = [(2, 3, 4), (1, 2, 4)]
     onehot = np.eye(4)[np.zeros(8, dtype=np.int64)]
-    for gammas in ([T.constant(np.ones(2))], [T.constant(np.ones(2)), T.constant(np.ones(2))]):
+    for gammas in ([np.ones(2)], [np.ones(2), np.ones(2)]):
         with pytest.raises(ShapeError, match="one scalar per client"):
-            T.focal_nll(logits, onehot, FLOOR, gamma=gammas)
+            T.focal_spans(shapes, onehot, np.float64, gammas)
     with pytest.raises(ShapeError, match="one-hot rows"):
-        T.focal_nll(logits, onehot[:7], FLOOR)
+        T.focal_spans(shapes, onehot[:7], np.float64)
     with pytest.raises(ShapeError, match="one class count"):
-        T.focal_nll(logits + [T.constant(np.zeros((1, 2, 3)))], onehot, FLOOR)
+        T.focal_spans(shapes + [(1, 2, 3)], onehot, np.float64)
