@@ -8,10 +8,10 @@ byte. Unknown keys are rejected rather than ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .federation import FederationConfig
 from .losses import LossConfig
 from .models import MlpConfig, ViTConfig
@@ -157,56 +157,32 @@ class ExperimentConfig:
 
     # typed views -----------------------------------------------------------
 
+    def view(self, cls, prefix: str, **given):
+        """The dataclass cls with each field given, or else read off the key
+        prefix + field; a field with neither is a ContractError."""
+        missing = [f.name for f in fields(cls)
+                   if f.name not in given and prefix + f.name not in self.values]
+        if missing:
+            raise ContractError(f"{cls.__name__}: no value given and no config key for "
+                                f"{', '.join(prefix + name for name in missing)}")
+        return cls(**{f.name: self.values[prefix + f.name] for f in fields(cls)
+                      if f.name not in given}, **given)
+
     def loss_config(self) -> LossConfig:
-        v = self.values
-        return LossConfig(kind=v["loss.kind"], gamma=v["loss.gamma"],
-                          gamma_trainable=v["loss.gamma_trainable"],
-                          gamma_lo=v["loss.gamma_lo"], gamma_hi=v["loss.gamma_hi"],
-                          blend=v["loss.blend"], epsilon=v["loss.epsilon"])
+        return self.view(LossConfig, "loss.")
 
     def federation_config(self) -> FederationConfig:
-        v = self.values
-        return FederationConfig(
-            num_clients=v["partition.clients"], rounds=v["federation.rounds"],
-            local_epochs=v["federation.local_epochs"],
-            batch_size=v["federation.batch_size"],
-            learning_rate=v["federation.learning_rate"], beta1=v["federation.beta1"],
-            beta2=v["federation.beta2"], adam_eps=v["federation.adam_eps"],
-            client_fraction=v["federation.client_fraction"],
-            aggregation=v["federation.aggregation"], seed=v["federation.seed"],
-            tail_fraction=v["federation.tail_fraction"])
+        return self.view(FederationConfig, "federation.")
 
     def partition_spec(self) -> PartitionSpec:
-        v = self.values
-        if v["partition.mode"] == "fixed":
-            return PartitionSpec(mode="fixed", ratios=tuple(v["partition.ratios"]),
-                                 num_clients=v["partition.clients"],
-                                 test_fraction=v["partition.test_fraction"],
-                                 test_ratio_index=v["partition.test_ratio_index"],
-                                 seed=v["partition.seed"])
-        return PartitionSpec(mode=v["partition.mode"], beta=v["partition.beta"],
-                             num_clients=v["partition.clients"],
-                             test_fraction=v["partition.test_fraction"],
-                             test_ratio_index=v["partition.test_ratio_index"],
-                             seed=v["partition.seed"])
+        return self.view(PartitionSpec, "partition.", num_clients=self.values["partition.clients"])
 
     def vit_config(self, num_classes: int) -> ViTConfig:
-        v = self.values
-        return ViTConfig(image_size=v["model.vit.image_size"],
-                         patch_size=v["model.vit.patch_size"],
-                         channels=v["model.vit.channels"],
-                         embed_dim=v["model.vit.embed_dim"],
-                         num_heads=v["model.vit.num_heads"],
-                         head_dim=v["model.vit.head_dim"],
-                         ffn_dim=v["model.vit.ffn_dim"],
-                         num_layers=v["model.vit.num_layers"],
-                         num_classes=num_classes,
-                         layer_norm_eps=v["model.layer_norm_eps"],
-                         learned_positions=v["model.vit.learned_positions"])
+        return self.view(ViTConfig, "model.vit.", num_classes=num_classes,
+                         layer_norm_eps=self.values["model.layer_norm_eps"])
 
     def mlp_config(self, input_dim: int, num_classes: int) -> MlpConfig:
-        return MlpConfig(input_dim=input_dim, hidden_dim=self.values["model.hidden_dim"],
-                         num_classes=num_classes)
+        return self.view(MlpConfig, "model.", input_dim=input_dim, num_classes=num_classes)
 
     # text round trip --------------------------------------------------------
 

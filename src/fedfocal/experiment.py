@@ -41,11 +41,8 @@ CSV_COLUMNS = ("round", "accuracy", "macro_f1", "macro_precision", "macro_recall
 
 def feature_spec(cfg: ExperimentConfig) -> BlobSpec | TileSpec:
     """The synthesizer the dataset.synth.* keys describe."""
-    if cfg["dataset.synth.kind"] == "blobs":
-        return BlobSpec(dim=cfg["dataset.synth.dim"], radius=cfg["dataset.synth.radius"],
-                        sigma=cfg["dataset.synth.sigma"])
-    return TileSpec(image_size=cfg["dataset.synth.image_size"],
-                    channels=cfg["dataset.synth.channels"], noise=cfg["dataset.synth.noise"])
+    return cfg.view(BlobSpec if cfg["dataset.synth.kind"] == "blobs" else TileSpec,
+                    "dataset.synth.")
 
 
 def assemble_dataset(cfg: ExperimentConfig) -> DatasetBundle:
@@ -91,6 +88,8 @@ def run_partition(cfg: ExperimentConfig, bundle: DatasetBundle) -> PartitionResu
     part = build_partition(bundle.labels, spec, bundle.num_classes)
     if not part.test_indices:
         raise ConfigError("partition has no global test set to evaluate on")
+    if not any(part.client_indices):
+        raise ConfigError("partition has no training samples: every client shard is empty")
     return part
 
 
@@ -151,7 +150,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> F.FederationRun:
     loss_cfg = cfg.loss_config()
     fed_cfg = cfg.federation_config()
     if cfg["run.mode"] == "centralized":  # a one-client federation
-        fed_cfg = replace(fed_cfg, num_clients=1, client_fraction=1.0, aggregation="uniform")
+        fed_cfg = replace(fed_cfg, client_fraction=1.0, aggregation="uniform")
     run = F.run_federation(bundle, part, model, loss_cfg, fed_cfg)
 
     last = run.records[-1]

@@ -19,9 +19,11 @@ tape node. ``aggregate`` reads the trained rows. No client's
 arithmetic depends on another's, so each row ends with the bits it would
 have training alone. What depends only on the selection (statistics,
 labels, features, schedule, the stack and its views, batch buffers, and
-each tick's operands bound to them) is a ``RoundPlan``, rebuilt only when
-the selection changes: once a run under full participation. The test set
-is bound once a run, for ``eval_scores``.
+each tick's operands bound to them, with the model and configs they were
+bound with) is a ``RoundPlan``, rebuilt only when the selection changes:
+once a run under full participation. ``local_train`` reads only its plan,
+the broadcast and the round's streams. The test set is bound once a run,
+for ``eval_scores``.
 
 Determinism: every random stream is derived from the master seed together
 with its role and (round, client) coordinates, each client draws its
@@ -58,7 +60,6 @@ _CLIENT_ROLE = 3
 
 @dataclass(frozen=True)
 class FederationConfig:
-    num_clients: int = 3
     rounds: int = 50
     local_epochs: int = 1
     batch_size: int = 16
@@ -72,8 +73,8 @@ class FederationConfig:
     tail_fraction: float = 0.3
 
     def __post_init__(self):
-        if min(self.num_clients, self.rounds, self.local_epochs, self.batch_size) < 1:
-            raise ConfigError("clients, rounds, epochs, and batch size must be >= 1")
+        if min(self.rounds, self.local_epochs, self.batch_size) < 1:
+            raise ConfigError("rounds, epochs, and batch size must be >= 1")
         if not 0.0 < self.client_fraction <= 1.0:
             raise ConfigError(f"client_fraction must lie in (0, 1], got {self.client_fraction}")
         if self.aggregation not in AGGREGATION_MODES:
@@ -257,6 +258,9 @@ class RoundPlan:
     into ``stack``, resets ``opt``, draws the clients' sample orders and
     gathers its batches into ``x`` and ``batches``, which every tick's
     bound operands view."""
+    model: object
+    loss_cfg: L.LossConfig
+    fed_cfg: FederationConfig
     client_ids: list[int]
     client_coeffs: list[float]
     class_coeffs: list[float]
@@ -279,15 +283,16 @@ class RoundPlan:
 
 def plan_round(model, global_params: ModelParams,
                shards: list[tuple[np.ndarray, np.ndarray]],
-               hists: list[ClassHistogram], class_coeffs: list[float],
-               loss_cfg: L.LossConfig, fed_cfg: FederationConfig,
-               client_ids: list[int] | None = None) -> RoundPlan:
-    """The plan of every round that trains these clients on these shards;
+               hists: list[ClassHistogram], loss_cfg: L.LossConfig,
+               fed_cfg: FederationConfig, client_ids: list[int] | None = None) -> RoundPlan:
+    """The plan of every round that trains these clients on these shards,
+    with their skews and the class-rarity vector of their histograms;
     global_params gives only the stack's shape. A client's epochs share one
     batch-size sequence; the rows are sorted by it, longest and largest
     first: a tick's rows are a prefix, and its runs long. Labels are checked here."""
     ids = list(range(len(shards))) if client_ids is None else list(client_ids)
     client_coeffs = [client_imbalance(h, loss_cfg.epsilon) for h in hists]
+    class_coeffs = global_class_imbalance(hists, loss_cfg.epsilon)
     sizes = [y.size for _, y in shards]
     features = np.concatenate([x for x, _ in shards], dtype=model.dtype)
     # coefficients and weights are elementwise in the labels, so indexing the
@@ -345,19 +350,16 @@ def plan_round(model, global_params: ModelParams,
                 batches[first:stop], scale[first:stop], loss_cfg,
                 None if gammas[0] is None else gammas)))
     opt = Adam(stack, fed_cfg.learning_rate, fed_cfg.beta1, fed_cfg.beta2, fed_cfg.adam_eps)
-    return RoundPlan(ids, client_coeffs, list(class_coeffs), features, targets, sizes, order,
-                     np.argsort(order), x, batches, inv_batch, scale, plan_epochs, at,
-                     np.repeat(step_rows, step_batch),
+    return RoundPlan(model, loss_cfg, fed_cfg, ids, client_coeffs, class_coeffs, features,
+                     targets, sizes, order, np.argsort(order), x, batches, inv_batch, scale,
+                     plan_epochs, at, np.repeat(step_rows, step_batch),
                      np.repeat(step_batch.astype(model.dtype), step_batch)[:, None], stack, opt)
 
 
-def local_train(model, global_params: ModelParams,
-                shards: list[tuple[np.ndarray, np.ndarray]],
-                hists: list[ClassHistogram], class_coeffs: list[float],
-                loss_cfg: L.LossConfig, fed_cfg: FederationConfig,
-                rngs: list[np.random.Generator], client_ids: list[int] | None = None,
-                round_index: int = 0, plan: RoundPlan | None = None) -> RoundResult:
-    """One round's local training of the given clients on one [K, P] stack.
+def local_train(plan: RoundPlan, global_params: ModelParams,
+                rngs: list[np.random.Generator], round_index: int = 0) -> RoundResult:
+    """One round's local training of the plan's clients on its [K, P] stack,
+    from the broadcast global_params, with one stream per client.
 
     Each client starts from the broadcast, runs E epochs of minibatch Adam
     on its shard, one row of the stack and of Adam's moments, and tallies
@@ -376,26 +378,20 @@ def local_train(model, global_params: ModelParams,
     results are those of training the clients one after another, bit for
     bit.
 
-    Once per client selection, ``plan_round`` builds everything else (here,
-    when plan is None; a given plan stands in for shards, hists and
-    class_coeffs, and one for other clients is a ``ContractError``). Once
-    a round: the broadcast is copied into the stack, Adam reset, the
-    epochs' sample orders drawn and their batches gathered into the plan
-    (each sample's loss seed made in one multiply), and the per-class norms
-    tallied after the last step, in step order. The
-    rows return, copied, in the given client order, with their optimizer
-    steps as batch counts. A NaN in training names its round and the
-    clients among the tick's rows that hold it."""
-    ids = list(range(len(shards))) if client_ids is None else list(client_ids)
-    if plan is None:
-        plan = plan_round(model, global_params, shards, hists, class_coeffs, loss_cfg,
-                          fed_cfg, ids)
-    elif plan.client_ids != ids:
-        raise ContractError(f"a plan for clients {plan.client_ids} cannot train clients {ids}")
-    stack, opt, order, batches = plan.stack, plan.opt, plan.order, plan.batches
+    Once per client selection, ``plan_round`` builds everything else, the
+    model and the loss and federation configs included. Once a round: the
+    broadcast is copied into the stack, Adam reset, the epochs' sample
+    orders drawn and their batches gathered into the plan (each sample's
+    loss seed made in one multiply), and the per-class norms tallied after
+    the last step, in step order. The rows return, copied, in the plan's
+    client order, with their optimizer steps as batch counts. A NaN in
+    training names its round and the clients among the tick's rows that
+    hold it."""
+    ids, loss_cfg, stack, opt = plan.client_ids, plan.loss_cfg, plan.stack, plan.opt
+    order, batches = plan.order, plan.batches
     stack.flat[...] = global_params.flat
     opt.reset()
-    samples = _permutations(plan.sizes, fed_cfg, rngs).reshape(-1)[plan.gather_at]
+    samples = _permutations(plan.sizes, plan.fed_cfg, rngs).reshape(-1)[plan.gather_at]
     for src, out in ((plan.features, plan.x), (plan.targets.labels, batches.labels),
                      (plan.targets.weights, batches.weights),
                      (plan.targets.onehot, batches.onehot)):
@@ -425,7 +421,7 @@ def local_train(model, global_params: ModelParams,
             if clamp:
                 L.clamp_gamma(stack, loss_cfg)
             loss_sums[rows] += means
-    num_classes = model.num_classes
+    num_classes = plan.model.num_classes
     norm_sums = np.zeros((len(ids), num_classes))
     norm_counts = np.zeros((len(ids), num_classes), dtype=np.int64)
     if grads:
@@ -552,9 +548,6 @@ def run_federation(bundle, partition: PartitionResult, model,
                    loss_cfg: L.LossConfig, fed_cfg: FederationConfig) -> FederationRun:
     """Full multi-round protocol; see the module docstring for the order of
     operations inside one round."""
-    if len(partition.client_indices) != fed_cfg.num_clients:
-        raise ConfigError(f"partition has {len(partition.client_indices)} clients, "
-                          f"config says {fed_cfg.num_clients}")
     features, labels = bundle.features, bundle.labels
     num_classes = bundle.num_classes
     shards = [(features[list(idx)], labels[list(idx)])
@@ -574,8 +567,8 @@ def run_federation(bundle, partition: PartitionResult, model,
     tail_classes = [present[i] for i in tail_pos]
     head_classes = [present[i] for i in head_pos]
 
-    eligible = [k for k in range(fed_cfg.num_clients) if shards[k][1].size > 0]
-    skipped = [k for k in range(fed_cfg.num_clients) if k not in eligible]
+    eligible = [k for k, (_, y) in enumerate(shards) if y.size > 0]
+    skipped = [k for k in range(len(shards)) if k not in eligible]
     if not eligible:
         raise ConfigError("every client shard is empty; nothing to train")
 
@@ -584,21 +577,17 @@ def run_federation(bundle, partition: PartitionResult, model,
     for t in range(1, fed_cfg.rounds + 1):
         selected = _select_clients(fed_cfg, t, eligible)
         warnings = [f"client {k} skipped: empty shard" for k in skipped]
-        own_shards = [shards[k] for k in selected]
-        own_hists = [partition.histograms[k] for k in selected]
-
         # the plan, with the class-rarity vector the clients train with,
         # changes only with the selection
         if plan is None or plan.client_ids != selected:
-            plan = plan_round(model, global_params, own_shards, own_hists,
-                              global_class_imbalance(own_hists, loss_cfg.epsilon),
-                              loss_cfg, fed_cfg, selected)
+            plan = plan_round(model, global_params, [shards[k] for k in selected],
+                              [partition.histograms[k] for k in selected], loss_cfg, fed_cfg,
+                              selected)
 
         # selected is ascending, so the stack's rows are in aggregation order
-        trained = local_train(model, global_params, own_shards, own_hists, plan.class_coeffs,
-                              loss_cfg, fed_cfg,
+        trained = local_train(plan, global_params,
                               [derive_rng(fed_cfg.seed, _CLIENT_ROLE, t, k) for k in selected],
-                              client_ids=selected, round_index=t, plan=plan)
+                              round_index=t)
         if not np.isfinite(trained.params.flat).all():
             culprits = _culprits(selected, trained.params.flat)
             raise NumericError(f"round {t}, {culprits}: non-finite parameters after training")

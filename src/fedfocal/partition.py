@@ -186,13 +186,9 @@ def build_partition(labels, spec: PartitionSpec,
         test = sorted(shares[spec.test_ratio_index])
         clients = [shares[j] for j in range(len(shares)) if j != spec.test_ratio_index]
     else:
-        if spec.test_fraction > 0:
-            test = holdout_test(labels, spec.test_fraction, spec.seed, num_classes)
-            test_set = set(test)
-            pool = np.array([i for i in range(labels.size) if i not in test_set])
-        else:
-            test = []
-            pool = np.arange(labels.size)
+        test = (holdout_test(labels, spec.test_fraction, spec.seed, num_classes)
+                if spec.test_fraction > 0 else [])
+        pool = np.flatnonzero(~np.isin(np.arange(labels.size), test))  # int, even when empty
         pool_labels = labels[pool]
         if spec.mode == "fixed":
             shares, warnings = partition_fixed(pool_labels, spec.ratios,

@@ -310,17 +310,24 @@ def per_tensor_aggregate(stack, weights):
     return ModelParams(items)
 
 
-def serial_local_train(model, global_params, shards, hists, class_coeffs, loss_cfg,
-                       fed_cfg, rngs, client_ids=None, round_index=0, plan=None):
+def serial_local_train(plan, global_params, rngs, round_index=0):
     """federation.local_train as clients trained before they were stacked:
     one after another, each alone on its own copy of the broadcast with its
     own optimizer (federation.Adam, looked up at call time so a test can
     patch it), one rank-2 forward, loss, backward and step per batch. The
     lockstep trainer must reproduce its results bit for bit; the clients'
-    results are stacked into one round result, in the given order. A round
-    plan is accepted and not read: everything is built from the shards."""
+    results are stacked into one round result, in the plan's client order.
+    Of the plan it reads only the model, the configs, and each client's
+    features and labels; each client's skew and the class rarity are
+    recomputed from those labels."""
     from fedfocal import federation as F
+    from fedfocal.imbalance import ClassHistogram, global_class_imbalance
 
+    model, loss_cfg, fed_cfg = plan.model, plan.loss_cfg, plan.fed_cfg
+    ends = np.cumsum(plan.sizes)[:-1]
+    shards = list(zip(np.split(plan.features, ends), np.split(plan.targets.labels, ends)))
+    hists = [ClassHistogram.from_labels(y, model.num_classes) for _, y in shards]
+    class_coeffs = global_class_imbalance(hists, loss_cfg.epsilon)
     params, coeffs, sums, counts, losses, batches = zip(*[
         _serial_client(model, global_params, x, y, hist, class_coeffs, loss_cfg, fed_cfg, rng)
         for (x, y), hist, rng in zip(shards, hists, rngs)])

@@ -13,8 +13,9 @@ from fedfocal import experiment as X
 from fedfocal.cli import build_parser, main
 from fedfocal.config import SCHEMA, ExperimentConfig
 from fedfocal.data import load_dataset, save_dataset
-from fedfocal.errors import ConfigError
-from fedfocal.partition import build_partition, read_manifest, write_manifest
+from fedfocal.errors import ConfigError, ContractError
+from fedfocal.models import MlpConfig
+from fedfocal.partition import PartitionSpec, build_partition, read_manifest, write_manifest
 
 FAST = [
     "--set", "dataset.synth.counts=120,60,30",
@@ -50,6 +51,87 @@ class TestConfigFormat:
     def test_bad_value_diagnosed_with_key(self):
         with pytest.raises(ConfigError, match="federation.rounds"):
             ExperimentConfig.parse_text("federation.rounds = many\n")
+
+
+# each config key a typed view reads by its field name: a valid value other
+# than its default, with the keys it needs beside it to stay valid
+VIEW_VALUES = {
+    "loss.kind": ("focal", {}), "loss.gamma": (1.5, {}), "loss.gamma_trainable": (True, {}),
+    "loss.gamma_lo": (0.25, {}), "loss.gamma_hi": (4.0, {}), "loss.blend": (0.25, {}),
+    "loss.epsilon": (1e-4, {}),
+    "federation.rounds": (7, {}), "federation.local_epochs": (2, {}),
+    "federation.batch_size": (9, {}), "federation.learning_rate": (0.01, {}),
+    "federation.beta1": (0.8, {}), "federation.beta2": (0.99, {}),
+    "federation.adam_eps": (1e-7, {}), "federation.client_fraction": (0.5, {}),
+    "federation.aggregation": ("uniform", {}), "federation.seed": (4, {}),
+    "federation.tail_fraction": (0.4, {}),
+    "partition.mode": ("dirichlet", {}), "partition.ratios": ((0.6, 0.3, 0.1), {}),
+    "partition.beta": (0.7, {}), "partition.test_fraction": (0.3, {}),
+    "partition.test_ratio_index": (3, {"partition.ratios": (0.4, 0.3, 0.2, 0.1),
+                                       "partition.test_fraction": 0.0}),
+    "partition.seed": (6, {}),
+    "model.hidden_dim": (12, {}), "model.vit.image_size": (8, {}),
+    "model.vit.patch_size": (8, {}), "model.vit.channels": (2, {}),
+    "model.vit.embed_dim": (64, {"model.vit.head_dim": 16}),
+    "model.vit.num_heads": (2, {"model.vit.embed_dim": 16}),
+    "model.vit.head_dim": (16, {"model.vit.embed_dim": 64}),
+    "model.vit.ffn_dim": (24, {}), "model.vit.num_layers": (3, {}),
+    "model.vit.learned_positions": (True, {}),
+    "dataset.synth.dim": (5, {}), "dataset.synth.radius": (1.5, {}),
+    "dataset.synth.sigma": (0.5, {}),
+    "dataset.synth.image_size": (8, {"dataset.synth.kind": "tiles"}),
+    "dataset.synth.channels": (2, {"dataset.synth.kind": "tiles"}),
+    "dataset.synth.noise": (0.5, {"dataset.synth.kind": "tiles"}),
+}
+# the keys under those prefixes that no view reads by field name, and where each is read
+READ_ELSEWHERE = {
+    "federation.concurrent": "nowhere: SCHEMA accepts it so old configs load",
+    "dataset.synth": "experiment.assemble_dataset",
+    "dataset.synth.kind": "experiment.feature_spec, to pick the spec",
+    "dataset.synth.counts": "experiment.assemble_dataset",
+    "dataset.synth.seed": "experiment.assemble_dataset",
+    "partition.clients": "ExperimentConfig.partition_spec, as num_clients",
+    "model.layer_norm_eps": "ExperimentConfig.vit_config, as layer_norm_eps",
+}
+# longest prefix first: model.vit.* keys are the ViT's, other model.* the MLP's
+VIEWS = (("loss.", ExperimentConfig.loss_config),
+         ("federation.", ExperimentConfig.federation_config),
+         ("partition.", ExperimentConfig.partition_spec),
+         ("model.vit.", lambda cfg: cfg.vit_config(3)),
+         ("model.", lambda cfg: cfg.mlp_config(4, 3)),
+         ("dataset.synth.", X.feature_spec))
+
+
+class TestTypedViews:
+    def test_every_key_under_a_view_prefix_is_read(self):
+        keys = {k for k in SCHEMA if k.startswith(("loss.", "federation.", "partition.",
+                                                   "model.", "dataset.synth"))}
+        assert keys == set(VIEW_VALUES) | set(READ_ELSEWHERE)
+        assert not set(VIEW_VALUES) & set(READ_ELSEWHERE)
+
+    @pytest.mark.parametrize("key", sorted(VIEW_VALUES))
+    def test_key_reaches_its_field(self, key):
+        value, beside = VIEW_VALUES[key]
+        assert value != SCHEMA[key][1]
+        cfg = ExperimentConfig({}).with_overrides({key: value, **beside})
+        prefix, view = next((p, v) for p, v in VIEWS if key.startswith(p))
+        assert getattr(view(cfg), key[len(prefix):]) == value
+
+    def test_given_fields_take_their_keys(self):
+        cfg = ExperimentConfig({}).with_overrides({"partition.clients": 4,
+                                                   "partition.ratios": (0.25,) * 4,
+                                                   "model.layer_norm_eps": 1e-3})
+        assert cfg.partition_spec().num_clients == 4
+        assert cfg.vit_config(3).layer_norm_eps == 1e-3
+
+    @pytest.mark.parametrize("cls, prefix, given", [
+        (PartitionSpec, "partition.", {}),
+        (MlpConfig, "model.", {"num_classes": 3}),
+    ], ids=["partition-clients", "mlp-input-dim"])
+    def test_field_with_no_key_and_no_value_is_a_contract_error(self, cls, prefix, given):
+        missing = "num_clients" if cls is PartitionSpec else "input_dim"
+        with pytest.raises(ContractError, match=missing):
+            ExperimentConfig({}).view(cls, prefix, **given)
 
 
 class TestSynthAndPartitionCommands:
@@ -197,6 +279,20 @@ class TestTrainCommand:
         assert code == 2
         assert "partition has no global test set" in capsys.readouterr().err
         assert not (out / "config.echo").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "train"])
+    @pytest.mark.parametrize("mode", ["fixed", "dirichlet"])
+    def test_test_share_of_every_sample_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                                   dry_run, mode):
+        """A test share that takes every sample once raised IndexError on an
+        empty float index and exited 1 with a traceback."""
+        out = tmp_path / "run"
+        code = main(["train", "--preset", "smoke", "--out", str(out)] + ["--dry-run"] * dry_run
+                    + FAST + ["--set", "dataset.synth.counts=1,1", "--set",
+                              f"partition.mode={mode}", "--set", "partition.test_fraction=0.9"])
+        assert code == 2
+        assert "config error: partition has no training samples" in capsys.readouterr().err
         assert not out.exists()
 
     def test_train_writes_all_artifacts(self, tmp_path):

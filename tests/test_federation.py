@@ -15,7 +15,7 @@ from fedfocal import models as M
 from fedfocal import partition as P
 from fedfocal import tensor as T
 from fedfocal.errors import ConfigError, ContractError, NumericError
-from fedfocal.imbalance import ClassHistogram, global_class_imbalance
+from fedfocal.imbalance import ClassHistogram
 
 from helpers import serial_local_train
 
@@ -38,7 +38,7 @@ def tiny_setup(seed=0, mode="fixed", beta=None):
 
 
 def tiny_fed(rounds=3, **kw):
-    defaults = dict(num_clients=3, rounds=rounds, local_epochs=1, batch_size=8,
+    defaults = dict(rounds=rounds, local_epochs=1, batch_size=8,
                     learning_rate=1e-2, seed=0)
     defaults.update(kw)
     return F.FederationConfig(**defaults)
@@ -139,10 +139,9 @@ class TestLocalTrain:
         fed = tiny_fed(learning_rate=0.0)
         params = model.init_params(np.random.default_rng(0))
         shard = list(part.client_indices[0])
-        result = F.local_train(model, params, [(bundle.features[shard],
-                                                bundle.labels[shard])],
-                               [part.histograms[0]], [1.0, 1.0, 1.0],
-                               L.LossConfig(kind="ce"), fed, [np.random.default_rng(1)])
+        plan = F.plan_round(model, params, [(bundle.features[shard], bundle.labels[shard])],
+                            [part.histograms[0]], L.LossConfig(kind="ce"), fed)
+        result = F.local_train(plan, params, [np.random.default_rng(1)])
         for name, t in params:
             assert result.params[name].data[0].tobytes() == t.data.tobytes()
 
@@ -176,10 +175,9 @@ class TestLocalTrain:
                                              gamma=loss_cfg.gamma).item()
 
             before = shard_loss(params)
-            result = F.local_train(model, params, [(x, y)], [part.histograms[0]],
-                                   coeffs, loss_cfg,
-                                   cfg.federation_config(),
-                                   [np.random.default_rng(seed)])
+            result = F.local_train(F.plan_round(model, params, [(x, y)], [part.histograms[0]],
+                                                loss_cfg, cfg.federation_config()),
+                                   params, [np.random.default_rng(seed)])
             row_0 = M.ModelParams.from_flat(params.manifest(), result.params.flat[0])
             deltas.append(shard_loss(row_0) - before)
         assert np.median(deltas) <= 0
@@ -197,8 +195,7 @@ class TestLocalTrain:
         params = model.init_params(rng)
         shards = [(rng.normal(size=(n, 4)), np.arange(n) % 3) for n in sizes]
         hists = [ClassHistogram.from_labels(y, 3) for _, y in shards]
-        args = (model, params, shards, hists, [1.0] * len(sizes), L.LossConfig(),
-                tiny_fed(batch_size=16))
+        args = (model, params, shards, hists, L.LossConfig(), tiny_fed(batch_size=16))
         wrapped = []
         from_flat = M.ModelParams.from_flat
 
@@ -207,9 +204,11 @@ class TestLocalTrain:
             return from_flat(manifest, flat, requires_grad)
 
         monkeypatch.setattr(M.ModelParams, "from_flat", staticmethod(counting))
-        result = F.local_train(*args, [np.random.default_rng(k) for k in range(len(sizes))])
+        plan = F.plan_round(*args)
+        result = F.local_train(plan, params, [np.random.default_rng(k) for k in range(len(sizes))])
         monkeypatch.undo()
-        oracle = serial_local_train(*args, [np.random.default_rng(k) for k in range(len(sizes))])
+        oracle = serial_local_train(plan, params,
+                                    [np.random.default_rng(k) for k in range(len(sizes))])
         return wrapped, result, oracle, params.flat.size
 
     def test_round_wraps_only_the_stack_and_the_result(self, monkeypatch):
@@ -251,8 +250,8 @@ class TestLocalTrain:
         params = model.init_params(rng)
         shards = [(rng.normal(size=(n, 4)), np.arange(n) % 3) for n in (32, 40)]
         hists = [ClassHistogram.from_labels(y, 3) for _, y in shards]
-        args = (model, params, shards, hists, [1.0] * 3, L.LossConfig(),
-                tiny_fed(batch_size=16, local_epochs=2))
+        plan = F.plan_round(model, params, shards, hists, L.LossConfig(),
+                            tiny_fed(batch_size=16, local_epochs=2))
         steps = []
         step = F.Adam.step
 
@@ -261,9 +260,9 @@ class TestLocalTrain:
             return step(self, *a, **kw)
 
         monkeypatch.setattr(F.Adam, "step", counting)
-        result = F.local_train(*args, [np.random.default_rng(k) for k in range(2)])
+        result = F.local_train(plan, params, [np.random.default_rng(k) for k in range(2)])
         monkeypatch.undo()
-        oracle = serial_local_train(*args, [np.random.default_rng(k) for k in range(2)])
+        oracle = serial_local_train(plan, params, [np.random.default_rng(k) for k in range(2)])
         assert len(steps) == 6
         assert result.batch_counts == oracle.batch_counts == [4, 6]
         for k in range(2):
@@ -337,18 +336,6 @@ class TestRoundPlan:
         assert 1 < len(changed) < len(selections)  # the run both keeps and changes plans
         assert planned == changed
 
-    def test_plan_for_other_clients_rejected(self):
-        bundle, part, model = tiny_setup()
-        fed, loss = tiny_fed(), L.LossConfig()
-        params = model.init_params(np.random.default_rng(0))
-        shards = [(bundle.features[list(idx)], bundle.labels[list(idx)])
-                  for idx in part.client_indices[:2]]
-        args = (model, params, shards, list(part.histograms[:2]), [1.0] * 3, loss, fed)
-        plan = F.plan_round(*args, client_ids=[0, 1])
-        with pytest.raises(ContractError, match=r"plan for clients \[0, 1\]"):
-            F.local_train(*args, [np.random.default_rng(k) for k in range(2)],
-                          client_ids=[0, 2], plan=plan)
-
     @pytest.mark.parametrize("loss", [L.LossConfig(), L.LossConfig(gamma_trainable=True)],
                              ids=["adaptive", "trainable-gamma"])
     def test_reused_plan_matches_fresh_plans_bytewise(self, loss):
@@ -359,18 +346,16 @@ class TestRoundPlan:
         fed = tiny_fed(batch_size=7, local_epochs=2)
         shards = [(bundle.features[list(idx)], bundle.labels[list(idx)])
                   for idx in part.client_indices]
-        coeffs = global_class_imbalance(list(part.histograms), loss.epsilon)
-        args = (shards, list(part.histograms), coeffs, loss, fed)
+        args = (shards, list(part.histograms), loss, fed)
         broadcasts = [F.initial_params(model, loss, seed) for seed in (1, 2)]
 
         def streams(t):
             return [F.derive_rng(0, F._CLIENT_ROLE, t, k) for k in range(3)]
 
         plan = F.plan_round(model, broadcasts[0], *args)
-        reused = [F.local_train(model, g, *args, streams(t), round_index=t, plan=plan)
-                  for t, g in enumerate(broadcasts, start=1)]
+        reused = [F.local_train(plan, g, streams(t), t) for t, g in enumerate(broadcasts, start=1)]
         first = round_bytes(reused[0])
-        fresh = [F.local_train(model, g, *args, streams(t), round_index=t)
+        fresh = [F.local_train(F.plan_round(model, g, *args), g, streams(t), t)
                  for t, g in enumerate(broadcasts, start=1)]
         assert first[0] != round_bytes(reused[1])[0]
         assert [round_bytes(r) for r in reused] == [round_bytes(r) for r in fresh]
@@ -391,9 +376,8 @@ class TestTicks:
         shards = [(np.zeros((n, 2)), np.arange(n) % 3) for n in sizes]
         plan = F.plan_round(model, model.init_params(np.random.default_rng(0)), shards,
                             [ClassHistogram.from_labels(y, 3) for _, y in shards],
-                            [1.0] * 3, L.LossConfig(kind="ce"),
-                            tiny_fed(num_clients=len(sizes), batch_size=batch_size,
-                                     local_epochs=epochs))
+                            L.LossConfig(kind="ce"),
+                            tiny_fed(batch_size=batch_size, local_epochs=epochs))
         batches = [-(-sizes[c] // batch_size) for c in plan.order]  # each row's, an epoch
         assert len(plan.epochs) == epochs
         for ticks in plan.epochs:
@@ -429,14 +413,13 @@ class TestTicks:
     def _args(loss_cfg, **fed):
         """Shards of 40, 37 and 21 samples: at batch 16 they run [16, 16, 8],
         [16, 16, 5] and [16, 5] an epoch, so ticks 1 and 2 each hold two
-        groups. The arguments of local_train before its streams."""
+        groups. The arguments of plan_round."""
         rng = np.random.default_rng(9)
         model = M.MlpClassifier(M.MlpConfig(input_dim=4, hidden_dim=8, num_classes=3))
         params = F.initial_params(model, loss_cfg, 0)
         shards = [(rng.normal(size=(n, 4)), rng.integers(0, 3, size=n)) for n in (40, 37, 21)]
         hists = [ClassHistogram.from_labels(y, 3) for _, y in shards]
-        return (model, params, shards, hists, global_class_imbalance(hists, loss_cfg.epsilon),
-                loss_cfg, tiny_fed(learning_rate=0.05, **fed))
+        return model, params, shards, hists, loss_cfg, tiny_fed(learning_rate=0.05, **fed)
 
     @staticmethod
     def _round(loss_cfg, plan_hook=None, **fed):
@@ -447,8 +430,8 @@ class TestTicks:
         assert any(len(tick.groups) > 1 for tick in plan.epochs[0])
         if plan_hook:
             plan_hook(plan)
-        result = F.local_train(*args, [np.random.default_rng(k) for k in range(3)], plan=plan)
-        oracle = serial_local_train(*args, [np.random.default_rng(k) for k in range(3)])
+        result = F.local_train(plan, args[1], [np.random.default_rng(k) for k in range(3)])
+        oracle = serial_local_train(plan, args[1], [np.random.default_rng(k) for k in range(3)])
         return result, oracle, plan
 
     def test_trainable_gamma_clamped_like_the_serial_oracle(self):
@@ -485,7 +468,8 @@ class TestTicks:
         args[2][2][0][short[3], 1] = np.nan
         with pytest.raises(NumericError,
                            match=r"^round 4, client 2: softmax input contains NaN"):
-            F.local_train(*args, [np.random.default_rng(k) for k in range(3)], round_index=4)
+            F.local_train(F.plan_round(*args), args[1],
+                          [np.random.default_rng(k) for k in range(3)], 4)
 
     def test_a_round_takes_one_loss_and_one_backward_per_tick(self, monkeypatch):
         """A tick takes one batch_loss over all its groups, one bound backward
@@ -519,7 +503,7 @@ class TestTicks:
         monkeypatch.setattr(L, "batch_loss", counting_loss)
         monkeypatch.setattr(F.Adam, "step", counting_step)
         monkeypatch.setattr(T, "backward", counting_tape)
-        F.local_train(*args, [np.random.default_rng(k) for k in range(3)], plan=plan)
+        F.local_train(plan, args[1], [np.random.default_rng(k) for k in range(3)])
         groups = [len(tick.groups) for ticks in plan.epochs for tick in ticks]
         assert groups == [1, 2, 2] * 2
         assert calls["losses"] == [0] * len(groups) and calls["steps"] == len(groups)
@@ -550,7 +534,7 @@ class TestTicks:
 
         sys.setprofile(profile)
         try:
-            F.local_train(*args, [np.random.default_rng(k) for k in range(3)], plan=plan)
+            F.local_train(plan, args[1], [np.random.default_rng(k) for k in range(3)])
         finally:
             sys.setprofile(None)
         groups = [len(tick.groups) for ticks in plan.epochs for tick in ticks]
@@ -590,7 +574,7 @@ class TestTicks:
 
         sys.setprofile(profile)
         try:
-            F.local_train(*args, [np.random.default_rng(k) for k in range(3)], plan=plan)
+            F.local_train(plan, args[1], [np.random.default_rng(k) for k in range(3)])
         finally:
             sys.setprofile(None)
         groups = [len(tick.groups) for ticks in plan.epochs for tick in ticks]
@@ -838,9 +822,3 @@ class TestConfigValidation:
     def test_unknown_aggregation(self):
         with pytest.raises(ConfigError):
             F.FederationConfig(aggregation="median")
-
-    def test_partition_client_count_must_match(self):
-        bundle, part, model = tiny_setup()
-        with pytest.raises(ConfigError):
-            F.run_federation(bundle, part, model, L.LossConfig(kind="ce"),
-                             tiny_fed(num_clients=4))

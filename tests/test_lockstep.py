@@ -376,7 +376,7 @@ def _lockstep_and_serial(cfg, sizes, seed, feature_shape, num_classes, loss_cfg,
     in: each run's records, as rounds.jsonl lines, and final buffer bytes."""
     bundle, part = _federation(sizes, seed, feature_shape, num_classes)
     model = X.build_model(cfg, bundle)
-    fed_cfg = F.FederationConfig(num_clients=len(sizes), rounds=2, seed=seed, **fed)
+    fed_cfg = F.FederationConfig(rounds=2, seed=seed, **fed)
     runs = []
     for trainer in (F.local_train, serial_local_train):
         with mock.patch.object(F, "local_train", trainer):
