@@ -14,6 +14,7 @@ from pathlib import Path
 from .errors import ConfigError, ContractError
 from .federation import FederationConfig
 from .losses import LossConfig
+from .metrics import decision_thresholds
 from .models import MlpConfig, ViTConfig
 from .partition import PartitionSpec
 
@@ -150,6 +151,7 @@ class ExperimentConfig:
             raise ConfigError("set dataset.path or dataset.synth = true")
         if v["dataset.synth.kind"] not in ("blobs", "tiles"):
             raise ConfigError(f"unknown synthesizer {v['dataset.synth.kind']!r}")
+        decision_thresholds(v["dca.thresholds"])  # as analyze reads them
         # sub-configs run their own validation
         self.loss_config()
         self.federation_config()

@@ -63,7 +63,7 @@ def build_model(cfg: ExperimentConfig, bundle: DatasetBundle):
             raise ConfigError(f"dataset images {shape} do not match the vit config "
                               f"({vit.channels}, {vit.image_size}, {vit.image_size})")
         return ViTClassifier(vit, dtype=dtype)
-    input_dim = int(np.prod(bundle.features.shape[1:]))
+    input_dim = math.prod(bundle.features.shape[1:])
     return MlpClassifier(cfg.mlp_config(input_dim, bundle.num_classes), dtype=dtype)
 
 

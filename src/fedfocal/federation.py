@@ -137,10 +137,7 @@ class Adam:
     def __init__(self, params: ModelParams, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = np.zeros(params.flat.shape[:-1], dtype=np.int64)
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
@@ -152,21 +149,18 @@ class Adam:
         """Moments and step counts back to zero, as on construction."""
         self.t[...], self.m[...], self.v[...], self._calls = 0, 0, 0, 0
 
-    def step(self, rows: slice | None = None, reached: ModelParams | None = None) -> None:
+    def step(self, rows: slice | None = None) -> None:
         """Update moments and parameters in place, in the operand order of
         m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
         p = p - lr*m_hat / (sqrt(v_hat) + eps).
 
         Every row steps, or only rows, a slice of the stack, where they lie,
-        in one pass over the set's ``grad`` buffer (a hand-set gradient is
-        copied there first). Which tensors have a gradient is read off the
-        optimizer's own tensors, or off reached, a view of some of the rows;
-        one without keeps its value and its moments. Each row's bias
-        corrections 1 - b**t are looked up by its own step count in tables
-        of the Python floats a lone step would compute, cast to the
-        parameter dtype, and divide the row as a column. Every op is
-        elementwise, so each scalar gets the bits a per-tensor, per-client
-        loop would give it."""
+        from the set's ``grad`` buffer as it stands; a slot nothing wrote
+        holds zeros, which keep a value with zero moments. Each row's bias
+        corrections 1 - b**t, looked up by its step count in tables of the
+        Python floats a lone step would compute and cast to the parameter
+        dtype, divide the row as a column. Every op is elementwise, so each
+        scalar gets the bits a per-tensor, per-client loop would give it."""
         params, sel = self.params, ... if rows is None else rows
         counts = self.t[sel]
         counts += 1
@@ -174,24 +168,8 @@ class Adam:
         if self._calls >= len(self._c1):
             self._c1, self._c2 = (np.array([[1 - b ** t] for t in range(2 * self._calls + 1)],
                                            dtype=self.m.dtype) for b in (self.beta1, self.beta2))
-        tensors = (params if reached is None else reached).tensors()
-        odd = False
-        for x in tensors:
-            if x.grad is not x._grad_view:  # none, or set by hand
-                odd = True
-                if x.grad is not None:
-                    x._grad_view[...] = x.grad
-        present = [i for i, x in enumerate(tensors) if x.grad is not None] if odd else tensors
-        if not present:
-            return
         p, g, m, v = params.flat[sel], params.grad[sel], self.m[sel], self.v[sel]
         c1, c2 = self._c1.take(counts, axis=0), self._c2.take(counts, axis=0)
-        live = None
-        if len(present) < len(tensors):
-            sizes = [math.prod(shape) for _, shape in params.manifest()]
-            ends = list(itertools.accumulate(sizes))
-            live = np.concatenate([np.arange(ends[i] - sizes[i], ends[i]) for i in present])
-            p, g, m, v = p[..., live], g[..., live], m[..., live], v[..., live]
         # in place where the operands allow; a product's operand order does not change its bits
         m *= self.beta1
         step = g * (1 - self.beta1)
@@ -207,8 +185,6 @@ class Adam:
         step *= self.lr
         step /= denom
         p -= step
-        if live is not None:
-            params.flat[sel][..., live], self.m[sel][..., live], self.v[sel][..., live] = p, m, v
 
 
 @dataclass
@@ -238,10 +214,9 @@ def _permutations(sizes: list[int], fed_cfg: FederationConfig,
 class Group(NamedTuple):
     """Adjacent rows whose batches at a tick have one size, bound once per plan."""
     rows: slice
-    params: ModelParams  # a view of those rows of the stack
     x: np.ndarray  # their [K', B, ...] samples: a view of the plan's batch buffer
-    forward: Callable[[], np.ndarray]  # their logits, bound to params and x
-    backward: Callable[[np.ndarray], None]  # the logits' gradient into params' slots
+    forward: Callable[[], np.ndarray]  # their logits, bound to the rows' view and x
+    backward: Callable[[np.ndarray], None]  # the logits' gradient into the rows' slots
 
 
 class Tick(NamedTuple):
@@ -336,15 +311,15 @@ def plan_round(model, global_params: ModelParams,
     for _ in epochs:
         plan_epochs.append([])
         for rows, groups in ticks:
-            steps, first = [], stop
+            steps, gammas, first = [], [], stop
             for s, lo, hi in groups:  # its samples: the next [K', B] block of the buffers
                 shape = (s.stop - s.start, hi - lo)
                 start, stop = stop, stop + math.prod(shape)
                 if (s.start, s.stop) not in views:
                     views[s.start, s.stop] = stack.rows(s)
                 view, xs = views[s.start, s.stop], x[start:stop].reshape(shape + x.shape[1:])
-                steps.append(Group(s, view, xs, *model.bind(view, xs)))
-            gammas = [L.trainable_gamma(g.params, loss_cfg) for g in steps]
+                steps.append(Group(s, xs, *model.bind(view, xs)))
+                gammas.append(L.trainable_gamma(view, loss_cfg))
             plan_epochs[-1].append(Tick(rows, steps, L.bind_loss(
                 [g.x.shape[:2] + (model.num_classes,) for g in steps], model.dtype,
                 batches[first:stop], scale[first:stop], loss_cfg,
@@ -416,8 +391,7 @@ def local_train(plan: RoundPlan, global_params: ModelParams,
             for group, g in zip(groups, dlogits):
                 group.backward(g)
             grads += dlogits
-            # every group runs the same model and loss, so reaches the same tensors
-            opt.step(rows, reached=groups[0].params)
+            opt.step(rows)
             if clamp:
                 L.clamp_gamma(stack, loss_cfg)
             loss_sums[rows] += means

@@ -162,8 +162,8 @@ def bind_loss(shapes: list[tuple[int, ...]], dtype, batch: Targets, scale: np.nd
               cfg: LossConfig, gammas: list[Tensor] | None = None) -> TickLoss:
     """The configured loss of a tick's logits blocks of these shapes and
     dtype, checked once and bound to their flat targets and scale. gammas,
-    one per block, is a trainable gamma; a loss that reads it marks its
-    gradient slot as holding one, and ``batch_loss`` writes it there."""
+    one per block, is a trainable gamma; a loss that reads it binds its
+    gradient slots, which ``batch_loss`` writes."""
     weights = batch.weights if cfg.kind == "adaptive_focal" else None
     if cfg.kind == "adaptive_focal" and weights is None:
         raise ContractError("adaptive focal loss needs per-sample coefficients")
@@ -175,11 +175,9 @@ def bind_loss(shapes: list[tuple[int, ...]], dtype, batch: Targets, scale: np.nd
                         None, None)
     if any(x._grad_view is None for x in gammas):
         raise ContractError("a trainable gamma needs its gradient slot in a trainable set")
-    for x in gammas:
-        x.grad = x._grad_view
     return TickLoss(spans, onehot, weights, scale, [x.reshape(-1) for x in exps],  # [] as [1]
                     [n for k, n, _ in spans for _ in range(k)],
-                    [x.grad.reshape(-1) for x in gammas])
+                    [x._grad_view.reshape(-1) for x in gammas])
 
 
 def batch_loss(logits: list[np.ndarray], tick: TickLoss):

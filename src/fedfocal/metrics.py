@@ -192,16 +192,22 @@ def _roc_points(score: np.ndarray, pos: np.ndarray) -> list[tuple[float, float]]
     return [(0.0, 0.0)] + list(zip((fp[ends] / fp[-1]).tolist(), (tp[ends] / tp[-1]).tolist()))
 
 
+def decision_thresholds(thresholds) -> np.ndarray:
+    """The thresholds as one float64 vector; one outside (0, 1) is a ConfigError."""
+    t = np.asarray(thresholds, dtype=np.float64).reshape(-1)
+    outside = t[~((0.0 < t) & (t < 1.0))]
+    if outside.size:
+        raise ConfigError(f"decision threshold must lie in (0, 1), got {float(outside[0])}")
+    return t
+
+
 def decision_curve(scores: np.ndarray, labels, thresholds) -> dict:
     """One-vs-rest net benefit NB = TP/n - FP/n * p/(1-p) per class/threshold.
 
     Labels must be one class id in 0..C-1 per score row. Returns
     {"thresholds": [...], "per_class": [C][T] floats, "macro": [T] floats}.
     """
-    t = np.asarray(thresholds, dtype=np.float64).reshape(-1)
-    outside = t[~((0.0 < t) & (t < 1.0))]
-    if outside.size:
-        raise ConfigError(f"decision threshold must lie in (0, 1), got {float(outside[0])}")
+    t = decision_thresholds(thresholds)
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or not scores.shape[0]:
         raise ContractError(f"scores must be [N, C] with N >= 1, got shape {scores.shape}")

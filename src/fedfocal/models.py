@@ -109,11 +109,11 @@ class ModelParams:
     write into the buffer. ``from_flat`` also wraps a [K, P] stack of K
     sets, one per client: a round trains its clients on one stack, and
     aggregation reads its rows into the next global set.
-    A trainable set also owns ``grad``, shaped like ``flat``: each tensor's
-    gradient slot is a view of it, which ``tensor.backward``, a bound MLP's
-    backward and ``losses.batch_loss`` (a trainable gamma's) write and
-    ``federation.Adam.step`` reads as one array. A tensor's ``grad`` None
-    (``zero_grads``) marks its slot as holding no gradient this step.
+    A trainable set also owns ``grad``, zeros shaped like ``flat``: each
+    tensor's gradient slot is a view of it, which ``tensor.backward``, a
+    bound MLP's backward and ``losses.batch_loss`` (a trainable gamma's)
+    write, ``zero_grads`` zeroes and ``federation.Adam.step`` reads as it
+    stands, as one array: a slot no step writes holds zeros.
     """
 
     def __init__(self, items: list[tuple[str, Tensor]]):
@@ -193,6 +193,9 @@ class ModelParams:
         return list(self._manifest)
 
     def zero_grads(self) -> None:
+        """Zero this set's rows of ``grad``; the next backward copies into them."""
+        if self.grad is not None:
+            self.grad[...] = 0
         for t in self._by_name.values():
             t.grad = None
 
@@ -417,14 +420,12 @@ class MlpClassifier:
         params, off the tape: [B, F] features give [B, C] logits, a client
         stack [K, B, F] on stacked parameters [K, B, C]. Features in the
         model dtype are bound where they lie, like the parameters; backward
-        writes into the four gradient slots, which stay marked as holding one."""
+        writes into the four gradient slots."""
         x = np.asarray(features, dtype=self.dtype)
         tensors = [params[f"mlp.{n}"] for n in ("w1", "b1", "w2", "b2")]
         T.check_perceptron(x, *tensors)
         (w1, b1, w2, b2), saved = [t.data for t in tensors], []
-        for t in tensors:
-            t.grad = t._grad_view
-        slots = [t.grad for t in tensors]
+        slots = [t._grad_view for t in tensors]
 
         def forward():
             out, *saved[:] = T.perceptron_kernel(x, w1, b1, w2, b2)
@@ -465,16 +466,14 @@ class ViTClassifier:
 
     def bind(self, params: ModelParams, images: np.ndarray) -> tuple[Callable, Callable]:
         """forward() and backward(dlogits) of the ViT on images under params,
-        on the tape: forward clears the model's gradients (not a trainable
-        gamma's, which the loss writes) and builds a graph, which backward
-        seeds at the logits. Images in the model dtype are bound where they
-        lie, like the parameters."""
-        images = np.asarray(images, dtype=self.dtype)
-        tensors, graph = [t for name, t in params if name != "loss.gamma"], []
+        on the tape: forward zeroes the set's gradients (a trainable
+        gamma's too, which the loss then writes) and builds a graph, which
+        backward seeds at the logits. Images in the model dtype are bound
+        where they lie, like the parameters."""
+        images, graph = np.asarray(images, dtype=self.dtype), []
 
         def forward():
-            for t in tensors:
-                t.grad = None
+            params.zero_grads()
             graph[:] = [self.batch_logits(params, images)]
             return graph[0].data
 

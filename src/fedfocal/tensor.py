@@ -23,8 +23,9 @@ reproducible across runs.
 
 Operations never write into their operands. Parameter tensors are views into
 their ``ModelParams.flat`` buffer, and only ``federation.Adam.step`` and
-``losses.clamp_gamma`` write them, in place; ``backward`` writes their
-gradients into their slots of the set's ``ModelParams.grad`` buffer.
+``losses.clamp_gamma`` write them, in place. ``backward`` copies a parameter's
+first gradient after ``zero_grads`` into its slot of ``ModelParams.grad`` and
+adds later ones there; the optimizer reads that buffer, never ``Tensor.grad``.
 
 Broadcasting is rejected except for the affine-bias pattern (matrix [R, C]
 plus vector [C]). The one other shape rule is a leading client axis:
@@ -61,8 +62,8 @@ class Tensor:
 
     A parameter tensor's data is a view into its ``ModelParams.flat``
     buffer; only ``federation.Adam.step`` and ``losses.clamp_gamma`` write
-    it. The ``grad`` slot mutates during backward (into a parameter's view
-    of ``ModelParams.grad``), at a model's or loss's bind, and in ``zero_grads``.
+    it. ``grad`` is the tape's: ``backward`` sets it, a parameter's to its
+    ``ModelParams.grad`` slot, and only ``ModelParams.zero_grads`` clears it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_grad_view",
@@ -227,7 +228,7 @@ def transpose(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != a.data.size:
+    if math.prod(shape) != a.data.size:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
     return _record(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 

@@ -15,7 +15,7 @@ GATE_CONFIGS = {
     "smoke": {},
     "f64-trainable-gamma": {"run.dtype": "f64", "loss.gamma_trainable": True,
                             "federation.client_fraction": 0.67},
-    # gamma is a parameter the CE loss never uses, so it never has a gradient
+    # gamma is a parameter the CE loss never uses, so nothing writes its gradient slot
     "ce-idle-gamma": {"loss.kind": "ce", "loss.gamma_trainable": True},
 }
 

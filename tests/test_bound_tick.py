@@ -121,23 +121,30 @@ def test_bound_mlp_tick_equals_the_tape_bitwise(dtype, blocks, d, h, c, kind, mo
 
 @pytest.mark.parametrize("kind", ["ce", "adaptive_focal"])
 def test_bound_vit_tick_with_trainable_gamma_equals_the_tape_bitwise(kind):
-    """The ViT's bound pair runs on the tape; its forward clears the model's
-    gradients but not gamma's, which batch_loss writes, so gamma's gradient
-    reaches its slot (and Adam) as on the tape."""
+    """The ViT's bound pair runs on the tape; its forward zeroes every
+    gradient slot, gamma's too, and batch_loss then writes gamma's, so
+    gamma's gradient reaches its slot (and Adam) as on the tape."""
     model = M.ViTClassifier(M.ViTConfig(image_size=16, num_classes=3))
     assert_same_tick(model, kind, 2.0, True, [(2, 4), (1, 3)], np.float32, 7)
 
 
-def test_a_vit_forward_keeps_the_gamma_gradient_the_loss_marked():
+def test_after_a_vit_tick_gammas_slot_holds_the_loss_gradient():
+    """The ViT forward zeroes every gradient slot, gamma's too, and the
+    tick's batch_loss then writes gamma's: after the tick, gamma's slot
+    holds batch_loss's dgamma, whatever the slots held before."""
     model = M.ViTClassifier(M.ViTConfig(image_size=16, num_classes=3))
     params = model.init_params(np.random.default_rng(0), gamma_init=2.0)
+    params.grad[...] = np.nan
     cfg = L.LossConfig(gamma_trainable=True)
-    gamma = L.trainable_gamma(params, cfg)
-    forward, _ = model.bind(params, np.zeros((2, 1, 16, 16), dtype=np.float32))
-    bind_tick([(2, 3)], L.targets([0, 1], 3, [0.0, 1.0], np.float32), cfg, [gamma])
-    forward()
-    assert gamma.grad is gamma._grad_view
-    assert all(t.grad is None for name, t in params if name != "loss.gamma")
+    images = np.random.default_rng(1).normal(size=(2, 1, 16, 16)).astype(np.float32)
+    forward, backward = model.bind(params, images)
+    loss = bind_tick([(2, 3)], L.targets([0, 1], 3, [0.0, 1.0], np.float32), cfg,
+                     [L.trainable_gamma(params, cfg)])
+    _, (dlogits,), (dgamma,) = L.batch_loss([forward()], loss)
+    backward(dlogits)
+    assert params.manifest()[-1] == ("loss.gamma", ())
+    assert dgamma.any() and params.grad[-1:].tobytes() == dgamma.tobytes()
+    assert np.isfinite(params.grad).all()
 
 
 def test_a_nan_logit_names_its_row_of_the_tick():

@@ -295,6 +295,20 @@ class TestTrainCommand:
         assert "config error: partition has no training samples" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "train"])
+    @pytest.mark.parametrize("thresholds", ["1.5", "0.2,0", "nan"])
+    def test_decision_threshold_outside_the_unit_interval_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, dry_run, thresholds):
+        """train once wrote a whole run with thresholds that analyze then
+        rejected (exit 2); train now makes the check analyze makes."""
+        out = tmp_path / "run"
+        code = main(["train", "--preset", "smoke", "--out", str(out)] + ["--dry-run"] * dry_run
+                    + FAST + ["--set", f"dca.thresholds={thresholds}"])
+        assert code == 2
+        assert ("config error: decision threshold must lie in (0, 1)"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_train_writes_all_artifacts(self, tmp_path):
         out = tmp_path / "run"
         assert main(["train", "--preset", "smoke", "--out", str(out)] + FAST) == 0

@@ -387,15 +387,15 @@ class TestTicks:
                 assert stepping == list(range(rows.stop)) and rows.start == 0
                 assert [r for sel, *_ in groups for r in range(sel.start, sel.stop)] == stepping
                 assert loss.gamma is None and loss.slots is None
-                for sel, group, x, forward, _ in groups:
+                for sel, x, forward, _ in groups:
                     n = {min(batch_size, sizes[plan.order[r]] - t * batch_size)
                          for r in range(sel.start, sel.stop)}
                     assert {x.shape[1]} == n
-                    assert group.flat.shape[0] == x.shape[0] == sel.stop - sel.start
+                    assert x.shape[0] == sel.stop - sel.start
                     assert np.shares_memory(x, plan.x)
                     # the bound forward reads the buffers where they lie
-                    x[...], group.flat[...] = 0.5, 0.25
-                    want = model.batch_logits(group, x.copy()).data
+                    x[...], plan.stack.flat[sel] = 0.5, 0.25
+                    want = model.batch_logits(plan.stack.rows(sel), x.copy()).data
                     assert forward().tobytes() == want.tobytes()
                 # the tick's targets and seed: its groups' samples, back to back
                 count = sum(g.x.shape[0] * g.x.shape[1] for g in groups)
@@ -443,19 +443,38 @@ class TestTicks:
         assert np.all(result.params["loss.gamma"].data == np.float32(2.05))
 
     def test_ce_idle_gamma_keeps_its_value_slot_and_moments(self):
-        """CE never reads gamma, so no tick's backward reaches it: its value,
-        its gradient slot (filled with NaN here) and its moments stay."""
+        """CE never reads gamma, so no tick writes its gradient slot: the
+        slot stays zero, and Adam's steps from it keep gamma's value and
+        its zero moments."""
         loss = L.LossConfig(kind="ce", gamma_trainable=True)
-
-        def fill(plan):
-            assert plan.stack.manifest()[-1] == ("loss.gamma", ())
-            plan.stack.grad[:, -1] = np.nan
-
-        result, oracle, plan = self._round(loss, fill, batch_size=16)
+        result, oracle, plan = self._round(loss, batch_size=16)
+        assert plan.stack.manifest()[-1] == ("loss.gamma", ())
         assert round_bytes(result) == round_bytes(oracle)
-        assert np.isnan(plan.stack.grad[:, -1]).all()
+        assert plan.stack.grad[:, -1].tobytes() == np.zeros(3, dtype=np.float32).tobytes()
         assert not plan.opt.m[:, -1].any() and not plan.opt.v[:, -1].any()
         assert np.all(result.params["loss.gamma"].data == np.float32(loss.gamma))
+
+    def test_a_ce_vit_round_leaves_a_trainable_gammas_slots_zero(self):
+        """The ViT forward zeroes its rows' gradient slots and CE writes none
+        of gamma's, so after a round gamma's slots are zero whatever they
+        held before it (NaN here), and Adam's steps from them keep gamma's
+        value and zero moments. The test above is the MLP's case."""
+        loss = L.LossConfig(kind="ce", gamma_trainable=True)
+        model = M.ViTClassifier(M.ViTConfig(image_size=16, num_classes=3))
+        rng = np.random.default_rng(5)
+        shards = [(rng.normal(size=(n, 1, 16, 16)), rng.integers(0, 3, size=n)) for n in (20, 13)]
+        params = F.initial_params(model, loss, 0)
+        plan = F.plan_round(model, params, shards,
+                            [ClassHistogram.from_labels(y, 3) for _, y in shards], loss,
+                            tiny_fed(learning_rate=0.05, batch_size=8))
+        assert plan.stack.manifest()[-1] == ("loss.gamma", ())
+        plan.stack.grad[...] = np.nan
+        result = F.local_train(plan, params, [np.random.default_rng(k) for k in range(2)])
+        zeros = np.zeros(2, dtype=model.dtype).tobytes()
+        assert plan.stack.grad[:, -1].tobytes() == zeros
+        assert plan.opt.m[:, -1].tobytes() == zeros and plan.opt.v[:, -1].tobytes() == zeros
+        assert result.params.flat[:, -1].tobytes() == np.full(2, 2.0, model.dtype).tobytes()
+        assert (result.params.flat[:, :-1] != params.flat[:-1]).any(axis=1).all()
 
     def test_nan_in_a_short_batch_names_its_client_only(self):
         """Client 2's short batch of 5 shares tick 1 with the group of clients
@@ -543,9 +562,9 @@ class TestTicks:
         for n, calls in zip(groups[1:], ticks[:-1]):
             assert set(calls) <= ({"concatenate"} if n > 1 else set()), calls
 
-    @pytest.mark.parametrize("kind, trainable, calls", [("adaptive_focal", False, 15),
-                                                        ("ce", False, 15),
-                                                        ("adaptive_focal", True, 23)],
+    @pytest.mark.parametrize("kind, trainable, calls", [("adaptive_focal", False, 14),
+                                                        ("ce", False, 14),
+                                                        ("adaptive_focal", True, 22)],
                              ids=["adaptive_focal", "ce", "adaptive_focal-trainable_gamma"])
     def test_a_one_group_tick_keeps_its_framework_budget(self, kind, trainable, calls):
         """The plan binds each group's forward and backward and the tick's
@@ -752,8 +771,9 @@ class TestAdam:
         from fedfocal.tensor import parameter
 
         p = parameter(np.array([1.0, -2.0, 0.5]))
-        p.grad = np.array([0.4, -0.3, 0.0])
-        opt = F.Adam(M.ModelParams([("p", p)]), lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+        params = M.ModelParams([("p", p)])
+        params.grad[...] = [0.4, -0.3, 0.0]
+        opt = F.Adam(params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
         opt.step()
         expected = np.array([1.0, -2.0, 0.5]) - 0.01 * np.array([0.4, -0.3, 0.0]) \
             / (np.abs([0.4, -0.3, 0.0]) + 1e-8)
@@ -763,9 +783,10 @@ class TestAdam:
         from fedfocal.tensor import parameter
 
         p = parameter(np.array([0.0]))
-        opt = F.Adam(M.ModelParams([("p", p)]), lr=0.1)
+        params = M.ModelParams([("p", p)])
+        opt = F.Adam(params, lr=0.1)
         for g in (1.0, 1.0, 1.0):
-            p.grad = np.array([g])
+            params.grad[...] = g
             opt.step()
         # constant gradient: every bias-corrected step is lr * g/|g|
         assert p.data[0] == pytest.approx(-0.3, abs=1e-6)
@@ -775,7 +796,7 @@ class TestAdam:
 
         p = parameter(np.array([5.0]))
         opt = F.Adam(M.ModelParams([("p", p)]), lr=0.1)
-        opt.step()  # grad is None
+        opt.step()  # no gradient written: the slot holds zero
         assert p.data[0] == 5.0
 
 

@@ -105,14 +105,14 @@ def test_flat_adam_equals_per_tensor_adam_bitwise(dtype, seed):
     oracle = PerTensorAdam(oracle_params, **kw)
     rng = np.random.default_rng(100 + seed)
     for step in range(8):
-        for (name, shape), a, b in zip(SHAPES, flat_params.tensors(),
-                                       oracle_params.tensors()):
-            # b.b has no gradient from step 3 on, after it has had some;
-            # loss.gamma gets one only on odd steps
+        for (name, shape), b in zip(SHAPES, oracle_params.tensors()):
+            # b.b gets a zero gradient from step 3 on, after it has had
+            # others; loss.gamma gets a nonzero one only on odd steps
             dropped = (name == "b.b" and step >= 3) or (name == "loss.gamma" and step % 2 == 0)
-            g = None if dropped else (rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3)
-                                      ).astype(dtype)
-            a.grad = b.grad = g
+            b.grad = (np.zeros(shape) if dropped
+                      else rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3)).astype(dtype)
+        flat_params.grad[...] = np.concatenate([b.grad.reshape(-1)
+                                                for b in oracle_params.tensors()])
         flat_opt.step()
         oracle.step()
         assert flat_params.flat.tobytes() == oracle_params.flat.tobytes(), step
@@ -135,6 +135,15 @@ def test_adam_step_without_any_gradient_changes_nothing():
 class TestGradBuffer:
     """Backward writes each parameter's gradient into its slot of the set's
     one ``grad`` buffer, and Adam reads that buffer."""
+
+    def test_zero_grads_on_a_row_view_zeroes_exactly_its_rows(self):
+        stack = M.ModelParams.from_flat([("w", (3, 2)), ("b", (2,))], np.ones((4, 8)))
+        stack.grad[...] = np.nan
+        view = stack.rows(slice(1, 3))
+        view.zero_grads()
+        assert stack.grad[1:3].tobytes() == np.zeros((2, 8)).tobytes()
+        assert np.isnan(stack.grad[[0, 3]]).all()
+        assert all(t.grad is None for t in view.tensors())
 
     def test_leaf_gradient_of_negative_zero_keeps_its_bytes(self):
         p = T.parameter(np.array([1.0, 3.0]))
@@ -164,13 +173,14 @@ class TestGradBuffer:
             assert np.shares_memory(view[name].grad, stack.grad[1:3]), name
 
     def test_stacked_ce_run_keeps_idle_gamma_bit_for_bit(self):
-        """CE never reads a trainable gamma, so gamma never has a gradient:
-        its value and moments stay as they were, whatever its slot holds."""
+        """CE never reads a trainable gamma, so backward never reaches it and
+        its slot holds the zeros zero_grads wrote: its value and moments
+        stay as they were, whatever the slot held before."""
         model = M.MlpClassifier(M.MlpConfig(input_dim=4, hidden_dim=6, num_classes=3))
         params = model.init_params(np.random.default_rng(0), gamma_init=2.0)
         assert params.manifest()[-1] == ("loss.gamma", ())
         stack = M.ModelParams.from_flat(params.manifest(), np.tile(params.flat, (3, 1)))
-        stack.grad[...] = np.nan  # a slot is read only while its tensor has a gradient
+        stack.grad[...] = np.nan  # zero_grads clears what a slot held
         opt = F.Adam(stack, lr=0.05)
         loss_cfg = L.LossConfig(kind="ce", gamma_trainable=True)
         rng = np.random.default_rng(1)
@@ -184,7 +194,8 @@ class TestGradBuffer:
             group.zero_grads()
             T.backward(T.sum_(loss))
             assert group["loss.gamma"].grad is None
-            opt.step(sel, reached=group)
+            assert stack.grad[sel, -1].tobytes() == np.zeros(k, dtype=model.dtype).tobytes()
+            opt.step(sel)
         assert stack.flat[:, -1].tobytes() == np.full(3, 2.0, dtype=model.dtype).tobytes()
         zeros = np.zeros(3, dtype=model.dtype).tobytes()
         assert opt.m[:, -1].tobytes() == zeros and opt.v[:, -1].tobytes() == zeros
@@ -194,7 +205,8 @@ class TestGradBuffer:
     def test_adam_past_table_regrowths_matches_per_tensor_adam(self, dtype):
         """40 steps from gradients that backward writes into the buffer; the
         bias-correction tables grow at calls 1, 3, 7, 15 and 31. b.b has a
-        gradient only on odd steps."""
+        gradient only on odd steps, and its zeroed slot on even ones, which
+        both sides step from."""
         params = random_params(7, dtype)
         oracle_params = M.ModelParams.from_flat(params.manifest(), params.flat.copy())
         opt = F.Adam(params, lr=0.01)
@@ -210,7 +222,8 @@ class TestGradBuffer:
             params.zero_grads()
             T.backward(loss)
             for name, t in params:
-                oracle_params[name].grad = None if t.grad is None else t.grad.copy()
+                oracle_params[name].grad = (np.zeros_like(t.data) if t.grad is None
+                                            else t.grad.copy())
             opt.step()
             oracle.step()
             assert params.flat.tobytes() == oracle_params.flat.tobytes(), step

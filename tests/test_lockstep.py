@@ -293,12 +293,10 @@ def test_adam_steps_rows_at_different_step_counts_like_each_row_alone(dtype):
     alone = [M.ModelParams.from_flat(manifest, row.copy()) for row in start]
     oracles = [PerTensorAdam(params, lr=0.05) for params in alone]
     for sel in (slice(0, 2),) * 2 + (slice(1, 3),) * 2 + (slice(0, 3),):
-        group = stack.rows(sel)
-        grads = {name: rng.normal(size=(sel.stop - sel.start,) + shape).astype(dtype)
-                 for name, shape in manifest}
-        for name, g in grads.items():
-            group[name].grad = g
-        opt.step(sel, reached=group)
+        n = sel.stop - sel.start
+        grads = {name: rng.normal(size=(n,) + shape).astype(dtype) for name, shape in manifest}
+        stack.grad[sel] = np.concatenate([g.reshape(n, -1) for g in grads.values()], axis=1)
+        opt.step(sel)
         for i, k in enumerate(range(sel.start, sel.stop)):
             for name, g in grads.items():
                 alone[k][name].grad = g[i]
