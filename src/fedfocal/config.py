@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .data import BlobSpec, TileSpec
 from .errors import ConfigError, ContractError
 from .federation import FederationConfig
 from .losses import LossConfig
@@ -20,8 +21,16 @@ from .partition import PartitionSpec
 
 _DCA_DEFAULT = tuple(round(0.05 * i, 2) for i in range(1, 20))
 
+
+def _field_keys(cls, prefix: str, skip=()) -> dict[str, tuple[str, object]]:
+    """SCHEMA entries for the fields of the typed config cls, but those in
+    skip: key prefix + field, tagged with the type name of its default."""
+    return {prefix + f.name: (type(f.default).__name__, f.default)
+            for f in fields(cls) if f.name not in skip}
+
+
 # key -> (type tag, default); type tags: int, float, bool, str, floats, ints,
-# optint (int or "none")
+# optint (int or "none"); a typed config's keys take its fields' defaults
 SCHEMA: dict[str, tuple[str, object]] = {
     "run.mode": ("str", "federated"),            # federated | centralized
     "run.model": ("str", "mlp"),                 # mlp | vit
@@ -31,12 +40,8 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "dataset.synth": ("bool", True),
     "dataset.synth.kind": ("str", "blobs"),      # blobs | tiles
     "dataset.synth.counts": ("ints", (1000, 400, 200, 60, 20)),
-    "dataset.synth.dim": ("int", 8),
-    "dataset.synth.radius": ("float", 2.5),
-    "dataset.synth.sigma": ("float", 1.0),
-    "dataset.synth.image_size": ("int", 16),
-    "dataset.synth.channels": ("int", 1),
-    "dataset.synth.noise": ("float", 0.25),
+    **_field_keys(BlobSpec, "dataset.synth."),
+    **_field_keys(TileSpec, "dataset.synth."),
     "dataset.synth.seed": ("int", 0),
     "partition.mode": ("str", "fixed"),
     "partition.ratios": ("floats", (0.5, 0.3, 0.2)),
@@ -47,36 +52,13 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "partition.seed": ("int", 0),
     "model.hidden_dim": ("int", 32),
     "model.layer_norm_eps": ("float", 1e-5),
-    "model.vit.image_size": ("int", 16),
-    "model.vit.patch_size": ("int", 4),
-    "model.vit.channels": ("int", 1),
-    "model.vit.embed_dim": ("int", 32),
-    "model.vit.num_heads": ("int", 4),
-    "model.vit.head_dim": ("int", 8),
-    "model.vit.ffn_dim": ("int", 64),
-    "model.vit.num_layers": ("int", 2),
-    "model.vit.learned_positions": ("bool", False),
-    "loss.kind": ("str", "adaptive_focal"),
-    "loss.gamma": ("float", 2.0),
-    "loss.gamma_trainable": ("bool", False),
-    "loss.gamma_lo": ("float", 0.5),
-    "loss.gamma_hi": ("float", 5.0),
-    "loss.blend": ("float", 0.5),
-    "loss.epsilon": ("float", 1e-6),
-    "federation.rounds": ("int", 50),
-    "federation.local_epochs": ("int", 1),
-    "federation.batch_size": ("int", 16),
-    "federation.learning_rate": ("float", 1e-4),
-    "federation.beta1": ("float", 0.9),
-    "federation.beta2": ("float", 0.999),
-    "federation.adam_eps": ("float", 1e-8),
-    "federation.client_fraction": ("float", 1.0),
-    "federation.aggregation": ("str", "inverse_imbalance"),
-    "federation.seed": ("int", 0),
+    # vit_config gives num_classes and layer_norm_eps
+    **_field_keys(ViTConfig, "model.vit.", skip=("num_classes", "layer_norm_eps")),
+    **_field_keys(LossConfig, "loss."),
+    **_field_keys(FederationConfig, "federation."),
     # accepted so that old configs and every config.echo still load; clients
     # always train in lockstep on one thread, so the key has no effect
     "federation.concurrent": ("bool", False),
-    "federation.tail_fraction": ("float", 0.3),
     "dca.thresholds": ("floats", _DCA_DEFAULT),
 }
 

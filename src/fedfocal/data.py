@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ContractError, IngestionError
-from .imbalance import ClassHistogram
+from .imbalance import ClassHistogram, class_ids
 from .tensor import load_array, save_array
 
 FEATURES_FILE = "features.bin"
@@ -38,21 +38,15 @@ class DatasetBundle:
 
     def __post_init__(self):
         features = np.asarray(self.features)
-        labels = np.asarray(self.labels, dtype=np.int64)
         if features.ndim not in (2, 4):
             raise ContractError(f"features must be [N, F] or [N, C, H, W], "
                                 f"got shape {features.shape}")
-        if labels.ndim != 1 or labels.size != features.shape[0]:
-            raise ContractError(f"{labels.size} labels for {features.shape[0]} samples")
         if features.shape[0] < 1:
             raise ContractError("dataset must hold at least one sample")
         c = len(self.class_names)
         if c < 1:
             raise ContractError("need at least one class name")
-        bad = np.flatnonzero((labels < 0) | (labels >= c))
-        if bad.size:
-            raise ContractError(f"label out of range at index {int(bad[0])}: "
-                                f"{int(labels[bad[0]])} not in 0..{c - 1}")
+        labels = class_ids(self.labels, c, count=features.shape[0])
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "class_names", tuple(self.class_names))

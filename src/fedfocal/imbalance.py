@@ -27,6 +27,25 @@ DEFAULT_EPS = 1e-6
 DEFAULT_BLEND = 0.5
 
 
+def class_ids(values, num_classes: int, what: str = "label", count: int | None = None):
+    """values as int64 class ids in 0..num_classes-1, of any shape or, given
+    count, a vector of count; an empty array passes. Every entry point that
+    takes labels checks them here."""
+    ids = np.asarray(values)
+    if count is not None and ids.shape != (count,):
+        raise ContractError(f"expected {count} {what}s, got shape {ids.shape}")
+    if not ids.size:
+        return ids.astype(np.int64)
+    if ids.dtype.kind not in "iu":
+        raise ContractError(f"{what}s must be integer class ids, got dtype {ids.dtype}")
+    if np.minimum.reduce(ids, axis=None) < 0 or np.maximum.reduce(ids, axis=None) >= num_classes:
+        flat = ids.ravel()
+        at = int(np.flatnonzero((flat < 0) | (flat >= num_classes))[0])
+        raise ContractError(f"{what} {int(flat[at])} at index {at} is outside "
+                            f"0..{num_classes - 1}")
+    return ids.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class ClassHistogram:
     """Per-class sample counts of one client's shard."""
@@ -50,10 +69,8 @@ class ClassHistogram:
 
     @staticmethod
     def from_labels(labels, num_classes: int) -> "ClassHistogram":
-        labels = np.asarray(labels)
-        counts = np.bincount(labels, minlength=num_classes)
-        if len(counts) > num_classes:
-            raise ContractError(f"label {int(labels.max())} outside 0..{num_classes - 1}")
+        counts = np.bincount(class_ids(labels, num_classes, count=np.size(labels)),
+                             minlength=num_classes)
         return ClassHistogram(tuple(int(c) for c in counts))
 
     def merge(self, other: "ClassHistogram") -> "ClassHistogram":

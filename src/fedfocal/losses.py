@@ -24,6 +24,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError, ShapeError
+from .imbalance import class_ids
 from .models import ModelParams
 from .tensor import Tensor
 
@@ -82,9 +83,7 @@ def targets(labels, num_classes: int, coeffs, dtype) -> Targets:
     when coeffs (one nonnegative imbalance coefficient per label) are
     given, the weights 1 + c; rows and weights in dtype, the loss dtype.
     Every loss checks its labels here."""
-    labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ContractError(f"labels must lie in 0..{num_classes - 1}")
+    labels = class_ids(labels, num_classes)
     weights = None
     if coeffs is not None:
         coeffs = np.asarray(coeffs, dtype=np.float64)

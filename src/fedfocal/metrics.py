@@ -16,6 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError, ShapeError
+from .imbalance import class_ids
 from .models import ModelParams
 from .tensor import Tensor
 
@@ -71,20 +72,9 @@ def predict(scores: np.ndarray) -> np.ndarray:
     return np.asarray(scores).argmax(axis=1)
 
 
-def _class_ids(values, what: str, count: int, num_classes: int) -> np.ndarray:
-    """values as an int64 vector of `count` class ids in 0..num_classes-1."""
-    ids = np.asarray(values)
-    if ids.shape != (count,):
-        raise ContractError(f"expected {count} {what}s, got shape {ids.shape}")
-    if ids.size and (ids.dtype.kind not in "iu" or np.minimum.reduce(ids) < 0
-                     or np.maximum.reduce(ids) >= num_classes):
-        raise ContractError(f"{what} outside 0..{num_classes - 1}")
-    return ids.astype(np.int64, copy=False)
-
-
 def confusion(preds, labels, num_classes: int) -> ConfusionMatrix:
-    preds = _class_ids(preds, "prediction", np.size(preds), num_classes)
-    labels = _class_ids(labels, "label", preds.size, num_classes)
+    preds = class_ids(preds, num_classes, "prediction", np.size(preds))
+    labels = class_ids(labels, num_classes, count=preds.size)
     grid = np.bincount(labels * num_classes + preds, minlength=num_classes * num_classes)
     return ConfusionMatrix(grid.reshape(num_classes, num_classes))
 
@@ -149,7 +139,7 @@ def _ovr_auc(scores: np.ndarray, labels) -> tuple[float | None, list, list[str]]
     if scores.ndim != 2:
         raise ContractError(f"scores must be [N, C], got shape {scores.shape}")
     n, c = scores.shape
-    labels = _class_ids(labels, "label", n, c)
+    labels = class_ids(labels, c, count=n)
     n_pos = np.bincount(labels, minlength=c)
     n_neg = n - n_pos
     defined = (n_pos > 0) & (n_neg > 0)
@@ -212,7 +202,7 @@ def decision_curve(scores: np.ndarray, labels, thresholds) -> dict:
     if scores.ndim != 2 or not scores.shape[0]:
         raise ContractError(f"scores must be [N, C] with N >= 1, got shape {scores.shape}")
     n, c = scores.shape
-    y = _class_ids(labels, "label", n, c)[:, None, None] == np.arange(c)[:, None]  # [N, C, 1]
+    y = class_ids(labels, c, count=n)[:, None, None] == np.arange(c)[:, None]  # [N, C, 1]
     pred = scores[:, :, None] >= t  # [N, C, T]
     tp = (pred & y).sum(axis=0)
     fp = (pred & ~y).sum(axis=0)

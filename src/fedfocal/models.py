@@ -33,8 +33,8 @@ from .tensor import Tensor
 
 @dataclass(frozen=True)
 class ViTConfig:
-    image_size: int = 32
-    patch_size: int = 8
+    image_size: int = 16
+    patch_size: int = 4
     channels: int = 1
     embed_dim: int = 32
     num_heads: int = 4

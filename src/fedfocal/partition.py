@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, IngestionError
-from .imbalance import ClassHistogram
+from .imbalance import ClassHistogram, class_ids
 
 PARTITION_MODES = ("fixed", "dirichlet")
 
@@ -180,6 +180,7 @@ def build_partition(labels, spec: PartitionSpec,
     """Assemble the full client/test split a run trains on."""
     labels = np.asarray(labels)
     num_classes = int(labels.max()) + 1 if num_classes is None else num_classes
+    labels = class_ids(labels, num_classes)
 
     if spec.mode == "fixed" and spec.test_ratio_index is not None:
         shares, warnings = partition_fixed(labels, spec.ratios, spec.seed, num_classes)

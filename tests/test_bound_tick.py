@@ -124,7 +124,7 @@ def test_bound_vit_tick_with_trainable_gamma_equals_the_tape_bitwise(kind):
     """The ViT's bound pair runs on the tape; its forward zeroes every
     gradient slot, gamma's too, and batch_loss then writes gamma's, so
     gamma's gradient reaches its slot (and Adam) as on the tape."""
-    model = M.ViTClassifier(M.ViTConfig(image_size=16, num_classes=3))
+    model = M.ViTClassifier(M.ViTConfig(image_size=16, patch_size=8, num_classes=3))
     assert_same_tick(model, kind, 2.0, True, [(2, 4), (1, 3)], np.float32, 7)
 
 
@@ -132,7 +132,7 @@ def test_after_a_vit_tick_gammas_slot_holds_the_loss_gradient():
     """The ViT forward zeroes every gradient slot, gamma's too, and the
     tick's batch_loss then writes gamma's: after the tick, gamma's slot
     holds batch_loss's dgamma, whatever the slots held before."""
-    model = M.ViTClassifier(M.ViTConfig(image_size=16, num_classes=3))
+    model = M.ViTClassifier(M.ViTConfig(image_size=16, patch_size=8, num_classes=3))
     params = model.init_params(np.random.default_rng(0), gamma_init=2.0)
     params.grad[...] = np.nan
     cfg = L.LossConfig(gamma_trainable=True)

@@ -12,11 +12,14 @@ import pytest
 from fedfocal import experiment as X
 from fedfocal.cli import build_parser, main
 from fedfocal.config import SCHEMA, ExperimentConfig
-from fedfocal.data import load_dataset, save_dataset
+from fedfocal.data import BlobSpec, TileSpec, load_dataset, save_dataset
 from fedfocal.errors import ConfigError, ContractError
-from fedfocal.models import MlpConfig
+from fedfocal.federation import FederationConfig
+from fedfocal.losses import LossConfig
+from fedfocal.models import MlpConfig, ViTConfig
 from fedfocal.partition import PartitionSpec, build_partition, read_manifest, write_manifest
 
+ECHOES = Path(__file__).parent / "echoes"
 FAST = [
     "--set", "dataset.synth.counts=120,60,30",
     "--set", "federation.rounds=2",
@@ -51,6 +54,15 @@ class TestConfigFormat:
     def test_bad_value_diagnosed_with_key(self):
         with pytest.raises(ConfigError, match="federation.rounds"):
             ExperimentConfig.parse_text("federation.rounds = many\n")
+
+    @pytest.mark.parametrize("name", ("defaults",) + X.PRESETS)
+    def test_echo_pinned(self, name):
+        """Every default and tag as it echoes; a run reruns from its echo, so
+        moving a default changes what an old echo means. The golden files
+        were written before the typed configs' fields became the defaults."""
+        cfg = ExperimentConfig({}) if name == "defaults" else X.preset_config(name)
+        golden = ECHOES / ("defaults.echo" if name == "defaults" else f"preset-{name}.echo")
+        assert cfg.to_text() == golden.read_text(encoding="utf-8")
 
 
 # each config key a typed view reads by its field name: a valid value other
@@ -103,6 +115,14 @@ VIEWS = (("loss.", ExperimentConfig.loss_config),
 
 
 class TestTypedViews:
+    def test_dataclass_defaults_are_the_default_config(self):
+        cfg = ExperimentConfig({})
+        assert LossConfig() == cfg.loss_config()
+        assert FederationConfig() == cfg.federation_config()
+        assert BlobSpec() == cfg.view(BlobSpec, "dataset.synth.")
+        assert TileSpec() == cfg.view(TileSpec, "dataset.synth.")
+        assert ViTConfig(num_classes=5) == cfg.vit_config(5)
+
     def test_every_key_under_a_view_prefix_is_read(self):
         keys = {k for k in SCHEMA if k.startswith(("loss.", "federation.", "partition.",
                                                    "model.", "dataset.synth"))}

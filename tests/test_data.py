@@ -52,6 +52,11 @@ class TestBundle:
         with pytest.raises(ContractError):
             D.DatasetBundle(np.zeros((3, 2)), np.zeros(2, dtype=np.int64), ("a",))
 
+    def test_fractional_label_rejected(self):
+        """A label of 0.7 was once cast to class 0."""
+        with pytest.raises(ContractError, match="integer"):
+            D.DatasetBundle(np.zeros((2, 2)), np.array([1, 0.7]), ("a", "b"))
+
 
 class TestSynthesizers:
     def test_requested_counts_exact(self):

@@ -460,7 +460,7 @@ class TestTicks:
         held before it (NaN here), and Adam's steps from them keep gamma's
         value and zero moments. The test above is the MLP's case."""
         loss = L.LossConfig(kind="ce", gamma_trainable=True)
-        model = M.ViTClassifier(M.ViTConfig(image_size=16, num_classes=3))
+        model = M.ViTClassifier(M.ViTConfig(image_size=16, patch_size=8, num_classes=3))
         rng = np.random.default_rng(5)
         shards = [(rng.normal(size=(n, 1, 16, 16)), rng.integers(0, 3, size=n)) for n in (20, 13)]
         params = F.initial_params(model, loss, 0)

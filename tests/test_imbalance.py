@@ -183,6 +183,17 @@ class TestInvariants:
         with pytest.raises(ContractError):
             I.ImbalanceReport([-1.0], [0.0], 1e-6, 0.5)
 
+    @pytest.mark.parametrize("labels", [np.array([0, -1]), np.array([0.0, 1.0]),
+                                        np.array([0, 3]), np.array([[0], [1]])],
+                             ids=["negative", "float", "C", "2-d"])
+    def test_histogram_rejects_labels_that_are_not_class_ids(self, labels):
+        with pytest.raises(ContractError):
+            I.ClassHistogram.from_labels(labels, 3)
+
+    @pytest.mark.parametrize("labels", [np.zeros(0, dtype=np.int64), []], ids=["i64", "list"])
+    def test_histogram_of_no_labels_is_all_zero(self, labels):
+        assert I.ClassHistogram.from_labels(labels, 3).counts == (0, 0, 0)
+
 
 @given(st.lists(st.integers(min_value=1, max_value=500), min_size=2, max_size=8))
 @settings(max_examples=60, deadline=None)

@@ -146,6 +146,13 @@ class TestTargets:
             with pytest.raises(ContractError, match=">= 0"):
                 L.targets([0, 1], 4, [0.5, bad], np.float64)
 
+    def test_non_integer_labels_rejected(self):
+        """A label of 0.5 once gave an all-zero one-hot row and no error."""
+        with pytest.raises(ContractError, match="integer"):
+            L.targets(np.array([0.5, 1.0]), 2, None, np.float32)
+        empty = L.targets(np.zeros((2, 0), dtype=np.int64), 2, None, np.float32)
+        assert empty.onehot.shape == (2, 0, 2)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_onehot_rows_follow_indexing(self, dtype):
         rng = np.random.default_rng(6)

@@ -205,6 +205,20 @@ class TestBuildPartition:
         with pytest.raises(IngestionError):
             P.read_manifest(path)
 
+    @pytest.mark.parametrize("num_classes", [None, 3])
+    def test_float_labels_rejected(self, num_classes):
+        labels = labels_from_counts([20, 10, 5]).astype(np.float64)
+        spec = P.PartitionSpec(mode="fixed", ratios=(0.5, 0.5), num_clients=2,
+                               test_fraction=0.2, seed=0)
+        with pytest.raises(ContractError, match="integer"):
+            P.build_partition(labels, spec, num_classes)
+
+    def test_negative_label_rejected(self):
+        labels = np.append(labels_from_counts([20, 10]), -1)
+        spec = P.PartitionSpec(mode="fixed", ratios=(0.5, 0.5), num_clients=2, seed=0)
+        with pytest.raises(ContractError, match="-1"):
+            P.build_partition(labels, spec, 2)
+
 
 class TestSpecValidation:
     def test_ratio_sum_tolerance(self):

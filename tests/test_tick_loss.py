@@ -209,7 +209,7 @@ def _model_tick(model, groups, seeded):
 @pytest.mark.parametrize("model, groups", [
     (M.MlpClassifier(M.MlpConfig(input_dim=8, hidden_dim=6, num_classes=3)),
      [(2, 16), (1, 9), (3, 5)]),
-    (M.ViTClassifier(M.ViTConfig(image_size=16, num_classes=3)), [(2, 4), (1, 3)]),
+    (M.ViTClassifier(M.ViTConfig(image_size=16, patch_size=8, num_classes=3)), [(2, 4), (1, 3)]),
 ], ids=["mlp-3-groups", "vit-2-groups"])
 def test_ones_over_the_client_losses_seed_the_bits_of_their_sum(model, groups):
     """backward(loss, ones) gives every parameter (gamma included) and every
