@@ -5,8 +5,8 @@ classifiers."""
 
 __version__ = "0.1.0"
 
-from .errors import (AggregationError, ConfigError, ContractError,
-                     FedFocalError, IngestionError, NumericError, ShapeError)
+from .errors import (ConfigError, ContractError, FedFocalError, IngestionError,
+                     NumericError, ShapeError)
 
-__all__ = ["AggregationError", "ConfigError", "ContractError", "FedFocalError",
-           "IngestionError", "NumericError", "ShapeError", "__version__"]
+__all__ = ["ConfigError", "ContractError", "FedFocalError", "IngestionError",
+           "NumericError", "ShapeError", "__version__"]

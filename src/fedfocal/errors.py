@@ -21,9 +21,5 @@ class ContractError(FedFocalError):
     """A caller violated an operation's precondition."""
 
 
-class AggregationError(FedFocalError):
-    """Client parameter sets disagree and cannot be aggregated."""
-
-
 class IngestionError(FedFocalError):
     """A dataset or artifact file is malformed."""

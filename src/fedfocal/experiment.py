@@ -16,6 +16,7 @@ A completed run directory holds:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -27,10 +28,9 @@ from . import federation as F
 from . import metrics as ME
 from .config import ExperimentConfig
 from .data import BlobSpec, DatasetBundle, TileSpec, load_dataset, synthesize_longtail
-from .errors import AggregationError, ConfigError, IngestionError
-from .imbalance import ImbalanceReport
-from .models import (MlpClassifier, ModelParams, ViTClassifier, check_manifests_match,
-                     load_params, save_params)
+from .errors import ConfigError, IngestionError
+from .imbalance import ImbalanceReport, client_imbalance
+from .models import MlpClassifier, ModelParams, ViTClassifier, load_params, save_params
 from .partition import PartitionResult, PartitionSpec, build_partition, write_manifest
 from .tensor import DTYPES, save_array
 
@@ -155,7 +155,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> F.FederationRun:
 
     last = run.records[-1]
     report = ImbalanceReport(
-        client_coeffs=[last.client_coeffs[k] for k in sorted(last.client_coeffs)],
+        client_coeffs={k: client_imbalance(hist, loss_cfg.epsilon)
+                       for k, hist in enumerate(part.histograms) if hist.total},
         class_coeffs=list(run.class_coeffs),
         epsilon=loss_cfg.epsilon, blend=loss_cfg.blend)
     (out / "imbalance.report").write_text(report.to_text(), encoding="ascii")
@@ -306,11 +307,13 @@ def load_run(run_dir) -> FinishedRun:
     bundle, model = prepare(cfg)
     params = load_params(run_dir / "final.ckpt")
     expected = F.initial_params(model, cfg.loss_config(), cfg["federation.seed"])
-    try:
-        check_manifests_match(expected, params)
-    except AggregationError as exc:
-        raise IngestionError(f"{run_dir / 'final.ckpt'} does not match "
-                             f"{run_dir / 'config.echo'}: {exc}") from exc
+    want, got = ([(name, t.shape, t.dtype.name) for name, t in p] for p in (expected, params))
+    # the first entry whose name, shape or dtype differs; a missing one is None
+    for need, have in itertools.zip_longest(want, got):
+        if need != have:
+            raise IngestionError(f"{run_dir / 'final.ckpt'} does not match "
+                                 f"{run_dir / 'config.echo'}: checkpoint entry {have}, "
+                                 f"config entry {need}")
     test_idx = list(run_partition(cfg, bundle).test_indices)
     return FinishedRun(cfg, bundle, model, params, test_idx)
 

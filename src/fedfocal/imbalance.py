@@ -82,21 +82,21 @@ class ClassHistogram:
 
 @dataclass
 class ImbalanceReport:
-    """Coordination payload: per-client skew plus per-class global rarity."""
+    """Coordination payload: each client's skew by client id, plus per-class global rarity."""
 
-    client_coeffs: list[float]
+    client_coeffs: dict[int, float]
     class_coeffs: list[float]
     epsilon: float
     blend: float
 
     def __post_init__(self):
-        for v in list(self.client_coeffs) + list(self.class_coeffs):
+        for v in list(self.client_coeffs.values()) + list(self.class_coeffs):
             if not (math.isfinite(v) and v >= 0):
                 raise ContractError(f"imbalance coefficient {v} must be finite and >= 0")
 
     def to_text(self) -> str:
         lines = [f"epsilon = {self.epsilon!r}", f"blend = {self.blend!r}"]
-        lines += [f"client_coeff.{k} = {v!r}" for k, v in enumerate(self.client_coeffs)]
+        lines += [f"client_coeff.{k} = {v!r}" for k, v in self.client_coeffs.items()]
         lines += [f"class_coeff.{i} = {v!r}" for i, v in enumerate(self.class_coeffs)]
         return "\n".join(lines) + "\n"
 
@@ -132,11 +132,7 @@ def dynamic_coefficient(client_coeff: float, class_coeffs: list[float],
     """
     if not 0.0 <= blend <= 1.0:
         raise ContractError(f"blend must lie in [0, 1], got {blend}")
-    classes = np.asarray(true_class)
-    outside = (classes < 0) | (classes >= len(class_coeffs))
-    if outside.any():
-        raise IndexError(f"class {classes[outside].flat[0]} outside "
-                         f"0..{len(class_coeffs) - 1}")
+    classes = class_ids(true_class, len(class_coeffs), what="class")
     rarity = np.asarray(class_coeffs, dtype=np.float64)[classes]
     coeff = blend * client_coeff + (1.0 - blend) * rarity
     return float(coeff) if classes.ndim == 0 else coeff

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .errors import AggregationError, ConfigError, ContractError, IngestionError, ShapeError
+from .errors import ConfigError, ContractError, IngestionError, ShapeError
 from .tensor import Tensor
 
 
@@ -101,14 +101,15 @@ class ModelParams:
     All tensors share one dtype. ``flat`` is a contiguous 1-D array that
     holds every tensor's scalars in manifest order, and each tensor's
     ``data`` is a reshape view into it, so a copy, an optimizer step or a
-    weighted sum over the whole set is one array operation. The
-    constructor copies the given tensors' values into a fresh buffer and
-    rebinds each tensor's ``data`` to its view: the tensors passed in
-    become this set's own. Only ``federation.Adam.step``,
+    weighted sum over the whole set is one array operation. A set is built
+    one of three ways, all cut by ``_bind``: the constructor copies the
+    given tensors' values into a fresh buffer (the tensors passed in stay
+    as they were), ``from_flat`` wraps a buffer as it lies, and ``rows``
+    views some rows of a [K, P] stack of K sets, one per client: a round
+    trains its clients on one stack, and aggregation reads its rows into
+    the next global set. Only ``federation.Adam.step``,
     ``losses.clamp_gamma`` and the broadcast copy into a round plan's stack
-    write into the buffer. ``from_flat`` also wraps a [K, P] stack of K
-    sets, one per client: a round trains its clients on one stack, and
-    aggregation reads its rows into the next global set.
+    write into the buffer.
     A trainable set also owns ``grad``, zeros shaped like ``flat``: each
     tensor's gradient slot is a view of it, which ``tensor.backward``, a
     bound MLP's backward and ``losses.batch_loss`` (a trainable gamma's)
@@ -117,22 +118,33 @@ class ModelParams:
     """
 
     def __init__(self, items: list[tuple[str, Tensor]]):
-        self._names = [name for name, _ in items]
-        self._by_name = dict(items)
-        if len(self._by_name) != len(self._names):
-            raise ConfigError("duplicate parameter names")
-        if len({id(t) for _, t in items}) != len(items):
-            raise ConfigError("one tensor listed under two parameter names")
         dtypes = sorted({str(t.dtype) for _, t in items})
         if len(dtypes) > 1:
             raise ContractError(f"parameter dtypes differ: {', '.join(dtypes)}")
-        self._manifest = [(name, t.shape) for name, t in items]
-        self.flat = (np.concatenate([t.data.reshape(-1) for _, t in items])
-                     if items else np.empty(0))
-        self.grad = np.zeros_like(self.flat)
-        for (_, t), view, slot in zip(items, _cut(self.flat, self._manifest),
-                                      _cut(self.grad, self._manifest)):
-            t.data, t._grad_view = view, slot
+        flat = (np.concatenate([t.data.reshape(-1) for _, t in items])
+                if items else np.empty(0))
+        self._bind([(name, t.shape) for name, t in items], flat, np.zeros_like(flat))
+
+    def _bind(self, manifest: list[tuple[str, tuple[int, ...]]], flat: np.ndarray,
+              grad: np.ndarray | None) -> None:
+        """Make this set the tensors that view flat, cut in manifest order;
+        each tensor's gradient slot views grad, the same shape as flat, or
+        the set is frozen when grad is None."""
+        if flat.ndim not in (1, 2) or not flat.flags.c_contiguous:
+            raise ContractError("a parameter buffer must be one contiguous 1-D array "
+                                "or a contiguous stack of them")
+        needed = sum(math.prod(shape) for _, shape in manifest)
+        if flat.shape[-1] != needed:
+            raise ShapeError(f"flat vector has {flat.shape[-1]} scalars, model needs {needed}")
+        self._names = [name for name, _ in manifest]
+        if len(set(self._names)) != len(self._names):
+            raise ConfigError("duplicate parameter names")
+        self._manifest, self.flat, self.grad = list(manifest), flat, grad
+        self._by_name = {name: Tensor(view, requires_grad=grad is not None)
+                         for name, view in zip(self._names, _cut(flat, manifest))}
+        if grad is not None:
+            for t, slot in zip(self._by_name.values(), _cut(grad, manifest)):
+                t._grad_view = slot
 
     @classmethod
     def from_flat(cls, manifest: list[tuple[str, tuple[int, ...]]], flat: np.ndarray,
@@ -141,22 +153,8 @@ class ModelParams:
         manifest order. flat is one 1-D buffer, or a [K, P] stack of K
         sets, one per row, whose tensors are then [K, *shape]. A trainable
         set gets a fresh ``grad`` buffer; a frozen one has none."""
-        if flat.ndim not in (1, 2) or not flat.flags.c_contiguous:
-            raise ContractError("a parameter buffer must be one contiguous 1-D array "
-                                "or a contiguous stack of them")
-        needed = sum(math.prod(shape) for _, shape in manifest)
-        if flat.shape[-1] != needed:
-            raise ShapeError(f"flat vector has {flat.shape[-1]} scalars, model needs {needed}")
         params = cls.__new__(cls)
-        params._names = [name for name, _ in manifest]
-        params._manifest = list(manifest)
-        params.flat = flat
-        params.grad = np.zeros_like(flat) if requires_grad else None
-        params._by_name = {name: Tensor(view, requires_grad=requires_grad)
-                           for (name, _), view in zip(manifest, _cut(flat, manifest))}
-        if requires_grad:
-            for t, slot in zip(params._by_name.values(), _cut(params.grad, manifest)):
-                t._grad_view = slot
+        params._bind(manifest, flat, np.zeros_like(flat) if requires_grad else None)
         return params
 
     def rows(self, sel: slice) -> "ModelParams":
@@ -164,12 +162,7 @@ class ModelParams:
         trainable tensor per parameter over the same rows of this set's own
         tensors, sharing both buffers (``flat``, ``grad``) and the manifest."""
         view = ModelParams.__new__(ModelParams)
-        view._names, view._manifest = self._names, self._manifest
-        view.flat, view.grad = self.flat[sel], self.grad[sel]
-        view._by_name = {}
-        for name, t in self._by_name.items():
-            view._by_name[name] = row = Tensor(t.data[sel], requires_grad=True)
-            row._grad_view = t._grad_view[sel]
+        view._bind(self._manifest, self.flat[sel], self.grad[sel])
         return view
 
     @property
@@ -186,9 +179,6 @@ class ModelParams:
         for name in self._names:
             yield name, self._by_name[name]
 
-    def tensors(self) -> list[Tensor]:
-        return list(self._by_name.values())  # built in manifest order
-
     def manifest(self) -> list[tuple[str, tuple[int, ...]]]:
         return list(self._manifest)
 
@@ -198,17 +188,6 @@ class ModelParams:
             self.grad[...] = 0
         for t in self._by_name.values():
             t.grad = None
-
-
-def check_manifests_match(a: ModelParams, b: ModelParams) -> None:
-    """Both sets must expose the same names and shapes, in order."""
-    ref, other = a.manifest(), b.manifest()
-    for (n0, s0), (n1, s1) in zip(ref, other):
-        if (n0, s0) != (n1, s1):
-            raise AggregationError(f"parameter manifest mismatch at entry {n0!r} {s0} "
-                                   f"vs {n1!r} {s1}")
-    if len(ref) != len(other):
-        raise AggregationError(f"parameter manifest length differs: {len(ref)} vs {len(other)}")
 
 
 def sinusoidal_positions(n: int, dim: int, dtype=np.float64) -> np.ndarray:

@@ -94,8 +94,7 @@ def largest_remainder(total: int, weights) -> list[int]:
         raise ContractError("largest_remainder needs finite, nonnegative inputs")
     wsum = weights.sum()
     if wsum == 0:
-        out = [0] * len(weights)
-        return out
+        return [0] * len(weights)
     exact = weights / wsum * total
     floors = np.floor(exact).astype(int)
     leftover = total - int(floors.sum())
@@ -106,23 +105,29 @@ def largest_remainder(total: int, weights) -> list[int]:
     return floors.tolist()
 
 
-def _class_indices(labels: np.ndarray, num_classes: int) -> list[np.ndarray]:
+def _class_ids(labels, num_classes: int | None) -> tuple[np.ndarray, int]:
+    """labels as a vector of class ids (imbalance.class_ids), and the class
+    count: num_classes, or one past the largest label when it is None."""
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ContractError(f"labels must be a vector, got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ContractError(f"labels must lie in 0..{num_classes - 1}")
-    return [np.flatnonzero(labels == c) for c in range(num_classes)]
+    if num_classes is None:
+        if not labels.size:
+            raise ContractError("no labels to infer the class count from")
+        if labels.dtype.kind in "iu":  # class_ids names any other dtype
+            num_classes = int(labels.max()) + 1
+    return class_ids(labels, num_classes), num_classes
 
 
-def _split_by_proportions(labels, proportions_per_class, num_classes: int,
+def _split_by_proportions(ids: np.ndarray, proportions_per_class, num_classes: int,
                           seed: int) -> tuple[list[list[int]], list[str]]:
     """Shuffle each class by seed, then hand out largest-remainder counts."""
     rng = np.random.default_rng(seed)
     num_shares = len(proportions_per_class[0])
     shares: list[list[int]] = [[] for _ in range(num_shares)]
     warnings: list[str] = []
-    for c, idx in enumerate(_class_indices(labels, num_classes)):
+    for c in range(num_classes):
+        idx = np.flatnonzero(ids == c)
         if idx.size == 0:
             warnings.append(f"class {c} has no samples in the pool")
             continue
@@ -141,11 +146,10 @@ def _split_by_proportions(labels, proportions_per_class, num_classes: int,
 def partition_fixed(labels, ratios, seed: int,
                     num_classes: int | None = None) -> tuple[list[list[int]], list[str]]:
     """Split per class with one fixed proportion vector for every class."""
-    labels = np.asarray(labels)
-    num_classes = int(labels.max()) + 1 if num_classes is None else num_classes
+    ids, num_classes = _class_ids(labels, num_classes)
     ratios = list(ratios)
     per_class = [ratios] * num_classes
-    return _split_by_proportions(labels, per_class, num_classes, seed)
+    return _split_by_proportions(ids, per_class, num_classes, seed)
 
 
 def partition_dirichlet(labels, beta: float, num_shares: int, seed: int,
@@ -155,14 +159,13 @@ def partition_dirichlet(labels, beta: float, num_shares: int, seed: int,
         raise ConfigError(f"beta must be positive, got {beta}")
     if num_shares < 1:
         raise ConfigError("need at least one share")
-    labels = np.asarray(labels)
-    num_classes = int(labels.max()) + 1 if num_classes is None else num_classes
+    ids, num_classes = _class_ids(labels, num_classes)
     rng = np.random.default_rng(seed)
     per_class = [rng.dirichlet(np.full(num_shares, float(beta)))
                  for _ in range(num_classes)]
     # reuse the same seed for the shuffle stream: proportions were drawn from
     # their own generator instance above
-    return _split_by_proportions(labels, per_class, num_classes, seed)
+    return _split_by_proportions(ids, per_class, num_classes, seed)
 
 
 def holdout_test(labels, test_fraction: float, seed: int,
@@ -178,9 +181,7 @@ def holdout_test(labels, test_fraction: float, seed: int,
 def build_partition(labels, spec: PartitionSpec,
                     num_classes: int | None = None) -> PartitionResult:
     """Assemble the full client/test split a run trains on."""
-    labels = np.asarray(labels)
-    num_classes = int(labels.max()) + 1 if num_classes is None else num_classes
-    labels = class_ids(labels, num_classes)
+    labels, num_classes = _class_ids(labels, num_classes)
 
     if spec.mode == "fixed" and spec.test_ratio_index is not None:
         shares, warnings = partition_fixed(labels, spec.ratios, spec.seed, num_classes)

@@ -261,7 +261,7 @@ class PerTensorAdam:
     its value and moments stay as they are."""
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.tensors = params.tensors()
+        self.tensors = [t for _, t in params]
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.tensors]
@@ -488,9 +488,8 @@ def report_from_text(text):
         values[key.strip()] = float(raw.strip())
 
     def indexed(prefix):
-        keys = sorted((k for k in values if k.startswith(prefix)),
-                      key=lambda s: int(s.split(".")[1]))
-        return [values[k] for k in keys]
+        return {int(k[len(prefix):]): v for k, v in values.items() if k.startswith(prefix)}
 
-    return ImbalanceReport(indexed("client_coeff."), indexed("class_coeff."),
+    return ImbalanceReport(indexed("client_coeff."),
+                           [v for _, v in sorted(indexed("class_coeff.").items())],
                            values["epsilon"], values["blend"])

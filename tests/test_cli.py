@@ -15,9 +15,12 @@ from fedfocal.config import SCHEMA, ExperimentConfig
 from fedfocal.data import BlobSpec, TileSpec, load_dataset, save_dataset
 from fedfocal.errors import ConfigError, ContractError
 from fedfocal.federation import FederationConfig
+from fedfocal.imbalance import client_imbalance
 from fedfocal.losses import LossConfig
 from fedfocal.models import MlpConfig, ViTConfig
 from fedfocal.partition import PartitionSpec, build_partition, read_manifest, write_manifest
+
+from helpers import report_from_text
 
 ECHOES = Path(__file__).parent / "echoes"
 FAST = [
@@ -329,6 +332,28 @@ class TestTrainCommand:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, ids", [
+        ({"partition.ratios": (0.0, 0.5, 0.5)}, [1, 2]),
+        ({"partition.mode": "dirichlet", "partition.clients": 6,
+          "federation.client_fraction": 0.5}, [0, 1, 2, 3, 4, 5]),
+    ], ids=["empty-client-0", "dirichlet-half"])
+    def test_imbalance_report_names_each_client_by_id(self, tmp_path, overrides, ids):
+        """The report once numbered the last round's selection 0, 1, 2, ...:
+        clients 1 and 2 of 0.0,0.5,0.5 were written as 0 and 1, and a half
+        selection of six clients left the other three out. Each client with
+        samples gets the skew the round plan trains it with."""
+        cfg = X.preset_config("smoke").with_overrides({"federation.rounds": 2, **overrides})
+        X.run_experiment(cfg, tmp_path)
+        part = X.run_partition(cfg, X.prepare(cfg)[0])
+        report = report_from_text((tmp_path / "imbalance.report").read_text())
+        assert list(report.client_coeffs) == ids
+        assert report.client_coeffs == {
+            k: client_imbalance(part.histograms[k], cfg["loss.epsilon"]) for k in ids}
+        last = json.loads((tmp_path / "rounds.jsonl").read_text().splitlines()[-1])
+        assert len(last["client_coeffs"]) < 6
+        for k, coeff in last["client_coeffs"].items():
+            assert report.client_coeffs[int(k)] == coeff, k
+
     def test_train_writes_all_artifacts(self, tmp_path):
         out = tmp_path / "run"
         assert main(["train", "--preset", "smoke", "--out", str(out)] + FAST) == 0
@@ -599,7 +624,8 @@ class TestEvaluateAndAnalyze:
     @pytest.mark.parametrize("line, edited", [
         ("model.hidden_dim = 32", "model.hidden_dim = 16"),
         ("loss.gamma_trainable = false", "loss.gamma_trainable = true"),
-    ], ids=["hidden-dim", "trainable-gamma"])
+        ("run.dtype = f32", "run.dtype = f64"),
+    ], ids=["hidden-dim", "trainable-gamma", "dtype"])
     def test_evaluate_rejects_checkpoint_of_other_config(self, finished_run, capsys,
                                                           line, edited):
         echo = finished_run / "config.echo"
@@ -607,7 +633,8 @@ class TestEvaluateAndAnalyze:
         assert line in text
         echo.write_text(text.replace(line, edited))
         assert main(["evaluate", "--run", str(finished_run)]) == 3
-        assert "does not match" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "final.ckpt does not match" in err and "config.echo" in err
 
     def test_analyze_vit_run_emits_rollout_masks(self, tmp_path):
         out = tmp_path / "vit"

@@ -149,7 +149,6 @@ class TestLocalTrain:
         from fedfocal import experiment as X
         from fedfocal import imbalance as I
         from fedfocal.imbalance import global_class_imbalance
-        from fedfocal.tensor import constant
 
         deltas = []
         for seed in range(5):
@@ -166,7 +165,7 @@ class TestLocalTrain:
             coeffs = global_class_imbalance([part.histograms[0]], loss_cfg.epsilon)
 
             def shard_loss(p):
-                frozen = M.ModelParams([(n, constant(t.data)) for n, t in p])
+                frozen = M.ModelParams.from_flat(p.manifest(), p.flat, requires_grad=False)
                 c_k = I.client_imbalance(part.histograms[0], loss_cfg.epsilon)
                 cs = np.array([I.dynamic_coefficient(c_k, coeffs, int(t),
                                                      loss_cfg.blend) for t in y])
@@ -770,8 +769,8 @@ class TestAdam:
         # lr * g / (|g| + eps)
         from fedfocal.tensor import parameter
 
-        p = parameter(np.array([1.0, -2.0, 0.5]))
-        params = M.ModelParams([("p", p)])
+        params = M.ModelParams([("p", parameter(np.array([1.0, -2.0, 0.5])))])
+        p = params["p"]
         params.grad[...] = [0.4, -0.3, 0.0]
         opt = F.Adam(params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
         opt.step()
@@ -782,8 +781,8 @@ class TestAdam:
     def test_moments_accumulate_across_steps(self):
         from fedfocal.tensor import parameter
 
-        p = parameter(np.array([0.0]))
-        params = M.ModelParams([("p", p)])
+        params = M.ModelParams([("p", parameter(np.array([0.0])))])
+        p = params["p"]
         opt = F.Adam(params, lr=0.1)
         for g in (1.0, 1.0, 1.0):
             params.grad[...] = g
@@ -794,8 +793,9 @@ class TestAdam:
     def test_unused_parameter_untouched(self):
         from fedfocal.tensor import parameter
 
-        p = parameter(np.array([5.0]))
-        opt = F.Adam(M.ModelParams([("p", p)]), lr=0.1)
+        params = M.ModelParams([("p", parameter(np.array([5.0])))])
+        p = params["p"]
+        opt = F.Adam(params, lr=0.1)
         opt.step()  # no gradient written: the slot holds zero
         assert p.data[0] == 5.0
 

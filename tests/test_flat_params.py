@@ -80,6 +80,19 @@ class TestStorage:
         assert params.flat[-1] == np.float32(5.0)
         assert_packed(params)
 
+    def test_constructor_copies_and_leaves_the_given_tensors_alone(self):
+        """The constructor once rebound each given tensor's data and gradient
+        slot to the set's buffers; now it only copies their values."""
+        given = [(name, T.parameter(np.full(shape, 1.5, dtype=np.float32)))
+                 for name, shape in SHAPES]
+        before = [(t.data, t._grad_view) for _, t in given]
+        params = M.ModelParams(given)
+        for (name, t), (data, slot) in zip(given, before):
+            assert t.data is data and t._grad_view is slot is None, name
+            assert not np.shares_memory(t.data, params.flat), name
+            assert params[name] is not t and params[name].data.tobytes() == data.tobytes()
+        assert_packed(params)
+
     def test_mixed_dtypes_rejected(self):
         with pytest.raises(ContractError, match="dtypes differ"):
             M.ModelParams([("a", T.parameter(np.zeros(2, dtype=np.float32))),
@@ -105,14 +118,14 @@ def test_flat_adam_equals_per_tensor_adam_bitwise(dtype, seed):
     oracle = PerTensorAdam(oracle_params, **kw)
     rng = np.random.default_rng(100 + seed)
     for step in range(8):
-        for (name, shape), b in zip(SHAPES, oracle_params.tensors()):
+        for (name, shape), (_, b) in zip(SHAPES, oracle_params):
             # b.b gets a zero gradient from step 3 on, after it has had
             # others; loss.gamma gets a nonzero one only on odd steps
             dropped = (name == "b.b" and step >= 3) or (name == "loss.gamma" and step % 2 == 0)
             b.grad = (np.zeros(shape) if dropped
                       else rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3)).astype(dtype)
         flat_params.grad[...] = np.concatenate([b.grad.reshape(-1)
-                                                for b in oracle_params.tensors()])
+                                                for _, b in oracle_params])
         flat_opt.step()
         oracle.step()
         assert flat_params.flat.tobytes() == oracle_params.flat.tobytes(), step
@@ -143,11 +156,11 @@ class TestGradBuffer:
         view.zero_grads()
         assert stack.grad[1:3].tobytes() == np.zeros((2, 8)).tobytes()
         assert np.isnan(stack.grad[[0, 3]]).all()
-        assert all(t.grad is None for t in view.tensors())
+        assert all(t.grad is None for _, t in view)
 
     def test_leaf_gradient_of_negative_zero_keeps_its_bytes(self):
-        p = T.parameter(np.array([1.0, 3.0]))
-        params = M.ModelParams([("p", p)])
+        params = M.ModelParams([("p", T.parameter(np.array([1.0, 3.0])))])
+        p = params["p"]
         loss = T.sum_(T.mul(p, T.constant(np.array([-0.0, 2.0]))))
         T.backward(loss)
         # a copy: 0.0 + -0.0 would be 0.0

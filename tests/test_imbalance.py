@@ -91,12 +91,12 @@ class TestDynamicCoefficient:
         assert round(got, 4) == 41.6193
 
     def test_class_out_of_range_rejected(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ContractError, match="class 2 at index 0 is outside 0..1"):
             I.dynamic_coefficient(1.0, [1.0, 2.0], true_class=2)
 
-    @pytest.mark.parametrize("classes", [-1, [0, 2], [1, -1]])
+    @pytest.mark.parametrize("classes", [-1, [0, 2], [1, -1], 5, 1.0, [0.5, 1.0]])
     def test_out_of_range_classes_rejected(self, classes):
-        with pytest.raises(IndexError):
+        with pytest.raises(ContractError, match="outside 0..1|integer class ids"):
             I.dynamic_coefficient(1.0, [1.0, 2.0], np.asarray(classes))
 
     def test_array_of_classes_equals_scalar_calls_bitwise(self):
@@ -171,7 +171,7 @@ class TestInvariants:
         assert after < before
 
     def test_report_round_trip(self):
-        report = I.ImbalanceReport([1.5, 2.25], [0.5, 3.0, 41.6193],
+        report = I.ImbalanceReport({1: 1.5, 4: 2.25}, [0.5, 3.0, 41.6193],
                                    epsilon=1e-6, blend=0.5)
         back = report_from_text(report.to_text())
         assert back.client_coeffs == report.client_coeffs
@@ -181,7 +181,7 @@ class TestInvariants:
 
     def test_report_rejects_negative_coeffs(self):
         with pytest.raises(ContractError):
-            I.ImbalanceReport([-1.0], [0.0], 1e-6, 0.5)
+            I.ImbalanceReport({0: -1.0}, [0.0], 1e-6, 0.5)
 
     @pytest.mark.parametrize("labels", [np.array([0, -1]), np.array([0.0, 1.0]),
                                         np.array([0, 3]), np.array([[0], [1]])],

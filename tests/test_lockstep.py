@@ -271,7 +271,7 @@ def test_stacked_params_view_their_rows():
     model = M.MlpClassifier(M.MlpConfig(input_dim=5, hidden_dim=7, num_classes=3))
     params = model.init_params(np.random.default_rng(0), gamma_init=2.0)
     stack = M.ModelParams.from_flat(params.manifest(), np.tile(params.flat, (4, 1)))
-    for (name, shape), t in zip(params.manifest(), stack.tensors()):
+    for (name, shape), (_, t) in zip(params.manifest(), stack):
         assert t.shape == (4,) + shape, name
         assert np.shares_memory(t.data, stack.flat), name
         for k in range(4):

@@ -6,7 +6,7 @@ import pytest
 from fedfocal import losses as L
 from fedfocal import models as M
 from fedfocal import tensor as T
-from fedfocal.errors import AggregationError, ConfigError, IngestionError, ShapeError
+from fedfocal.errors import ConfigError, IngestionError, ShapeError
 
 from helpers import (dfs_backward, fd_gradient, max_rel_err, mlp_param_count,
                      per_image_vit_forward, tape_batch_loss, vit_param_count)
@@ -456,12 +456,16 @@ class TestModelParams:
         params = M.init_mlp_params(mlp, np.random.default_rng(0), gamma_init=2.0)
         assert params.flat.size == mlp_param_count(mlp, with_gamma=True)
 
-    def test_manifest_mismatch_names_first_differing_entry(self):
-        a = small_params(seed=21)
-        b = small_params(seed=21)
-        items = [(n if n != "head.bias" else "head.bias2", t) for n, t in b]
-        with pytest.raises(AggregationError, match="head.bias"):
-            M.check_manifests_match(a, M.ModelParams(items))
+    def test_manifest_mismatch_names_first_differing_entry(self, tmp_path):
+        from fedfocal import experiment as X
+
+        X.run_experiment(X.preset_config("smoke").with_overrides({"federation.rounds": 1}),
+                         tmp_path)
+        b = M.load_params(tmp_path / "final.ckpt")
+        items = [(n if n != "mlp.b1" else "mlp.b1x", t) for n, t in b]
+        M.save_params(tmp_path / "final.ckpt", M.ModelParams(items))
+        with pytest.raises(IngestionError, match=r"entry \('mlp\.b1x'.*entry \('mlp\.b1'"):
+            X.load_run(tmp_path)
 
     def test_checkpoint_round_trip(self, tmp_path):
         params = small_params(seed=22, dtype=np.float32)

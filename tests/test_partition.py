@@ -205,13 +205,29 @@ class TestBuildPartition:
         with pytest.raises(IngestionError):
             P.read_manifest(path)
 
+    SPLITS = {
+        "build": lambda labels, c: P.build_partition(labels, P.PartitionSpec(
+            mode="fixed", ratios=(0.5, 0.5), num_clients=2, test_fraction=0.2, seed=0), c),
+        "fixed": lambda labels, c: P.partition_fixed(labels, [0.5, 0.5], 0, num_classes=c),
+        "dirichlet": lambda labels, c: P.partition_dirichlet(labels, 0.5, 2, 0,
+                                                             num_classes=c),
+    }
+
+    @pytest.mark.parametrize("split", SPLITS)
+    @pytest.mark.parametrize("fraction", [0.0, 0.5], ids=["integral", "fractional"])
     @pytest.mark.parametrize("num_classes", [None, 3])
-    def test_float_labels_rejected(self, num_classes):
+    def test_float_labels_rejected(self, num_classes, fraction, split):
+        """partition_fixed once dropped a label of 2.5 without a word."""
         labels = labels_from_counts([20, 10, 5]).astype(np.float64)
-        spec = P.PartitionSpec(mode="fixed", ratios=(0.5, 0.5), num_clients=2,
-                               test_fraction=0.2, seed=0)
+        labels[-1] += fraction
         with pytest.raises(ContractError, match="integer"):
-            P.build_partition(labels, spec, num_classes)
+            self.SPLITS[split](labels, num_classes)
+
+    @pytest.mark.parametrize("split", SPLITS)
+    def test_class_count_of_no_labels_rejected(self, split):
+        """Inferring it from an empty label array once raised numpy's ValueError."""
+        with pytest.raises(ContractError, match="no labels"):
+            self.SPLITS[split](np.zeros(0, dtype=np.int64), None)
 
     def test_negative_label_rejected(self):
         labels = np.append(labels_from_counts([20, 10]), -1)

@@ -474,7 +474,7 @@ class TestTape:
             assert len(T._tape) - start == 3
             stack.zero_grads()
             walk(root)
-            grads[walk] = [t.grad.tobytes() for t in stack.tensors()]
+            grads[walk] = [t.grad.tobytes() for _, t in stack]
         assert grads[T.backward] == grads[dfs_backward]
 
 
