@@ -29,7 +29,7 @@ from . import metrics as ME
 from .config import ExperimentConfig
 from .data import BlobSpec, DatasetBundle, TileSpec, load_dataset, synthesize_longtail
 from .errors import ConfigError, IngestionError
-from .imbalance import ImbalanceReport, client_imbalance
+from .imbalance import ImbalanceReport, client_imbalance, global_class_imbalance
 from .models import MlpClassifier, ModelParams, ViTClassifier, load_params, save_params
 from .partition import PartitionResult, PartitionSpec, build_partition, write_manifest
 from .tensor import DTYPES, save_array
@@ -154,10 +154,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> F.FederationRun:
     run = F.run_federation(bundle, part, model, loss_cfg, fed_cfg)
 
     last = run.records[-1]
+    # both halves cover every client with samples, whichever clients the rounds drew
+    hists = {k: hist for k, hist in enumerate(part.histograms) if hist.total}
     report = ImbalanceReport(
-        client_coeffs={k: client_imbalance(hist, loss_cfg.epsilon)
-                       for k, hist in enumerate(part.histograms) if hist.total},
-        class_coeffs=list(run.class_coeffs),
+        client_coeffs={k: client_imbalance(hist, loss_cfg.epsilon) for k, hist in hists.items()},
+        class_coeffs=global_class_imbalance(list(hists.values()), loss_cfg.epsilon),
         epsilon=loss_cfg.epsilon, blend=loss_cfg.blend)
     (out / "imbalance.report").write_text(report.to_text(), encoding="ascii")
 

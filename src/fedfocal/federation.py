@@ -118,13 +118,15 @@ class RoundRecord:
 class FederationRun:
     records: list[RoundRecord]
     params: ModelParams
-    class_coeffs: list[float]
     tail_classes: list[int]
     head_classes: list[int]
 
 
 def derive_rng(master_seed: int, role: int, *coords: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([master_seed, role, *coords]))
+    words = [master_seed, role, *coords]
+    if 0 <= min(words) and max(words) < 2**32:  # the same words, which SeedSequence reads faster
+        words = np.array(words, np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(words))
 
 
 class Adam:
@@ -238,7 +240,6 @@ class RoundPlan:
     fed_cfg: FederationConfig
     client_ids: list[int]
     client_coeffs: list[float]
-    class_coeffs: list[float]
     features: np.ndarray  # the shards, concatenated and cast to the model dtype
     targets: L.Targets
     sizes: list[int]
@@ -248,6 +249,10 @@ class RoundPlan:
     batches: L.Targets  # their targets
     inv_batch: np.ndarray  # [N]: dtype(1 / B) of each one's batch of B
     scale: np.ndarray  # [N]: that times its weight, the loss gradient's seed
+    nll: np.ndarray  # [N]: each one's -log(p_t), which its tick writes
+    focal: np.ndarray | None  # [N]: and its focal factor, but for CE
+    places: list[tuple[np.ndarray, np.ndarray]]  # per batch size, its steps and their samples
+    step_rows: np.ndarray  # each step's row, in step order
     epochs: list[list[Tick]]  # per epoch, its ticks
     gather_at: np.ndarray  # each trained sample's place in the sample orders, in step order
     tally_rows: np.ndarray  # its row
@@ -300,13 +305,18 @@ def plan_round(model, global_params: ModelParams,
         [(r, hi - lo, (e * k + order[r]) * n_max + lo) for e in epochs
          for _, groups in ticks for s, lo, hi in groups for r in range(s.start, s.stop)],
         dtype=np.int64).reshape(-1, 3).T
-    at = np.repeat(first - np.cumsum(step_batch) + step_batch, step_batch)
+    starts = np.cumsum(step_batch) - step_batch  # each step's first sample
+    at = np.repeat(first - starts, step_batch)
     at += np.arange(at.size)  # each trained sample's place in the sample orders
     x = np.empty(at.shape + features.shape[1:], dtype=features.dtype)
     batches = L.Targets(*(None if a is None else np.empty(at.shape + a.shape[1:], dtype=a.dtype)
                           for a in (targets.labels, targets.weights, targets.onehot)))
     inv_batch = np.repeat(1.0 / step_batch, step_batch).astype(model.dtype)
     scale = inv_batch if targets.weights is None else np.empty_like(inv_batch)
+    nll = np.empty_like(inv_batch)
+    focal = None if loss_cfg.kind == "ce" else np.empty_like(inv_batch)
+    places = [(i, starts[i, None] + np.arange(b)) for b in sorted(set(step_batch.tolist()))
+              for i in [np.flatnonzero(step_batch == b)]]  # for losses.step_means
     plan_epochs, stop = [], 0
     for _ in epochs:
         plan_epochs.append([])
@@ -322,12 +332,14 @@ def plan_round(model, global_params: ModelParams,
                 gammas.append(L.trainable_gamma(view, loss_cfg))
             plan_epochs[-1].append(Tick(rows, steps, L.bind_loss(
                 [g.x.shape[:2] + (model.num_classes,) for g in steps], model.dtype,
-                batches[first:stop], scale[first:stop], loss_cfg,
+                batches[first:stop], scale[first:stop], nll[first:stop],
+                None if focal is None else focal[first:stop], loss_cfg,
                 None if gammas[0] is None else gammas)))
     opt = Adam(stack, fed_cfg.learning_rate, fed_cfg.beta1, fed_cfg.beta2, fed_cfg.adam_eps)
-    return RoundPlan(model, loss_cfg, fed_cfg, ids, client_coeffs, class_coeffs, features,
+    return RoundPlan(model, loss_cfg, fed_cfg, ids, client_coeffs, features,
                      targets, sizes, order, np.argsort(order), x, batches, inv_batch, scale,
-                     plan_epochs, at, np.repeat(step_rows, step_batch),
+                     nll, focal, places, step_rows, plan_epochs, at,
+                     np.repeat(step_rows, step_batch),
                      np.repeat(step_batch.astype(model.dtype), step_batch)[:, None], stack, opt)
 
 
@@ -341,27 +353,28 @@ def local_train(plan: RoundPlan, global_params: ModelParams,
     per-class logit-gradient norms. Within an epoch, at each tick, each
     maximal run of adjacent rows whose next batches have the same size is
     a group: one bound forward on its [K', B, ...] batch and the plan's
-    view of its rows. Then one ``batch_loss`` over the tick's groups gives
-    each row's batch mean and each group's logits gradient (of ones over
-    the means), and a trainable gamma's gradient in its slots; each group's
-    bound backward writes its parameters' gradients into theirs; one Adam
-    step runs on the rows that stepped, in place, and one clamp of a
-    trainable gamma over the whole stack, which leaves a row that sat the
-    tick out as it was: every row with samples steps at tick 0 of an epoch
-    and was clamped then. A client whose epoch is used up sits out its
-    last ticks. Each client does the arithmetic it would do alone, so the
-    results are those of training the clients one after another, bit for
-    bit.
+    view of its rows. Then one ``batch_loss`` over the tick's groups writes
+    each sample's loss factors into the plan and gives each group's logits
+    gradient (of ones over the rows' batch means), and a trainable gamma's
+    gradient in its slots; each group's bound backward writes its
+    parameters' gradients into theirs; one Adam step runs on the rows that
+    stepped, in place, and one clamp of a trainable gamma over the whole
+    stack, which leaves a row that sat the tick out as it was: every row
+    with samples steps at tick 0 of an epoch and was clamped then. A
+    client whose epoch is used up sits out its last ticks. Each client does
+    the arithmetic it would do alone, so the results are those of training
+    the clients one after another, bit for bit.
 
     Once per client selection, ``plan_round`` builds everything else, the
     model and the loss and federation configs included. Once a round: the
     broadcast is copied into the stack, Adam reset, the epochs' sample
     orders drawn and their batches gathered into the plan (each sample's
-    loss seed made in one multiply), and the per-class norms tallied after
-    the last step, in step order. The rows return, copied, in the plan's
-    client order, with their optimizer steps as batch counts. A NaN in
-    training names its round and the clients among the tick's rows that
-    hold it."""
+    loss seed made in one multiply), and after the last step, in step
+    order, the per-class norms tallied and each step's batch mean of the
+    loss (``losses.step_means``) summed per row. The rows return, copied,
+    in the plan's client order, with their optimizer steps as batch counts.
+    A NaN in training names its round and the clients among the tick's rows
+    that hold it."""
     ids, loss_cfg, stack, opt = plan.client_ids, plan.loss_cfg, plan.stack, plan.opt
     order, batches = plan.order, plan.batches
     stack.flat[...] = global_params.flat
@@ -376,14 +389,13 @@ def local_train(plan: RoundPlan, global_params: ModelParams,
         np.multiply(plan.inv_batch, batches.weights, out=plan.scale)
     clamp = L.trainable_gamma(stack, loss_cfg) is not None
     grads = []  # each step's logit gradients, tallied after the epochs
-    loss_sums = np.zeros(len(ids))
     for ticks in plan.epochs:
         for rows, groups, loss in ticks:
             logits = []
             try:
                 for group in groups:
                     logits.append(group.forward())
-                means, dlogits, _ = L.batch_loss(logits, loss)
+                dlogits, _ = L.batch_loss(logits, loss)
             except NumericError as exc:
                 culprits = _culprits([ids[i] for i in order[rows]],
                                      [r for group in groups for r in group.x], stack.flat[rows])
@@ -394,7 +406,9 @@ def local_train(plan: RoundPlan, global_params: ModelParams,
             opt.step(rows)
             if clamp:
                 L.clamp_gamma(stack, loss_cfg)
-            loss_sums[rows] += means
+    means = L.step_means(T.focal_product(plan.nll, plan.focal, batches.weights), plan.places)
+    # float64 adds in step order: each row's sum gets the bits of one add per tick
+    loss_sums = np.bincount(plan.step_rows, means, len(ids))
     num_classes = plan.model.num_classes
     norm_sums = np.zeros((len(ids), num_classes))
     norm_counts = np.zeros((len(ids), num_classes), dtype=np.int64)
@@ -606,6 +620,5 @@ def run_federation(bundle, partition: PartitionResult, model,
             if total_batches else float("nan"),
             warnings=warnings,
         ))
-    return FederationRun(records, global_params, plan.class_coeffs,
-                         tail_classes, head_classes)
+    return FederationRun(records, global_params, tail_classes, head_classes)
 

@@ -150,49 +150,59 @@ class TickLoss(NamedTuple):
     """A lockstep tick's loss operands, bound once per plan by ``bind_loss``."""
     spans: list[tuple[int, int, int]]  # tensor.focal_spans of its logits blocks
     onehot: np.ndarray  # [N, C], a view of the plan's targets, and the rest [N]
-    weights: np.ndarray | None  # the adaptive kind's
     scale: np.ndarray  # each sample's dtype(1 / B) times its weight: the seed
+    nll: np.ndarray  # where the tick writes each sample's -log(p_t)
+    focal: np.ndarray | None  # and its focal factor (None under CE)
     gamma: float | list[np.ndarray] | None  # a constant, or per block its rows' trainable one
     sizes: list[int] | None  # with a trainable gamma, each client row's batch
     slots: list[np.ndarray] | None  # and per block its gamma's gradient slots
 
 
 def bind_loss(shapes: list[tuple[int, ...]], dtype, batch: Targets, scale: np.ndarray,
-              cfg: LossConfig, gammas: list[Tensor] | None = None) -> TickLoss:
+              nll: np.ndarray, focal: np.ndarray | None, cfg: LossConfig,
+              gammas: list[Tensor] | None = None) -> TickLoss:
     """The configured loss of a tick's logits blocks of these shapes and
-    dtype, checked once and bound to their flat targets and scale. gammas,
-    one per block, is a trainable gamma; a loss that reads it binds its
-    gradient slots, which ``batch_loss`` writes."""
-    weights = batch.weights if cfg.kind == "adaptive_focal" else None
-    if cfg.kind == "adaptive_focal" and weights is None:
+    dtype, checked once and bound to their flat targets, scale and factor
+    buffers (focal None under CE). gammas, one per block, is a trainable
+    gamma; a loss that reads it binds its gradient slots."""
+    if cfg.kind == "adaptive_focal" and batch.weights is None:
         raise ContractError("adaptive focal loss needs per-sample coefficients")
     exps = None if cfg.kind == "ce" or gammas is None else [x.data for x in gammas]
     spans = T.focal_spans(shapes, batch.onehot, dtype, exps)
     onehot = batch.onehot.reshape(-1, shapes[0][-1])
     if exps is None:
-        return TickLoss(spans, onehot, weights, scale, None if cfg.kind == "ce" else cfg.gamma,
+        return TickLoss(spans, onehot, scale, nll, focal, None if cfg.kind == "ce" else cfg.gamma,
                         None, None)
     if any(x._grad_view is None for x in gammas):
         raise ContractError("a trainable gamma needs its gradient slot in a trainable set")
-    return TickLoss(spans, onehot, weights, scale, [x.reshape(-1) for x in exps],  # [] as [1]
+    return TickLoss(spans, onehot, scale, nll, focal, [x.reshape(-1) for x in exps],  # [] as [1]
                     [n for k, n, _ in spans for _ in range(k)],
                     [x._grad_view.reshape(-1) for x in gammas])
 
 
 def batch_loss(logits: list[np.ndarray], tick: TickLoss):
     """A tick's loss on its logits blocks (arrays) bound by ``bind_loss``:
-    each client row's batch mean, in row order, each block's logits
-    gradient and its gamma gradient, written into its slots (or None); the
-    gradients of ones over the means, with the bits the public losses give
-    each block on the tape."""
+    writes the samples' loss factors into the tick's buffers and returns
+    each block's logits gradient and gamma gradient (into its slots, or
+    None) of ones over the rows' batch means, with the tape losses' bits."""
     c = tick.onehot.shape[-1]
     rows = (logits[0].reshape(-1, c) if len(logits) == 1
             else np.concatenate([x.reshape(-1, c) for x in logits]))
     e = tick.gamma if tick.sizes is None else [v for x in tick.gamma for v in x.tolist()]
-    out, vjp = T.focal_kernel(rows, tick.onehot, PROB_FLOOR, e, tick.sizes, tick.weights)
+    vjp = T.focal_kernel(rows, tick.onehot, PROB_FLOOR, e, tick.sizes, tick.nll, tick.focal)
     g_rows, g_exps = vjp(tick.scale, None if tick.sizes is None else tick.spans, tick.slots)
-    return T.batch_means(out, tick.spans), [g_rows[z - k * n:z].reshape(x.shape)
-                                            for (k, n, z), x in zip(tick.spans, logits)], g_exps
+    return [g_rows[z - k * n:z].reshape(x.shape)
+            for (k, n, z), x in zip(tick.spans, logits)], g_exps
+
+
+def step_means(loss: np.ndarray, places: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Each step's batch mean of the per-sample loss, with the bits of its
+    mean alone: places are, per batch size B, the steps of that size and
+    their samples' [S_B, B] places in loss, one row sum and multiply each."""
+    means = np.empty(sum(at.size for at, _ in places), loss.dtype)
+    for at, rows in places:
+        means[at] = np.add.reduce(loss[rows], axis=-1) * loss.dtype.type(1.0 / rows.shape[1])
+    return means
 
 
 def clamp_gamma(params: ModelParams, cfg: LossConfig) -> None:

@@ -409,15 +409,16 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _record(s, (a,), lambda g: ((g - np.add.reduce(g * s, axis=axis, keepdims=True)) * s,))
 
 
-def _row_power(base: np.ndarray, e: list[float], shift: float, sizes: list[int]) -> np.ndarray:
+def _row_power(base: np.ndarray, e: list[float], shift: float, sizes: list[int],
+               out: np.ndarray | None = None) -> np.ndarray:
     """base ** (e + shift) with one float of e per client row, whose samples
-    lie back to back in the flat base, sizes of them a row.
+    lie back to back in the flat base, sizes of them a row (into out, given).
 
     Each row gets a scalar exponent of its own: numpy takes fast paths for
     some scalar exponents (2.0, 0.5) that an array exponent skips, and the
     bits differ."""
     dt = base.dtype.type
-    out = np.empty(base.shape, base.dtype)
+    out = np.empty(base.shape, base.dtype) if out is None else out
     for n, z, x in zip(sizes, itertools.accumulate(sizes), e):
         np.power(base[z - n:z], dt(x + shift), out=out[z - n:z])
     return out
@@ -448,43 +449,39 @@ def focal_spans(shapes: list[tuple[int, ...]], onehot: np.ndarray, dtype,
     return spans
 
 
-def row_sums(x: np.ndarray, spans, outs=None) -> list[np.ndarray]:
-    """Each client row's sum of the per-sample x over its batch, a [k] array
-    per span of ``focal_spans`` (into outs' arrays when given)."""
-    return [np.add.reduce(x[z - k * n:z].reshape(k, n), axis=-1, out=o)
-            for (k, n, z), o in zip(spans, outs or itertools.repeat(None))]
-
-
-def batch_means(x: np.ndarray, spans) -> np.ndarray:
-    """Each client row's mean of the per-sample x over its batch, in row order."""
-    means = [m * (1.0 / n) for m, (_, n, _) in zip(row_sums(x, spans), spans)]
-    return means[0] if len(means) == 1 else np.concatenate(means)
+def focal_product(nll: np.ndarray, focal: np.ndarray | None,
+                  weights: np.ndarray | None) -> np.ndarray:
+    """Per-sample w * (1 - p_t)^e * -log(p_t) from the two factors
+    ``focal_kernel`` writes (focal None without the focal factor, weights
+    None without w)."""
+    out = nll if focal is None else focal * nll
+    return out if weights is None else weights * out
 
 
 def focal_kernel(rows: np.ndarray, onehot: np.ndarray, floor: float, e, sizes,
-                 weights: np.ndarray | None):
-    """Per-sample w * (1 - p_t)^e * -log(p_t) of [N, C] logits rows, p_t
-    the softmax probability of each one-hot row's label, it and 1 - p_t
-    clamped below at floor; e None drops the focal factor, a float is every
-    sample's and a list one per client row, sizes of them back to back.
-    Returns the losses and vjp(g) (g per sample, times w by the caller): the
-    gradient reaching the rows and, with spans, each client row's exponent
-    gradient (``row_sums``, into outs). Both replay the primitive chain the
-    loss replaced, less steps that cannot change a bit (the clamps at 1 and
-    the softmax VJP's row sum, g_t * p_t + 0 on one-hot rows)."""
+                 nll: np.ndarray, focal: np.ndarray | None):
+    """Writes the factors of the per-sample loss w * (1 - p_t)^e * -log(p_t)
+    (``focal_product``) of [N, C] logits rows into [N] arrays, -log(p_t)
+    into nll and (1 - p_t)^e into focal; p_t is the softmax probability of
+    each one-hot row's label, it and 1 - p_t clamped below at floor. e None
+    drops the focal factor (focal may be None), a float is every sample's
+    and a list one per client row, sizes of them back to back. Returns
+    vjp(g) (g per sample, times w by the caller): the gradient reaching the
+    rows and, with spans, each client row's exponent gradient (into outs).
+    Both replay the primitive chain the loss replaced, less steps that
+    cannot change a bit (the clamps at 1 and the softmax VJP's row sum,
+    g_t * p_t + 0 on one-hot rows)."""
     s = softmax_kernel(rows, -1)
     p_t = np.add.reduce(s * onehot, axis=-1)
     clamped = np.maximum(p_t, floor)
-    nll = np.log(clamped) * -1.0
-    out = nll
+    np.multiply(np.log(clamped), -1.0, out=nll)
     if e is not None:
         rest = 1.0 - p_t
         base = np.maximum(rest, floor)
-        focal = (np.power(base, rows.dtype.type(e)) if sizes is None
-                 else _row_power(base, e, 0.0, sizes))
-        out = focal * nll
-    if weights is not None:
-        out = weights * out
+        if sizes is None:
+            np.power(base, rows.dtype.type(e), out=focal)
+        else:
+            _row_power(base, e, 0.0, sizes, focal)
 
     def vjp(g, spans=None, outs=None):
         g_nll, g_exps = g, None
@@ -499,14 +496,16 @@ def focal_kernel(rows: np.ndarray, onehot: np.ndarray, floor: float, e, sizes,
                 g_base = (g_focal * np.asarray(e, dtype=dt).repeat(sizes)
                           * _row_power(base, e, -1.0, sizes))
                 g_base[(np.asarray(e) == 0.0).repeat(sizes)] = 0
-            if spans is not None:
-                g_exps = row_sums(g_focal * focal * np.log(base), spans, outs)
+            if spans is not None:  # each client row's sum over its batch, a [k] per span
+                d = g_focal * focal * np.log(base)
+                g_exps = [np.add.reduce(d[z - k * n:z].reshape(k, n), axis=-1, out=o)
+                          for (k, n, z), o in zip(spans, outs or itertools.repeat(None))]
         g_pt = (g_nll * -1.0 / clamped) * (clamped == p_t)  # p_t at or above the floor
         if e is not None:
             g_pt = g_pt - g_base * (base == rest)
         return (g_pt[:, None] * onehot - (g_pt * p_t + 0.0)[:, None]) * s, g_exps
 
-    return out, vjp
+    return vjp
 
 
 def focal_nll(logits: Tensor, onehot: np.ndarray, floor: float, gamma=None,
@@ -529,7 +528,10 @@ def focal_nll(logits: Tensor, onehot: np.ndarray, floor: float, gamma=None,
         e, sizes = None if gamma is None else float(gamma), None
     rows = logits.data.reshape(-1, logits.shape[-1])
     weights = None if weights is None else weights.reshape(-1)
-    out, rows_vjp = focal_kernel(rows, onehot.reshape(rows.shape), floor, e, sizes, weights)
+    nll = np.empty(k * n, rows.dtype)
+    focal = None if e is None else np.empty_like(nll)
+    rows_vjp = focal_kernel(rows, onehot.reshape(rows.shape), floor, e, sizes, nll, focal)
+    out = focal_product(nll, focal, weights)
     lead = logits.shape[:-2] if mean else logits.shape[:-1]
 
     def vjp(g):
@@ -541,7 +543,8 @@ def focal_nll(logits: Tensor, onehot: np.ndarray, floor: float, gamma=None,
         g_rows, g_exps = rows_vjp(g, spans if exps is not None and exps.requires_grad else None)
         return g_rows.reshape(logits.shape), g_exps and g_exps[0].reshape(exps.shape)
 
-    return _record((batch_means(out, spans) if mean else out).reshape(lead),
+    return _record((np.add.reduce(out.reshape(k, n), axis=-1) * (1.0 / n) if mean
+                    else out).reshape(lead),
                    (logits,) if exps is None else (logits, exps), vjp)
 
 

@@ -112,7 +112,8 @@ def tape_batch_loss(logits, batch, cfg, gamma_param=None):
 def bind_tick(shapes, batch, cfg, gammas=None):
     """losses.bind_loss over logits blocks of these shapes, in the targets'
     dtype, with the seed a round plan gathers: each sample's dtype(1 / B),
-    times its weight for the adaptive kind."""
+    times its weight for the adaptive kind; and buffers of its own for the
+    loss factors."""
     from fedfocal import losses as L
 
     dtype = batch.onehot.dtype
@@ -120,7 +121,31 @@ def bind_tick(shapes, batch, cfg, gammas=None):
     scale = scale.astype(dtype)
     if cfg.kind == "adaptive_focal" and batch.weights is not None:
         scale = scale * batch.weights
-    return L.bind_loss(shapes, dtype, batch, scale, cfg, gammas)
+    return L.bind_loss(shapes, dtype, batch, scale, np.empty_like(scale),
+                       None if cfg.kind == "ce" else np.empty_like(scale), cfg, gammas)
+
+
+def span_places(spans):
+    """losses.step_means's places for the client rows of tensor.focal_spans
+    spans, numbered in row order: per span, its k rows and the places of
+    their [k, B] samples."""
+    places, row = [], 0
+    for k, n, z in spans:
+        places.append((np.arange(row, row + k), z - k * n + np.arange(k * n).reshape(k, n)))
+        row += k
+    return places
+
+
+def tick_means(tick, batch, cfg):
+    """Each client row's batch mean of the loss a tick's batch_loss wrote,
+    bound by bind_tick to the targets batch and cfg, in row order, as a
+    round makes it after its last step (losses.step_means over
+    tensor.focal_product of the factors)."""
+    from fedfocal import losses as L
+    from fedfocal import tensor as T
+
+    weights = batch.weights if cfg.kind == "adaptive_focal" else None
+    return L.step_means(T.focal_product(tick.nll, tick.focal, weights), span_places(tick.spans))
 
 
 def _row_power(base, e, shift):

@@ -15,7 +15,7 @@ from fedfocal import models as M
 from fedfocal import tensor as T
 from fedfocal.errors import ContractError, NumericError, ShapeError
 
-from helpers import bind_tick
+from helpers import bind_tick, tick_means
 
 # gamma values; 2.0 and 0.5 take numpy's scalar fast paths, 0.0 drops the factor
 GAMMAS = [0.0, 0.5, 2.0, 1.3, 3.7]
@@ -58,10 +58,10 @@ def bound_tick(model, cfg, manifest, flat, rows, xs, targets):
     gammas = [L.trainable_gamma(v, cfg) for v in views] if cfg.gamma_trainable else None
     logits = [forward() for forward, _ in bounds]
     loss = bind_tick([x.shape for x in logits], targets, cfg, gammas)
-    means, dlogits, dgammas = L.batch_loss(logits, loss)
+    dlogits, dgammas = L.batch_loss(logits, loss)
     for (_, backward), g in zip(bounds, dlogits):
         backward(g)
-    return means, dlogits, dgammas, params.grad
+    return tick_means(loss, targets, cfg), dlogits, dgammas, params.grad
 
 
 def tape_tick(model, cfg, manifest, flat, rows, xs, targets):
@@ -140,7 +140,7 @@ def test_after_a_vit_tick_gammas_slot_holds_the_loss_gradient():
     forward, backward = model.bind(params, images)
     loss = bind_tick([(2, 3)], L.targets([0, 1], 3, [0.0, 1.0], np.float32), cfg,
                      [L.trainable_gamma(params, cfg)])
-    _, (dlogits,), (dgamma,) = L.batch_loss([forward()], loss)
+    (dlogits,), (dgamma,) = L.batch_loss([forward()], loss)
     backward(dlogits)
     assert params.manifest()[-1] == ("loss.gamma", ())
     assert dgamma.any() and params.grad[-1:].tobytes() == dgamma.tobytes()
@@ -174,8 +174,9 @@ class TestChecksAtPlanTime:
         return type(exc.value), str(exc.value)
 
     def bind(self, shapes, targets, cfg, gammas=None):
-        return self.raised(L.bind_loss, shapes, np.float64, targets,
-                           np.ones(targets.labels.size), cfg, gammas)
+        n = targets.labels.size
+        return self.raised(L.bind_loss, shapes, np.float64, targets, np.ones(n), np.empty(n),
+                           np.empty(n), cfg, gammas)
 
     @pytest.mark.parametrize("targets, match", [
         (L.targets([0, 1, 2, 0, 1, 2], 3, None, np.float32), "float32"),

@@ -15,7 +15,7 @@ from fedfocal.config import SCHEMA, ExperimentConfig
 from fedfocal.data import BlobSpec, TileSpec, load_dataset, save_dataset
 from fedfocal.errors import ConfigError, ContractError
 from fedfocal.federation import FederationConfig
-from fedfocal.imbalance import client_imbalance
+from fedfocal.imbalance import client_imbalance, global_class_imbalance
 from fedfocal.losses import LossConfig
 from fedfocal.models import MlpConfig, ViTConfig
 from fedfocal.partition import PartitionSpec, build_partition, read_manifest, write_manifest
@@ -353,6 +353,27 @@ class TestTrainCommand:
         assert len(last["client_coeffs"]) < 6
         for k, coeff in last["client_coeffs"].items():
             assert report.client_coeffs[int(k)] == coeff, k
+
+    def test_imbalance_report_does_not_depend_on_the_last_rounds_draw(self, tmp_path):
+        """The class_coeff lines were the last round's selection's class
+        rarity, so at half participation they moved with the round count.
+        Both halves of the file now cover every client with samples."""
+        cfg = X.preset_config("smoke").with_overrides({
+            "partition.mode": "dirichlet", "partition.clients": 6,
+            "federation.client_fraction": 0.5})
+        texts = []
+        for rounds in (1, 3):
+            X.run_experiment(cfg.with_overrides({"federation.rounds": rounds}),
+                             tmp_path / str(rounds))
+            texts.append((tmp_path / str(rounds) / "imbalance.report").read_text())
+            selected = json.loads((tmp_path / str(rounds) / "rounds.jsonl").read_text()
+                                  .splitlines()[-1])["selected"]
+            assert len(selected) == 3
+        assert texts[0] == texts[1]
+        part = X.run_partition(cfg, X.prepare(cfg)[0])
+        report = report_from_text(texts[0])
+        assert report.class_coeffs == global_class_imbalance(part.histograms,
+                                                             cfg["loss.epsilon"])
 
     def test_train_writes_all_artifacts(self, tmp_path):
         out = tmp_path / "run"

@@ -561,9 +561,9 @@ class TestTicks:
         for n, calls in zip(groups[1:], ticks[:-1]):
             assert set(calls) <= ({"concatenate"} if n > 1 else set()), calls
 
-    @pytest.mark.parametrize("kind, trainable, calls", [("adaptive_focal", False, 14),
-                                                        ("ce", False, 14),
-                                                        ("adaptive_focal", True, 22)],
+    @pytest.mark.parametrize("kind, trainable, calls", [("adaptive_focal", False, 10),
+                                                        ("ce", False, 10),
+                                                        ("adaptive_focal", True, 17)],
                              ids=["adaptive_focal", "ce", "adaptive_focal-trainable_gamma"])
     def test_a_one_group_tick_keeps_its_framework_budget(self, kind, trainable, calls):
         """The plan binds each group's forward and backward and the tick's
@@ -798,6 +798,19 @@ class TestAdam:
         opt = F.Adam(params, lr=0.1)
         opt.step()  # no gradient written: the slot holds zero
         assert p.data[0] == 5.0
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3])
+def test_derived_streams_are_the_seed_sequences_of_their_words(seed):
+    """derive_rng passes its words as one uint32 array when each fits 32
+    bits, and as a list otherwise: either way the stream is the one
+    SeedSequence([master_seed, role, *coords]) seeds."""
+    for role, coords in ((F._INIT_ROLE, ()), (F._SELECT_ROLE, (7,)),
+                         (F._CLIENT_ROLE, (3, 2**32 - 1))):
+        got = F.derive_rng(seed, role, *coords)
+        want = np.random.default_rng(np.random.SeedSequence([seed, role, *coords]))
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.random(4).tobytes() == want.random(4).tobytes()
 
 
 class TestCentralized:

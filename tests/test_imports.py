@@ -2,10 +2,13 @@
 private module-level name it defines is read somewhere in `src/fedfocal`.
 A deletion that leaves an import or a private helper behind fails here; a
 name listed in the module's `__all__` counts as used, since it is
-re-exported."""
+re-exported. And a run imports no module that `import fedfocal.cli` did
+not."""
 
 import ast
 import functools
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,3 +87,26 @@ def test_the_scan_finds_an_unread_private_name():
     reading = "from .m import _C\nimport m\nm._K()\n_f = None\n"
     read = names_read(defining) | names_read(reading)
     assert [n for n in private_definitions(defining) if n not in read] == ["_B", "_f", "_g"]
+
+
+# numpy 2 imports numpy.random on first use, and every run uses it
+RUN_PROBE = """import sys, tempfile
+sys.path.insert(0, sys.argv[1])
+import fedfocal.cli
+import numpy.random
+from fedfocal import experiment as X
+before = set(sys.modules)
+with tempfile.TemporaryDirectory() as out:
+    X.run_experiment(X.preset_config("smoke").with_overrides({"federation.rounds": 2}), out)
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_a_run_imports_no_module_of_its_own():
+    """A module a run imports lazily (numpy.ma, which np.unique pulls in,
+    is about 1 MiB) raises the run's peak RSS, an end-to-end metric. Only
+    the codecs that writing ASCII files loads may come in during a run."""
+    done = subprocess.run([sys.executable, "-c", RUN_PROBE, str(SRC.parent)],
+                          capture_output=True, text=True, timeout=300, check=True)
+    added = done.stdout.split()
+    assert [m for m in added if not m.startswith("encodings.")] == [], added

@@ -167,16 +167,18 @@ class TestTargets:
 
     def test_batch_loss_rejects_targets_in_another_dtype(self):
         """A tick's loss checks its targets once, when the plan binds it."""
-        cfg, scale = L.LossConfig(kind="ce"), np.full(2, 0.5)
+        cfg, scale, nll = L.LossConfig(kind="ce"), np.full(2, 0.5), np.empty(2)
         with pytest.raises(ContractError, match="float32"):
-            L.bind_loss([(2, 2)], np.float64, L.targets([0, 1], 2, None, np.float32), scale, cfg)
+            L.bind_loss([(2, 2)], np.float64, L.targets([0, 1], 2, None, np.float32), scale,
+                        nll, None, cfg)
         with pytest.raises(ContractError, match="3 classes"):
-            L.bind_loss([(2, 2)], np.float64, L.targets([0, 1], 3, None, np.float64), scale, cfg)
+            L.bind_loss([(2, 2)], np.float64, L.targets([0, 1], 3, None, np.float64), scale,
+                        nll, None, cfg)
 
     def test_adaptive_batch_needs_weights(self):
         with pytest.raises(ContractError, match="coefficients"):
             L.bind_loss([(1, 2)], np.float64, L.targets([0], 2, None, np.float64), np.ones(1),
-                        L.LossConfig(kind="adaptive_focal"))
+                        np.empty(1), np.empty(1), L.LossConfig(kind="adaptive_focal"))
 
 
 class TestReductionChain:

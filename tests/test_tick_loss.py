@@ -15,7 +15,7 @@ from fedfocal import tensor as T
 from fedfocal.errors import ShapeError
 
 from helpers import (bind_tick, fd_gradient, max_rel_err, per_group_focal_nll, per_group_loss,
-                     tape_batch_loss)
+                     span_places, tape_batch_loss, tick_means)
 
 FLOOR = 1e-12
 
@@ -27,9 +27,10 @@ def leaf(arr):
 def tick_kernels(logits, onehot, gamma, weights, mean, g):
     """A tick's loss over its logits blocks (arrays) through the kernels
     losses.batch_loss runs, under any gradient g of its outputs: the
-    outputs (per sample, or with mean per client row) in row order, each
-    block's logits gradient and, for per-client gammas (a list of arrays,
-    one per block), each block's gamma gradient."""
+    outputs (per sample, or with mean per client row, as a round's
+    losses.step_means makes them) in row order, each block's logits
+    gradient and, for per-client gammas (a list of arrays, one per block),
+    each block's gamma gradient."""
     exps = gamma if isinstance(gamma, list) else None
     spans = T.focal_spans([x.shape for x in logits], onehot, onehot.dtype, exps)
     e, sizes = gamma, None
@@ -37,9 +38,11 @@ def tick_kernels(logits, onehot, gamma, weights, mean, g):
         e = [v for x in exps for v in x.reshape(-1).tolist()]
         sizes = [n for k, n, _ in spans for _ in range(k)]
     rows = np.concatenate([x.reshape(-1, onehot.shape[-1]) for x in logits])
-    out, vjp = T.focal_kernel(rows, onehot, FLOOR, e, sizes, weights)
+    nll, focal = np.empty(len(rows), rows.dtype), np.empty(len(rows), rows.dtype)
+    vjp = T.focal_kernel(rows, onehot, FLOOR, e, sizes, nll, focal)
+    out = T.focal_product(nll, None if gamma is None else focal, weights)
     if mean:  # each row's gradient times 1 / B, over its batch
-        out = T.batch_means(out, spans)
+        out = L.step_means(out, span_places(spans))
         ends = np.cumsum([k for k, _, _ in spans])
         g = np.concatenate([(g[r - k:r] * (1.0 / n)).repeat(n)
                             for (k, n, _), r in zip(spans, ends)])
@@ -158,8 +161,9 @@ def test_batch_loss_on_a_list_is_the_per_group_losses_in_row_order(kind, trainab
     column = M.ModelParams.from_flat([("loss.gamma", ())], np.full((6, 1), 2.0, np.float32))
     exps = ([column.rows(slice(a, a + s[0]))["loss.gamma"] for a, s in zip((0, 3, 5), shapes)]
             if trainable else None)
-    loss, dlogits, dgammas = L.batch_loss(
-        [x.copy() for x in raws], bind_tick([s + (4,) for s in shapes], tick, cfg, exps))
+    bound = bind_tick([s + (4,) for s in shapes], tick, cfg, exps)
+    dlogits, dgammas = L.batch_loss([x.copy() for x in raws], bound)
+    loss = tick_means(bound, tick, cfg)
     alone = [leaf(x.copy()) for x in raws]
     alone_exps = [leaf(g.copy()) for g in gammas] if trainable else [None] * 3
     parts = [tape_batch_loss(a, L.targets(y, 4, co, np.float32), cfg, gamma_param=e)
