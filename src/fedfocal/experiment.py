@@ -115,19 +115,11 @@ def metrics_csv_text(records: list[F.RoundRecord]) -> str:
 
 
 def round_record_json(rec: F.RoundRecord) -> dict:
-    return {
-        "round": rec.round_index,
-        "selected": rec.selected,
-        "client_coeffs": {str(k): v for k, v in rec.client_coeffs.items()},
-        "weights": {str(k): v for k, v in rec.weights.items()},
-        "metrics": asdict(rec.metrics),
-        "per_class_grad_norms": rec.per_class_grad_norms,
-        "tail_grad_norm": rec.tail_grad_norm,
-        "head_grad_norm": rec.head_grad_norm,
-        "gamma": rec.gamma,
-        "train_loss": rec.train_loss,
-        "warnings": rec.warnings,
-    }
+    out = asdict(rec)
+    out = {"round": out.pop("round_index"), **out}
+    for key in ("client_coeffs", "weights"):  # str ids: sort_keys sorts them as strings
+        out[key] = {str(k): v for k, v in out[key].items()}
+    return out
 
 
 def set_up_run(cfg: ExperimentConfig, out_dir) -> tuple[DatasetBundle, object, PartitionResult]:
@@ -188,7 +180,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> F.FederationRun:
 # presets
 
 
-SWEEP_PRESETS = ("ablation-loss", "ablation-distribution", "sweep-lr", "sweep-batch")
+# each sweep preset's config key and its settings: (label, value, run-name suffix)
+SWEEPS = {
+    "ablation-loss": ("loss.kind", [(kind, kind, kind)
+                                    for kind in ("ce", "focal", "adaptive_focal")]),
+    "ablation-distribution": ("partition.ratios", [
+        ("C1", (0.5, 0.3, 0.2), "C1"),
+        ("C2", (1 / 3, 1 / 3, 1 / 3), "C2"),  # published as 0.333 each, normalized
+        ("C3", (0.556, 0.278, 0.166), "C3"),
+    ]),
+    "sweep-lr": ("federation.learning_rate", [(f"lr={rate:.0e}", rate, f"lr{rate:.0e}")
+                                              for rate in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)]),
+    "sweep-batch": ("federation.batch_size", [(f"batch={size}", size, f"b{size}")
+                                              for size in (4, 8, 16, 32, 64)]),
+}
+SWEEP_PRESETS = tuple(SWEEPS)
 PRESETS = ("smoke", "vit-smoke") + SWEEP_PRESETS
 
 
@@ -226,32 +232,11 @@ def preset_config(name: str, seed: int = 0) -> ExperimentConfig:
 
 def sweep_settings(cfg: ExperimentConfig, preset: str) -> list[tuple[str, ExperimentConfig]]:
     """Expand a sweep preset into (label, config) pairs sharing the base."""
-    if preset == "ablation-loss":
-        return [(kind, cfg.with_overrides({"loss.kind": kind,
-                                           "run.name": f"{cfg['run.name']}-{kind}"}))
-                for kind in ("ce", "focal", "adaptive_focal")]
-    if preset == "ablation-distribution":
-        vectors = {
-            "C1": (0.5, 0.3, 0.2),
-            "C2": (1 / 3, 1 / 3, 1 / 3),   # published as 0.333 each, normalized
-            "C3": (0.556, 0.278, 0.166),
-        }
-        return [(label, cfg.with_overrides({"partition.ratios": ratios,
-                                            "run.name": f"{cfg['run.name']}-{label}"}))
-                for label, ratios in vectors.items()]
-    if preset == "sweep-lr":
-        rates = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
-        return [(f"lr={rate:.0e}",
-                 cfg.with_overrides({"federation.learning_rate": rate,
-                                     "run.name": f"{cfg['run.name']}-lr{rate:.0e}"}))
-                for rate in rates]
-    if preset == "sweep-batch":
-        sizes = (4, 8, 16, 32, 64)
-        return [(f"batch={size}",
-                 cfg.with_overrides({"federation.batch_size": size,
-                                     "run.name": f"{cfg['run.name']}-b{size}"}))
-                for size in sizes]
-    raise ConfigError(f"{preset!r} is not a sweep preset")
+    if preset not in SWEEPS:
+        raise ConfigError(f"{preset!r} is not a sweep preset")
+    key, settings = SWEEPS[preset]
+    return [(label, cfg.with_overrides({key: value, "run.name": f"{cfg['run.name']}-{suffix}"}))
+            for label, value, suffix in settings]
 
 
 def run_sweep(cfg: ExperimentConfig, preset: str, out_dir) -> list[tuple[str, F.FederationRun]]:

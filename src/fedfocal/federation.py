@@ -250,7 +250,7 @@ class RoundPlan:
     inv_batch: np.ndarray  # [N]: dtype(1 / B) of each one's batch of B
     scale: np.ndarray  # [N]: that times its weight, the loss gradient's seed
     nll: np.ndarray  # [N]: each one's -log(p_t), which its tick writes
-    focal: np.ndarray | None  # [N]: and its focal factor, but for CE
+    focal: np.ndarray  # [N]: and its focal factor
     places: list[tuple[np.ndarray, np.ndarray]]  # per batch size, its steps and their samples
     step_rows: np.ndarray  # each step's row, in step order
     epochs: list[list[Tick]]  # per epoch, its ticks
@@ -276,11 +276,11 @@ def plan_round(model, global_params: ModelParams,
     sizes = [y.size for _, y in shards]
     features = np.concatenate([x for x, _ in shards], dtype=model.dtype)
     # coefficients and weights are elementwise in the labels, so indexing the
-    # round's targets per batch gives each batch's weights bit for bit
-    coeffs = None
-    if loss_cfg.kind == "adaptive_focal":
-        coeffs = np.concatenate([dynamic_coefficient(c_k, class_coeffs, y, loss_cfg.blend)
-                                 for c_k, (_, y) in zip(client_coeffs, shards)])
+    # round's targets per batch gives each batch's weights bit for bit; the
+    # kinds that read no coefficients weigh each sample 1 + 0
+    coeffs = (np.concatenate([dynamic_coefficient(c_k, class_coeffs, y, loss_cfg.blend)
+                              for c_k, (_, y) in zip(client_coeffs, shards)])
+              if loss_cfg.kind == "adaptive_focal" else np.zeros(sum(sizes)))
     targets = L.targets(np.concatenate([y for _, y in shards]), model.num_classes, coeffs,
                         model.dtype)
     b, k, n_max = fed_cfg.batch_size, len(shards), max(sizes, default=0)
@@ -309,12 +309,10 @@ def plan_round(model, global_params: ModelParams,
     at = np.repeat(first - starts, step_batch)
     at += np.arange(at.size)  # each trained sample's place in the sample orders
     x = np.empty(at.shape + features.shape[1:], dtype=features.dtype)
-    batches = L.Targets(*(None if a is None else np.empty(at.shape + a.shape[1:], dtype=a.dtype)
+    batches = L.Targets(*(np.empty(at.shape + a.shape[1:], dtype=a.dtype)
                           for a in (targets.labels, targets.weights, targets.onehot)))
     inv_batch = np.repeat(1.0 / step_batch, step_batch).astype(model.dtype)
-    scale = inv_batch if targets.weights is None else np.empty_like(inv_batch)
-    nll = np.empty_like(inv_batch)
-    focal = None if loss_cfg.kind == "ce" else np.empty_like(inv_batch)
+    scale, nll, focal = (np.empty_like(inv_batch) for _ in range(3))
     places = [(i, starts[i, None] + np.arange(b)) for b in sorted(set(step_batch.tolist()))
               for i in [np.flatnonzero(step_batch == b)]]  # for losses.step_means
     plan_epochs, stop = [], 0
@@ -332,9 +330,8 @@ def plan_round(model, global_params: ModelParams,
                 gammas.append(L.trainable_gamma(view, loss_cfg))
             plan_epochs[-1].append(Tick(rows, steps, L.bind_loss(
                 [g.x.shape[:2] + (model.num_classes,) for g in steps], model.dtype,
-                batches[first:stop], scale[first:stop], nll[first:stop],
-                None if focal is None else focal[first:stop], loss_cfg,
-                None if gammas[0] is None else gammas)))
+                batches[first:stop], scale[first:stop], nll[first:stop], focal[first:stop],
+                loss_cfg, None if gammas[0] is None else gammas)))
     opt = Adam(stack, fed_cfg.learning_rate, fed_cfg.beta1, fed_cfg.beta2, fed_cfg.adam_eps)
     return RoundPlan(model, loss_cfg, fed_cfg, ids, client_coeffs, features,
                      targets, sizes, order, np.argsort(order), x, batches, inv_batch, scale,
@@ -383,10 +380,9 @@ def local_train(plan: RoundPlan, global_params: ModelParams,
     for src, out in ((plan.features, plan.x), (plan.targets.labels, batches.labels),
                      (plan.targets.weights, batches.weights),
                      (plan.targets.onehot, batches.onehot)):
-        if src is not None:  # the indices are in range; "clip" skips the buffered copy
-            np.take(src, samples, axis=0, out=out, mode="clip")
-    if batches.weights is not None:
-        np.multiply(plan.inv_batch, batches.weights, out=plan.scale)
+        # the indices are in range; "clip" skips the buffered copy
+        np.take(src, samples, axis=0, out=out, mode="clip")
+    np.multiply(plan.inv_batch, batches.weights, out=plan.scale)
     clamp = L.trainable_gamma(stack, loss_cfg) is not None
     grads = []  # each step's logit gradients, tallied after the epochs
     for ticks in plan.epochs:

@@ -1,10 +1,11 @@
 """Classification losses: cross-entropy, focal, and the imbalance-adaptive
 focal variant used for local client training.
 
-All three reduce to one another by construction: with zero coefficients the
-adaptive loss equals the focal loss bit for bit, and with gamma = 0 the
-focal loss equals cross-entropy bit for bit, because multiplying by an exact
-1.0 is exact in IEEE arithmetic.
+All three are one expression, w * (1 - p_t)^gamma * -log(p_t), and a
+training round runs every kind through it: cross-entropy at the constant
+gamma = 0, whose focal factor is exactly 1, and the unweighted kinds at
+w = 1 + 0 = 1. Multiplying by an exact 1.0 is exact in IEEE arithmetic, so
+each reduction keeps the bits of the loss it reduces to.
 
 The per-sample adaptive loss is -(1 + c) * (1 - p_t)^gamma * log(p_t) with
 p_t the predicted probability of the true class and c the sample's
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError, ShapeError
-from .imbalance import class_ids
+from .imbalance import DEFAULT_BLEND, DEFAULT_EPS, class_ids
 from .models import ModelParams
 from .tensor import Tensor
 
@@ -40,8 +41,8 @@ class LossConfig:
     gamma_trainable: bool = False
     gamma_lo: float = 0.5
     gamma_hi: float = 5.0
-    blend: float = 0.5
-    epsilon: float = 1e-6
+    blend: float = DEFAULT_BLEND
+    epsilon: float = DEFAULT_EPS
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
@@ -152,26 +153,26 @@ class TickLoss(NamedTuple):
     onehot: np.ndarray  # [N, C], a view of the plan's targets, and the rest [N]
     scale: np.ndarray  # each sample's dtype(1 / B) times its weight: the seed
     nll: np.ndarray  # where the tick writes each sample's -log(p_t)
-    focal: np.ndarray | None  # and its focal factor (None under CE)
-    gamma: float | list[np.ndarray] | None  # a constant, or per block its rows' trainable one
+    focal: np.ndarray  # and its focal factor
+    gamma: float | list[np.ndarray]  # a constant (CE's 0.0), or per block its rows' trainable one
     sizes: list[int] | None  # with a trainable gamma, each client row's batch
     slots: list[np.ndarray] | None  # and per block its gamma's gradient slots
 
 
 def bind_loss(shapes: list[tuple[int, ...]], dtype, batch: Targets, scale: np.ndarray,
-              nll: np.ndarray, focal: np.ndarray | None, cfg: LossConfig,
+              nll: np.ndarray, focal: np.ndarray, cfg: LossConfig,
               gammas: list[Tensor] | None = None) -> TickLoss:
     """The configured loss of a tick's logits blocks of these shapes and
     dtype, checked once and bound to their flat targets, scale and factor
-    buffers (focal None under CE). gammas, one per block, is a trainable
-    gamma; a loss that reads it binds its gradient slots."""
+    buffers; cross-entropy binds the constant gamma 0.0. gammas, one per
+    block, is a trainable gamma; a loss that reads it binds its slots."""
     if cfg.kind == "adaptive_focal" and batch.weights is None:
         raise ContractError("adaptive focal loss needs per-sample coefficients")
     exps = None if cfg.kind == "ce" or gammas is None else [x.data for x in gammas]
     spans = T.focal_spans(shapes, batch.onehot, dtype, exps)
     onehot = batch.onehot.reshape(-1, shapes[0][-1])
     if exps is None:
-        return TickLoss(spans, onehot, scale, nll, focal, None if cfg.kind == "ce" else cfg.gamma,
+        return TickLoss(spans, onehot, scale, nll, focal, 0.0 if cfg.kind == "ce" else cfg.gamma,
                         None, None)
     if any(x._grad_view is None for x in gammas):
         raise ContractError("a trainable gamma needs its gradient slot in a trainable set")

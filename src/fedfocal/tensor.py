@@ -449,60 +449,52 @@ def focal_spans(shapes: list[tuple[int, ...]], onehot: np.ndarray, dtype,
     return spans
 
 
-def focal_product(nll: np.ndarray, focal: np.ndarray | None,
-                  weights: np.ndarray | None) -> np.ndarray:
+def focal_product(nll: np.ndarray, focal: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Per-sample w * (1 - p_t)^e * -log(p_t) from the two factors
-    ``focal_kernel`` writes (focal None without the focal factor, weights
-    None without w)."""
-    out = nll if focal is None else focal * nll
-    return out if weights is None else weights * out
+    ``focal_kernel`` writes and the weights w (ones for an unweighted loss)."""
+    return weights * (focal * nll)
 
 
 def focal_kernel(rows: np.ndarray, onehot: np.ndarray, floor: float, e, sizes,
-                 nll: np.ndarray, focal: np.ndarray | None):
+                 nll: np.ndarray, focal: np.ndarray):
     """Writes the factors of the per-sample loss w * (1 - p_t)^e * -log(p_t)
     (``focal_product``) of [N, C] logits rows into [N] arrays, -log(p_t)
     into nll and (1 - p_t)^e into focal; p_t is the softmax probability of
-    each one-hot row's label, it and 1 - p_t clamped below at floor. e None
-    drops the focal factor (focal may be None), a float is every sample's
-    and a list one per client row, sizes of them back to back. Returns
-    vjp(g) (g per sample, times w by the caller): the gradient reaching the
-    rows and, with spans, each client row's exponent gradient (into outs).
-    Both replay the primitive chain the loss replaced, less steps that
-    cannot change a bit (the clamps at 1 and the softmax VJP's row sum,
-    g_t * p_t + 0 on one-hot rows)."""
+    each one-hot row's label, it and 1 - p_t clamped below at floor. e is
+    a float, every sample's (0.0, cross-entropy, makes the factor exactly 1
+    and its gradient 0), or a list, one per client row, sizes of them back
+    to back. Returns vjp(g) (g per sample, times w by the caller): the
+    gradient reaching the rows and, with spans, each client row's exponent
+    gradient (into outs). Both replay the primitive chain the loss
+    replaced, less steps that cannot change a bit (the clamps at 1 and the
+    softmax VJP's row sum, g_t * p_t + 0 on one-hot rows)."""
     s = softmax_kernel(rows, -1)
     p_t = np.add.reduce(s * onehot, axis=-1)
     clamped = np.maximum(p_t, floor)
     np.multiply(np.log(clamped), -1.0, out=nll)
-    if e is not None:
-        rest = 1.0 - p_t
-        base = np.maximum(rest, floor)
-        if sizes is None:
-            np.power(base, rows.dtype.type(e), out=focal)
-        else:
-            _row_power(base, e, 0.0, sizes, focal)
+    rest = 1.0 - p_t
+    base = np.maximum(rest, floor)
+    if sizes is None:
+        np.power(base, rows.dtype.type(e), out=focal)
+    else:
+        _row_power(base, e, 0.0, sizes, focal)
 
     def vjp(g, spans=None, outs=None):
-        g_nll, g_exps = g, None
-        if e is not None:
-            dt = base.dtype
-            g_focal = g * nll
-            g_nll = g * focal
-            if sizes is None:
-                g_base = (np.zeros(base.shape, dt) if e == 0.0
-                          else g_focal * e * np.power(base, dt.type(e - 1.0)))
-            else:
-                g_base = (g_focal * np.asarray(e, dtype=dt).repeat(sizes)
-                          * _row_power(base, e, -1.0, sizes))
-                g_base[(np.asarray(e) == 0.0).repeat(sizes)] = 0
-            if spans is not None:  # each client row's sum over its batch, a [k] per span
-                d = g_focal * focal * np.log(base)
-                g_exps = [np.add.reduce(d[z - k * n:z].reshape(k, n), axis=-1, out=o)
-                          for (k, n, z), o in zip(spans, outs or itertools.repeat(None))]
+        dt, g_exps = base.dtype, None
+        g_focal, g_nll = g * nll, g * focal
+        if sizes is None:
+            g_base = (np.zeros(base.shape, dt) if e == 0.0
+                      else g_focal * e * np.power(base, dt.type(e - 1.0)))
+        else:
+            g_base = (g_focal * np.asarray(e, dtype=dt).repeat(sizes)
+                      * _row_power(base, e, -1.0, sizes))
+            g_base[(np.asarray(e) == 0.0).repeat(sizes)] = 0
+        if spans is not None:  # each client row's sum over its batch, a [k] per span
+            d = g_focal * focal * np.log(base)
+            g_exps = [np.add.reduce(d[z - k * n:z].reshape(k, n), axis=-1, out=o)
+                      for (k, n, z), o in zip(spans, outs or itertools.repeat(None))]
         g_pt = (g_nll * -1.0 / clamped) * (clamped == p_t)  # p_t at or above the floor
-        if e is not None:
-            g_pt = g_pt - g_base * (base == rest)
+        g_pt = g_pt - g_base * (base == rest)
         return (g_pt[:, None] * onehot - (g_pt * p_t + 0.0)[:, None]) * s, g_exps
 
     return vjp
@@ -513,10 +505,10 @@ def focal_nll(logits: Tensor, onehot: np.ndarray, floor: float, gamma=None,
     """Per-sample w * (1 - p_t)^gamma * -log(p_t) of [B, C] logits or a
     client stack [K, B, C] as one node over ``focal_kernel``, or with mean
     each client's batch mean of it; the one-hot rows and the weights, in
-    the logits dtype, hold one row (one weight) per sample. gamma None
-    drops the focal factor; a float (every client's) or a tensor, one
-    scalar per client ([] or [K]), keeps it, and a trainable one gets its
-    gradient."""
+    the logits dtype, hold one row (one weight) per sample, and no weights
+    weigh 1. gamma None is 0.0, cross-entropy; a float is every client's
+    and a tensor one scalar per client ([] or [K]), and a trainable one
+    gets its gradient."""
     exps = gamma if isinstance(gamma, Tensor) else None
     spans = focal_spans([logits.shape], onehot, logits.dtype,
                         None if exps is None else [exps.data])
@@ -525,11 +517,10 @@ def focal_nll(logits: Tensor, onehot: np.ndarray, floor: float, gamma=None,
         _check_same_dtype(logits, exps)
         e, sizes = exps.data.reshape(-1).tolist(), [n] * k
     else:
-        e, sizes = None if gamma is None else float(gamma), None
+        e, sizes = 0.0 if gamma is None else float(gamma), None
     rows = logits.data.reshape(-1, logits.shape[-1])
-    weights = None if weights is None else weights.reshape(-1)
-    nll = np.empty(k * n, rows.dtype)
-    focal = None if e is None else np.empty_like(nll)
+    weights = np.ones(k * n, rows.dtype) if weights is None else weights.reshape(-1)
+    nll, focal = np.empty(k * n, rows.dtype), np.empty(k * n, rows.dtype)
     rows_vjp = focal_kernel(rows, onehot.reshape(rows.shape), floor, e, sizes, nll, focal)
     out = focal_product(nll, focal, weights)
     lead = logits.shape[:-2] if mean else logits.shape[:-1]
@@ -538,9 +529,8 @@ def focal_nll(logits: Tensor, onehot: np.ndarray, floor: float, gamma=None,
         g = g.reshape(-1)
         if mean:  # each row's gradient times 1 / B, over its batch
             g = (g * (1.0 / n)).repeat(n)
-        if weights is not None:
-            g = g * weights
-        g_rows, g_exps = rows_vjp(g, spans if exps is not None and exps.requires_grad else None)
+        g_rows, g_exps = rows_vjp(g * weights,
+                                  spans if exps is not None and exps.requires_grad else None)
         return g_rows.reshape(logits.shape), g_exps and g_exps[0].reshape(exps.shape)
 
     return _record((np.add.reduce(out.reshape(k, n), axis=-1) * (1.0 / n) if mean

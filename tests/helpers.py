@@ -121,8 +121,8 @@ def bind_tick(shapes, batch, cfg, gammas=None):
     scale = scale.astype(dtype)
     if cfg.kind == "adaptive_focal" and batch.weights is not None:
         scale = scale * batch.weights
-    return L.bind_loss(shapes, dtype, batch, scale, np.empty_like(scale),
-                       None if cfg.kind == "ce" else np.empty_like(scale), cfg, gammas)
+    return L.bind_loss(shapes, dtype, batch, scale, np.empty_like(scale), np.empty_like(scale),
+                       cfg, gammas)
 
 
 def span_places(spans):
@@ -144,7 +144,7 @@ def tick_means(tick, batch, cfg):
     from fedfocal import losses as L
     from fedfocal import tensor as T
 
-    weights = batch.weights if cfg.kind == "adaptive_focal" else None
+    weights = batch.weights if cfg.kind == "adaptive_focal" else np.ones_like(tick.nll)
     return L.step_means(T.focal_product(tick.nll, tick.focal, weights), span_places(tick.spans))
 
 

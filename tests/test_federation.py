@@ -1,6 +1,8 @@
+import json
 import os
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -385,7 +387,7 @@ class TestTicks:
                 stepping = [r for r, n in enumerate(batches) if n > t]
                 assert stepping == list(range(rows.stop)) and rows.start == 0
                 assert [r for sel, *_ in groups for r in range(sel.start, sel.stop)] == stepping
-                assert loss.gamma is None and loss.slots is None
+                assert loss.gamma == 0.0 and loss.slots is None
                 for sel, x, forward, _ in groups:
                     n = {min(batch_size, sizes[plan.order[r]] - t * batch_size)
                          for r in range(sel.start, sel.stop)}
@@ -750,6 +752,19 @@ class TestRunFederation:
         for rec in run.records:
             seen.update(rec.selected)
         assert len(seen) > 1  # selection varies across rounds
+
+    def test_cross_entropy_trains_as_focal_at_gamma_zero_bit_for_bit(self):
+        """CE runs the focal loss at gamma 0 with every weight 1, so a CE run
+        and a focal run at gamma = 0.0 train the same bits: the final
+        parameters and every record but its reported gamma."""
+        ce = F.run_federation(*smoke_setup(4, **{"loss.kind": "ce"}))
+        focal = F.run_federation(*smoke_setup(4, **{"loss.kind": "focal", "loss.gamma": 0.0}))
+        assert ce.params.flat.tobytes() == focal.params.flat.tobytes()
+        assert len(ce.records) == len(focal.records) == 4
+        for a, b in zip(ce.records, focal.records):
+            assert (a.gamma, b.gamma) == (2.0, 0.0)
+            assert (json.dumps(X.round_record_json(replace(a, gamma=0.0)))
+                    == json.dumps(X.round_record_json(b)))
 
     def test_gamma_trainable_stays_in_bounds_and_grows(self):
         bundle, part, model = tiny_setup()

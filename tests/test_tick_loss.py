@@ -33,14 +33,14 @@ def tick_kernels(logits, onehot, gamma, weights, mean, g):
     each block's gamma gradient."""
     exps = gamma if isinstance(gamma, list) else None
     spans = T.focal_spans([x.shape for x in logits], onehot, onehot.dtype, exps)
-    e, sizes = gamma, None
+    e, sizes = 0.0 if gamma is None else gamma, None
     if exps is not None:
         e = [v for x in exps for v in x.reshape(-1).tolist()]
         sizes = [n for k, n, _ in spans for _ in range(k)]
     rows = np.concatenate([x.reshape(-1, onehot.shape[-1]) for x in logits])
     nll, focal = np.empty(len(rows), rows.dtype), np.empty(len(rows), rows.dtype)
     vjp = T.focal_kernel(rows, onehot, FLOOR, e, sizes, nll, focal)
-    out = T.focal_product(nll, None if gamma is None else focal, weights)
+    out = T.focal_product(nll, focal, np.ones_like(nll) if weights is None else weights)
     if mean:  # each row's gradient times 1 / B, over its batch
         out = L.step_means(out, span_places(spans))
         ends = np.cumsum([k for k, _, _ in spans])
